@@ -46,6 +46,8 @@ class Channel:
             if e.shape != (dim, dim):
                 raise ValueError("Kraus operator shape %s does not fit %d qubits"
                                  % (e.shape, self.p))
+            if not np.isfinite(e).all():
+                raise ValueError("Kraus operator has non-finite entries")
         object.__setattr__(self, "kraus", ops)
 
     @property

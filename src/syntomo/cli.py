@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -27,9 +28,9 @@ from .codes import (
     code_from_json,
     hamming_bound,
     kl_scan,
-    syndrome_of,
 )
 from .estimation import SamplingPolicy, compare, sample_record
+from .numeric import DEFAULT_POLICY
 from .protocol import (
     plan_configurations,
     plan_to_json,
@@ -92,9 +93,13 @@ def _resolve_channel(spec: str, params):
 
 def _parse_beta(text: str) -> np.ndarray:
     try:
-        return np.array([complex(tok.strip()) for tok in text.split(",")])
+        beta = np.array([complex(tok.strip()) for tok in text.split(",")])
     except ValueError:
         raise _InputError("cannot parse logical amplitudes %r" % text)
+    # encode checks this too, but here it is an input failure; NaN fails
+    if not abs(np.linalg.norm(beta) - 1.0) <= DEFAULT_POLICY.algebraic:
+        raise _InputError("logical amplitudes %r are not normalized" % text)
+    return beta
 
 
 def _emit(report: dict, text_lines, args) -> None:
@@ -115,7 +120,7 @@ def _cmd_validate(args) -> int:
     identity_gap = float(np.abs(c - np.eye(code.d2)).max())
     bound = hamming_bound(code.n, code.k, len(code.noisy_coords))
     syndromes = {code.error_basis.label(i):
-                 "".join(str(b) for b in syndrome_of(code, i))
+                 "".join(str(b) for b in code.syndrome_table[i])
                  for i in range(code.d2)}
     report = {
         "code": args.code,
@@ -168,22 +173,30 @@ def _cmd_characterize(args) -> int:
         params = [float(tok) for tok in args.params.split(",")] if args.params else []
     except ValueError:
         raise _InputError("cannot parse channel parameters %r" % args.params)
+    if not all(math.isfinite(v) for v in params):
+        raise _InputError("channel parameters must be finite, got %r"
+                          % args.params)
     channel, have_oracle = _resolve_channel(args.channel, params)
     if args.beta:
         beta = _parse_beta(args.beta)
     else:
         dim = 1 << code.k
         beta = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
+    sampling = None
+    if args.mode == "sampled":
+        try:
+            sampling = SamplingPolicy(shots_per_configuration=args.shots,
+                                      seed=args.seed)
+        except ValueError as exc:
+            raise _InputError(str(exc))
 
     try:
         if channel.p < len(code.noisy_coords):
             channel = extend_channel(channel, len(code.noisy_coords))
         configs, readouts = plan_configurations(code)
         records = [xi_simulated(code, beta, channel, cfg) for cfg in configs]
-        if args.mode == "sampled":
-            policy = SamplingPolicy(shots_per_configuration=args.shots,
-                                    seed=args.seed)
-            records = [sample_record(rec, policy) for rec in records]
+        if sampling is not None:
+            records = [sample_record(rec, sampling) for rec in records]
         chi_est = reconstruct(records, readouts, code.error_basis)
         residuals = []
         for cfg, rec in zip(configs, records):

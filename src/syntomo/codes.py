@@ -3,9 +3,10 @@
 A code is specified by commuting generators, the noisy coordinate
 subset and a logical basis. Every error-basis element must map the
 code space to a distinct syndrome space, so that one round of syndrome
-measurement identifies the error exactly. The error-correcting
-condition is checked numerically at build time and degenerate codes
-are rejected.
+measurement identifies the error exactly. The builder stores the
+syndrome frame, whose columns F_x|j_L> span the error spaces, and
+rejects the code unless the frame is orthonormal: with distinct
+syndromes that is the error-correcting condition with C = I.
 """
 
 from __future__ import annotations
@@ -45,14 +46,22 @@ class StabilizerCode:
     error_basis: ErrorBasis
     syndrome_table: tuple
     syndrome_index: dict = field(repr=False, compare=False)
+    # column x * 2^k + j is F_x |j_L>, x in error-basis order
+    frame: np.ndarray = field(repr=False, compare=False)
 
     @property
     def d2(self) -> int:
         """Error-basis size 4^p."""
         return self.error_basis.size
 
+    def error_space(self, x: int) -> np.ndarray:
+        """Orthonormal columns F_x |j_L> spanning error x's syndrome space."""
+        dim = 1 << self.k
+        return self.frame[:, x * dim:(x + 1) * dim]
+
     def code_projector(self) -> np.ndarray:
-        return projector_from_states(self.logical_basis)
+        w = self.error_space(0)
+        return w @ w.conj().T
 
 
 def _symplectic_rank(generators) -> int:
@@ -212,27 +221,20 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None,
                 % (error_basis.label(index[syn]), error_basis.label(i), syn))
         index[syn] = i
 
-    code = StabilizerCode(
+    # with distinct syndromes, an orthonormal frame is the
+    # error-correcting condition with C = I
+    logical = np.column_stack(basis_states)
+    frame = np.hstack([to_matrix(e) @ logical for e in error_basis.elements])
+    residual = float(np.abs(frame.conj().T @ frame
+                            - np.eye(frame.shape[1])).max())
+    if residual > policy.kl_residual:
+        raise ValueError("error-correcting condition fails with residual %g"
+                         % residual)
+    return StabilizerCode(
         n=n, k=k, generators=gens, logical_basis=basis_states,
         noisy_coords=tuple(noisy_coords), error_basis=error_basis,
-        syndrome_table=table, syndrome_index=index,
+        syndrome_table=table, syndrome_index=index, frame=frame,
     )
-    c = kl_condition(code, policy)
-    if abs(np.linalg.det(c)) < policy.kl_residual:
-        raise ValueError("degenerate code: error-correcting condition "
-                         "matrix is singular")
-    return code
-
-
-def syndrome_of(code: StabilizerCode, error_index: int) -> Syndrome:
-    """Syndrome bits of an error-basis element, in generator order.
-
-    Bit j is 1 iff the error anticommutes with generator j, i.e. the
-    measured eigenvalue of that generator is -1.
-    """
-    if not (0 <= error_index < code.d2):
-        raise ValueError("error index %d outside 0..%d" % (error_index, code.d2 - 1))
-    return code.syndrome_table[error_index]
 
 
 def kl_scan(code: StabilizerCode) -> tuple:
@@ -283,8 +285,8 @@ def syndrome_projector(code: StabilizerCode, syndrome: Syndrome) -> np.ndarray:
     syn = tuple(int(b) for b in syndrome)
     if syn not in code.syndrome_index:
         raise ValueError("syndrome %s not in table" % (syn,))
-    f = to_matrix(code.error_basis.elements[code.syndrome_index[syn]])
-    return f @ code.code_projector() @ f.conj().T
+    w = code.error_space(code.syndrome_index[syn])
+    return w @ w.conj().T
 
 
 def builtin_code(name: str, policy: NumericPolicy = DEFAULT_POLICY) -> StabilizerCode:

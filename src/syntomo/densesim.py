@@ -19,40 +19,6 @@ def _qubit_count(dim: int, what: str) -> int:
     return n
 
 
-def check_state_vector(v: np.ndarray, normalized: bool = True,
-                       policy: NumericPolicy = DEFAULT_POLICY) -> None:
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ValueError("state vector must be one-dimensional")
-    _qubit_count(v.shape[0], "state")
-    if normalized and abs(np.linalg.norm(v) - 1.0) > policy.algebraic:
-        raise ValueError("state vector is not normalized")
-
-
-def check_density_matrix(rho: np.ndarray,
-                         policy: NumericPolicy = DEFAULT_POLICY) -> None:
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    _qubit_count(rho.shape[0], "density matrix")
-    if np.abs(rho - rho.conj().T).max() > policy.algebraic:
-        raise ValueError("density matrix is not Hermitian")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -policy.psd:
-        raise ValueError("density matrix has negative eigenvalue %g" % eigs.min())
-    tr = float(np.trace(rho).real)
-    if not (0.0 < tr <= 1.0 + policy.algebraic):
-        raise ValueError("density matrix trace %g outside (0, 1]" % tr)
-
-
-def check_projector(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> None:
-    m = np.asarray(m)
-    if np.abs(m - m.conj().T).max() > policy.algebraic:
-        raise ValueError("projector is not Hermitian")
-    if np.abs(m @ m - m).max() > policy.algebraic:
-        raise ValueError("projector is not idempotent")
-
-
 def outer(v: np.ndarray) -> np.ndarray:
     """Rank-one density matrix |v><v|."""
     v = np.asarray(v, dtype=complex)

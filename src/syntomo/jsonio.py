@@ -7,6 +7,17 @@ IEEE doubles losslessly and keeps reports byte-stable across runs.
 from __future__ import annotations
 
 import math
+import re
+
+_SPECIAL = re.compile(r'[\x00-\x1f"\\]')
+_SHORT = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
+          "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _quote(text: str) -> str:
+    """JSON string literal; quotes, backslashes and U+0000-U+001F escaped."""
+    return '"' + _SPECIAL.sub(
+        lambda m: _SHORT.get(m.group(), "\\u%04x" % ord(m.group())), text) + '"'
 
 
 def _render(obj, indent: int, out: list) -> None:
@@ -18,7 +29,7 @@ def _render(obj, indent: int, out: list) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(_quote(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -44,7 +55,7 @@ def _render(obj, indent: int, out: list) -> None:
         for i, (key, value) in enumerate(items):
             if not isinstance(key, str):
                 raise TypeError("JSON object keys must be strings, got %r" % (key,))
-            out.append(pad + '  "' + key + '": ')
+            out.append(pad + "  " + _quote(key) + ": ")
             _render(value, indent + 1, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel, ProcessMatrix
-from .codes import StabilizerCode, syndrome_projector
-from .densesim import apply_channel, apply_unitary, expectation, outer
+from .codes import StabilizerCode
+from .densesim import apply_channel, apply_unitary, outer
 from .numeric import DEFAULT_POLICY, NumericPolicy
 from .pauli import commutes, to_matrix
 
@@ -109,23 +109,12 @@ def encode(code: StabilizerCode, beta, policy: NumericPolicy = DEFAULT_POLICY) -
     if beta.shape != (1 << code.k,):
         raise ValueError("expected %d logical amplitudes, got shape %s"
                          % (1 << code.k, beta.shape))
-    if abs(np.linalg.norm(beta) - 1.0) > policy.algebraic:
+    if not abs(np.linalg.norm(beta) - 1.0) <= policy.algebraic:  # NaN fails
         raise ValueError("logical amplitudes are not normalized")
     out = np.zeros(1 << code.n, dtype=complex)
     for amp, vec in zip(beta, code.logical_basis):
         out = out + amp * vec
     return out
-
-
-def pauli_factors(code: StabilizerCode, a: int, b: int, x: int):
-    """Factor the products F_a F_x and F_b F_x over the error basis.
-
-    Returns (g_A, A, g_B, B, same_type) with F_a F_x = g_A F_A and
-    F_b F_x = g_B F_B; same_type is true when g_A and g_B are both
-    real or both imaginary, which decides whether a readout exposes a
-    real or an imaginary combination.
-    """
-    return _factors_from_basis(code.error_basis, a, b, x)
 
 
 def rotation_unitary(code: StabilizerCode, a: int, b: int,
@@ -168,15 +157,10 @@ def build_toggle(code: StabilizerCode, theta_signs,
         raise ValueError("theta signs must be +1 or -1")
     if sum(1 for s in signs if s > 0) != code.d2 // 2:
         raise ValueError("theta must carry both signs in equal number")
-    dim = 1 << code.n
-    covered = np.zeros((dim, dim), dtype=complex)
-    toggle = np.zeros((dim, dim), dtype=complex)
-    for m in range(code.d2):
-        proj = syndrome_projector(code, code.syndrome_table[m])
-        toggle += np.exp(1j * signs[m] * np.pi / 4.0) * proj
-        covered += proj
-    # perfect codes tile the space; otherwise act as identity outside
-    return toggle + (np.eye(dim, dtype=complex) - covered)
+    # W diag(e^{i theta} - 1) W† + I: identity outside the error ball
+    phases = np.exp(1j * np.array(signs) * np.pi / 4.0)
+    shift = np.repeat(phases - 1.0, 1 << code.k)
+    return (code.frame * shift) @ code.frame.conj().T + np.eye(1 << code.n)
 
 
 def xi_predicted(chi: ProcessMatrix, cfg: Configuration, x: int) -> float:
@@ -185,7 +169,8 @@ def xi_predicted(chi: ProcessMatrix, cfg: Configuration, x: int) -> float:
     if cfg.kind == "bare":
         return float(ent[x, x].real)
     basis = chi.basis
-    g_a, idx_a, g_b, idx_b, _ = _factors_from_basis(basis, cfg.a, cfg.b, x)
+    g_a, idx_a = basis.mul(cfg.a, x)
+    g_b, idx_b = basis.mul(cfg.b, x)
     term = g_a.value.conjugate() * g_b.value * ent[idx_a, idx_b]
     if cfg.kind == "toggled":
         term *= _TOGGLE_PHASE[cfg.theta_signs[idx_a] - cfg.theta_signs[idx_b]]
@@ -195,13 +180,6 @@ def xi_predicted(chi: ProcessMatrix, cfg: Configuration, x: int) -> float:
     return base + float(term.real)
 
 
-def _factors_from_basis(basis, a: int, b: int, x: int):
-    g_a, idx_a = basis.mul(a, x)
-    g_b, idx_b = basis.mul(b, x)
-    same_type = (g_a.exp - g_b.exp) % 2 == 0
-    return g_a, idx_a, g_b, idx_b, same_type
-
-
 def xi_simulated(code: StabilizerCode, beta, channel: Channel,
                  cfg: Configuration,
                  policy: NumericPolicy = DEFAULT_POLICY) -> MeasurementRecord:
@@ -209,7 +187,8 @@ def xi_simulated(code: StabilizerCode, beta, channel: Channel,
 
     Encodes, applies the channel on the noisy coordinates, applies the
     configuration's pre-processing, and projects onto each syndrome
-    space. Probabilities sum to the output trace, which is 1 for
+    space, read as block sums of diag(W† rho W) over the code's syndrome
+    frame W. Probabilities sum to the output trace, which is 1 for
     trace-preserving channels. A channel on fewer qubits than the noisy
     subsystem acts on its leading coordinates and leaves the rest alone.
     """
@@ -221,10 +200,10 @@ def xi_simulated(code: StabilizerCode, beta, channel: Channel,
                         policy=policy)
     if cfg.unitary is not None:
         rho = apply_unitary(rho, cfg.unitary, policy)
-    dist = {}
-    for x in range(code.d2):
-        syn = code.syndrome_table[x]
-        dist[syn] = expectation(rho, syndrome_projector(code, syn))
+    w = code.frame
+    probs = np.einsum("ij,ij->j", w.conj(), rho @ w).real
+    probs = probs.reshape(code.d2, 1 << code.k).sum(axis=1)
+    dist = {syn: float(q) for syn, q in zip(code.syndrome_table, probs)}
     return MeasurementRecord(config_index=cfg.index, distribution=dist, shots=None)
 
 
@@ -278,7 +257,8 @@ def derive_readouts(code: StabilizerCode, configs) -> list:
             continue
         pair_commutes = commutes(basis.elements[cfg.a], basis.elements[cfg.b])
         for x in range(code.d2):
-            g_a, idx_a, g_b, idx_b, _ = _factors_from_basis(basis, cfg.a, cfg.b, x)
+            g_a, idx_a = basis.mul(cfg.a, x)
+            g_b, idx_b = basis.mul(cfg.b, x)
             g = g_a.value.conjugate() * g_b.value
             if cfg.kind == "toggled":
                 g *= _TOGGLE_PHASE[cfg.theta_signs[idx_a] - cfg.theta_signs[idx_b]]

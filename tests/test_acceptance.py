@@ -46,7 +46,7 @@ def test_02_correlated_flip_statistics():
     cfg = st.plan_configurations(code5)[0][0]
     beta = np.array([0.6, 0.8])
     flip = code5.error_basis.index_of_label("XX")
-    flip_syndrome = st.syndrome_of(code5, flip)
+    flip_syndrome = code5.syndrome_table[flip]
 
     for p in (0.1, 0.3):
         ch = st.builtin_channel("correlated-flip", [p])
@@ -178,7 +178,7 @@ def test_08_recovery_restores_the_logical_state():
 
         for m, err in enumerate(errors):
             corrupted = err @ psi
-            fixed = st.recover(corrupted, code, st.syndrome_of(code, m))
+            fixed = st.recover(corrupted, code, code.syndrome_table[m])
             assert abs(abs(np.vdot(fixed, psi)) - 1.0) < 1e-10
 
             # pre-processing moves weight between spaces but every

@@ -196,6 +196,54 @@ class TestCharacterize:
         assert doc["channel"] == "amplitude-damping(0.1)"
 
 
+class TestInputBoundary:
+    """Bad inputs end in one error line and exit 2, never a traceback."""
+
+    def check(self, capsys, *argv):
+        rc, out, err = run(capsys, "characterize", "--code", "code3", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_infinite_params(self, capsys):
+        err = self.check(capsys, "--channel", "random-cp",
+                         "--params", "inf,1,1")
+        assert "finite" in err
+
+    def test_nan_in_channel_file(self, capsys, tmp_path):
+        doc = st.channel_to_json(st.builtin_channel("amplitude-damping", [0.2]))
+        path = tmp_path / "channel.json"
+        doc["kraus"][0][0][0] = [float("nan"), 0.0]
+        path.write_text(json.dumps(doc))
+        err = self.check(capsys, "--channel", str(path))
+        assert "non-finite" in err
+
+    def test_unnormalized_beta(self, capsys):
+        for beta in ("1,1", "nan,0"):
+            err = self.check(capsys, "--channel", "amplitude-damping",
+                             "--params", "0.3", "--beta", beta)
+            assert "not normalized" in err
+
+    def test_zero_shots(self, capsys):
+        err = self.check(capsys, "--channel", "amplitude-damping",
+                         "--params", "0.3", "--mode", "sampled",
+                         "--shots", "0")
+        assert "shots" in err
+
+
+def test_report_escapes_label(capsys, tmp_path):
+    label = 'line\nquote" back\\slash \x01'
+    doc = st.channel_to_json(st.builtin_channel("amplitude-damping", [0.2]))
+    doc["label"] = label
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    rc, report, _ = run_json(capsys, "characterize", "--code", "code3",
+                             "--channel", str(path))
+    assert rc == 0
+    assert report["channel"] == label
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "syntomo.cli", "--help"],
                           capture_output=True, text=True)

@@ -70,15 +70,15 @@ class TestBuiltinFiveQubit:
             u1, u2 = (idx >> 3) & 1, (idx >> 2) & 1
             v1, v2 = (idx >> 1) & 1, idx & 1
             expected = (u2, v1 ^ v2, u1 ^ v2, u1 ^ u2)
-            assert st.syndrome_of(code5, idx) == expected
+            assert code5.syndrome_table[idx] == expected
 
     def test_two_qubit_flip_syndrome(self, code5):
         idx = code5.error_basis.index_of_label("XX")
-        assert st.syndrome_of(code5, idx) == (1, 0, 1, 0)
+        assert code5.syndrome_table[idx] == (1, 0, 1, 0)
 
     def test_single_flip_syndrome(self, code5):
         idx = code5.error_basis.index_of_label("XI")
-        assert st.syndrome_of(code5, idx) == (0, 0, 1, 1)
+        assert code5.syndrome_table[idx] == (0, 0, 1, 1)
 
 
 class TestKnillLaflamme:
@@ -126,7 +126,7 @@ class TestSyndromeProjectors:
         np.testing.assert_allclose(proj, code3.code_projector(), atol=1e-12)
 
     def test_error_space_orthogonal_to_code(self, code3):
-        x_syndrome = st.syndrome_of(code3, code3.error_basis.index_of_label("X"))
+        x_syndrome = code3.syndrome_table[code3.error_basis.index_of_label("X")]
         proj = st.syndrome_projector(code3, x_syndrome)
         assert abs(np.trace(proj) - 2.0) < 1e-12
         np.testing.assert_allclose(proj @ code3.code_projector(),
@@ -146,7 +146,7 @@ class TestSyndromeProjectors:
         # bit i is 1 exactly when the error anticommutes with generator i
         for m in range(code3.d2):
             err = code3.error_basis.elements[m]
-            syndrome = st.syndrome_of(code3, m)
+            syndrome = code3.syndrome_table[m]
             for i, gen in enumerate(code3.generators):
                 assert syndrome[i] == (0 if st.commutes(err, gen) else 1)
 
@@ -211,3 +211,93 @@ class TestBuildCode:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="code3, code5"):
             st.builtin_code("code7")
+
+
+def bell_pair_generators(p):
+    """X_q X_{p+q} and Z_q Z_{p+q} for q < p, plus a spectator qubit."""
+    n = 2 * p + 1
+    gens = []
+    for letter in "XZ":
+        for q in range(p):
+            word = ["I"] * n
+            word[q] = word[p + q] = letter
+            gens.append("".join(word))
+    return gens
+
+
+FRAME_CODES = {
+    "code3": lambda: st.builtin_code("code3"),
+    "code5": lambda: st.builtin_code("code5"),
+    # non-perfect: four error spaces of dimension 2 in a 16-dim register
+    "nonperfect4": lambda: st.build_code(["XXII", "ZZII", "IIZZ"], (0,)),
+    "bell3": lambda: st.build_code(bell_pair_generators(3), (0, 1, 2)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FRAME_CODES))
+def frame_code(request):
+    return FRAME_CODES[request.param]()
+
+
+def dense_projectors(code):
+    """F_x Pi F_x† from dense Pauli matrices, in error-basis order."""
+    pi = st.projector_from_states(code.logical_basis)
+    out = []
+    for e in code.error_basis.elements:
+        f = st.to_matrix(e)
+        out.append(f @ pi @ f.conj().T)
+    return out
+
+
+class TestSyndromeFrame:
+    """The stored frame against the dense definitions it replaces."""
+
+    def test_column_order(self, frame_code):
+        dim = 1 << frame_code.k
+        for x, e in enumerate(frame_code.error_basis.elements):
+            f = st.to_matrix(e)
+            for j, v in enumerate(frame_code.logical_basis):
+                np.testing.assert_allclose(frame_code.frame[:, x * dim + j],
+                                           f @ v, atol=1e-15)
+
+    def test_projectors_match_dense(self, frame_code):
+        for x, proj in enumerate(dense_projectors(frame_code)):
+            got = st.syndrome_projector(frame_code,
+                                        frame_code.syndrome_table[x])
+            np.testing.assert_allclose(got, proj, atol=1e-12)
+
+    def test_toggle_matches_dense(self, frame_code):
+        projs = dense_projectors(frame_code)
+        eye = np.eye(1 << frame_code.n)
+        configs, _ = st.plan_configurations(frame_code)
+        toggled = [cfg for cfg in configs if cfg.kind == "toggled"]
+        for cfg in toggled[:3]:
+            want = eye - sum(projs)
+            for sign, proj in zip(cfg.theta_signs, projs):
+                want = want + np.exp(1j * sign * np.pi / 4.0) * proj
+            got = st.build_toggle(frame_code, cfg.theta_signs)
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_kl_scan_gives_identity(self, frame_code):
+        c, residual = st.kl_scan(frame_code)
+        np.testing.assert_allclose(c, np.eye(frame_code.d2), atol=1e-12)
+        assert residual < 1e-12
+
+    def test_exact_chi_matches_oracle(self, frame_code):
+        p = len(frame_code.noisy_coords)
+        channel = st.builtin_channel("random-cp", [5, p, 2])
+        configs, readouts = st.plan_configurations(frame_code)
+        beta = np.full(1 << frame_code.k, (1 << frame_code.k) ** -0.5)
+        records = [st.xi_simulated(frame_code, beta, channel, cfg)
+                   for cfg in configs]
+        chi = st.reconstruct(records, readouts, frame_code.error_basis)
+        oracle = st.chi_from_kraus(channel, frame_code.error_basis)
+        assert st.compare(chi, oracle).frobenius_error < 1e-12
+
+    def test_nonorthonormal_frame_rejected(self):
+        # within the codeword gate's tolerance, outside a strict frame check
+        zero = (ZERO3 + 1e-9 * ONE3) / np.linalg.norm(ZERO3 + 1e-9 * ONE3)
+        strict = st.NumericPolicy(kl_residual=1e-12)
+        with pytest.raises(ValueError, match="error-correcting condition fails"):
+            st.build_code(["XIX", "YYZ"], [0], codewords=[zero, ONE3],
+                          policy=strict)

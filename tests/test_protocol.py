@@ -37,25 +37,27 @@ class TestEncode:
             st.encode(code3, (1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             st.encode(code3, (0.0, 0.0))
+        with pytest.raises(ValueError):
+            st.encode(code3, (np.nan, 0.0))
 
 
 class TestPauliFactors:
     def test_xy_pair_through_z(self, code3):
         basis = code3.error_basis
-        g_a, a_idx, g_b, b_idx, same = st.pauli_factors(
-            code3, basis.index_of_label("X"), basis.index_of_label("Y"),
-            basis.index_of_label("Z"))
+        z = basis.index_of_label("Z")
+        g_a, a_idx = basis.mul(basis.index_of_label("X"), z)
+        g_b, b_idx = basis.mul(basis.index_of_label("Y"), z)
         assert g_a.value == -1j and basis.label(a_idx) == "Y"
         assert g_b.value == 1j and basis.label(b_idx) == "X"
-        assert same
+        assert g_a.is_real == g_b.is_real
 
     def test_identity_pair(self, code3):
         basis = code3.error_basis
-        g_a, a_idx, g_b, b_idx, same = st.pauli_factors(
-            code3, 0, basis.index_of_label("Y"), 0)
+        g_a, a_idx = basis.mul(0, 0)
+        g_b, b_idx = basis.mul(basis.index_of_label("Y"), 0)
         assert g_a.value == 1 and basis.label(a_idx) == "I"
         assert g_b.value == 1 and basis.label(b_idx) == "Y"
-        assert same
+        assert g_a.is_real == g_b.is_real
 
     def test_factors_multiply_back(self, code5):
         # F_a F_x = g_A F_A must hold as matrices for every triple
@@ -64,7 +66,8 @@ class TestPauliFactors:
         mats = [st.to_matrix(e) for e in basis.restricted]
         for _ in range(30):
             a, b, x = rng.integers(0, basis.size, size=3)
-            g_a, a_idx, g_b, b_idx, _ = st.pauli_factors(code5, a, b, x)
+            g_a, a_idx = basis.mul(a, x)
+            g_b, b_idx = basis.mul(b, x)
             np.testing.assert_allclose(mats[a] @ mats[x],
                                        g_a.value * mats[a_idx], atol=1e-14)
             np.testing.assert_allclose(mats[b] @ mats[x],
@@ -109,7 +112,7 @@ class TestToggle:
         for label, phase in (("I", gamma), ("Z", gamma.conjugate()),
                              ("X", gamma.conjugate()), ("Y", gamma)):
             idx = code3.error_basis.index_of_label(label)
-            proj = st.syndrome_projector(code3, st.syndrome_of(code3, idx))
+            proj = st.syndrome_projector(code3, code3.syndrome_table[idx])
             np.testing.assert_allclose(s @ proj, phase * proj, atol=1e-12)
 
     def test_unitary(self, code3):
@@ -186,7 +189,7 @@ class TestSimulatedReadout:
         expected = {"I": 0.81, "Z": 0.01, "X": 0.09, "Y": 0.09}
         for label, prob in expected.items():
             idx = code3.error_basis.index_of_label(label)
-            assert abs(rec.value(st.syndrome_of(code3, idx)) - prob) < 1e-12
+            assert abs(rec.value(code3.syndrome_table[idx]) - prob) < 1e-12
 
     def test_correlated_flip_bare_distribution(self, code5):
         for p in (0.1, 0.3):
@@ -195,7 +198,7 @@ class TestSimulatedReadout:
             rec = st.xi_simulated(code5, (1.0, 0.0), ch, cfg)
             zero = rec.value((0, 0, 0, 0))
             xx = code5.error_basis.index_of_label("XX")
-            flip = rec.value(st.syndrome_of(code5, xx))
+            flip = rec.value(code5.syndrome_table[xx])
             assert abs(zero - (1 - p)) < 1e-12
             assert abs(flip - p) < 1e-12
             assert abs(sum(rec.distribution.values()) - 1.0) < 1e-12
@@ -365,7 +368,7 @@ class TestRecovery:
         for m in range(code3.d2):
             err = st.to_matrix(code3.error_basis.elements[m])
             corrupted = err @ psi
-            fixed = st.recover(corrupted, code3, st.syndrome_of(code3, m))
+            fixed = st.recover(corrupted, code3, code3.syndrome_table[m])
             assert abs(abs(np.vdot(fixed, psi)) - 1.0) < 1e-10
 
     def test_zero_syndrome_leaves_state(self, code3):
@@ -378,7 +381,7 @@ class TestRecovery:
         m = code3.error_basis.index_of_label("Y")
         err = st.to_matrix(code3.error_basis.elements[m])
         rho = st.outer(err @ psi)
-        fixed = st.recover(rho, code3, st.syndrome_of(code3, m))
+        fixed = st.recover(rho, code3, code3.syndrome_table[m])
         np.testing.assert_allclose(fixed, st.outer(psi), atol=1e-10)
 
     def test_unknown_syndrome(self, code3):
