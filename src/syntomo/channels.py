@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .pauli import ErrorBasis, to_matrix
+from .pauli import MATRIX_QUBIT_CAP, ErrorBasis, to_matrix
 
 _BUILTIN_NAMES = (
     "identity",
@@ -27,6 +27,11 @@ _BUILTIN_NAMES = (
     "phase-damping",
     "random-cp",
 )
+
+_EYE = np.eye(2, dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,6 +178,14 @@ def _int_param(name: str, value) -> int:
     return int(value)
 
 
+def _check_qubit_cap(p: int) -> int:
+    """Refuse a qubit count whose dense Kraus matrices are not desk scale."""
+    if p > MATRIX_QUBIT_CAP:
+        raise ValueError("channel on %d qubits exceeds the %d-qubit cap "
+                         "on dense matrices" % (p, MATRIX_QUBIT_CAP))
+    return p
+
+
 def builtin_channel(name: str, params=()) -> Channel:
     """Construct a channel from the built-in library.
 
@@ -181,37 +194,33 @@ def builtin_channel(name: str, params=()) -> Channel:
     """
     key = name.strip().lower()
     params = list(params)
-    eye = np.eye(2, dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-
     if key == "identity":
         p = _int_param("identity qubit-count", params[0]) if params else 1
         if p < 1:
             raise ValueError("identity qubit-count must be positive")
+        _check_qubit_cap(p)
         return Channel(p, (np.eye(1 << p, dtype=complex),), "identity")
 
     if key == "amplitude-damping":
         lam = _check_range("amplitude-damping", params[0], 0.0, 1.0)
         s = np.sqrt(1.0 - lam)
-        e0 = ((1.0 + s) / 2.0) * eye + ((1.0 - s) / 2.0) * z
-        e1 = (np.sqrt(lam) / 2.0) * x + (1j * np.sqrt(lam) / 2.0) * y
+        e0 = ((1.0 + s) / 2.0) * _EYE + ((1.0 - s) / 2.0) * _Z
+        e1 = (np.sqrt(lam) / 2.0) * _X + (1j * np.sqrt(lam) / 2.0) * _Y
         return Channel(1, (e0, e1), "amplitude-damping(%g)" % lam)
 
     if key == "correlated-flip":
         prob = _check_range("correlated-flip", params[0], 0.0, 1.0)
-        xx = np.kron(x, x)
+        xx = np.kron(_X, _X)
         return Channel(2, (np.sqrt(1.0 - prob) * np.eye(4, dtype=complex),
                            np.sqrt(prob) * xx),
                        "correlated-flip(%g)" % prob)
 
     if key == "depolarizing":
         prob = _check_range("depolarizing", params[0], 0.0, 1.0)
-        ops = (np.sqrt(1.0 - prob) * eye,
-               np.sqrt(prob / 3.0) * x,
-               np.sqrt(prob / 3.0) * y,
-               np.sqrt(prob / 3.0) * z)
+        ops = (np.sqrt(1.0 - prob) * _EYE,
+               np.sqrt(prob / 3.0) * _X,
+               np.sqrt(prob / 3.0) * _Y,
+               np.sqrt(prob / 3.0) * _Z)
         return Channel(1, ops, "depolarizing(%g)" % prob)
 
     if key == "phase-damping":
@@ -226,6 +235,7 @@ def builtin_channel(name: str, params=()) -> Channel:
         rank = _int_param("random-CP rank", params[2])
         if p < 1 or rank < 1:
             raise ValueError("random-CP qubit-count and rank must be positive")
+        _check_qubit_cap(p)
         return _random_cp(seed, p, rank)
 
     raise ValueError("unknown channel name %r; known names: %s"
@@ -258,7 +268,7 @@ def channel_to_json(channel: Channel) -> dict:
 
 
 def channel_from_json(doc: dict) -> Channel:
-    p = int(doc["p"])
+    p = _check_qubit_cap(int(doc["p"]))
     ops = []
     for mat in doc["kraus"]:
         ops.append(np.array([[complex(v[0], v[1]) for v in row] for row in mat]))

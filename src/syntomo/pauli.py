@@ -76,6 +76,9 @@ class PauliFactor:
         return {0: "+1", 1: "+i", 2: "-1", 3: "-i"}[self.exp]
 
 
+_FACTORS = tuple(PauliFactor(e) for e in range(4))
+
+
 @dataclass(frozen=True)
 class PauliOperator:
     """n-qubit Pauli operator in symplectic form.
@@ -213,6 +216,9 @@ class ErrorBasis:
     ``phase_exp`` equal to its Y count, making it Hermitian; products
     are mapped back onto the basis with the leftover phase returned as
     a :class:`PauliFactor`.
+
+    ``product_index[i, j]`` and ``product_phase[i, j]`` tabulate every
+    product F_i F_j = i^e F_k as (k, e), read-only.
     """
 
     n_total: int
@@ -220,6 +226,8 @@ class ErrorBasis:
     elements: tuple[PauliOperator, ...]
     restricted: tuple[PauliOperator, ...] = field(repr=False)
     _word_index: dict = field(repr=False, compare=False)
+    product_index: np.ndarray = field(repr=False, compare=False)
+    product_phase: np.ndarray = field(repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -271,10 +279,7 @@ class ErrorBasis:
 
         Group closure: F_i F_j = g F_k with g in {+-1, +-i}.
         """
-        g, word = pauli_mul(self.elements[i], self.elements[j])
-        k = self.index_of_word(word)
-        # the canonical element is i^y * word, so shift the phase over
-        return PauliFactor(g.exp - self.elements[k].phase_exp), k
+        return _FACTORS[self.product_phase[i, j]], int(self.product_index[i, j])
 
 
 def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
@@ -314,10 +319,32 @@ def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
             restricted.append(PauliOperator(max(p, 1), rx, rz, y))
             embedded_index[(x_mask, z_mask)] = index
             restricted_index[(rx, rz)] = index
+    index, phase = _product_table(p)
     return ErrorBasis(
         n_total=n_total,
         coords=coords,
         elements=tuple(elements),
         restricted=tuple(restricted),
         _word_index={"embedded": embedded_index, "restricted": restricted_index},
+        product_index=index,
+        product_phase=phase,
     )
+
+
+def _product_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, e) with F_i F_j = i^e F_k for all 4^p x 4^p index pairs.
+
+    Element i = (u << p) | v is i^{y_i} X^u Z^v with y_i = |u & v|, so
+    pauli_mul gives the bare word (u_i ^ u_j, v_i ^ v_j) with phase
+    y_i + y_j + 2|v_i & u_j|, and the canonical element k absorbs y_k.
+    """
+    idx = np.arange(1 << (2 * p))
+    u = idx >> p
+    v = idx & ((1 << p) - 1)
+    y = np.bitwise_count(u & v).astype(np.int64)
+    k = ((u[:, None] ^ u[None, :]) << p) | (v[:, None] ^ v[None, :])
+    crossings = np.bitwise_count(v[:, None] & u[None, :]).astype(np.int64)
+    e = ((y[:, None] + y[None, :] + 2 * crossings - y[k]) % 4).astype(np.int8)
+    k.flags.writeable = False
+    e.flags.writeable = False
+    return k, e

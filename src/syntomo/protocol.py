@@ -22,6 +22,10 @@ two-coloring (+pi/4 to the smaller index of each pair) satisfies the
 equal-sign requirement. One bare configuration plus a rotated and a
 toggled configuration per P meets the 1 + 2(d^2 - 1) bound, and every
 off-diagonal entry is determined twice over for cross-checking.
+
+Simulation never leaves the syndrome frame F_x|j_L>: a configuration
+acts there as a d^2 x d^2 map on error indices (F_a F_x = g F_{a.x},
+and the toggle is a diagonal phase), so no 2^n operator is formed.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import numpy as np
 
 from .channels import Channel, ProcessMatrix
 from .codes import StabilizerCode
-from .densesim import apply_channel, apply_unitary, outer
 from .numeric import DEFAULT_POLICY, NumericPolicy
 from .pauli import commutes, to_matrix
 
@@ -44,13 +47,17 @@ _MINUS = "−"
 # exact phase factor e^{i pi/4 (s_A - s_B)} for sign pairs
 _TOGGLE_PHASE = {2: 1j, 0: 1.0 + 0.0j, -2: -1j}
 
+# i^e for a product phase exponent e
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """One measurement setup: pre-processing followed by syndrome readout.
 
-    ``theta_signs`` maps error index m to the sign of theta_m = +-pi/4;
-    ``unitary`` is the realized pre-processing operator (None when bare).
+    ``theta_signs`` maps error index m to the sign of theta_m = +-pi/4.
+    ``action`` is the pre-processing U in frame coordinates (None when
+    bare): the d^2 x d^2 matrix M with U F_x|j_L> = sum_y M[y, x] F_y|j_L>.
     """
 
     index: int
@@ -58,7 +65,7 @@ class Configuration:
     a: int | None = None
     b: int | None = None
     theta_signs: tuple | None = None
-    unitary: np.ndarray | None = field(default=None, repr=False)
+    action: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,38 @@ def rotation_unitary(code: StabilizerCode, a: int, b: int,
     return u
 
 
+def _rotation_action(basis, a: int, b: int) -> np.ndarray:
+    """Frame map of the planner rotation (F_a + c F_b)/sqrt(2).
+
+    M[a.x, x] = g_a/sqrt(2) and M[b.x, x] = c g_b/sqrt(2), where
+    F_a F_x = g_a F_{a.x} and c is i for a commuting pair, else 1.
+    """
+    if a == b:
+        raise ValueError("rotation needs two distinct error indices")
+    c = 1j if commutes(basis.elements[a], basis.elements[b]) else 1.0
+    cols = np.arange(basis.size)
+    m = np.zeros((basis.size, basis.size), dtype=complex)
+    m[basis.product_index[a], cols] = _I_POWERS[basis.product_phase[a]]
+    m[basis.product_index[b], cols] = c * _I_POWERS[basis.product_phase[b]]
+    m /= np.sqrt(2.0)
+    if np.abs(m.conj().T @ m - np.eye(basis.size)).max() > 1e-12:
+        raise ValueError("rotation for pair (%s, %s) failed the unitarity check"
+                         % (basis.label(a), basis.label(b)))
+    return m
+
+
+def _toggle_phases(d2: int, theta_signs) -> np.ndarray:
+    """e^{i theta_m} per error index, after checking the signs."""
+    signs = tuple(int(s) for s in theta_signs)
+    if len(signs) != d2:
+        raise ValueError("expected %d theta signs, got %d" % (d2, len(signs)))
+    if any(s not in (-1, 1) for s in signs):
+        raise ValueError("theta signs must be +1 or -1")
+    if sum(1 for s in signs if s > 0) != d2 // 2:
+        raise ValueError("theta must carry both signs in equal number")
+    return np.exp(1j * np.array(signs) * np.pi / 4.0)
+
+
 def build_toggle(code: StabilizerCode, theta_signs,
                  policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Toggling operator S+ = sum_m e^{i theta_m} Pi_m plus identity
@@ -150,15 +189,8 @@ def build_toggle(code: StabilizerCode, theta_signs,
     e^{i theta_m}, so the syndrome statistics transform as
     chi -> S chi S†.
     """
-    signs = tuple(int(s) for s in theta_signs)
-    if len(signs) != code.d2:
-        raise ValueError("expected %d theta signs, got %d" % (code.d2, len(signs)))
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError("theta signs must be +1 or -1")
-    if sum(1 for s in signs if s > 0) != code.d2 // 2:
-        raise ValueError("theta must carry both signs in equal number")
+    phases = _toggle_phases(code.d2, theta_signs)
     # W diag(e^{i theta} - 1) W† + I: identity outside the error ball
-    phases = np.exp(1j * np.array(signs) * np.pi / 4.0)
     shift = np.repeat(phases - 1.0, 1 << code.k)
     return (code.frame * shift) @ code.frame.conj().T + np.eye(1 << code.n)
 
@@ -185,24 +217,43 @@ def xi_simulated(code: StabilizerCode, beta, channel: Channel,
                  policy: NumericPolicy = DEFAULT_POLICY) -> MeasurementRecord:
     """Exact syndrome distribution of one configuration.
 
-    Encodes, applies the channel on the noisy coordinates, applies the
-    configuration's pre-processing, and projects onto each syndrome
-    space, read as block sums of diag(W† rho W) over the code's syndrome
-    frame W. Probabilities sum to the output trace, which is 1 for
-    trace-preserving channels. A channel on fewer qubits than the noisy
-    subsystem acts on its leading coordinates and leaves the rest alone.
+    Encodes, applies each Kraus operator E_r to the state vector on the
+    noisy coordinates, and expands every branch E_r|psi> in the syndrome
+    frame W: row x of the d^2 x (2^k K) coefficient block holds the
+    amplitudes on F_x|j_L> for all j and r. The configuration's frame
+    map acts on that block, and the probability of the syndrome of x is
+    the squared norm of row x. Kraus operators on the noisy coordinates
+    keep every branch in the frame's span, also for non-perfect codes;
+    a norm check guards that. Probabilities sum to the output trace,
+    which is 1 for trace-preserving channels. A channel on fewer qubits
+    than the noisy subsystem acts on its leading coordinates and leaves
+    the rest alone.
     """
     if channel.p > len(code.noisy_coords):
         raise ValueError("channel acts on %d qubits but the code's noisy "
                          "subsystem has %d" % (channel.p, len(code.noisy_coords)))
-    rho = outer(encode(code, beta, policy))
-    rho = apply_channel(rho, channel.kraus, code.noisy_coords[:channel.p],
-                        policy=policy)
-    if cfg.unitary is not None:
-        rho = apply_unitary(rho, cfg.unitary, policy)
-    w = code.frame
-    probs = np.einsum("ij,ij->j", w.conj(), rho @ w).real
-    probs = probs.reshape(code.d2, 1 << code.k).sum(axis=1)
+    psi = encode(code, beta, policy)
+    total = sum(e.conj().T @ e for e in channel.kraus)
+    if np.linalg.eigvalsh(total).max() > 1.0 + policy.algebraic:
+        raise ValueError("Kraus completeness sum exceeds identity")
+    p = channel.p
+    coords = code.noisy_coords[:p]
+    # Kraus axes: (r, outputs in coords order, inputs in coords order)
+    ops = np.stack(channel.kraus).reshape((-1,) + (2,) * (2 * p))
+    branches = np.tensordot(ops, psi.reshape((2,) * code.n),
+                            axes=(tuple(range(p + 1, 2 * p + 1)), coords))
+    branches = np.moveaxis(branches, tuple(range(1, p + 1)),
+                           tuple(c + 1 for c in coords))
+    branches = branches.reshape(len(channel.kraus), -1)
+    coeffs = code.frame.conj().T @ branches.T
+    defect = abs(np.vdot(branches, branches).real - np.vdot(coeffs, coeffs).real)
+    if not defect <= policy.algebraic:
+        raise ValueError("channel output leaves the syndrome frame "
+                         "(norm defect %g)" % defect)
+    block = coeffs.reshape(code.d2, -1)
+    if cfg.action is not None:
+        block = cfg.action @ block
+    probs = np.einsum("ij,ij->i", block.conj(), block).real
     dist = {syn: float(q) for syn, q in zip(code.syndrome_table, probs)}
     return MeasurementRecord(config_index=cfg.index, distribution=dist, shots=None)
 
@@ -221,19 +272,15 @@ def plan_configurations(code: StabilizerCode,
     d2 = basis.size
     configs = [Configuration(index=0, kind="bare")]
     for p in range(1, d2):
-        u = rotation_unitary(code, 0, p, policy)
+        m = _rotation_action(basis, 0, p)
         configs.append(Configuration(
-            index=len(configs), kind="rotated", a=0, b=p, unitary=u))
-        signs = [0] * d2
-        for x in range(d2):
-            if signs[x] != 0:
-                continue
-            _, partner = basis.mul(p, x)
-            signs[x], signs[partner] = (1, -1) if x < partner else (-1, 1)
-        toggled = build_toggle(code, signs, policy)
+            index=len(configs), kind="rotated", a=0, b=p, action=m))
+        partners = basis.product_index[p]
+        signs = [1 if x < partners[x] else -1 for x in range(d2)]
         configs.append(Configuration(
             index=len(configs), kind="toggled", a=0, b=p,
-            theta_signs=tuple(signs), unitary=u @ toggled))
+            theta_signs=tuple(signs),
+            action=m * _toggle_phases(d2, signs)))
     return configs, derive_readouts(code, configs)
 
 
@@ -390,10 +437,10 @@ def plan_from_json(code: StabilizerCode, doc: dict,
             continue
         a = basis.index_of_label(entry["a"])
         b = basis.index_of_label(entry["b"])
-        u = rotation_unitary(code, a, b, policy)
+        m = _rotation_action(basis, a, b)
         if kind == "rotated":
             configs.append(Configuration(index=index, kind="rotated",
-                                         a=a, b=b, unitary=u))
+                                         a=a, b=b, action=m))
             continue
         if kind != "toggled":
             raise ValueError("unknown configuration kind %r" % kind)
@@ -404,8 +451,7 @@ def plan_from_json(code: StabilizerCode, doc: dict,
             signs[basis.index_of_label(label)] = 1 if sign == "+" else -1
         if any(s == 0 for s in signs):
             raise ValueError("theta map does not cover the error basis")
-        toggled = build_toggle(code, signs, policy)
         configs.append(Configuration(index=index, kind="toggled", a=a, b=b,
                                      theta_signs=tuple(signs),
-                                     unitary=u @ toggled))
+                                     action=m * _toggle_phases(code.d2, signs)))
     return configs, derive_readouts(code, configs)

@@ -175,6 +175,17 @@ def test_08_recovery_restores_the_logical_state():
         projectors = {syn: st.syndrome_projector(code, syn)
                       for syn in code.syndrome_table}
         errors = [st.to_matrix(e) for e in code.error_basis.elements]
+        # dense pre-processing U, rebuilt from each configuration's pair
+        unitaries = {}
+        for cfg in configs:
+            if cfg.kind == "bare":
+                continue
+            u = st.rotation_unitary(code, cfg.a, cfg.b)
+            if cfg.kind == "toggled":
+                u = u @ st.build_toggle(code, cfg.theta_signs)
+            unitaries[cfg.index] = u
+        assert len(unitaries) == len(configs) - 1
+        checked = dict.fromkeys(unitaries, 0)
 
         for m, err in enumerate(errors):
             corrupted = err @ psi
@@ -183,10 +194,8 @@ def test_08_recovery_restores_the_logical_state():
 
             # pre-processing moves weight between spaces but every
             # branch still recovers the encoded state
-            for cfg in configs:
-                if cfg.unitary is None:
-                    continue
-                rotated = cfg.unitary @ corrupted
+            for index, u in unitaries.items():
+                rotated = u @ corrupted
                 for syn, proj in projectors.items():
                     branch = proj @ rotated
                     weight = np.linalg.norm(branch)
@@ -194,6 +203,8 @@ def test_08_recovery_restores_the_logical_state():
                         continue
                     fixed = st.recover(branch / weight, code, syn)
                     assert abs(abs(np.vdot(fixed, psi)) - 1.0) < 1e-10
+                    checked[index] += 1
+        assert min(checked.values()) > 0
 
 
 def test_09_shot_noise_scaling():

@@ -54,6 +54,19 @@ class TestBuiltinChannels:
         with pytest.raises(ValueError):
             st.builtin_channel("depolarizing", [2.0])
 
+    def test_qubit_cap_is_checked_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the qubit cap check")
+
+        monkeypatch.setattr(np, "eye", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(ValueError, match="12-qubit cap"):
+            st.builtin_channel("identity", [40])
+        with pytest.raises(ValueError, match="12-qubit cap"):
+            st.builtin_channel("random-cp", [1, 40, 2])
+        with pytest.raises(ValueError, match="12-qubit cap"):
+            st.channel_from_json({"p": 40, "kraus": [[[[1.0, 0.0]]]]})
+
     def test_unknown_name_lists_builtins(self):
         with pytest.raises(ValueError, match="amplitude-damping"):
             st.builtin_channel("nosuch")

@@ -219,6 +219,10 @@ class TestInputBoundary:
         err = self.check(capsys, "--channel", str(path))
         assert "non-finite" in err
 
+    def test_channel_over_qubit_cap(self, capsys):
+        err = self.check(capsys, "--channel", "identity", "--params", "40")
+        assert "cap" in err
+
     def test_unnormalized_beta(self, capsys):
         for beta in ("1,1", "nan,0"):
             err = self.check(capsys, "--channel", "amplitude-damping",

@@ -213,32 +213,6 @@ class TestBuildCode:
             st.builtin_code("code7")
 
 
-def bell_pair_generators(p):
-    """X_q X_{p+q} and Z_q Z_{p+q} for q < p, plus a spectator qubit."""
-    n = 2 * p + 1
-    gens = []
-    for letter in "XZ":
-        for q in range(p):
-            word = ["I"] * n
-            word[q] = word[p + q] = letter
-            gens.append("".join(word))
-    return gens
-
-
-FRAME_CODES = {
-    "code3": lambda: st.builtin_code("code3"),
-    "code5": lambda: st.builtin_code("code5"),
-    # non-perfect: four error spaces of dimension 2 in a 16-dim register
-    "nonperfect4": lambda: st.build_code(["XXII", "ZZII", "IIZZ"], (0,)),
-    "bell3": lambda: st.build_code(bell_pair_generators(3), (0, 1, 2)),
-}
-
-
-@pytest.fixture(scope="module", params=sorted(FRAME_CODES))
-def frame_code(request):
-    return FRAME_CODES[request.param]()
-
-
 def dense_projectors(code):
     """F_x Pi F_x† from dense Pauli matrices, in error-basis order."""
     pi = st.projector_from_states(code.logical_basis)

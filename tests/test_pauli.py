@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import syntomo as st
 from syntomo.pauli import MATRIX_QUBIT_CAP, PauliFactor, PauliOperator
@@ -202,3 +204,28 @@ class TestErrorBasis:
         assert lbl == "XY"
         embedded = basis.elements[basis.index_of_label("XY")]
         assert st.pauli_to_string(embedded) == "IXIY"
+
+
+@hs.composite
+def basis_and_pair(draw):
+    """An error basis on p in {1, 2, 3} random coordinates, two indices."""
+    p = draw(hs.integers(1, 3))
+    n_total = draw(hs.integers(p, p + 2))
+    coords = draw(hs.permutations(range(n_total)))[:p]
+    basis = st.enumerate_error_basis(n_total, coords)
+    i = draw(hs.integers(0, basis.size - 1))
+    j = draw(hs.integers(0, basis.size - 1))
+    return basis, i, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_and_pair())
+def test_product_table_matches_matrices_and_pauli_mul(case):
+    basis, i, j = case
+    g, k = basis.mul(i, j)
+    f_i, f_j, f_k = (basis.elements[m] for m in (i, j, k))
+    np.testing.assert_allclose(st.to_matrix(f_i) @ st.to_matrix(f_j),
+                               g.value * st.to_matrix(f_k), atol=1e-15)
+    h, w = st.pauli_mul(f_i, f_j)
+    assert (w.x_mask, w.z_mask) == (f_k.x_mask, f_k.z_mask)
+    assert g == PauliFactor(h.exp - f_k.phase_exp)

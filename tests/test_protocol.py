@@ -1,9 +1,13 @@
 """Measurement configurations, readout algebra, and reconstruction."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
 import syntomo as st
+from syntomo import densesim, protocol
 from syntomo.channels import ProcessMatrix
 
 
@@ -144,8 +148,7 @@ class TestPredictedReadout:
         basis = code3.error_basis
         x, y, z = (basis.index_of_label(l) for l in "XYZ")
         cfg = st.Configuration(index=0, kind="rotated", a=x, b=y,
-                               theta_signs=None,
-                               unitary=st.rotation_unitary(code3, x, y))
+                               theta_signs=None)
         chi = random_hermitian_chi(basis, rng)
         e = chi.entries
         expected = 0.5 * (e[x, x].real + e[y, y].real) - e[x, y].real
@@ -155,8 +158,7 @@ class TestPredictedReadout:
         basis = code3.error_basis
         x, y, z = (basis.index_of_label(l) for l in "XYZ")
         cfg = st.Configuration(index=0, kind="rotated", a=x, b=y,
-                               theta_signs=None,
-                               unitary=st.rotation_unitary(code3, x, y))
+                               theta_signs=None)
         chi = st.chi_from_kraus(ad036, basis)
         assert abs(st.xi_predicted(chi, cfg, z) - 0.09) < 1e-12
 
@@ -234,6 +236,111 @@ class TestSimulatedReadout:
         assert rec.value((1, 1)) == 0.0
 
 
+def dense_unitary(code, cfg):
+    """A configuration's pre-processing as a dense 2^n operator."""
+    u = st.rotation_unitary(code, cfg.a, cfg.b)
+    if cfg.kind == "toggled":
+        u = u @ st.build_toggle(code, cfg.theta_signs)
+    return u
+
+
+def oracle_channels(code):
+    """A random channel, a trace-decreasing Kraus subset and, when the
+    noisy subsystem has room, a channel on fewer qubits than it."""
+    p = len(code.noisy_coords)
+    wide = st.builtin_channel("random-cp", [11, p, 3])
+    out = {"random-cp": st.builtin_channel("random-cp", [5, p, 2]),
+           "kraus-subset": st.Channel(p, wide.kraus[:2])}
+    if p > 1:
+        out["narrow"] = st.builtin_channel("random-cp", [7, p - 1, 2])
+    return out
+
+
+class TestFrameEngine:
+    """xi_simulated against the dense oracle: outer(encode), then
+    apply_channel, apply_unitary and Tr(rho Pi) per syndrome projector."""
+
+    def test_matches_dense_oracle(self, frame_code):
+        code = frame_code
+        dim = 1 << code.k
+        beta = np.exp(1j * np.arange(dim)) / np.sqrt(dim)
+        configs, _ = st.plan_configurations(code)
+        projectors = [st.syndrome_projector(code, syn)
+                      for syn in code.syndrome_table]
+        unitaries = {cfg.index: dense_unitary(code, cfg)
+                     for cfg in configs if cfg.kind != "bare"}
+        for name, channel in oracle_channels(code).items():
+            rho = st.apply_channel(st.outer(st.encode(code, beta)),
+                                   channel.kraus,
+                                   code.noisy_coords[:channel.p])
+            out_trace = float(np.trace(rho).real)
+            if name == "kraus-subset":
+                assert out_trace < 0.99
+            for cfg in configs:
+                if cfg.kind != "bare":
+                    rho_u = st.apply_unitary(rho, unitaries[cfg.index])
+                else:
+                    rho_u = rho
+                rec = st.xi_simulated(code, beta, channel, cfg)
+                got = np.array([rec.value(syn) for syn in code.syndrome_table])
+                want = np.array([st.expectation(rho_u, proj)
+                                 for proj in projectors])
+                assert np.abs(got - want).max() < 1e-12, (name, cfg.index)
+                assert abs(got.sum() - out_trace) < 1e-12
+
+    def test_rejections(self, code5, ad036):
+        cfg = st.plan_configurations(code5)[0][1]
+        over = st.Channel(1, (np.eye(2), np.eye(2)))
+        with pytest.raises(ValueError, match="exceeds identity"):
+            st.xi_simulated(code5, (1.0, 0.0), over, cfg)
+        with pytest.raises(ValueError, match="not normalized"):
+            st.xi_simulated(code5, (1.0, 1.0), ad036, cfg)
+        wide = st.builtin_channel("random-cp", [1, 3, 1])
+        with pytest.raises(ValueError, match="noisy subsystem"):
+            st.xi_simulated(code5, (1.0, 0.0), wide, cfg)
+
+    def test_output_outside_the_frame_is_caught(self, code3, ad036):
+        # amplitude damping puts weight 0.09 on Y, whose block is cut out
+        y = code3.error_basis.index_of_label("Y")
+        frame = code3.frame.copy()
+        frame[:, 2 * y:2 * y + 2] = 0.0
+        broken = dataclasses.replace(code3, frame=frame)
+        cfg = st.plan_configurations(code3)[0][0]
+        with pytest.raises(ValueError, match="leaves the syndrome frame"):
+            st.xi_simulated(broken, (1.0, 0.0), ad036, cfg)
+
+
+def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
+    """Planning, simulation and reconstruction stay in frame coordinates."""
+    banned = (densesim.apply_channel, densesim.apply_unitary,
+              densesim.embed_operator, protocol.rotation_unitary,
+              protocol.build_toggle)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense 2^n operator on the pipeline path")
+
+    for name, module in list(sys.modules.items()):
+        if name != "syntomo" and not name.startswith("syntomo."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in banned):
+                monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(AssertionError):
+        st.build_toggle(code5, [1, -1] * 8)
+
+    channel = st.builtin_channel("random-cp", [3, 2, 2])
+    configs, readouts = st.plan_configurations(code5)
+    again, _ = st.plan_from_json(code5, st.plan_to_json(code5, configs))
+    records = [st.xi_simulated(code5, (0.6, 0.8j), channel, cfg)
+               for cfg in again]
+    chi = st.reconstruct(records, readouts, code5.error_basis)
+    for cfg, rec in zip(configs, records):
+        for x, syn in enumerate(code5.syndrome_table):
+            assert abs(st.xi_predicted(chi, cfg, x) - rec.value(syn)) < 1e-12
+    oracle = st.chi_from_kraus(channel, code5.error_basis)
+    assert st.compare(chi, oracle).frobenius_error < 1e-12
+
+
 class TestPlanner:
     def test_configuration_counts(self, code3, code5):
         assert len(st.plan_configurations(code3)[0]) == 7
@@ -292,10 +399,10 @@ class TestPlanner:
         for c, d in zip(configs, again_cfgs):
             assert (c.kind, c.a, c.b, c.theta_signs) == \
                 (d.kind, d.a, d.b, d.theta_signs)
-            if c.unitary is None:
-                assert d.unitary is None
+            if c.action is None:
+                assert d.action is None
             else:
-                np.testing.assert_allclose(c.unitary, d.unitary, atol=1e-12)
+                assert np.abs(c.action - d.action).max() < 1e-12
         assert again_ros == readouts
 
     def test_plan_json_accepts_ascii_minus(self, code3):
