@@ -8,6 +8,7 @@ characterize (full pipeline with reconstruction report). Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,6 @@ from .channels import (
     builtin_channel,
     channel_from_json,
     chi_from_kraus,
-    extend_channel,
     validity_report,
 )
 from .codes import (
@@ -29,15 +29,9 @@ from .codes import (
     hamming_bound,
     kl_scan,
 )
-from .estimation import SamplingPolicy, compare, sample_record
+from .estimation import SamplingPolicy, characterize, compare
 from .numeric import DEFAULT_POLICY
-from .protocol import (
-    plan_configurations,
-    plan_to_json,
-    reconstruct,
-    xi_predicted,
-    xi_simulated,
-)
+from .protocol import plan_configurations, plan_to_json
 
 _BUILTIN_CODES = ("code3", "code5")
 
@@ -156,13 +150,9 @@ def _cmd_plan(args) -> int:
     configs, _ = plan_configurations(code)
     doc = plan_to_json(code, configs)
     lines = ["%d configurations" % len(configs)]
-    for cfg in configs:
-        if cfg.kind == "bare":
-            lines.append("  bare")
-        else:
-            lines.append("  %s (a=%s, b=%s)"
-                         % (cfg.kind, code.error_basis.label(cfg.a),
-                            code.error_basis.label(cfg.b)))
+    lines += ["  bare" if e["kind"] == "bare"
+              else "  %s (a=%s, b=%s)" % (e["kind"], e["a"], e["b"])
+              for e in doc["configurations"]]
     _emit(doc, lines, args)
     return 0
 
@@ -191,22 +181,13 @@ def _cmd_characterize(args) -> int:
             raise _InputError(str(exc))
 
     try:
-        if channel.p < len(code.noisy_coords):
-            channel = extend_channel(channel, len(code.noisy_coords))
-        configs, readouts = plan_configurations(code)
-        records = [xi_simulated(code, beta, channel, cfg) for cfg in configs]
-        if sampling is not None:
-            records = [sample_record(rec, sampling) for rec in records]
-        chi_est = reconstruct(records, readouts, code.error_basis)
-        residuals = []
-        for cfg, rec in zip(configs, records):
-            worst = max(abs(rec.value(code.syndrome_table[x])
-                            - xi_predicted(chi_est, cfg, x))
-                        for x in range(code.d2))
-            residuals.append({"configuration": cfg.index, "kind": cfg.kind,
-                              "max_residual": worst})
+        result = characterize(code, channel, beta, sampling)
     except ValueError as exc:
         raise _DomainError(str(exc))
+    channel, chi_est = result.channel, result.chi
+    residuals = [{"configuration": cfg.index, "kind": cfg.kind,
+                  "max_residual": worst}
+                 for cfg, worst in zip(result.configs, result.residuals)]
 
     labels = [code.error_basis.label(i) for i in range(code.d2)]
     chi_json = [[[float(v.real), float(v.imag)] for v in row]
@@ -234,12 +215,7 @@ def _cmd_characterize(args) -> int:
     if have_oracle:
         oracle = chi_from_kraus(channel, code.error_basis)
         err = compare(chi_est, oracle)
-        report["error_report"] = {
-            "frobenius_error": err.frobenius_error,
-            "max_entry_error": err.max_entry_error,
-            "trace_defect": err.trace_defect,
-            "min_eigenvalue": err.min_eigenvalue,
-        }
+        report["error_report"] = dataclasses.asdict(err)
         lines.append("error vs oracle: frobenius %.3g, max entry %.3g"
                      % (err.frobenius_error, err.max_entry_error))
     _emit(report, lines, args)

@@ -1,4 +1,4 @@
-"""Finite-shot sampling of syndrome distributions and error metrics."""
+"""The characterization pipeline, finite-shot sampling and error metrics."""
 
 from __future__ import annotations
 
@@ -6,9 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ProcessMatrix
+from .channels import Channel, ProcessMatrix, extend_channel
+from .codes import StabilizerCode
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .protocol import NO_DETECTION, MeasurementRecord
+from .protocol import (
+    NO_DETECTION,
+    MeasurementRecord,
+    plan_configurations,
+    reconstruct,
+    simulate,
+    xi_predicted,
+)
 
 
 @dataclass(frozen=True)
@@ -74,6 +82,37 @@ def sample_record(record: MeasurementRecord, policy: SamplingPolicy,
     return MeasurementRecord(config_index=record.config_index,
                              distribution=dist,
                              shots=policy.shots_per_configuration)
+
+
+@dataclass(frozen=True, eq=False)
+class Characterization:
+    """One pipeline run: the channel padded to the noisy subsystem, the
+    plan, its records, chi and, per configuration, the largest residual
+    |observed - xi_predicted(chi)| over the syndromes."""
+
+    channel: Channel
+    configs: list
+    records: list
+    chi: ProcessMatrix
+    residuals: list
+
+
+def characterize(code: StabilizerCode, channel: Channel, beta,
+                 sampling: SamplingPolicy | None = None,
+                 policy: NumericPolicy = DEFAULT_POLICY) -> Characterization:
+    """Plan, simulate, sample unless ``sampling`` is None (exact mode),
+    reconstruct chi and evaluate its residuals on every record."""
+    if channel.p < len(code.noisy_coords):
+        channel = extend_channel(channel, len(code.noisy_coords))
+    configs, readouts = plan_configurations(code)
+    records = simulate(code, beta, channel, configs, policy)
+    if sampling is not None:
+        records = [sample_record(rec, sampling, policy) for rec in records]
+    chi = reconstruct(records, readouts, code.error_basis, policy)
+    residuals = [max(abs(rec.value(syn) - xi_predicted(chi, cfg, x))
+                     for x, syn in enumerate(code.syndrome_table))
+                 for cfg, rec in zip(configs, records)]
+    return Characterization(channel, configs, records, chi, residuals)
 
 
 def compare(chi_est, chi_oracle) -> ErrorReport:

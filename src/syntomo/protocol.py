@@ -44,11 +44,11 @@ NO_DETECTION = "no-detection"
 
 _MINUS = "−"
 
-# exact phase factor e^{i pi/4 (s_A - s_B)} for sign pairs
-_TOGGLE_PHASE = {2: 1j, 0: 1.0 + 0.0j, -2: -1j}
-
 # i^e for a product phase exponent e
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+# (c, s) with Re(i^e z) = c Re z + s Im z, indexed by e mod 4
+_RE_IM = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +124,7 @@ def encode(code: StabilizerCode, beta, policy: NumericPolicy = DEFAULT_POLICY) -
     return out
 
 
-def rotation_unitary(code: StabilizerCode, a: int, b: int,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def rotation_unitary(code: StabilizerCode, a: int, b: int) -> np.ndarray:
     """Pre-processing unitary for an error pair.
 
     (F_a + F_b)/sqrt(2) when the pair anticommutes, else
@@ -154,7 +153,7 @@ def _rotation_action(basis, a: int, b: int) -> np.ndarray:
     """
     if a == b:
         raise ValueError("rotation needs two distinct error indices")
-    c = 1j if commutes(basis.elements[a], basis.elements[b]) else 1.0
+    c = 1j if basis.product_phase[a, b] == basis.product_phase[b, a] else 1.0
     cols = np.arange(basis.size)
     m = np.zeros((basis.size, basis.size), dtype=complex)
     m[basis.product_index[a], cols] = _I_POWERS[basis.product_phase[a]]
@@ -178,8 +177,20 @@ def _toggle_phases(d2: int, theta_signs) -> np.ndarray:
     return np.exp(1j * np.array(signs) * np.pi / 4.0)
 
 
-def build_toggle(code: StabilizerCode, theta_signs,
-                 policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def _configuration(index: int, kind: str, a=None, b=None, rotation=None,
+                   signs=None) -> Configuration:
+    """A configuration of either planner; ``rotation`` is the pair's
+    frame map and ``signs`` are read only when toggled."""
+    if kind in ("bare", "rotated"):
+        return Configuration(index=index, kind=kind, a=a, b=b, action=rotation)
+    if kind != "toggled":
+        raise ValueError("unknown configuration kind %r" % kind)
+    phases = _toggle_phases(len(rotation), signs)
+    return Configuration(index=index, kind=kind, a=a, b=b,
+                         theta_signs=tuple(signs), action=rotation * phases)
+
+
+def build_toggle(code: StabilizerCode, theta_signs) -> np.ndarray:
     """Toggling operator S+ = sum_m e^{i theta_m} Pi_m plus identity
     on the complement of the error ball.
 
@@ -195,39 +206,47 @@ def build_toggle(code: StabilizerCode, theta_signs,
     return (code.frame * shift) @ code.frame.conj().T + np.eye(1 << code.n)
 
 
+def _readout(basis, cfg: Configuration, x: int) -> tuple:
+    """The readout rule: (A, B, c, s), A <= B, such that the syndrome of
+    x has probability (chi_AA + chi_BB)/2 + c Re chi_AB + s Im chi_AB.
+    With F_a F_x = i^{e_a} F_A and F_b F_x = i^{e_b} F_B the cross term
+    is Re(i^e chi_AB) for e = e_b - e_a, plus (s_A - s_B)/2 when toggled,
+    minus 1 for a commuting pair; A > B folds via chi_BA = chi_AB*."""
+    if cfg.kind == "bare":
+        return x, x, 0, 0
+    idx, phase, a, b = basis.product_index, basis.product_phase, cfg.a, cfg.b
+    big_a, big_b = idx.item(a, x), idx.item(b, x)
+    e = phase.item(b, x) - phase.item(a, x)
+    if cfg.kind == "toggled":
+        e += (cfg.theta_signs[big_a] - cfg.theta_signs[big_b]) // 2
+    if phase.item(a, b) == phase.item(b, a):
+        e -= 1
+    c, s = _RE_IM[e % 4]
+    return (big_a, big_b, c, s) if big_a < big_b else (big_b, big_a, c, -s)
+
+
 def xi_predicted(chi: ProcessMatrix, cfg: Configuration, x: int) -> float:
     """Closed-form syndrome probability for error index x under cfg."""
+    a, b, c, s = _readout(chi.basis, cfg, x)
     ent = chi.entries
-    if cfg.kind == "bare":
-        return float(ent[x, x].real)
-    basis = chi.basis
-    g_a, idx_a = basis.mul(cfg.a, x)
-    g_b, idx_b = basis.mul(cfg.b, x)
-    term = g_a.value.conjugate() * g_b.value * ent[idx_a, idx_b]
-    if cfg.kind == "toggled":
-        term *= _TOGGLE_PHASE[cfg.theta_signs[idx_a] - cfg.theta_signs[idx_b]]
-    base = 0.5 * float((ent[idx_a, idx_a] + ent[idx_b, idx_b]).real)
-    if commutes(basis.elements[cfg.a], basis.elements[cfg.b]):
-        return base + float(term.imag)
-    return base + float(term.real)
+    z = ent[a, b]
+    return (0.5 * float((ent[a, a] + ent[b, b]).real)
+            + (c * float(z.real) + s * float(z.imag)))
 
 
-def xi_simulated(code: StabilizerCode, beta, channel: Channel,
-                 cfg: Configuration,
-                 policy: NumericPolicy = DEFAULT_POLICY) -> MeasurementRecord:
-    """Exact syndrome distribution of one configuration.
+def simulate(code: StabilizerCode, beta, channel: Channel, configs,
+             policy: NumericPolicy = DEFAULT_POLICY) -> list:
+    """Exact syndrome distributions of configurations under one channel.
 
     Encodes, applies each Kraus operator E_r to the state vector on the
-    noisy coordinates, and expands every branch E_r|psi> in the syndrome
-    frame W: row x of the d^2 x (2^k K) coefficient block holds the
-    amplitudes on F_x|j_L> for all j and r. The configuration's frame
-    map acts on that block, and the probability of the syndrome of x is
-    the squared norm of row x. Kraus operators on the noisy coordinates
-    keep every branch in the frame's span, also for non-perfect codes;
-    a norm check guards that. Probabilities sum to the output trace,
-    which is 1 for trace-preserving channels. A channel on fewer qubits
-    than the noisy subsystem acts on its leading coordinates and leaves
-    the rest alone.
+    noisy coordinates and expands every branch E_r|psi> in the syndrome
+    frame W, once: row x of the d^2 x (2^k K) coefficient block holds
+    the amplitudes on F_x|j_L> for all j and r. Each configuration's
+    frame map acts on that block; the squared norm of row x is the
+    probability of the syndrome of x, and the probabilities sum to the
+    output trace. Branches stay in the frame's span, also for
+    non-perfect codes (a norm check guards that). A channel on fewer
+    qubits than the noisy subsystem acts on its leading ones.
     """
     if channel.p > len(code.noisy_coords):
         raise ValueError("channel acts on %d qubits but the code's noisy "
@@ -251,15 +270,23 @@ def xi_simulated(code: StabilizerCode, beta, channel: Channel,
         raise ValueError("channel output leaves the syndrome frame "
                          "(norm defect %g)" % defect)
     block = coeffs.reshape(code.d2, -1)
-    if cfg.action is not None:
-        block = cfg.action @ block
-    probs = np.einsum("ij,ij->i", block.conj(), block).real
-    dist = {syn: float(q) for syn, q in zip(code.syndrome_table, probs)}
-    return MeasurementRecord(config_index=cfg.index, distribution=dist, shots=None)
+    records = []
+    for cfg in configs:
+        out = block if cfg.action is None else cfg.action @ block
+        probs = np.einsum("ij,ij->i", out.conj(), out).real
+        records.append(MeasurementRecord(
+            config_index=cfg.index, shots=None,
+            distribution=dict(zip(code.syndrome_table, probs.tolist()))))
+    return records
 
 
-def plan_configurations(code: StabilizerCode,
-                        policy: NumericPolicy = DEFAULT_POLICY):
+def xi_simulated(code: StabilizerCode, beta, channel: Channel, cfg: Configuration,
+                 policy: NumericPolicy = DEFAULT_POLICY) -> MeasurementRecord:
+    """Exact syndrome distribution of one configuration (see simulate)."""
+    return simulate(code, beta, channel, [cfg], policy)[0]
+
+
+def plan_configurations(code: StabilizerCode):
     """Measurement plan determining every process-matrix entry.
 
     Returns (configurations, readouts): one bare configuration, then a
@@ -269,60 +296,21 @@ def plan_configurations(code: StabilizerCode,
     +pi/4 to the smaller index of each pair.
     """
     basis = code.error_basis
-    d2 = basis.size
-    configs = [Configuration(index=0, kind="bare")]
-    for p in range(1, d2):
+    configs = [_configuration(0, "bare")]
+    for p in range(1, basis.size):
         m = _rotation_action(basis, 0, p)
-        configs.append(Configuration(
-            index=len(configs), kind="rotated", a=0, b=p, action=m))
-        partners = basis.product_index[p]
-        signs = [1 if x < partners[x] else -1 for x in range(d2)]
-        configs.append(Configuration(
-            index=len(configs), kind="toggled", a=0, b=p,
-            theta_signs=tuple(signs),
-            action=m * _toggle_phases(d2, signs)))
+        signs = [1 if x < y else -1 for x, y in enumerate(basis.product_index[p])]
+        for kind in ("rotated", "toggled"):
+            configs.append(_configuration(len(configs), kind, 0, p, m, signs))
     return configs, derive_readouts(code, configs)
 
 
 def derive_readouts(code: StabilizerCode, configs) -> list:
-    """Linear readouts of every configuration, normalized to row <= col.
-
-    Off-diagonal coefficients come from g = g_A* g_B (times the toggle
-    phase) and from the commutation class of the configuration pair;
-    readouts on the lower triangle are folded onto the upper one via
-    chi_{B,A} = chi_{A,B}*, which is where Hermiticity enters the
-    reconstruction.
-    """
+    """Linear readouts of every configuration, normalized to row <= col
+    by the readout rule (``_readout``)."""
     basis = code.error_basis
-    readouts = []
-    for cfg in configs:
-        if cfg.kind == "bare":
-            for x in range(code.d2):
-                readouts.append(LinearReadout(
-                    config_index=cfg.index, syndrome=code.syndrome_table[x],
-                    a_index=x, b_index=x, coeff_re=0, coeff_im=0))
-            continue
-        pair_commutes = commutes(basis.elements[cfg.a], basis.elements[cfg.b])
-        for x in range(code.d2):
-            g_a, idx_a = basis.mul(cfg.a, x)
-            g_b, idx_b = basis.mul(cfg.b, x)
-            g = g_a.value.conjugate() * g_b.value
-            if cfg.kind == "toggled":
-                g *= _TOGGLE_PHASE[cfg.theta_signs[idx_a] - cfg.theta_signs[idx_b]]
-            gr = int(round(g.real))
-            gi = int(round(g.imag))
-            if pair_commutes:
-                # xi - base = Im(g chi_AB) = gi Re + gr Im
-                coeffs = (gi, gr) if idx_a < idx_b else (gi, -gr)
-            else:
-                # xi - base = Re(g chi_AB) = gr Re - gi Im
-                coeffs = (gr, -gi) if idx_a < idx_b else (gr, gi)
-            row, col = min(idx_a, idx_b), max(idx_a, idx_b)
-            readouts.append(LinearReadout(
-                config_index=cfg.index, syndrome=code.syndrome_table[x],
-                a_index=row, b_index=col,
-                coeff_re=coeffs[0], coeff_im=coeffs[1]))
-    return readouts
+    return [LinearReadout(cfg.index, syn, *_readout(basis, cfg, x))
+            for cfg in configs for x, syn in enumerate(code.syndrome_table)]
 
 
 def reconstruct(records, readouts, basis,
@@ -335,11 +323,8 @@ def reconstruct(records, readouts, basis,
     are averaged, and in exact mode additionally cross-checked against
     each other within the policy tolerance.
     """
-    by_config = {}
-    for rec in records:
-        by_config[rec.config_index] = rec
-    needed = {ro.config_index for ro in readouts}
-    missing = sorted(needed - set(by_config))
+    by_config = {rec.config_index: rec for rec in records}
+    missing = sorted({ro.config_index for ro in readouts} - set(by_config))
     if missing:
         raise ValueError("missing records for configurations %s" % missing)
     exact = all(rec.exact for rec in by_config.values())
@@ -366,24 +351,20 @@ def reconstruct(records, readouts, basis,
     chi[np.diag_indices(d2)] = diag
     for a in range(d2):
         for b in range(a + 1, d2):
-            if (a, b) not in estimates:
-                raise ValueError("plan does not determine entry (%s, %s)"
-                                 % (basis.label(a), basis.label(b)))
-            re_list, im_list = estimates[(a, b)]
-            if not re_list or not im_list:
-                raise ValueError("entry (%s, %s) lacks a real or imaginary "
-                                 "readout" % (basis.label(a), basis.label(b)))
-            if exact:
-                for vals in (re_list, im_list):
-                    if max(vals) - min(vals) > policy.readout_consistency:
-                        raise ValueError(
-                            "inconsistent redundant readouts for entry "
-                            "(%s, %s): spread %g"
-                            % (basis.label(a), basis.label(b),
-                               max(vals) - min(vals)))
-            entry = complex(np.mean(re_list), np.mean(im_list))
-            chi[a, b] = entry
-            chi[b, a] = entry.conjugate()
+            parts = []
+            for vals in estimates.get((a, b), ([], [])):
+                if not vals:
+                    raise ValueError("entry (%s, %s) lacks a real or imaginary "
+                                     "readout" % (basis.label(a), basis.label(b)))
+                if exact and max(vals) - min(vals) > policy.readout_consistency:
+                    raise ValueError(
+                        "inconsistent redundant readouts for entry "
+                        "(%s, %s): spread %g"
+                        % (basis.label(a), basis.label(b), max(vals) - min(vals)))
+                # seeding the sum with the first value keeps a lone -0.0
+                parts.append(sum(vals[1:], vals[0]) / len(vals))
+            chi[a, b] = complex(*parts)
+            chi[b, a] = chi[a, b].conjugate()
     return ProcessMatrix(chi, basis)
 
 
@@ -424,34 +405,26 @@ def plan_to_json(code: StabilizerCode, configs) -> dict:
     return {"configurations": out}
 
 
-def plan_from_json(code: StabilizerCode, doc: dict,
-                   policy: NumericPolicy = DEFAULT_POLICY):
+def plan_from_json(code: StabilizerCode, doc: dict):
     """Rebuild (configurations, readouts) from the JSON descriptors."""
     basis = code.error_basis
     configs = []
     for entry in doc["configurations"]:
         kind = entry["kind"]
-        index = len(configs)
         if kind == "bare":
-            configs.append(Configuration(index=index, kind="bare"))
+            configs.append(_configuration(len(configs), kind))
             continue
         a = basis.index_of_label(entry["a"])
         b = basis.index_of_label(entry["b"])
         m = _rotation_action(basis, a, b)
-        if kind == "rotated":
-            configs.append(Configuration(index=index, kind="rotated",
-                                         a=a, b=b, action=m))
-            continue
-        if kind != "toggled":
-            raise ValueError("unknown configuration kind %r" % kind)
-        signs = [0] * code.d2
-        for label, sign in entry["theta"].items():
-            if sign not in ("+", "-", _MINUS):
-                raise ValueError("bad theta sign %r" % sign)
-            signs[basis.index_of_label(label)] = 1 if sign == "+" else -1
-        if any(s == 0 for s in signs):
-            raise ValueError("theta map does not cover the error basis")
-        configs.append(Configuration(index=index, kind="toggled", a=a, b=b,
-                                     theta_signs=tuple(signs),
-                                     action=m * _toggle_phases(code.d2, signs)))
+        signs = None
+        if kind == "toggled":
+            signs = [0] * code.d2
+            for label, sign in entry["theta"].items():
+                if sign not in ("+", "-", _MINUS):
+                    raise ValueError("bad theta sign %r" % sign)
+                signs[basis.index_of_label(label)] = 1 if sign == "+" else -1
+            if any(s == 0 for s in signs):
+                raise ValueError("theta map does not cover the error basis")
+        configs.append(_configuration(len(configs), kind, a, b, m, signs))
     return configs, derive_readouts(code, configs)

@@ -13,9 +13,7 @@ import syntomo as st
 
 
 def exact_chi(code, channel, beta=(1.0, 0.0)):
-    configs, readouts = st.plan_configurations(code)
-    records = [st.xi_simulated(code, beta, channel, cfg) for cfg in configs]
-    return st.reconstruct(records, readouts, code.error_basis)
+    return st.characterize(code, channel, beta).chi
 
 
 def test_01_builtin_codes_validate():

@@ -1,5 +1,6 @@
 """Command-line pipeline: validate, plan, characterize."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -194,6 +195,25 @@ class TestCharacterize:
         assert rc == 0
         doc = json.loads(path.read_text())
         assert doc["channel"] == "amplitude-damping(0.1)"
+
+
+GOLDEN_REPORTS = [
+    (("--code", "code5", "--channel", "random-cp", "--params", "3,2,2",
+      "--mode", "sampled", "--seed", "4"), "55f1ca3a8bb49222"),
+    (("--code", "code5", "--channel", "random-cp", "--params", "3,2,2",
+      "--seed", "4"), "104ebe34ea4532f2"),
+    (("--code", "code3", "--channel", "amplitude-damping", "--params", "0.36",
+      "--mode", "sampled", "--shots", "10", "--seed", "1"), "16844897c3ec2096"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS,
+                         ids=["code5-sampled", "code5-exact", "code3-sampled"])
+def test_golden_report(capsys, argv, digest):
+    """JSON reports are byte stable: sha256 prefixes of fixed runs."""
+    rc, out, _ = run(capsys, "characterize", *argv, "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 class TestInputBoundary:

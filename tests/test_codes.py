@@ -260,11 +260,8 @@ class TestSyndromeFrame:
     def test_exact_chi_matches_oracle(self, frame_code):
         p = len(frame_code.noisy_coords)
         channel = st.builtin_channel("random-cp", [5, p, 2])
-        configs, readouts = st.plan_configurations(frame_code)
         beta = np.full(1 << frame_code.k, (1 << frame_code.k) ** -0.5)
-        records = [st.xi_simulated(frame_code, beta, channel, cfg)
-                   for cfg in configs]
-        chi = st.reconstruct(records, readouts, frame_code.error_basis)
+        chi = st.characterize(frame_code, channel, beta).chi
         oracle = st.chi_from_kraus(channel, frame_code.error_basis)
         assert st.compare(chi, oracle).frobenius_error < 1e-12
 

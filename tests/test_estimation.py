@@ -150,3 +150,51 @@ class TestCompare:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             st.compare(np.eye(4), np.eye(16))
+
+
+def bits(values):
+    """Floats as hex strings, so equality is bitwise (-0.0 != 0.0)."""
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("sampling", [None, st.SamplingPolicy(50, seed=3)],
+                         ids=["exact", "sampled"])
+def test_characterize_equals_the_stages(code5, ad036, sampling):
+    beta = np.array([0.6, 0.8j])
+    got = st.characterize(code5, ad036, beta, sampling)
+    # the one-qubit channel is padded to the two noisy qubits first
+    wide = st.extend_channel(ad036, 2)
+    configs, readouts = st.plan_configurations(code5)
+    records = [st.xi_simulated(code5, beta, wide, cfg) for cfg in configs]
+    if sampling is not None:
+        records = [st.sample_record(rec, sampling) for rec in records]
+    chi = st.reconstruct(records, readouts, code5.error_basis)
+    residuals = [max(abs(rec.value(syn) - st.xi_predicted(chi, cfg, x))
+                     for x, syn in enumerate(code5.syndrome_table))
+                 for cfg, rec in zip(configs, records)]
+
+    assert got.channel.p == 2
+    assert np.array_equal(np.stack(got.channel.kraus), np.stack(wide.kraus))
+    assert [(c.index, c.kind, c.a, c.b, c.theta_signs) for c in got.configs] \
+        == [(c.index, c.kind, c.a, c.b, c.theta_signs) for c in configs]
+    for mine, theirs in zip(got.records, records, strict=True):
+        assert (mine.config_index, mine.shots) == (theirs.config_index, theirs.shots)
+        assert list(mine.distribution) == list(theirs.distribution)
+        assert bits(mine.distribution.values()) == bits(theirs.distribution.values())
+    assert got.chi.entries.tobytes() == chi.entries.tobytes()
+    assert bits(got.residuals) == bits(residuals)
+
+
+def test_characterize_applies_the_channel_once(code5, monkeypatch):
+    calls = []
+    tensordot = np.tensordot
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return tensordot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tensordot", counting)
+    result = st.characterize(code5, st.builtin_channel("random-cp", [3, 2, 2]),
+                             (0.6, 0.8j))
+    assert len(result.records) == 31
+    assert len(calls) == 1

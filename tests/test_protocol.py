@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 import syntomo as st
 from syntomo import densesim, protocol
@@ -13,8 +15,7 @@ from syntomo.channels import ProcessMatrix
 
 def exact_records(code, channel, beta=(1.0, 0.0)):
     configs, readouts = st.plan_configurations(code)
-    records = [st.xi_simulated(code, beta, channel, cfg) for cfg in configs]
-    return configs, readouts, records
+    return configs, readouts, st.simulate(code, beta, channel, configs)
 
 
 def random_hermitian_chi(basis, rng):
@@ -308,6 +309,42 @@ class TestFrameEngine:
         cfg = st.plan_configurations(code3)[0][0]
         with pytest.raises(ValueError, match="leaves the syndrome frame"):
             st.xi_simulated(broken, (1.0, 0.0), ad036, cfg)
+
+
+@pytest.fixture(scope="session")
+def frame_oracle(frame_code):
+    """A random channel on the noisy subsystem, its chi and amplitudes."""
+    p = len(frame_code.noisy_coords)
+    channel = st.builtin_channel("random-cp", [5, p, 2])
+    dim = 1 << frame_code.k
+    beta = np.exp(2j * np.arange(dim)) / np.sqrt(dim)
+    return channel, st.chi_from_kraus(channel, frame_code.error_basis), beta
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=hs.data())
+def test_plan_from_json_pairs_match_simulation(frame_code, frame_oracle, data):
+    """Any pair a != b, commuting or not, with any balanced toggle:
+    the readout rule predicts what the frame simulation measures."""
+    code, basis = frame_code, frame_code.error_basis
+    channel, chi, beta = frame_oracle
+    a = data.draw(hs.integers(0, code.d2 - 1), label="a")
+    commuting = data.draw(hs.booleans(), label="commuting")
+    partners = [b for b in range(code.d2) if b != a and commuting
+                == st.commutes(basis.elements[a], basis.elements[b])]
+    assume(partners)
+    b = data.draw(hs.sampled_from(partners), label="b")
+    signs = data.draw(hs.permutations([1, -1] * (code.d2 // 2)), label="signs")
+    pair = {"a": basis.label(a), "b": basis.label(b)}
+    theta = {basis.label(m): "+" if s > 0 else "-" for m, s in enumerate(signs)}
+    doc = {"configurations": [{"kind": "rotated", **pair},
+                              {"kind": "toggled", "theta": theta, **pair}]}
+    configs, readouts = st.plan_from_json(code, doc)
+    assert all(ro.a_index < ro.b_index for ro in readouts)
+    for cfg in configs:
+        rec = st.xi_simulated(code, beta, channel, cfg)
+        for x, syn in enumerate(code.syndrome_table):
+            assert abs(st.xi_predicted(chi, cfg, x) - rec.value(syn)) < 1e-12
 
 
 def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
