@@ -15,7 +15,6 @@ from .protocol import (
     plan_configurations,
     reconstruct,
     simulate,
-    xi_predicted,
 )
 
 
@@ -109,9 +108,8 @@ def characterize(code: StabilizerCode, channel: Channel, beta,
     if sampling is not None:
         records = [sample_record(rec, sampling, policy) for rec in records]
     chi = reconstruct(records, readouts, code.error_basis, policy)
-    residuals = [max(abs(rec.value(syn) - xi_predicted(chi, cfg, x))
-                     for x, syn in enumerate(code.syndrome_table))
-                 for cfg, rec in zip(configs, records)]
+    observed, _ = readouts.observed(records)
+    residuals = np.abs(observed - readouts.predicted(chi)).max(axis=1).tolist()
     return Characterization(channel, configs, records, chi, residuals)
 
 

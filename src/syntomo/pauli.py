@@ -24,13 +24,8 @@ MATRIX_QUBIT_CAP = 12
 
 _MINUS = "−"
 
-_SINGLE_QUBIT = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    # bare per-qubit X·Z product; the phase making it Y lives in phase_exp
-    "XZ": np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex),
-}
+# i^e * (-1)^m, indexed by (e, m)
+_SIGNED_POWERS = np.array([[1.0, -1.0], [1j, -1j], [-1.0, 1.0], [-1j, 1j]])
 
 # letter for (x_bit, z_bit)
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
@@ -150,17 +145,18 @@ def to_matrix(p: PauliOperator) -> np.ndarray:
     """Render ``p`` as a dense 2^n x 2^n complex matrix.
 
     Qubit 0 is the most significant tensor factor, matching the string
-    form read left to right.
+    form read left to right. X^u Z^v is a signed permutation: column c
+    holds (-1)^{|c & v|} in row c ^ u, where u and v are the X and Z
+    masks with qubit 0 moved to the top bit.
     """
     if p.n > MATRIX_QUBIT_CAP:
         raise ValueError("dense rendering capped at %d qubits" % MATRIX_QUBIT_CAP)
-    out = np.eye(1, dtype=complex)
-    for q in range(p.n):
-        xb = (p.x_mask >> q) & 1
-        zb = (p.z_mask >> q) & 1
-        key = ("I", "X", "Z", "XZ")[xb + 2 * zb]
-        out = np.kron(out, _SINGLE_QUBIT[key])
-    return (1j ** p.phase_exp) * out
+    u = int(format(p.x_mask, "0%db" % p.n)[::-1], 2)
+    v = int(format(p.z_mask, "0%db" % p.n)[::-1], 2)
+    cols = np.arange(1 << p.n)
+    out = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
+    out[cols ^ u, cols] = _SIGNED_POWERS[p.phase_exp, np.bitwise_count(cols & v) & 1]
+    return out
 
 
 def pauli_from_string(text: str, n: int | None = None) -> PauliOperator:

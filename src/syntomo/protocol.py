@@ -47,14 +47,16 @@ _MINUS = "−"
 # i^e for a product phase exponent e
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
-# (c, s) with Re(i^e z) = c Re z + s Im z, indexed by e mod 4
-_RE_IM = ((1, 0), (0, -1), (-1, 0), (0, 1))
+# rows (c, s) with Re(i^e z) = c Re z + s Im z, columns indexed by e mod 4
+_RE_IM = np.array([[1, 0, -1, 0], [0, -1, 0, 1]])
 
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """One measurement setup: pre-processing followed by syndrome readout.
 
+    ``rule[x]`` is the readout rule (A, B, c, s) of error index x (see
+    ``_rule``).
     ``theta_signs`` maps error index m to the sign of theta_m = +-pi/4.
     ``action`` is the pre-processing U in frame coordinates (None when
     bare): the d^2 x d^2 matrix M with U F_x|j_L> = sum_y M[y, x] F_y|j_L>.
@@ -62,27 +64,11 @@ class Configuration:
 
     index: int
     kind: str  # "bare" | "rotated" | "toggled"
+    rule: tuple = field(repr=False)
     a: int | None = None
     b: int | None = None
     theta_signs: tuple | None = None
     action: np.ndarray | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True)
-class LinearReadout:
-    """An affine relation between one syndrome probability and chi.
-
-    xi = (chi_{A,A} + chi_{B,B})/2 + c * Re chi_{A,B} + s * Im chi_{A,B}
-    with A = a_index <= b_index = B, c = coeff_re, s = coeff_im. Bare
-    readouts carry A = B and zero coefficients: xi = chi_{A,A}.
-    """
-
-    config_index: int
-    syndrome: tuple
-    a_index: int
-    b_index: int
-    coeff_re: int
-    coeff_im: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +94,55 @@ class MeasurementRecord:
         if self.shots is None:
             return float(raw)
         return float(raw) / float(self.shots)
+
+
+@dataclass(frozen=True, eq=False)
+class ReadoutTable:
+    """The readout rule of a plan, evaluated once per configuration.
+
+    Row r belongs to configuration ``configs[r]`` and column x to
+    syndrome ``syndromes[x]``, whose probability is
+    (chi_AA + chi_BB)/2 + c Re chi_AB + s Im chi_AB with A = a_index,
+    B = b_index, c = coeff_re and s = coeff_im, read-only integer arrays
+    of shape configurations x d^2. Bare rows carry A = B and c = s = 0.
+    ``len`` counts the readouts.
+    """
+
+    syndromes: tuple
+    configs: tuple
+    a_index: np.ndarray = field(repr=False)
+    b_index: np.ndarray = field(repr=False)
+    coeff_re: np.ndarray = field(repr=False)
+    coeff_im: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return self.a_index.size
+
+    def observed(self, records) -> tuple[np.ndarray, bool]:
+        """(probability estimates, exact): the records' values in the
+        table's layout, and whether every record is exact."""
+        by_config = {rec.config_index: rec for rec in records}
+        missing = sorted(set(self.configs) - set(by_config))
+        if missing:
+            raise ValueError("missing records for configurations %s" % missing)
+        exact = all(rec.exact for rec in by_config.values())
+        rows = [by_config[i] for i in self.configs]
+        zeros = (0.0,) * len(self.syndromes)
+        flat = []
+        for rec in rows:
+            flat += map(rec.distribution.get, self.syndromes, zeros)
+        raw = np.array(flat, dtype=float).reshape(self.a_index.shape)
+        shots = np.array([1.0 if rec.shots is None else float(rec.shots)
+                          for rec in rows])
+        return raw / shots[:, None], exact
+
+    def predicted(self, chi: ProcessMatrix) -> np.ndarray:
+        """Every readout's closed-form probability under chi."""
+        ent = chi.entries
+        diag = ent.diagonal().real
+        z = ent[self.a_index, self.b_index]
+        return (0.5 * (diag[self.a_index] + diag[self.b_index])
+                + (self.coeff_re * z.real + self.coeff_im * z.imag))
 
 
 def encode(code: StabilizerCode, beta, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -177,17 +212,21 @@ def _toggle_phases(d2: int, theta_signs) -> np.ndarray:
     return np.exp(1j * np.array(signs) * np.pi / 4.0)
 
 
-def _configuration(index: int, kind: str, a=None, b=None, rotation=None,
-                   signs=None) -> Configuration:
-    """A configuration of either planner; ``rotation`` is the pair's
-    frame map and ``signs`` are read only when toggled."""
+def _configuration(basis, index: int, kind: str, a=None, b=None,
+                   rotation=None, signs=None) -> Configuration:
+    """A configuration of either planner, with its readout rule;
+    ``rotation`` is the pair's frame map and ``signs`` are read only
+    when toggled."""
     if kind in ("bare", "rotated"):
-        return Configuration(index=index, kind=kind, a=a, b=b, action=rotation)
+        return Configuration(index=index, kind=kind, a=a, b=b, action=rotation,
+                             rule=_rule(basis, kind, a, b))
     if kind != "toggled":
         raise ValueError("unknown configuration kind %r" % kind)
     phases = _toggle_phases(len(rotation), signs)
-    return Configuration(index=index, kind=kind, a=a, b=b,
-                         theta_signs=tuple(signs), action=rotation * phases)
+    signs = tuple(signs)
+    return Configuration(index=index, kind=kind, a=a, b=b, theta_signs=signs,
+                         action=rotation * phases,
+                         rule=_rule(basis, kind, a, b, signs))
 
 
 def build_toggle(code: StabilizerCode, theta_signs) -> np.ndarray:
@@ -206,32 +245,37 @@ def build_toggle(code: StabilizerCode, theta_signs) -> np.ndarray:
     return (code.frame * shift) @ code.frame.conj().T + np.eye(1 << code.n)
 
 
-def _readout(basis, cfg: Configuration, x: int) -> tuple:
-    """The readout rule: (A, B, c, s), A <= B, such that the syndrome of
-    x has probability (chi_AA + chi_BB)/2 + c Re chi_AB + s Im chi_AB.
-    With F_a F_x = i^{e_a} F_A and F_b F_x = i^{e_b} F_B the cross term
-    is Re(i^e chi_AB) for e = e_b - e_a, plus (s_A - s_B)/2 when toggled,
+def _rule(basis, kind: str, a=None, b=None, signs=None) -> tuple:
+    """The readout rule for every error index x: a row (A, B, c, s),
+    A <= B, such that the syndrome of x has probability
+    (chi_AA + chi_BB)/2 + c Re chi_AB + s Im chi_AB. With
+    F_a F_x = i^{e_a} F_A and F_b F_x = i^{e_b} F_B the cross term is
+    Re(i^e chi_AB) for e = e_b - e_a, plus (s_A - s_B)/2 when toggled,
     minus 1 for a commuting pair; A > B folds via chi_BA = chi_AB*."""
-    if cfg.kind == "bare":
-        return x, x, 0, 0
-    idx, phase, a, b = basis.product_index, basis.product_phase, cfg.a, cfg.b
-    big_a, big_b = idx.item(a, x), idx.item(b, x)
-    e = phase.item(b, x) - phase.item(a, x)
-    if cfg.kind == "toggled":
-        e += (cfg.theta_signs[big_a] - cfg.theta_signs[big_b]) // 2
-    if phase.item(a, b) == phase.item(b, a):
+    if kind == "bare":
+        x = range(basis.size)
+        return tuple(zip(x, x, (0,) * basis.size, (0,) * basis.size))
+    idx, phase = basis.product_index, basis.product_phase
+    big_a, big_b = idx[a], idx[b]
+    e = phase[b].astype(np.int64) - phase[a]
+    if kind == "toggled":
+        theta = np.asarray(signs)
+        e += (theta[big_a] - theta[big_b]) // 2
+    if phase[a, b] == phase[b, a]:
         e -= 1
-    c, s = _RE_IM[e % 4]
-    return (big_a, big_b, c, s) if big_a < big_b else (big_b, big_a, c, -s)
+    c, s = _RE_IM[:, e % 4]
+    columns = (np.minimum(big_a, big_b), np.maximum(big_a, big_b),
+               c, np.where(big_a < big_b, s, -s))
+    return tuple(zip(*(col.tolist() for col in columns)))
 
 
 def xi_predicted(chi: ProcessMatrix, cfg: Configuration, x: int) -> float:
     """Closed-form syndrome probability for error index x under cfg."""
-    a, b, c, s = _readout(chi.basis, cfg, x)
+    a, b, c, s = cfg.rule[x]
     ent = chi.entries
-    z = ent[a, b]
-    return (0.5 * float((ent[a, a] + ent[b, b]).real)
-            + (c * float(z.real) + s * float(z.imag)))
+    z = ent.item(a, b)
+    return (0.5 * (ent.item(a, a).real + ent.item(b, b).real)
+            + (c * z.real + s * z.imag))
 
 
 def simulate(code: StabilizerCode, beta, channel: Channel, configs,
@@ -289,31 +333,37 @@ def xi_simulated(code: StabilizerCode, beta, channel: Channel, cfg: Configuratio
 def plan_configurations(code: StabilizerCode):
     """Measurement plan determining every process-matrix entry.
 
-    Returns (configurations, readouts): one bare configuration, then a
-    rotated and a toggled configuration for each non-identity basis
-    element P with (a, b) = (I, P), totalling 1 + 2(d^2 - 1). The
+    Returns (configurations, readout table): one bare configuration,
+    then a rotated and a toggled configuration for each non-identity
+    basis element P with (a, b) = (I, P), totalling 1 + 2(d^2 - 1). The
     toggle signs two-color the pairing x <-> index(P F_x) by giving
     +pi/4 to the smaller index of each pair.
     """
     basis = code.error_basis
-    configs = [_configuration(0, "bare")]
+    configs = [_configuration(basis, 0, "bare")]
     for p in range(1, basis.size):
         m = _rotation_action(basis, 0, p)
         signs = [1 if x < y else -1 for x, y in enumerate(basis.product_index[p])]
         for kind in ("rotated", "toggled"):
-            configs.append(_configuration(len(configs), kind, 0, p, m, signs))
+            configs.append(_configuration(basis, len(configs), kind, 0, p, m,
+                                          signs))
     return configs, derive_readouts(code, configs)
 
 
-def derive_readouts(code: StabilizerCode, configs) -> list:
-    """Linear readouts of every configuration, normalized to row <= col
-    by the readout rule (``_readout``)."""
-    basis = code.error_basis
-    return [LinearReadout(cfg.index, syn, *_readout(basis, cfg, x))
-            for cfg in configs for x, syn in enumerate(code.syndrome_table)]
+def derive_readouts(code: StabilizerCode, configs) -> ReadoutTable:
+    """The plan's readout table: every configuration's rule rows
+    (``_rule``), one table row per configuration."""
+    rules = np.array([cfg.rule for cfg in configs], dtype=np.int64)
+    columns = []
+    for column in rules.reshape(-1, code.d2, 4).transpose(2, 0, 1):
+        column = np.ascontiguousarray(column)
+        column.flags.writeable = False
+        columns.append(column)
+    return ReadoutTable(code.syndrome_table, tuple(cfg.index for cfg in configs),
+                        *columns)
 
 
-def reconstruct(records, readouts, basis,
+def reconstruct(records, readouts: ReadoutTable, basis,
                 policy: NumericPolicy = DEFAULT_POLICY) -> ProcessMatrix:
     """Assemble the process matrix from measurement records.
 
@@ -323,48 +373,53 @@ def reconstruct(records, readouts, basis,
     are averaged, and in exact mode additionally cross-checked against
     each other within the policy tolerance.
     """
-    by_config = {rec.config_index: rec for rec in records}
-    missing = sorted({ro.config_index for ro in readouts} - set(by_config))
-    if missing:
-        raise ValueError("missing records for configurations %s" % missing)
-    exact = all(rec.exact for rec in by_config.values())
-
+    probs, exact = readouts.observed(records)
     d2 = basis.size
+    probs, a, b = probs.ravel(), readouts.a_index.ravel(), readouts.b_index.ravel()
+    c, s = readouts.coeff_re.ravel(), readouts.coeff_im.ravel()
+    bare = a == b
     diag = np.zeros(d2)
-    for ro in readouts:
-        if ro.a_index == ro.b_index:
-            diag[ro.a_index] = by_config[ro.config_index].value(ro.syndrome)
+    diag[a[bare]] = probs[bare]
 
-    estimates = {}
-    for ro in readouts:
-        if ro.a_index == ro.b_index:
-            continue
-        value = by_config[ro.config_index].value(ro.syndrome)
-        value -= 0.5 * (diag[ro.a_index] + diag[ro.b_index])
-        slot = estimates.setdefault((ro.a_index, ro.b_index), ([], []))
-        if ro.coeff_re != 0:
-            slot[0].append(value / ro.coeff_re)
-        elif ro.coeff_im != 0:
-            slot[1].append(value / ro.coeff_im)
+    off = ~bare
+    a, b, c, s = a[off], b[off], c[off], s[off]
+    # one of c, s is +-1 and the other 0
+    est = (probs[off] - 0.5 * (diag[a] + diag[b])) / (c + s)
+    # slot 2 (a d2 + b) holds the real part of entry (a, b), the next
+    # slot its imaginary part; sums start at -0.0, the exact additive
+    # identity, and accumulate in readout order
+    slot = 2 * (a * d2 + b) + (c == 0)
+    size = 2 * d2 * d2
+    sums = np.full(size, -0.0)
+    np.add.at(sums, slot, est)
+    counts = np.bincount(slot, minlength=size)
 
+    # the upper triangle a < b in row-major order, two slots per entry
+    rows, cols = np.triu_indices(d2, 1)
+    upper = (2 * (rows * d2 + cols)[:, None] + np.arange(2)).ravel()
+    n = counts[upper]
+    bad = n == 0
+    if exact:
+        hi = np.full(size, -np.inf)
+        lo = np.full(size, np.inf)
+        np.maximum.at(hi, slot, est)
+        np.minimum.at(lo, slot, est)
+        spread = hi[upper] - lo[upper]
+        bad |= spread > policy.readout_consistency
+    if bad.any():
+        k = int(np.argmax(bad))
+        pair = (basis.label(int(rows[k // 2])), basis.label(int(cols[k // 2])))
+        if n[k] == 0:
+            raise ValueError("entry (%s, %s) lacks a real or imaginary "
+                             "readout" % pair)
+        raise ValueError("inconsistent redundant readouts for entry "
+                         "(%s, %s): spread %g" % (pair + (spread[k],)))
+
+    means = (sums[upper] / n).view(complex)
     chi = np.zeros((d2, d2), dtype=complex)
+    chi[rows, cols] = means
+    chi[cols, rows] = means.conj()
     chi[np.diag_indices(d2)] = diag
-    for a in range(d2):
-        for b in range(a + 1, d2):
-            parts = []
-            for vals in estimates.get((a, b), ([], [])):
-                if not vals:
-                    raise ValueError("entry (%s, %s) lacks a real or imaginary "
-                                     "readout" % (basis.label(a), basis.label(b)))
-                if exact and max(vals) - min(vals) > policy.readout_consistency:
-                    raise ValueError(
-                        "inconsistent redundant readouts for entry "
-                        "(%s, %s): spread %g"
-                        % (basis.label(a), basis.label(b), max(vals) - min(vals)))
-                # seeding the sum with the first value keeps a lone -0.0
-                parts.append(sum(vals[1:], vals[0]) / len(vals))
-            chi[a, b] = complex(*parts)
-            chi[b, a] = chi[a, b].conjugate()
     return ProcessMatrix(chi, basis)
 
 
@@ -406,13 +461,13 @@ def plan_to_json(code: StabilizerCode, configs) -> dict:
 
 
 def plan_from_json(code: StabilizerCode, doc: dict):
-    """Rebuild (configurations, readouts) from the JSON descriptors."""
+    """Rebuild (configurations, readout table) from the JSON descriptors."""
     basis = code.error_basis
     configs = []
     for entry in doc["configurations"]:
         kind = entry["kind"]
         if kind == "bare":
-            configs.append(_configuration(len(configs), kind))
+            configs.append(_configuration(basis, len(configs), kind))
             continue
         a = basis.index_of_label(entry["a"])
         b = basis.index_of_label(entry["b"])
@@ -426,5 +481,5 @@ def plan_from_json(code: StabilizerCode, doc: dict):
                 signs[basis.index_of_label(label)] = 1 if sign == "+" else -1
             if any(s == 0 for s in signs):
                 raise ValueError("theta map does not cover the error basis")
-        configs.append(_configuration(len(configs), kind, a, b, m, signs))
+        configs.append(_configuration(basis, len(configs), kind, a, b, m, signs))
     return configs, derive_readouts(code, configs)

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +83,7 @@ class TestPlan:
         code = st.builtin_code("code3")
         configs, readouts = st.plan_from_json(code, doc)
         assert len(configs) == 7 and len(readouts) == 28
+        assert readouts.a_index.shape == (7, 4)
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "plan.json"
@@ -269,7 +272,11 @@ def test_report_escapes_label(capsys, tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports syntomo from where this process found it
+    src = str(Path(st.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "syntomo.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "characterize" in proc.stdout

@@ -24,6 +24,25 @@ def test_single_qubit_matrices():
     np.testing.assert_allclose(Y, np.array([[0, -1j], [1j, 0]]), atol=0)
 
 
+def kron_matrix(p):
+    """Reference rendering: a chain of Kronecker products, qubit 0 first."""
+    factors = {(0, 0): np.eye(2), (1, 0): np.array([[0, 1], [1, 0]]),
+               (0, 1): np.diag([1, -1]), (1, 1): np.array([[0, -1], [1, 0]])}
+    out = np.eye(1, dtype=complex)
+    for q in range(p.n):
+        out = np.kron(out, factors[(p.x_mask >> q) & 1, (p.z_mask >> q) & 1])
+    return (1j ** p.phase_exp) * out
+
+
+def test_matrix_matches_kronecker_chain():
+    for n in range(1, 6):
+        for x_mask in range(1 << n):
+            for z_mask in range(1 << n):
+                for phase in range(4):
+                    p = PauliOperator(n, x_mask, z_mask, phase)
+                    np.testing.assert_array_equal(st.to_matrix(p), kron_matrix(p))
+
+
 def test_qubit_zero_is_leftmost_letter():
     # the first string letter is the most significant tensor factor
     zx = st.to_matrix(word("ZX"))

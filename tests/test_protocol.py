@@ -18,6 +18,20 @@ def exact_records(code, channel, beta=(1.0, 0.0)):
     return configs, readouts, st.simulate(code, beta, channel, configs)
 
 
+def table_rows(readouts):
+    """Every readout of a table as (A, B, c, s), in readout order."""
+    return list(zip(readouts.a_index.ravel().tolist(),
+                    readouts.b_index.ravel().tolist(),
+                    readouts.coeff_re.ravel().tolist(),
+                    readouts.coeff_im.ravel().tolist()))
+
+
+def rotated(code, a, b):
+    """The rotated configuration of pair (a, b), by error labels."""
+    doc = {"configurations": [{"kind": "rotated", "a": a, "b": b}]}
+    return st.plan_from_json(code, doc)[0][0]
+
+
 def random_hermitian_chi(basis, rng):
     d2 = basis.size
     m = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
@@ -148,8 +162,7 @@ class TestPredictedReadout:
     def test_xy_rotation_at_z_syndrome(self, code3, rng):
         basis = code3.error_basis
         x, y, z = (basis.index_of_label(l) for l in "XYZ")
-        cfg = st.Configuration(index=0, kind="rotated", a=x, b=y,
-                               theta_signs=None)
+        cfg = rotated(code3, "X", "Y")
         chi = random_hermitian_chi(basis, rng)
         e = chi.entries
         expected = 0.5 * (e[x, x].real + e[y, y].real) - e[x, y].real
@@ -157,9 +170,8 @@ class TestPredictedReadout:
 
     def test_xy_rotation_amplitude_damping_value(self, code3, ad036):
         basis = code3.error_basis
-        x, y, z = (basis.index_of_label(l) for l in "XYZ")
-        cfg = st.Configuration(index=0, kind="rotated", a=x, b=y,
-                               theta_signs=None)
+        z = basis.index_of_label("Z")
+        cfg = rotated(code3, "X", "Y")
         chi = st.chi_from_kraus(ad036, basis)
         assert abs(st.xi_predicted(chi, cfg, z) - 0.09) < 1e-12
 
@@ -340,7 +352,7 @@ def test_plan_from_json_pairs_match_simulation(frame_code, frame_oracle, data):
     doc = {"configurations": [{"kind": "rotated", **pair},
                               {"kind": "toggled", "theta": theta, **pair}]}
     configs, readouts = st.plan_from_json(code, doc)
-    assert all(ro.a_index < ro.b_index for ro in readouts)
+    assert (readouts.a_index < readouts.b_index).all()
     for cfg in configs:
         rec = st.xi_simulated(code, beta, channel, cfg)
         for x, syn in enumerate(code.syndrome_table):
@@ -408,22 +420,28 @@ class TestPlanner:
     def test_readout_coefficients(self, code3):
         configs, readouts = st.plan_configurations(code3)
         assert len(readouts) == len(configs) * 4
-        for ro in readouts:
-            assert ro.a_index <= ro.b_index
-            if ro.a_index == ro.b_index:
-                assert (ro.coeff_re, ro.coeff_im) == (0, 0)
+        assert readouts.configs == tuple(range(len(configs)))
+        assert readouts.syndromes == code3.syndrome_table
+        for column in (readouts.a_index, readouts.b_index,
+                       readouts.coeff_re, readouts.coeff_im):
+            assert column.shape == (len(configs), 4)
+            assert column.dtype.kind == "i" and not column.flags.writeable
+        for a_index, b_index, coeff_re, coeff_im in table_rows(readouts):
+            assert a_index <= b_index
+            if a_index == b_index:
+                assert (coeff_re, coeff_im) == (0, 0)
             else:
-                assert (ro.coeff_re, ro.coeff_im) in ((1, 0), (-1, 0),
-                                                      (0, 1), (0, -1))
+                assert (coeff_re, coeff_im) in ((1, 0), (-1, 0),
+                                                (0, 1), (0, -1))
 
     def test_every_entry_has_both_parts(self, code5):
         configs, readouts = st.plan_configurations(code5)
         seen = {}
-        for ro in readouts:
-            if ro.a_index == ro.b_index:
+        for a_index, b_index, coeff_re, _ in table_rows(readouts):
+            if a_index == b_index:
                 continue
-            kind = "re" if ro.coeff_re else "im"
-            seen.setdefault((ro.a_index, ro.b_index), set()).add(kind)
+            kind = "re" if coeff_re else "im"
+            seen.setdefault((a_index, b_index), set()).add(kind)
         for a in range(16):
             for b in range(a + 1, 16):
                 assert seen[(a, b)] == {"re", "im"}
@@ -440,7 +458,9 @@ class TestPlanner:
                 assert d.action is None
             else:
                 assert np.abs(c.action - d.action).max() < 1e-12
-        assert again_ros == readouts
+        assert again_ros.configs == readouts.configs
+        assert again_ros.syndromes == readouts.syndromes
+        assert table_rows(again_ros) == table_rows(readouts)
 
     def test_plan_json_accepts_ascii_minus(self, code3):
         configs, _ = st.plan_configurations(code3)
@@ -503,6 +523,198 @@ class TestReconstruct:
         chi = st.reconstruct(counts, readouts, code3.error_basis)
         oracle = st.chi_from_kraus(ad036, code3.error_basis)
         assert np.abs(chi.entries - oracle.entries).max() < 0.02
+
+    def test_incomplete_plan(self, code3, ad036):
+        # bare plus one rotation exposes one part of (I, Z) but not the other
+        doc = {"configurations": [{"kind": "bare"},
+                                  {"kind": "rotated", "a": "I", "b": "Z"}]}
+        configs, readouts = st.plan_from_json(code3, doc)
+        records = st.simulate(code3, (1.0, 0.0), ad036, configs)
+        with pytest.raises(ValueError, match=r"^entry \(I, Z\) lacks a real "
+                                             r"or imaginary readout$"):
+            st.reconstruct(records, readouts, code3.error_basis)
+
+
+def reference_reconstruct(records, readouts, basis, policy=st.DEFAULT_POLICY):
+    """Reconstruction as one loop over the readouts: the diagonal from the
+    bare readouts, then each entry's redundant readouts summed in readout
+    order, spread-checked in exact mode and averaged."""
+    by_config = {rec.config_index: rec for rec in records}
+    missing = sorted(set(readouts.configs) - set(by_config))
+    if missing:
+        raise ValueError("missing records for configurations %s" % missing)
+    exact = all(rec.exact for rec in by_config.values())
+    rows = table_rows(readouts)
+    keys = [(cfg, syn) for cfg in readouts.configs for syn in readouts.syndromes]
+
+    d2 = basis.size
+    diag = np.zeros(d2)
+    for (cfg, syn), (a, b, _, _) in zip(keys, rows):
+        if a == b:
+            diag[a] = by_config[cfg].value(syn)
+
+    estimates = {}
+    for (cfg, syn), (a, b, c, s) in zip(keys, rows):
+        if a == b:
+            continue
+        value = by_config[cfg].value(syn)
+        value -= 0.5 * (diag[a] + diag[b])
+        slot = estimates.setdefault((a, b), ([], []))
+        if c != 0:
+            slot[0].append(value / c)
+        elif s != 0:
+            slot[1].append(value / s)
+
+    chi = np.zeros((d2, d2), dtype=complex)
+    chi[np.diag_indices(d2)] = diag
+    for a in range(d2):
+        for b in range(a + 1, d2):
+            parts = []
+            for vals in estimates.get((a, b), ([], [])):
+                if not vals:
+                    raise ValueError("entry (%s, %s) lacks a real or imaginary "
+                                     "readout" % (basis.label(a), basis.label(b)))
+                if exact and max(vals) - min(vals) > policy.readout_consistency:
+                    raise ValueError(
+                        "inconsistent redundant readouts for entry "
+                        "(%s, %s): spread %g"
+                        % (basis.label(a), basis.label(b), max(vals) - min(vals)))
+                parts.append(sum(vals[1:], vals[0]) / len(vals))
+            chi[a, b] = complex(*parts)
+            chi[b, a] = chi[a, b].conjugate()
+    return chi
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def same_bits(x, y):
+    return all(np.array_equal(f(x), f(y)) for f in (
+        np.real, np.imag, lambda z: np.signbit(z.real), lambda z: np.signbit(z.imag)))
+
+
+RECONSTRUCT_CASES = {
+    # phase damping leaves zero entries, so -0.0 occurs
+    "code3-phase-damping": ("code3", "phase-damping", [0.3]),
+    "code3-amplitude-damping": ("code3", "amplitude-damping", [0.36]),
+    "code5-random-cp": ("code5", "random-cp", [11, 2, 3]),
+}
+
+
+def restrict(readouts, keep):
+    """The table's readouts of the syndrome indices in ``keep`` only."""
+    return dataclasses.replace(
+        readouts, syndromes=tuple(readouts.syndromes[x] for x in keep),
+        **{f: getattr(readouts, f)[:, keep] for f in
+           ("a_index", "b_index", "coeff_re", "coeff_im")})
+
+
+def random_plan(code, data):
+    """Plan descriptors with a random pair (a, P.a) and a random
+    two-coloring per non-identity P, then configurations repeated,
+    dropped and shuffled."""
+    basis = code.error_basis
+    entries = [{"kind": "bare"}]
+    for p in range(1, code.d2):
+        a = data.draw(hs.integers(0, code.d2 - 1), label="a")
+        pair = {"a": basis.label(a), "b": basis.label(int(basis.product_index[p, a]))}
+        flips = data.draw(hs.lists(hs.booleans(), min_size=code.d2,
+                                   max_size=code.d2), label="colors")
+        theta = {}
+        for x in range(code.d2):
+            y = int(basis.product_index[p, x])
+            plus = (x < y) != flips[min(x, y)]
+            theta[basis.label(x)] = "+" if plus else "-"
+        entries += [{"kind": "rotated", **pair},
+                    {"kind": "toggled", "theta": theta, **pair}]
+    entries += data.draw(hs.lists(hs.sampled_from(entries), max_size=8), label="repeats")
+    dropped = data.draw(hs.lists(hs.integers(0, len(entries) - 1), max_size=2,
+                                 unique=True), label="dropped")
+    kept = [e for i, e in enumerate(entries) if i not in dropped]
+    return data.draw(hs.permutations(kept), label="order")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hs.data())
+def test_reconstruct_matches_readout_loop(code3, code5, data):
+    """Array reconstruction equals the per-readout loop bit for bit
+    (values, signed zeros and error messages) on random plans that
+    repeat configurations, for exact and sampled records."""
+    name = data.draw(hs.sampled_from(sorted(RECONSTRUCT_CASES)), label="case")
+    code_name, channel_name, params = RECONSTRUCT_CASES[name]
+    code = code3 if code_name == "code3" else code5
+    basis = code.error_basis
+    doc = {"configurations": random_plan(code, data)}
+    configs, readouts = st.plan_from_json(code, doc)
+    if data.draw(hs.booleans(), label="restricted"):
+        # the readouts of some syndromes only: lone and single-signed
+        # groups, so averages of -0.0 occur
+        keep = data.draw(hs.sets(hs.integers(0, code.d2 - 1), min_size=1),
+                         label="syndromes")
+        readouts = restrict(readouts, sorted(keep))
+    channel = st.builtin_channel(channel_name, params)
+    if channel.p < len(code.noisy_coords):
+        channel = st.extend_channel(channel, len(code.noisy_coords))
+    records = st.simulate(code, (0.6, 0.8j), channel, configs)
+    if data.draw(hs.booleans(), label="sampled"):
+        sampler = st.SamplingPolicy(shots_per_configuration=data.draw(
+            hs.sampled_from([50, 1000, 100000]), label="shots"),
+            seed=data.draw(hs.integers(0, 1 << 32), label="seed"))
+        records = [st.sample_record(rec, sampler) for rec in records]
+    else:
+        # exact records off by more than the consistency tolerance
+        for _ in range(data.draw(hs.integers(0, 3), label="perturbed")):
+            r = data.draw(hs.integers(0, len(records) - 1), label="record")
+            x = data.draw(hs.integers(0, code.d2 - 1), label="syndrome")
+            dist = dict(records[r].distribution)
+            dist[code.syndrome_table[x]] += 1e-5
+            records[r] = st.MeasurementRecord(records[r].config_index, dist)
+    want = outcome(reference_reconstruct, records, readouts, basis)
+    got = outcome(st.reconstruct, records, readouts, basis)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert same_bits(got.entries, want)
+
+
+def test_reconstruct_keeps_a_lone_negative_zero(code3):
+    # without the Y syndrome's readouts, some parts of the zero entries
+    # of phase damping rest on one readout, which reads -0.0
+    channel = st.builtin_channel("phase-damping", [0.3])
+    configs, readouts = st.plan_configurations(code3)
+    records = st.simulate(code3, (0.6, 0.8j), channel, configs)
+    readouts = restrict(readouts, [0, 1, 2])
+    got = st.reconstruct(records, readouts, code3.error_basis).entries
+    assert same_bits(got, reference_reconstruct(records, readouts, code3.error_basis))
+    upper = got[np.triu_indices(4, 1)]
+    assert ((upper.imag == 0) & np.signbit(upper.imag)).any()
+
+
+def test_characterize_evaluates_the_rule_once_per_configuration(code5, monkeypatch):
+    calls = []
+    rule = protocol._rule
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rule(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("readout rule evaluated again for the residuals")
+
+    monkeypatch.setattr(protocol, "_rule", counted)
+    for name, module in list(sys.modules.items()):
+        if name == "syntomo" or name.startswith("syntomo."):
+            for attr, value in list(vars(module).items()):
+                if value is protocol.xi_predicted:
+                    monkeypatch.setattr(module, attr, refuse)
+    result = st.characterize(code5, st.builtin_channel("random-cp", [3, 2, 2]),
+                             (0.6, 0.8j))
+    assert len(calls) == len(result.configs) == 31
+    assert len(result.residuals) == 31 and max(result.residuals) < 1e-12
 
 
 class TestRecovery:
