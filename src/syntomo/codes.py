@@ -240,23 +240,17 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None,
 def kl_scan(code: StabilizerCode) -> tuple:
     """Error-correcting-condition matrix and worst residual, unchecked.
 
-    Returns (C, residual) with C_ab = Tr(Pi F_a† F_b Pi) / Tr(Pi) and
-    residual the largest entrywise deviation of Pi F_a† F_b Pi from
-    C_ab Pi over all error pairs.
+    Read off the frame's Gram matrix: with W_a = F_a W_0 the 2^k x 2^k
+    block W_a† W_b, C_ab = Tr(W_a† W_b) / 2^k, and residual is the
+    largest |W_a† W_b - C_ab I| over all error pairs. Since
+    Pi F_a† F_b Pi = W_0 (W_a† W_b) W_0†, the residual is zero exactly
+    when Pi F_a† F_b Pi = C_ab Pi for every pair.
     """
-    proj = code.code_projector()
-    tr = float(np.trace(proj).real)
-    d2 = code.d2
-    mats = [to_matrix(e) for e in code.error_basis.elements]
-    c = np.zeros((d2, d2), dtype=complex)
-    residual = 0.0
-    for a in range(d2):
-        left = proj @ mats[a].conj().T
-        for b in range(d2):
-            m = left @ mats[b] @ proj
-            c_ab = np.trace(m) / tr
-            residual = max(residual, float(np.abs(m - c_ab * proj).max()))
-            c[a, b] = c_ab
+    dim = 1 << code.k
+    gram = code.frame.conj().T @ code.frame
+    blocks = gram.reshape(code.d2, dim, code.d2, dim).transpose(0, 2, 1, 3)
+    c = np.trace(blocks, axis1=2, axis2=3) / dim
+    residual = float(np.abs(blocks - c[:, :, None, None] * np.eye(dim)).max())
     return c, residual
 
 

@@ -214,7 +214,8 @@ class ErrorBasis:
     a :class:`PauliFactor`.
 
     ``product_index[i, j]`` and ``product_phase[i, j]`` tabulate every
-    product F_i F_j = i^e F_k as (k, e), read-only.
+    product F_i F_j = i^e F_k as (k, e), read-only. ``labels[i]`` is
+    ``label(i)``, formatted once.
     """
 
     n_total: int
@@ -224,6 +225,7 @@ class ErrorBasis:
     _word_index: dict = field(repr=False, compare=False)
     product_index: np.ndarray = field(repr=False, compare=False)
     product_phase: np.ndarray = field(repr=False, compare=False)
+    labels: tuple = field(repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -240,9 +242,7 @@ class ErrorBasis:
 
     def label(self, index: int) -> str:
         """Word restricted to the coordinate subset, e.g. ``"XZ"``."""
-        if self.p == 0:
-            return "I"
-        return pauli_to_string(self.restricted[index])
+        return self.labels[index]
 
     def index_of_label(self, label: str) -> int:
         if self.p == 0:
@@ -324,6 +324,7 @@ def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
         _word_index={"embedded": embedded_index, "restricted": restricted_index},
         product_index=index,
         product_phase=phase,
+        labels=tuple(pauli_to_string(r) for r in restricted),
     )
 
 

@@ -56,7 +56,7 @@ class Configuration:
     """One measurement setup: pre-processing followed by syndrome readout.
 
     ``rule[x]`` is the readout rule (A, B, c, s) of error index x (see
-    ``_rule``).
+    ``_rules``).
     ``theta_signs`` maps error index m to the sign of theta_m = +-pi/4.
     ``action`` is the pre-processing U in frame coordinates (None when
     bare): the d^2 x d^2 matrix M with U F_x|j_L> = sum_y M[y, x] F_y|j_L>.
@@ -180,28 +180,8 @@ def rotation_unitary(code: StabilizerCode, a: int, b: int) -> np.ndarray:
     return u
 
 
-def _rotation_action(basis, a: int, b: int) -> np.ndarray:
-    """Frame map of the planner rotation (F_a + c F_b)/sqrt(2).
-
-    M[a.x, x] = g_a/sqrt(2) and M[b.x, x] = c g_b/sqrt(2), where
-    F_a F_x = g_a F_{a.x} and c is i for a commuting pair, else 1.
-    """
-    if a == b:
-        raise ValueError("rotation needs two distinct error indices")
-    c = 1j if basis.product_phase[a, b] == basis.product_phase[b, a] else 1.0
-    cols = np.arange(basis.size)
-    m = np.zeros((basis.size, basis.size), dtype=complex)
-    m[basis.product_index[a], cols] = _I_POWERS[basis.product_phase[a]]
-    m[basis.product_index[b], cols] = c * _I_POWERS[basis.product_phase[b]]
-    m /= np.sqrt(2.0)
-    if np.abs(m.conj().T @ m - np.eye(basis.size)).max() > 1e-12:
-        raise ValueError("rotation for pair (%s, %s) failed the unitarity check"
-                         % (basis.label(a), basis.label(b)))
-    return m
-
-
-def _toggle_phases(d2: int, theta_signs) -> np.ndarray:
-    """e^{i theta_m} per error index, after checking the signs."""
+def _check_signs(d2: int, theta_signs) -> tuple:
+    """The theta signs as ints, after checking them."""
     signs = tuple(int(s) for s in theta_signs)
     if len(signs) != d2:
         raise ValueError("expected %d theta signs, got %d" % (d2, len(signs)))
@@ -209,24 +189,7 @@ def _toggle_phases(d2: int, theta_signs) -> np.ndarray:
         raise ValueError("theta signs must be +1 or -1")
     if sum(1 for s in signs if s > 0) != d2 // 2:
         raise ValueError("theta must carry both signs in equal number")
-    return np.exp(1j * np.array(signs) * np.pi / 4.0)
-
-
-def _configuration(basis, index: int, kind: str, a=None, b=None,
-                   rotation=None, signs=None) -> Configuration:
-    """A configuration of either planner, with its readout rule;
-    ``rotation`` is the pair's frame map and ``signs`` are read only
-    when toggled."""
-    if kind in ("bare", "rotated"):
-        return Configuration(index=index, kind=kind, a=a, b=b, action=rotation,
-                             rule=_rule(basis, kind, a, b))
-    if kind != "toggled":
-        raise ValueError("unknown configuration kind %r" % kind)
-    phases = _toggle_phases(len(rotation), signs)
-    signs = tuple(signs)
-    return Configuration(index=index, kind=kind, a=a, b=b, theta_signs=signs,
-                         action=rotation * phases,
-                         rule=_rule(basis, kind, a, b, signs))
+    return signs
 
 
 def build_toggle(code: StabilizerCode, theta_signs) -> np.ndarray:
@@ -239,34 +202,10 @@ def build_toggle(code: StabilizerCode, theta_signs) -> np.ndarray:
     e^{i theta_m}, so the syndrome statistics transform as
     chi -> S chi S†.
     """
-    phases = _toggle_phases(code.d2, theta_signs)
+    phases = np.exp(1j * np.array(_check_signs(code.d2, theta_signs)) * np.pi / 4.0)
     # W diag(e^{i theta} - 1) W† + I: identity outside the error ball
     shift = np.repeat(phases - 1.0, 1 << code.k)
     return (code.frame * shift) @ code.frame.conj().T + np.eye(1 << code.n)
-
-
-def _rule(basis, kind: str, a=None, b=None, signs=None) -> tuple:
-    """The readout rule for every error index x: a row (A, B, c, s),
-    A <= B, such that the syndrome of x has probability
-    (chi_AA + chi_BB)/2 + c Re chi_AB + s Im chi_AB. With
-    F_a F_x = i^{e_a} F_A and F_b F_x = i^{e_b} F_B the cross term is
-    Re(i^e chi_AB) for e = e_b - e_a, plus (s_A - s_B)/2 when toggled,
-    minus 1 for a commuting pair; A > B folds via chi_BA = chi_AB*."""
-    if kind == "bare":
-        x = range(basis.size)
-        return tuple(zip(x, x, (0,) * basis.size, (0,) * basis.size))
-    idx, phase = basis.product_index, basis.product_phase
-    big_a, big_b = idx[a], idx[b]
-    e = phase[b].astype(np.int64) - phase[a]
-    if kind == "toggled":
-        theta = np.asarray(signs)
-        e += (theta[big_a] - theta[big_b]) // 2
-    if phase[a, b] == phase[b, a]:
-        e -= 1
-    c, s = _RE_IM[:, e % 4]
-    columns = (np.minimum(big_a, big_b), np.maximum(big_a, big_b),
-               c, np.where(big_a < big_b, s, -s))
-    return tuple(zip(*(col.tolist() for col in columns)))
 
 
 def xi_predicted(chi: ProcessMatrix, cfg: Configuration, x: int) -> float:
@@ -340,19 +279,118 @@ def plan_configurations(code: StabilizerCode):
     +pi/4 to the smaller index of each pair.
     """
     basis = code.error_basis
-    configs = [_configuration(basis, 0, "bare")]
-    for p in range(1, basis.size):
-        m = _rotation_action(basis, 0, p)
-        signs = [1 if x < y else -1 for x, y in enumerate(basis.product_index[p])]
-        for kind in ("rotated", "toggled"):
-            configs.append(_configuration(basis, len(configs), kind, 0, p, m,
-                                          signs))
-    return configs, derive_readouts(code, configs)
+    d2 = basis.size
+    kinds = ("bare",) + ("rotated", "toggled") * (d2 - 1)
+    b = np.concatenate(([0], np.repeat(np.arange(1, d2), 2)))
+    signs = np.zeros((len(kinds), d2), dtype=np.int64)
+    signs[2::2] = np.where(np.arange(d2) < basis.product_index[1:], 1, -1)
+    return _compile(code, kinds, np.zeros_like(b), b, signs)
+
+
+def _compile(code: StabilizerCode, kinds, a, b, signs):
+    """(configurations, readout table) of a whole plan, in array passes.
+
+    Configuration i has kind ``kinds[i]``, pair (a[i], b[i]) and theta
+    signs ``signs[i]``; a bare row carries the pair (0, 0) and a row
+    that is not toggled zero signs.
+    """
+    basis = code.error_basis
+    rotated = np.array([kind != "bare" for kind in kinds], dtype=bool)
+    toggled = np.array([kind == "toggled" for kind in kinds], dtype=bool)
+    commuting = basis.product_phase[a, b] == basis.product_phase[b, a]
+    actions = _frame_maps(basis, a[rotated], b[rotated], commuting[rotated],
+                          signs[toggled], toggled[rotated])
+    columns = _rules(basis, a, b, commuting, signs, rotated)
+    configs = []
+    maps = iter(actions)
+    for i, kind in enumerate(kinds):
+        rule = tuple(zip(*(column[i].tolist() for column in columns)))
+        if kind == "bare":
+            configs.append(Configuration(index=i, kind=kind, rule=rule))
+            continue
+        theta = tuple(signs[i].tolist()) if kind == "toggled" else None
+        configs.append(Configuration(index=i, kind=kind, rule=rule,
+                                     a=int(a[i]), b=int(b[i]), theta_signs=theta,
+                                     action=next(maps)))
+    return configs, ReadoutTable(code.syndrome_table, tuple(range(len(configs))),
+                                 *columns)
+
+
+def _rules(basis, a, b, commuting, signs, rotated) -> tuple:
+    """The readout rule of every configuration as the read-only columns
+    (A, B, c, s) of a ``ReadoutTable``, each of shape configurations x d^2.
+
+    Entry x of configuration i is (A, B, c, s), A <= B, such that the
+    syndrome of x has probability (chi_AA + chi_BB)/2 + c Re chi_AB +
+    s Im chi_AB. With F_a F_x = i^{e_a} F_A and F_b F_x = i^{e_b} F_B the
+    cross term is Re(i^e chi_AB) for e = e_b - e_a, plus (s_A - s_B)/2
+    when toggled, minus 1 for a commuting pair; A > B folds via
+    chi_BA = chi_AB*. A bare row (x, x, 0, 0) reads chi_xx alone.
+    """
+    idx, phase = basis.product_index, basis.product_phase
+    big_a, big_b = idx[a], idx[b]
+    e = phase[b].astype(np.int64) - phase[a]
+    e += (np.take_along_axis(signs, big_a, axis=1)
+          - np.take_along_axis(signs, big_b, axis=1)) // 2
+    e = (e - commuting[:, None]) % 4
+    c, s = _RE_IM[0, e] * rotated[:, None], _RE_IM[1, e] * rotated[:, None]
+    columns = (np.minimum(big_a, big_b), np.maximum(big_a, big_b),
+               c, np.where(big_a < big_b, s, -s))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def _frame_maps(basis, a, b, commuting, signs, toggled) -> np.ndarray:
+    """The frame maps M of rotated and toggled configurations, read-only,
+    of shape configurations x d^2 x d^2; ``signs`` holds the rows of the
+    toggled ones.
+
+    The rotation (F_a + c F_b)/sqrt(2) has M[a.x, x] = alpha_x =
+    g_a/sqrt(2) and M[b.x, x] = beta_x = c g_b/sqrt(2), where
+    F_a F_x = g_a F_{a.x} and c is i for a commuting pair, else 1; a
+    toggle multiplies column x by e^{i theta_x}.
+    """
+    idx, phase = basis.product_index, basis.product_phase
+    alpha = _I_POWERS[phase[a]] / np.sqrt(2.0)
+    beta = np.where(commuting, 1j, 1.0)[:, None] * _I_POWERS[phase[b]]
+    beta /= np.sqrt(2.0)
+    _check_unitary(basis, a, b, alpha, beta)
+    phases = np.exp(1j * signs * np.pi / 4.0)
+    alpha[toggled] *= phases
+    beta[toggled] *= phases
+    rows, cols = np.arange(len(a))[:, None], np.arange(basis.size)
+    maps = np.zeros((len(a), basis.size, basis.size), dtype=complex)
+    maps[rows, idx[a], cols] = alpha
+    maps[rows, idx[b], cols] = beta
+    maps.flags.writeable = False
+    return maps
+
+
+def _check_unitary(basis, a, b, alpha, beta) -> None:
+    """M†M = I within 1e-12 for every rotation, from its two nonzeros
+    per column: the product can differ from I only on its diagonal,
+    |alpha_x|^2 + |beta_x|^2, and at (x, x') with x' = b.a.x, where
+    columns x and x' share both rows: conj(alpha_x) beta_x' +
+    conj(beta_x) alpha_x'. The first failing pair is named. Sixteen
+    rotations at a time, so the temporaries stay O(d^2)."""
+    idx = basis.product_index
+    for lo in range(0, len(a), 16):
+        al, be = alpha[lo:lo + 16], beta[lo:lo + 16]
+        partner = idx[b[lo:lo + 16, None], idx[a[lo:lo + 16]]]
+        cross = (al.conj() * np.take_along_axis(be, partner, axis=1)
+                 + be.conj() * np.take_along_axis(al, partner, axis=1))
+        norm = np.abs(al) ** 2 + np.abs(be) ** 2
+        bad = ((np.abs(norm - 1.0) > 1e-12) | (np.abs(cross) > 1e-12)).any(axis=1)
+        if bad.any():
+            r = lo + int(np.argmax(bad))
+            raise ValueError("rotation for pair (%s, %s) failed the unitarity "
+                             "check" % (basis.label(a[r]), basis.label(b[r])))
 
 
 def derive_readouts(code: StabilizerCode, configs) -> ReadoutTable:
     """The plan's readout table: every configuration's rule rows
-    (``_rule``), one table row per configuration."""
+    (``Configuration.rule``), one table row per configuration."""
     rules = np.array([cfg.rule for cfg in configs], dtype=np.int64)
     columns = []
     for column in rules.reshape(-1, code.d2, 4).transpose(2, 0, 1):
@@ -463,23 +501,29 @@ def plan_to_json(code: StabilizerCode, configs) -> dict:
 def plan_from_json(code: StabilizerCode, doc: dict):
     """Rebuild (configurations, readout table) from the JSON descriptors."""
     basis = code.error_basis
-    configs = []
+    kinds, pairs, signs = [], [], []
     for entry in doc["configurations"]:
         kind = entry["kind"]
+        kinds.append(kind)
+        row = [0] * code.d2
+        signs.append(row)
         if kind == "bare":
-            configs.append(_configuration(basis, len(configs), kind))
+            pairs.append((0, 0))
             continue
-        a = basis.index_of_label(entry["a"])
-        b = basis.index_of_label(entry["b"])
-        m = _rotation_action(basis, a, b)
-        signs = None
+        pair = (basis.index_of_label(entry["a"]), basis.index_of_label(entry["b"]))
+        if pair[0] == pair[1]:
+            raise ValueError("rotation needs two distinct error indices")
+        pairs.append(pair)
         if kind == "toggled":
-            signs = [0] * code.d2
             for label, sign in entry["theta"].items():
                 if sign not in ("+", "-", _MINUS):
                     raise ValueError("bad theta sign %r" % sign)
-                signs[basis.index_of_label(label)] = 1 if sign == "+" else -1
-            if any(s == 0 for s in signs):
+                row[basis.index_of_label(label)] = 1 if sign == "+" else -1
+            if any(s == 0 for s in row):
                 raise ValueError("theta map does not cover the error basis")
-        configs.append(_configuration(basis, len(configs), kind, a, b, m, signs))
-    return configs, derive_readouts(code, configs)
+            _check_signs(code.d2, row)
+        elif kind != "rotated":
+            raise ValueError("unknown configuration kind %r" % kind)
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    signs = np.array(signs, dtype=np.int64).reshape(-1, code.d2)
+    return _compile(code, tuple(kinds), pairs[:, 0], pairs[:, 1], signs)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import syntomo as st
+from conftest import bell_pair_generators
 from syntomo.cli import main
 
 
@@ -48,6 +49,21 @@ class TestValidate:
         path.write_text(json.dumps(st.code_to_json(st.builtin_code("code3"))))
         rc, doc, _ = run_json(capsys, "validate", "--code", str(path))
         assert rc == 0 and doc["pass"] is True
+
+    def test_bell_pair_code_file(self, capsys, tmp_path):
+        # the p=3 rung of the ladder: 64 errors on a 7-qubit register,
+        # logical basis derived from the spectator qubit's X and Z
+        path = tmp_path / "bell3.json"
+        path.write_text(json.dumps({
+            "generators": bell_pair_generators(3), "noisy_coords": [0, 1, 2],
+            "logical_ops": {"X": "IIIIIIX", "Z": "IIIIIIZ"}}))
+        rc, doc, _ = run_json(capsys, "validate", "--code", str(path))
+        assert rc == 0 and doc["pass"] is True
+        assert doc["syndrome_count"] == 64 and len(set(doc["syndromes"].values())) == 64
+        assert doc["kl_residual"] <= 1e-8
+        rc, out, _ = run(capsys, "plan", "--code", str(path))
+        assert rc == 0 and out.startswith("127 configurations\n")
+        assert out.count("\n") == 128
 
     def test_unknown_code_name(self, capsys):
         rc, _, err = run(capsys, "validate", "--code", "code7")

@@ -1,5 +1,7 @@
 """Built-in codes, code construction, and syndrome machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,45 @@ class TestKnillLaflamme:
         c, residual = st.kl_scan(code)
         np.testing.assert_allclose(c, [[1.0]], atol=1e-12)
         assert residual < 1e-12
+
+
+def dense_kl_scan(code):
+    """The error-correcting condition from dense 2^n products: C_ab =
+    Tr(Pi F_a† F_b Pi) / Tr(Pi) and the largest entrywise deviation of
+    Pi F_a† F_b Pi from C_ab Pi over all error pairs."""
+    proj = code.code_projector()
+    tr = float(np.trace(proj).real)
+    d2 = code.d2
+    mats = [st.to_matrix(e) for e in code.error_basis.elements]
+    c = np.zeros((d2, d2), dtype=complex)
+    residual = 0.0
+    for a in range(d2):
+        left = proj @ mats[a].conj().T
+        for b in range(d2):
+            m = left @ mats[b] @ proj
+            c_ab = np.trace(m) / tr
+            residual = max(residual, float(np.abs(m - c_ab * proj).max()))
+            c[a, b] = c_ab
+    return c, residual
+
+
+@pytest.mark.parametrize("name", ["code3", "code5"])
+def test_kl_scan_sees_a_perturbed_code_space(name):
+    # |0_L> tilted by eps towards F_z|0_L>: still orthogonal to |1_L>,
+    # but no longer a code space for the error set
+    code = st.builtin_code(name)
+    eps = 1e-6
+    zero, one = code.logical_basis
+    tilted = (np.cos(eps) * zero
+              + np.sin(eps) * (st.to_matrix(code.error_basis.elements[1]) @ zero))
+    logical = np.column_stack([tilted, one])
+    frame = np.hstack([st.to_matrix(e) @ logical for e in code.error_basis.elements])
+    broken = dataclasses.replace(code, logical_basis=(tilted, one), frame=frame)
+    for scan in (st.kl_scan, dense_kl_scan):
+        _, residual = scan(broken)
+        assert eps / 20 <= residual <= 2 * eps, scan
+    with pytest.raises(ValueError, match="error-correcting condition fails"):
+        st.kl_condition(broken, st.NumericPolicy(kl_residual=1e-9))
 
 
 class TestHammingBound:
@@ -256,6 +297,12 @@ class TestSyndromeFrame:
         c, residual = st.kl_scan(frame_code)
         np.testing.assert_allclose(c, np.eye(frame_code.d2), atol=1e-12)
         assert residual < 1e-12
+
+    def test_kl_scan_matches_dense_loop(self, frame_code):
+        c, residual = st.kl_scan(frame_code)
+        dense_c, dense_residual = dense_kl_scan(frame_code)
+        assert np.abs(c - dense_c).max() <= 1e-12
+        assert residual <= 1e-12 and dense_residual <= 1e-12
 
     def test_exact_chi_matches_oracle(self, frame_code):
         p = len(frame_code.noisy_coords)

@@ -1,11 +1,14 @@
 """Phase-exact Pauli algebra against dense matrices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import syntomo as st
+from syntomo import pauli
 from syntomo.pauli import MATRIX_QUBIT_CAP, PauliFactor, PauliOperator
 
 
@@ -178,6 +181,19 @@ class TestErrorBasis:
         for i in range(basis.size):
             assert basis.index_of_label(basis.label(i)) == i
             assert basis.index_of_word(basis.elements[i]) == i
+
+    def test_labels_are_formatted_once(self, monkeypatch):
+        basis = st.enumerate_error_basis(6, [4, 1, 2])
+        want = [st.pauli_to_string(r) for r in basis.restricted]
+
+        def refuse(*args):
+            raise AssertionError("label formatted again")
+
+        monkeypatch.setattr(pauli, "pauli_to_string", refuse)
+        assert basis.labels == tuple(want)
+        assert [basis.label(i) for i in range(basis.size)] == want
+        # a derived field: equality ignores it
+        assert dataclasses.replace(basis, labels=()) == basis
 
     def test_mul_matches_matrices(self):
         basis = st.enumerate_error_basis(2, [0, 1])

@@ -473,6 +473,127 @@ class TestPlanner:
         assert len(again) == len(configs)
 
 
+def reference_plan(code, doc):
+    """The plan built one configuration at a time, as (action, rule,
+    theta signs) per descriptor: a dense d^2 x d^2 rotation map with a
+    dense unitarity check, its toggle, and the readout rule evaluated
+    for that configuration alone."""
+    basis = code.error_basis
+    idx, phase = basis.product_index, basis.product_phase
+    powers = np.array([1.0, 1j, -1.0, -1j])
+    cols = np.arange(code.d2)
+    out = []
+    for entry in doc["configurations"]:
+        if entry["kind"] == "bare":
+            out.append((None, np.stack([cols, cols, 0 * cols, 0 * cols], axis=1), None))
+            continue
+        a, b = basis.index_of_label(entry["a"]), basis.index_of_label(entry["b"])
+        commuting = phase[a, b] == phase[b, a]
+        m = np.zeros((code.d2, code.d2), dtype=complex)
+        m[idx[a], cols] = powers[phase[a]]
+        m[idx[b], cols] = (1j if commuting else 1.0) * powers[phase[b]]
+        m /= np.sqrt(2.0)
+        assert np.abs(m.conj().T @ m - np.eye(code.d2)).max() <= 1e-12
+        e = phase[b].astype(np.int64) - phase[a]
+        signs = None
+        if entry["kind"] == "toggled":
+            signs = [0] * code.d2
+            for label, sign in entry["theta"].items():
+                signs[basis.index_of_label(label)] = 1 if sign == "+" else -1
+            signs = tuple(signs)
+            theta = np.array(signs)
+            m = m * np.exp(1j * theta * np.pi / 4.0)
+            e += (theta[idx[a]] - theta[idx[b]]) // 2
+        if commuting:
+            e -= 1
+        c = np.array([1, 0, -1, 0])[e % 4]
+        s = np.array([0, -1, 0, 1])[e % 4]
+        rule = np.stack([np.minimum(idx[a], idx[b]), np.maximum(idx[a], idx[b]),
+                         c, np.where(idx[a] < idx[b], s, -s)], axis=1)
+        out.append((m, rule, signs))
+    return out
+
+
+def pair_plan(code, pairs, rng):
+    """A rotated and a toggled configuration, with random balanced
+    signs, per pair (a, b)."""
+    basis = code.error_basis
+    entries = [{"kind": "bare"}]
+    for a, b in pairs:
+        pair = {"a": basis.label(a), "b": basis.label(b)}
+        signs = rng.permutation([1, -1] * (code.d2 // 2))
+        theta = {basis.label(m): "+" if v > 0 else "−" for m, v in enumerate(signs)}
+        entries += [{"kind": "rotated", **pair},
+                    {"kind": "toggled", "theta": theta, **pair}]
+    return {"configurations": entries}
+
+
+def some_pairs(code, rng, count):
+    """Every ordered pair a != b, or ``count`` random ones when d^2 > 16."""
+    pairs = [(a, b) for a in range(code.d2) for b in range(code.d2) if a != b]
+    if code.d2 <= 16:
+        return pairs
+    return [pairs[i] for i in rng.choice(len(pairs), count, replace=False)]
+
+
+class TestCompiledPlan:
+    """The one-pass compile against per-configuration construction."""
+
+    def test_equals_the_reference_builder(self, frame_code):
+        code = frame_code
+        rng = np.random.default_rng(17)
+        default = st.plan_configurations(code)
+        docs = [st.plan_to_json(code, default[0]),
+                pair_plan(code, some_pairs(code, rng, 40)[::3], rng)]
+        plans = [default, st.plan_from_json(code, docs[1])]
+        for doc, (configs, readouts) in zip(docs, plans):
+            want = reference_plan(code, doc)
+            assert len(configs) == len(want)
+            for cfg, (action, rule, signs) in zip(configs, want):
+                if action is None:
+                    assert cfg.action is None
+                else:
+                    assert same_bits(cfg.action, action)
+                assert cfg.rule == tuple(map(tuple, rule.tolist()))
+                assert cfg.theta_signs == signs
+            rules = np.array([rule for _, rule, _ in want]).reshape(-1, code.d2, 4)
+            for table in (readouts, st.derive_readouts(code, configs)):
+                assert table.configs == tuple(range(len(configs)))
+                for column, field in zip(rules.transpose(2, 0, 1), ("a_index", "b_index",
+                                                                    "coeff_re", "coeff_im")):
+                    assert np.array_equal(getattr(table, field), column)
+                    assert getattr(table, field).dtype == np.int64
+                    assert not getattr(table, field).flags.writeable
+
+    def test_every_pair_gives_a_unitary_map(self, frame_code):
+        # every ordered pair at p <= 2, random pairs at p = 3
+        code = frame_code
+        rng = np.random.default_rng(23)
+        configs, _ = st.plan_from_json(code, pair_plan(code, some_pairs(code, rng, 60), rng))
+        eye = np.eye(code.d2)
+        for cfg in configs[1:]:
+            assert np.abs(cfg.action.conj().T @ cfg.action - eye).max() <= 1e-12
+
+    def test_corrupted_product_phase_fails_the_unitarity_check(self, code5):
+        basis = code5.error_basis
+        a, x = basis.index_of_label("XZ"), basis.index_of_label("IX")
+        phase = basis.product_phase.copy()
+        phase[a, x] = (phase[a, x] + 1) % 4
+        phase.flags.writeable = False
+        broken = dataclasses.replace(
+            code5, error_basis=dataclasses.replace(basis, product_phase=phase))
+        theta = {basis.label(m): "+" if m < 8 else "-" for m in range(16)}
+        doc = {"configurations": [
+            {"kind": "bare"},
+            {"kind": "rotated", "a": "IZ", "b": "ZI"},
+            {"kind": "toggled", "a": "XZ", "b": "YI", "theta": theta},
+            {"kind": "rotated", "a": "XZ", "b": "ZY"}]}
+        st.plan_from_json(code5, doc)
+        with pytest.raises(ValueError, match=r"^rotation for pair \(XZ, YI\) "
+                                             r"failed the unitarity check$"):
+            st.plan_from_json(broken, doc)
+
+
 class TestReconstruct:
     def test_amplitude_damping_exact(self, code3, ad036):
         configs, readouts, records = exact_records(code3, ad036)
@@ -695,17 +816,21 @@ def test_reconstruct_keeps_a_lone_negative_zero(code3):
 
 
 def test_characterize_evaluates_the_rule_once_per_configuration(code5, monkeypatch):
-    calls = []
-    rule = protocol._rule
+    """One compile per characterize, whose one rule pass yields a row per
+    (configuration, syndrome); the residuals never re-evaluate the rule."""
+    compiled, rules = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return rule(*args, **kwargs)
+    def counted(fn, out):
+        def wrapper(*args, **kwargs):
+            out.append(fn(*args, **kwargs))
+            return out[-1]
+        return wrapper
 
     def refuse(*args, **kwargs):
         raise AssertionError("readout rule evaluated again for the residuals")
 
-    monkeypatch.setattr(protocol, "_rule", counted)
+    monkeypatch.setattr(protocol, "_compile", counted(protocol._compile, compiled))
+    monkeypatch.setattr(protocol, "_rules", counted(protocol._rules, rules))
     for name, module in list(sys.modules.items()):
         if name == "syntomo" or name.startswith("syntomo."):
             for attr, value in list(vars(module).items()):
@@ -713,7 +838,10 @@ def test_characterize_evaluates_the_rule_once_per_configuration(code5, monkeypat
                     monkeypatch.setattr(module, attr, refuse)
     result = st.characterize(code5, st.builtin_channel("random-cp", [3, 2, 2]),
                              (0.6, 0.8j))
-    assert len(calls) == len(result.configs) == 31
+    assert len(compiled) == len(rules) == 1
+    assert [column.shape for column in rules[0]] == [(31, 16)] * 4
+    assert compiled[0][0] is result.configs and len(result.configs) == 31
+    assert [len(cfg.rule) for cfg in result.configs] == [16] * 31
     assert len(result.residuals) == 31 and max(result.residuals) < 1e-12
 
 
