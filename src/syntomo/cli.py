@@ -44,13 +44,17 @@ class _DomainError(Exception):
     pass
 
 
+def _reject_constant(name: str):
+    raise ValueError("non-finite number %s is not valid JSON" % name)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise _InputError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and undecodable bytes too
         raise _InputError("cannot parse %s: %s" % (path, exc))
 
 

@@ -6,7 +6,9 @@ code space to a distinct syndrome space, so that one round of syndrome
 measurement identifies the error exactly. The builder stores the
 syndrome frame, whose columns F_x|j_L> span the error spaces, and
 rejects the code unless the frame is orthonormal: with distinct
-syndromes that is the error-correcting condition with C = I.
+syndromes that is the error-correcting condition with C = I. Pauli
+words act on vectors as signed permutations (``apply_pauli``), so no
+2^n x 2^n Pauli matrix is formed.
 """
 
 from __future__ import annotations
@@ -15,16 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densesim import projector_from_states
 from .numeric import DEFAULT_POLICY, NumericPolicy
 from .pauli import (
+    MATRIX_QUBIT_CAP,
     ErrorBasis,
     PauliOperator,
+    apply_pauli,
     commutes,
     enumerate_error_basis,
     pauli_from_string,
     pauli_to_string,
-    to_matrix,
 )
 
 Syndrome = tuple
@@ -58,10 +60,6 @@ class StabilizerCode:
         """Orthonormal columns F_x |j_L> spanning error x's syndrome space."""
         dim = 1 << self.k
         return self.frame[:, x * dim:(x + 1) * dim]
-
-    def code_projector(self) -> np.ndarray:
-        w = self.error_space(0)
-        return w @ w.conj().T
 
 
 def _symplectic_rank(generators) -> int:
@@ -103,7 +101,7 @@ def _derive_logical_basis(generators, k: int, logical_ops,
     dim = 1 << n
     proj = np.eye(dim, dtype=complex)
     for g in generators:
-        proj = proj @ (np.eye(dim, dtype=complex) + to_matrix(g)) / 2.0
+        proj = (proj + apply_pauli(g, proj)) / 2.0
     eigvals, eigvecs = np.linalg.eigh(proj)
     keep = [i for i in range(dim) if eigvals[i] > 0.5]
     if len(keep) != (1 << k):
@@ -123,14 +121,13 @@ def _derive_logical_basis(generators, k: int, logical_ops,
                                                        pauli_to_string(g)))
         if commutes(x_l, z_l):
             raise ValueError("logical operators must anticommute")
-        zmat = to_matrix(z_l)
-        small = block.conj().T @ zmat @ block
+        small = apply_pauli(z_l, block).conj().T @ block
         w, v = np.linalg.eigh(small)
         if abs(w[-1] - 1.0) > policy.orthonormality:
             raise ValueError("Z logical operator has no +1 eigenvector "
                              "inside the code space")
         zero = _fix_global_phase(block @ v[:, -1])
-        one = to_matrix(x_l) @ zero
+        one = apply_pauli(x_l, zero)
         return (zero, one)
 
     q, _ = np.linalg.qr(block)
@@ -175,6 +172,9 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None,
     for g in gens:
         if g.n != n:
             raise ValueError("generators act on different qubit counts")
+    if n > MATRIX_QUBIT_CAP:
+        raise ValueError("codes are capped at %d qubits, got %d"
+                         % (MATRIX_QUBIT_CAP, n))
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             if not commutes(gens[i], gens[j]):
@@ -193,13 +193,20 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None,
         if len(basis_states) != (1 << k):
             raise ValueError("expected %d codewords, got %d"
                              % (1 << k, len(basis_states)))
-        projector_from_states(basis_states, policy)  # orthonormality gate
+        for v in basis_states:
+            if v.shape != (1 << n,):
+                raise ValueError("codeword has shape %s, expected (%d,) for "
+                                 "%d qubits" % (v.shape, 1 << n, n))
+            if not np.isfinite(v).all():
+                raise ValueError("codeword has non-finite amplitudes")
+        logical = np.column_stack(basis_states)
+        gap = np.abs(logical.conj().T @ logical - np.eye(1 << k)).max()
+        if not gap <= policy.orthonormality:  # NaN fails
+            raise ValueError("states are not orthonormal")
         for g in gens:
-            gm = to_matrix(g)
-            for v in basis_states:
-                if np.abs(gm @ v - v).max() > policy.algebraic:
-                    raise ValueError("codeword is not stabilized by %s"
-                                     % pauli_to_string(g))
+            if not np.abs(apply_pauli(g, logical) - logical).max() <= policy.algebraic:
+                raise ValueError("codeword is not stabilized by %s"
+                                 % pauli_to_string(g))
     else:
         ops = None
         if logical_ops is not None:
@@ -224,10 +231,10 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None,
     # with distinct syndromes, an orthonormal frame is the
     # error-correcting condition with C = I
     logical = np.column_stack(basis_states)
-    frame = np.hstack([to_matrix(e) @ logical for e in error_basis.elements])
+    frame = np.hstack([apply_pauli(e, logical) for e in error_basis.elements])
     residual = float(np.abs(frame.conj().T @ frame
                             - np.eye(frame.shape[1])).max())
-    if residual > policy.kl_residual:
+    if not residual <= policy.kl_residual:
         raise ValueError("error-correcting condition fails with residual %g"
                          % residual)
     return StabilizerCode(
@@ -312,8 +319,7 @@ def _five_qubit_codewords() -> tuple:
     zero = (_ket("00000") + _ket("00110") + _ket("01001") - _ket("01111")
             - _ket("10011") + _ket("10101") + _ket("11010") + _ket("11100"))
     zero = zero / (2.0 * np.sqrt(2.0))
-    flip = to_matrix(pauli_from_string("XXXXX"))
-    return (zero, flip @ zero)
+    return (zero, apply_pauli(pauli_from_string("XXXXX"), zero))
 
 
 def code_to_json(code: StabilizerCode) -> dict:

@@ -2,7 +2,9 @@
 
 States are plain complex vectors of length 2^n and operators are
 2^n x 2^n arrays; qubit 0 is the most significant tensor factor. All
-functions are pure and operate at desk scale only.
+functions are pure and operate at desk scale only. This is the
+independent oracle the tests check the frame pipeline against; no
+pipeline module imports it.
 """
 
 from __future__ import annotations

@@ -10,7 +10,10 @@ string form as well as the q-th tensor factor counted from the most
 significant side of the matrix form. Per-qubit Y occupies both masks
 under the convention Y = i X Z, with the i absorbed into ``phase_exp``.
 With this layout, multiplication reduces to mask XOR plus exact integer
-phase bookkeeping, and commutation to a symplectic inner product.
+phase bookkeeping, commutation to a symplectic inner product, and the
+action on a state vector to a signed permutation of its amplitudes
+(``apply_pauli``). The dense matrix form (``to_matrix``) is for the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -42,36 +45,6 @@ _PREFIX_EXPONENT = {
     _MINUS + "i": 3,
 }
 _EXPONENT_PREFIX = {0: "", 1: "i", 2: _MINUS, 3: _MINUS + "i"}
-
-
-@dataclass(frozen=True)
-class PauliFactor:
-    """A scalar from {+1, +i, -1, -i}, stored as the exponent of i."""
-
-    exp: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "exp", self.exp % 4)
-
-    @property
-    def value(self) -> complex:
-        return 1j ** self.exp
-
-    @property
-    def is_real(self) -> bool:
-        return self.exp % 2 == 0
-
-    def __mul__(self, other: "PauliFactor") -> "PauliFactor":
-        return PauliFactor(self.exp + other.exp)
-
-    def conjugate(self) -> "PauliFactor":
-        return PauliFactor(-self.exp)
-
-    def __str__(self) -> str:
-        return {0: "+1", 1: "+i", 2: "-1", 3: "-i"}[self.exp]
-
-
-_FACTORS = tuple(PauliFactor(e) for e in range(4))
 
 
 @dataclass(frozen=True)
@@ -118,19 +91,19 @@ class PauliOperator:
         return pauli_to_string(self)
 
 
-def pauli_mul(p: PauliOperator, q: PauliOperator) -> tuple[PauliFactor, PauliOperator]:
+def pauli_mul(p: PauliOperator, q: PauliOperator) -> tuple[int, PauliOperator]:
     """Multiply two Pauli operators exactly.
 
-    Returns ``(g, r)`` where ``r`` is a bare word (``phase_exp`` 0) and
-    ``g * r`` equals ``p @ q``. Moving Z factors of ``p`` past X factors
-    of ``q`` contributes (-1) per crossing.
+    Returns ``(e, r)`` where ``r`` is a bare word (``phase_exp`` 0) and
+    ``i**e * r`` equals ``p @ q``, with e in 0..3. Moving Z factors of
+    ``p`` past X factors of ``q`` contributes (-1) per crossing.
     """
     if p.n != q.n:
         raise ValueError("qubit counts differ: %d vs %d" % (p.n, q.n))
     crossings = (p.z_mask & q.x_mask).bit_count()
     exp = (p.phase_exp + q.phase_exp + 2 * crossings) % 4
     word = PauliOperator(p.n, p.x_mask ^ q.x_mask, p.z_mask ^ q.z_mask, 0)
-    return PauliFactor(exp), word
+    return exp, word
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:
@@ -141,21 +114,45 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     return s % 2 == 0
 
 
-def to_matrix(p: PauliOperator) -> np.ndarray:
-    """Render ``p`` as a dense 2^n x 2^n complex matrix.
+def _signed_rows(p: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The signed permutation of ``p`` as (rows, phases).
 
     Qubit 0 is the most significant tensor factor, matching the string
     form read left to right. X^u Z^v is a signed permutation: column c
-    holds (-1)^{|c & v|} in row c ^ u, where u and v are the X and Z
-    masks with qubit 0 moved to the top bit.
+    holds i^phase (-1)^{|c & v|} in row c ^ u, where u and v are the X
+    and Z masks with qubit 0 moved to the top bit.
     """
-    if p.n > MATRIX_QUBIT_CAP:
-        raise ValueError("dense rendering capped at %d qubits" % MATRIX_QUBIT_CAP)
     u = int(format(p.x_mask, "0%db" % p.n)[::-1], 2)
     v = int(format(p.z_mask, "0%db" % p.n)[::-1], 2)
     cols = np.arange(1 << p.n)
+    return cols ^ u, _SIGNED_POWERS[p.phase_exp, np.bitwise_count(cols & v) & 1]
+
+
+def apply_pauli(p: PauliOperator, states) -> np.ndarray:
+    """``p @ states`` for a vector or a stack of column vectors.
+
+    Row r of the result is row r ^ u of ``states`` times that row's
+    phase, since c -> c ^ u is its own inverse; no 2^n x 2^n matrix is
+    formed.
+    """
+    states = np.asarray(states, dtype=complex)
+    if states.ndim not in (1, 2) or states.shape[0] != 1 << p.n:
+        raise ValueError("a %d-qubit Pauli word needs %d rows, got shape %s"
+                         % (p.n, 1 << p.n, states.shape))
+    rows, phases = _signed_rows(p)
+    if states.ndim == 2:
+        phases = phases[:, None]
+    return phases[rows] * states[rows]
+
+
+def to_matrix(p: PauliOperator) -> np.ndarray:
+    """Render ``p`` as a dense 2^n x 2^n complex matrix (see
+    ``_signed_rows`` for the layout)."""
+    if p.n > MATRIX_QUBIT_CAP:
+        raise ValueError("dense rendering capped at %d qubits" % MATRIX_QUBIT_CAP)
+    rows, phases = _signed_rows(p)
     out = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
-    out[cols ^ u, cols] = _SIGNED_POWERS[p.phase_exp, np.bitwise_count(cols & v) & 1]
+    out[rows, np.arange(1 << p.n)] = phases
     return out
 
 
@@ -166,6 +163,8 @@ def pauli_from_string(text: str, n: int | None = None) -> PauliOperator:
     typographic minus sign are both accepted). Each Y letter contributes
     one factor of i on top of the prefix.
     """
+    if not isinstance(text, str):
+        raise TypeError("a Pauli word must be a string, got %r" % (text,))
     body = text.strip()
     prefix = ""
     while body and body[0] in ("+", "-", _MINUS, "i"):
@@ -209,9 +208,7 @@ class ErrorBasis:
     Element index is lexicographic in the restricted bit vectors (u, v)
     with u major and ``coords[0]`` the most significant bit, so the
     single-qubit order is I, Z, X, Y. Each element carries
-    ``phase_exp`` equal to its Y count, making it Hermitian; products
-    are mapped back onto the basis with the leftover phase returned as
-    a :class:`PauliFactor`.
+    ``phase_exp`` equal to its Y count, making it Hermitian.
 
     ``product_index[i, j]`` and ``product_phase[i, j]`` tabulate every
     product F_i F_j = i^e F_k as (k, e), read-only. ``labels[i]`` is
@@ -222,7 +219,8 @@ class ErrorBasis:
     coords: tuple[int, ...]
     elements: tuple[PauliOperator, ...]
     restricted: tuple[PauliOperator, ...] = field(repr=False)
-    _word_index: dict = field(repr=False, compare=False)
+    # restricted masks (x, z) -> element index
+    _restricted_index: dict = field(repr=False, compare=False)
     product_index: np.ndarray = field(repr=False, compare=False)
     product_phase: np.ndarray = field(repr=False, compare=False)
     labels: tuple = field(repr=False, compare=False)
@@ -257,26 +255,6 @@ class ErrorBasis:
             raise ValueError("unknown error label %r" % label)
         return self._restricted_index[key]
 
-    @property
-    def _restricted_index(self) -> dict:
-        return self._word_index["restricted"]
-
-    def index_of_word(self, word: PauliOperator) -> int:
-        """Index of the basis element sharing ``word``'s masks."""
-        key = (word.x_mask, word.z_mask)
-        try:
-            return self._word_index["embedded"][key]
-        except KeyError:
-            raise ValueError("word %s not supported on coords %s"
-                             % (pauli_to_string(word), list(self.coords)))
-
-    def mul(self, i: int, j: int) -> tuple[PauliFactor, int]:
-        """Product of two basis elements as (factor, basis index).
-
-        Group closure: F_i F_j = g F_k with g in {+-1, +-i}.
-        """
-        return _FACTORS[self.product_phase[i, j]], int(self.product_index[i, j])
-
 
 def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
     """Build the error basis for the given noisy coordinates.
@@ -293,7 +271,6 @@ def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
     p = len(coords)
     elements = []
     restricted = []
-    embedded_index = {}
     restricted_index = {}
     for u in range(1 << p):
         for v in range(1 << p):
@@ -310,18 +287,16 @@ def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
                 rx |= ub << j
                 rz |= vb << j
             y = (u & v).bit_count()
-            index = len(elements)
+            restricted_index[(rx, rz)] = len(elements)
             elements.append(PauliOperator(n_total, x_mask, z_mask, y))
             restricted.append(PauliOperator(max(p, 1), rx, rz, y))
-            embedded_index[(x_mask, z_mask)] = index
-            restricted_index[(rx, rz)] = index
     index, phase = _product_table(p)
     return ErrorBasis(
         n_total=n_total,
         coords=coords,
         elements=tuple(elements),
         restricted=tuple(restricted),
-        _word_index={"embedded": embedded_index, "restricted": restricted_index},
+        _restricted_index=restricted_index,
         product_index=index,
         product_phase=phase,
         labels=tuple(pauli_to_string(r) for r in restricted),

@@ -30,6 +30,7 @@ and the toggle is a diagonal phase), so no 2^n operator is formed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from .channels import Channel, ProcessMatrix
 from .codes import StabilizerCode
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .pauli import commutes, to_matrix
+from .pauli import apply_pauli, commutes, to_matrix
 
 # sampled-mode overflow bin for trace-decreasing channels
 NO_DETECTION = "no-detection"
@@ -473,13 +474,16 @@ def recover(state: np.ndarray, code: StabilizerCode, syndrome) -> np.ndarray:
     syn = tuple(int(b) for b in syndrome)
     if syn not in code.syndrome_index:
         raise ValueError("syndrome %s not in table" % (syn,))
-    f = to_matrix(code.error_basis.elements[code.syndrome_index[syn]])
+    f = code.error_basis.elements[code.syndrome_index[syn]]
     state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return f @ state
-    if state.ndim == 2:
-        return f @ state @ f.conj().T
-    raise ValueError("expected a state vector or a density matrix")
+    dim = 1 << code.n
+    if state.shape == (dim,):
+        return apply_pauli(f, state)
+    if state.shape == (dim, dim):
+        # F rho F† = (F (F rho)†)†
+        return apply_pauli(f, apply_pauli(f, state).conj().T).conj().T
+    raise ValueError("expected a state vector of length %d or a %d x %d "
+                     "density matrix, got shape %s" % (dim, dim, dim, state.shape))
 
 
 def plan_to_json(code: StabilizerCode, configs) -> dict:
@@ -501,6 +505,8 @@ def plan_to_json(code: StabilizerCode, configs) -> dict:
 def plan_from_json(code: StabilizerCode, doc: dict):
     """Rebuild (configurations, readout table) from the JSON descriptors."""
     basis = code.error_basis
+    # a plan repeats each label many times; parse each distinct one once
+    index_of_label = functools.cache(basis.index_of_label)
     kinds, pairs, signs = [], [], []
     for entry in doc["configurations"]:
         kind = entry["kind"]
@@ -510,7 +516,7 @@ def plan_from_json(code: StabilizerCode, doc: dict):
         if kind == "bare":
             pairs.append((0, 0))
             continue
-        pair = (basis.index_of_label(entry["a"]), basis.index_of_label(entry["b"]))
+        pair = (index_of_label(entry["a"]), index_of_label(entry["b"]))
         if pair[0] == pair[1]:
             raise ValueError("rotation needs two distinct error indices")
         pairs.append(pair)
@@ -518,7 +524,7 @@ def plan_from_json(code: StabilizerCode, doc: dict):
             for label, sign in entry["theta"].items():
                 if sign not in ("+", "-", _MINUS):
                     raise ValueError("bad theta sign %r" % sign)
-                row[basis.index_of_label(label)] = 1 if sign == "+" else -1
+                row[index_of_label(label)] = 1 if sign == "+" else -1
             if any(s == 0 for s in row):
                 raise ValueError("theta map does not cover the error basis")
             _check_signs(code.d2, row)

@@ -258,6 +258,40 @@ class TestInputBoundary:
         err = self.check(capsys, "--channel", str(path))
         assert "non-finite" in err
 
+    def check_code(self, capsys, tmp_path, doc):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "validate", "--code", str(path),
+                           "--format", "json")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_nan_codeword_file(self, capsys, tmp_path):
+        doc = st.code_to_json(st.builtin_code("code3"))
+        for bad in ("nan", "inf", "-inf"):
+            doc["codewords"][0][1] = [float(bad), 0.0]
+            err = self.check_code(capsys, tmp_path, doc)
+            assert "non-finite" in err
+
+    def test_non_string_generator_or_logical_op(self, capsys, tmp_path):
+        docs = [{"generators": [5, "YYZ"], "noisy_coords": [0]},
+                {"generators": ["XIX", "YYZ"], "noisy_coords": [0],
+                 "logical_ops": {"X": 5, "Z": "XYX"}},
+                {"generators": ["XIX", "YYZ"], "noisy_coords": [0],
+                 "logical_ops": {"X": "−ZXZ", "Z": ["XYX"]}}]
+        for doc in docs:
+            err = self.check_code(capsys, tmp_path, doc)
+            assert "must be a string" in err
+
+    def test_undecodable_code_file(self, capsys, tmp_path):
+        path = tmp_path / "code.json"
+        path.write_bytes(b"\xff\xfe{")
+        rc, out, err = run(capsys, "validate", "--code", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cannot parse") and err.count("\n") == 1
+
     def test_channel_over_qubit_cap(self, capsys):
         err = self.check(capsys, "--channel", "identity", "--params", "40")
         assert "cap" in err

@@ -20,6 +20,11 @@ ZERO3 = ket(3, (1, 1), (2, 1), (4, 1), (7, 1))
 # |110> - |101> + |011> - |000>
 ONE3 = ket(3, (6, 1), (5, -1), (3, 1), (0, -1))
 
+def code_projector(code):
+    """Projector onto the code space, from the logical basis."""
+    return st.projector_from_states(code.logical_basis)
+
+
 ZERO5 = ket(5, (0b00000, 1), (0b00110, 1), (0b01001, 1), (0b01111, -1),
             (0b10011, -1), (0b10101, 1), (0b11010, 1), (0b11100, 1))
 
@@ -46,7 +51,7 @@ class TestBuiltinThreeQubit:
         assert len(set(code3.syndrome_table)) == 4
 
     def test_projector_trace(self, code3):
-        proj = code3.code_projector()
+        proj = code_projector(code3)
         assert abs(np.trace(proj) - 2.0) < 1e-12
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
 
@@ -110,7 +115,7 @@ def dense_kl_scan(code):
     """The error-correcting condition from dense 2^n products: C_ab =
     Tr(Pi F_a† F_b Pi) / Tr(Pi) and the largest entrywise deviation of
     Pi F_a† F_b Pi from C_ab Pi over all error pairs."""
-    proj = code.code_projector()
+    proj = code_projector(code)
     tr = float(np.trace(proj).real)
     d2 = code.d2
     mats = [st.to_matrix(e) for e in code.error_basis.elements]
@@ -164,13 +169,13 @@ class TestHammingBound:
 class TestSyndromeProjectors:
     def test_zero_syndrome_is_code_projector(self, code3):
         proj = st.syndrome_projector(code3, (0, 0))
-        np.testing.assert_allclose(proj, code3.code_projector(), atol=1e-12)
+        np.testing.assert_allclose(proj, code_projector(code3), atol=1e-12)
 
     def test_error_space_orthogonal_to_code(self, code3):
         x_syndrome = code3.syndrome_table[code3.error_basis.index_of_label("X")]
         proj = st.syndrome_projector(code3, x_syndrome)
         assert abs(np.trace(proj) - 2.0) < 1e-12
-        np.testing.assert_allclose(proj @ code3.code_projector(),
+        np.testing.assert_allclose(proj @ code_projector(code3),
                                    np.zeros((8, 8)), atol=1e-12)
 
     def test_spaces_tile_everything(self, code5):
@@ -208,8 +213,8 @@ class TestBuildCode:
         code = st.build_code(["XIX", "YYZ"], [0])
         assert code.k == 1
         assert code.syndrome_table == code3.syndrome_table
-        proj = code.code_projector()
-        np.testing.assert_allclose(proj, code3.code_projector(), atol=1e-10)
+        proj = code_projector(code)
+        np.testing.assert_allclose(proj, code_projector(code3), atol=1e-10)
 
     def test_syndrome_statistics_basis_independent(self, code3, ad036):
         # a different logical basis for the same stabilizer group sees
@@ -242,12 +247,40 @@ class TestBuildCode:
         with pytest.raises(ValueError):
             st.build_code(["XIX", "YYZ"], [0], codewords=[ZERO3, ZERO3])
 
+    def test_non_finite_codewords_rejected(self):
+        # NaN compares false with every tolerance, so each gate must be
+        # written to fail on it
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            zero = ZERO3.copy()
+            zero[1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                st.build_code(["XIX", "YYZ"], [0], codewords=[zero, ONE3])
+
+    def test_codeword_length_checked(self):
+        # a long pair is still orthonormal: truncating it would pass
+        padded = [np.concatenate([v, np.zeros(8)]) for v in (ZERO3, ONE3)]
+        for words in (padded, [ZERO3[:4], ONE3[:4]]):
+            with pytest.raises(ValueError, match=r"expected \(8,\) for 3 qubits"):
+                st.build_code(["XIX", "YYZ"], [0], codewords=words)
+
+    def test_qubit_cap(self):
+        cap = st.pauli.MATRIX_QUBIT_CAP
+        for n in (cap + 1, 31):
+            with pytest.raises(ValueError, match="capped at %d qubits" % cap):
+                st.build_code(["Z" * n], [0])
+
+    def test_non_string_words_are_type_errors(self):
+        with pytest.raises(TypeError, match="must be a string"):
+            st.build_code([5, "YYZ"], [0])
+        with pytest.raises(TypeError, match="must be a string"):
+            st.build_code(["XIX", "YYZ"], [0], logical_ops={"X": 5, "Z": "XYX"})
+
     def test_json_round_trip(self, code5):
         doc = st.code_to_json(code5)
         again = st.code_from_json(doc)
         assert again.syndrome_table == code5.syndrome_table
-        np.testing.assert_allclose(again.code_projector(),
-                                   code5.code_projector(), atol=1e-12)
+        np.testing.assert_allclose(code_projector(again),
+                                   code_projector(code5), atol=1e-12)
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="code3, code5"):

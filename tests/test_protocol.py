@@ -1,7 +1,10 @@
 """Measurement configurations, readout algebra, and reconstruction."""
 
+import ast
 import dataclasses
+import inspect
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 import syntomo as st
-from syntomo import densesim, protocol
+from conftest import FRAME_CODES
+from syntomo import densesim, pauli, protocol
 from syntomo.channels import ProcessMatrix
 
 
@@ -63,20 +67,20 @@ class TestEncode:
 class TestPauliFactors:
     def test_xy_pair_through_z(self, code3):
         basis = code3.error_basis
-        z = basis.index_of_label("Z")
-        g_a, a_idx = basis.mul(basis.index_of_label("X"), z)
-        g_b, b_idx = basis.mul(basis.index_of_label("Y"), z)
-        assert g_a.value == -1j and basis.label(a_idx) == "Y"
-        assert g_b.value == 1j and basis.label(b_idx) == "X"
-        assert g_a.is_real == g_b.is_real
+        x, y, z = (basis.index_of_label(l) for l in "XYZ")
+        # F_X F_Z = -i F_Y and F_Y F_Z = i F_X
+        assert basis.product_phase[x, z] == 3
+        assert basis.label(basis.product_index[x, z]) == "Y"
+        assert basis.product_phase[y, z] == 1
+        assert basis.label(basis.product_index[y, z]) == "X"
 
     def test_identity_pair(self, code3):
         basis = code3.error_basis
-        g_a, a_idx = basis.mul(0, 0)
-        g_b, b_idx = basis.mul(basis.index_of_label("Y"), 0)
-        assert g_a.value == 1 and basis.label(a_idx) == "I"
-        assert g_b.value == 1 and basis.label(b_idx) == "Y"
-        assert g_a.is_real == g_b.is_real
+        y = basis.index_of_label("Y")
+        assert basis.product_phase[0, 0] == 0
+        assert basis.label(basis.product_index[0, 0]) == "I"
+        assert basis.product_phase[y, 0] == 0
+        assert basis.label(basis.product_index[y, 0]) == "Y"
 
     def test_factors_multiply_back(self, code5):
         # F_a F_x = g_A F_A must hold as matrices for every triple
@@ -85,12 +89,10 @@ class TestPauliFactors:
         mats = [st.to_matrix(e) for e in basis.restricted]
         for _ in range(30):
             a, b, x = rng.integers(0, basis.size, size=3)
-            g_a, a_idx = basis.mul(a, x)
-            g_b, b_idx = basis.mul(b, x)
-            np.testing.assert_allclose(mats[a] @ mats[x],
-                                       g_a.value * mats[a_idx], atol=1e-14)
-            np.testing.assert_allclose(mats[b] @ mats[x],
-                                       g_b.value * mats[b_idx], atol=1e-14)
+            for f in (a, b):
+                k, e = basis.product_index[f, x], basis.product_phase[f, x]
+                np.testing.assert_allclose(mats[f] @ mats[x],
+                                           1j ** e * mats[k], atol=1e-14)
 
 
 class TestRotationUnitary:
@@ -360,10 +362,15 @@ def test_plan_from_json_pairs_match_simulation(frame_code, frame_oracle, data):
 
 
 def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
-    """Planning, simulation and reconstruction stay in frame coordinates."""
-    banned = (densesim.apply_channel, densesim.apply_unitary,
-              densesim.embed_operator, protocol.rotation_unitary,
-              protocol.build_toggle)
+    """Code building, planning, simulation, reconstruction, validation
+    and recovery form no dense Pauli matrix and call no dense simulator."""
+    channel = st.builtin_channel("random-cp", [3, 2, 2])
+    oracle = st.chi_from_kraus(channel, code5.error_basis)
+    public_densesim = [fn for name, fn in inspect.getmembers(densesim, inspect.isfunction)
+                       if fn.__module__ == densesim.__name__ and not name.startswith("_")]
+    assert densesim.projector_from_states in public_densesim
+    banned = [pauli.to_matrix, protocol.rotation_unitary,
+              protocol.build_toggle] + public_densesim
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense 2^n operator on the pipeline path")
@@ -374,10 +381,20 @@ def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
         for attr, value in list(vars(module).items()):
             if any(value is fn for fn in banned):
                 monkeypatch.setattr(module, attr, refuse)
-    with pytest.raises(AssertionError):
-        st.build_toggle(code5, [1, -1] * 8)
+    for call in (lambda: st.build_toggle(code5, [1, -1] * 8),
+                 lambda: pauli.to_matrix(code5.generators[0]),
+                 lambda: st.projector_from_states(code5.logical_basis)):
+        with pytest.raises(AssertionError):
+            call()
 
-    channel = st.builtin_channel("random-cp", [3, 2, 2])
+    for name in ("code3", "code5"):
+        st.builtin_code(name)
+    for build in FRAME_CODES.values():
+        build()
+    st.build_code(["XIX", "YYZ"], [0], logical_ops={"X": "−ZXZ", "Z": "XYX"})
+    _, residual = st.kl_scan(code5)
+    assert residual < 1e-12
+
     configs, readouts = st.plan_configurations(code5)
     again, _ = st.plan_from_json(code5, st.plan_to_json(code5, configs))
     records = [st.xi_simulated(code5, (0.6, 0.8j), channel, cfg)
@@ -386,8 +403,39 @@ def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
     for cfg, rec in zip(configs, records):
         for x, syn in enumerate(code5.syndrome_table):
             assert abs(st.xi_predicted(chi, cfg, x) - rec.value(syn)) < 1e-12
-    oracle = st.chi_from_kraus(channel, code5.error_basis)
     assert st.compare(chi, oracle).frobenius_error < 1e-12
+    exact = st.characterize(code5, channel, (0.6, 0.8j))
+    assert st.compare(exact.chi, oracle).frobenius_error < 1e-12
+    shots = 20000
+    sampled = st.characterize(code5, channel, (0.6, 0.8j),
+                              st.SamplingPolicy(shots, seed=1))
+    assert st.compare(sampled.chi, oracle).max_entry_error < 6 / np.sqrt(shots)
+
+    psi = st.encode(code5, (0.6, 0.8j))
+    m = code5.error_basis.index_of_label("XY")
+    corrupted = code5.error_space(m) @ np.array([0.6, 0.8j])  # F_m psi
+    fixed = st.recover(corrupted, code5, code5.syndrome_table[m])
+    np.testing.assert_allclose(fixed, psi, atol=1e-12)
+    rho = np.outer(corrupted, corrupted.conj())
+    np.testing.assert_allclose(st.recover(rho, code5, code5.syndrome_table[m]),
+                               np.outer(psi, psi.conj()), atol=1e-12)
+
+
+def test_only_the_package_root_imports_densesim():
+    # densesim is the tests' dense oracle; the package re-exports it
+    src = Path(st.__file__).parent
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "densesim" for n in names):
+                importers.append(path.name)
+    assert importers == ["__init__.py"]
 
 
 class TestPlanner:
@@ -414,7 +462,7 @@ class TestPlanner:
             signs = cfg.theta_signs
             assert sum(signs) == 0
             for x in range(basis.size):
-                _, partner = basis.mul(cfg.b, x)
+                partner = basis.product_index[cfg.b, x]
                 assert signs[x] == -signs[partner]
 
     def test_readout_coefficients(self, code3):
@@ -872,6 +920,32 @@ class TestRecovery:
         psi = st.encode(code3, (1.0, 0.0))
         with pytest.raises(ValueError, match="not in table"):
             st.recover(psi, code3, (3, 1))
+
+    def test_wrong_shapes(self, code3):
+        for shape in ((4,), (16,), (8, 4), (16, 16), (8, 8, 1)):
+            with pytest.raises(ValueError, match="expected a state vector"):
+                st.recover(np.zeros(shape), code3, (0, 1))
+
+
+def test_plan_from_json_parses_each_label_once(code5, monkeypatch):
+    configs, readouts = st.plan_configurations(code5)
+    doc = st.plan_to_json(code5, configs)
+    labels = set()
+    for entry in doc["configurations"]:
+        labels.update(entry[key] for key in ("a", "b") if key in entry)
+        labels.update(entry.get("theta", {}))
+    parsed = []
+    parse = pauli.pauli_from_string
+
+    def counted(text, *args):
+        parsed.append(text)
+        return parse(text, *args)
+
+    monkeypatch.setattr(pauli, "pauli_from_string", counted)
+    again, table = st.plan_from_json(code5, doc)
+    assert sorted(parsed) == sorted(labels) and len(labels) <= 16
+    assert table_rows(table) == table_rows(readouts)
+    assert [c.theta_signs for c in again] == [c.theta_signs for c in configs]
 
 
 def test_logical_state_does_not_bias_syndromes(code3, ad036):
