@@ -100,17 +100,18 @@ def chi_from_kraus(channel: Channel, basis: ErrorBasis) -> ProcessMatrix:
     """Brute-force process matrix of a Kraus channel.
 
     Expands every Kraus operator over the restricted error basis using
-    Tr(F_i F_j†) = d delta_{ij} and assembles chi as a sum of outer
-    products, one per Kraus operator.
+    Tr(F_i F_j†) = d delta_{ij}, all words in one stacked product, and
+    assembles chi as a sum of outer products, one per Kraus operator.
     """
     if basis.p != channel.p:
         raise ValueError("basis is on %d qubits, channel on %d"
                          % (basis.p, channel.p))
     d = channel.dim
-    words = [to_matrix(basis.restricted[m]) for m in range(basis.size)]
+    adjoints = np.stack([to_matrix(w) for w in basis.restricted]).conj()
+    adjoints = adjoints.transpose(0, 2, 1)
     chi = np.zeros((basis.size, basis.size), dtype=complex)
     for e in channel.kraus:
-        coeffs = np.array([np.trace(w.conj().T @ e) / d for w in words])
+        coeffs = np.trace(adjoints @ e, axis1=1, axis2=2) / d
         chi += np.outer(coeffs, coeffs.conj())
     return ProcessMatrix(chi, basis)
 

@@ -105,11 +105,18 @@ def _emit(report: dict, text_lines, args) -> None:
         payload = jsonio.dumps(report)
     else:
         payload = "\n".join(text_lines) + "\n"
+    # a file name that is not valid UTF-8 reaches the text as lone
+    # surrogates; surrogateescape writes its original bytes back
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(payload)
-    else:
+        return
+    try:
         sys.stdout.write(payload)
+    except UnicodeEncodeError:  # a stream that refuses surrogates
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload.encode(sys.stdout.encoding,
+                                               "surrogateescape"))
 
 
 def _cmd_validate(args) -> int:

@@ -1,44 +1,89 @@
 """Deterministic JSON writing.
 
 All floats are rendered with 17 significant digits, which round-trips
-IEEE doubles losslessly and keeps reports byte-stable across runs.
+IEEE doubles losslessly and keeps reports byte-stable across runs. A
+list of floats, or of equal-length float lists such as a row of chi,
+is rendered by one ``%`` of a cached template over all its values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+from itertools import chain, repeat
 
-_SPECIAL = re.compile(r'[\x00-\x1f"\\]')
+_SPECIAL = re.compile(r'[\x00-\x1f"\\\ud800-\udfff]')
 _SHORT = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
           "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ROWS = {list, tuple}
+_BASES = (str, int, float, list, tuple, dict)
+_KINDS = {type(None), bool, *_BASES}
 
 
 def _quote(text: str) -> str:
-    """JSON string literal; quotes, backslashes and U+0000-U+001F escaped."""
+    """JSON string literal; quotes, backslashes, U+0000-U+001F and lone
+    surrogates (U+D800-U+DFFF, as a non-UTF-8 file name decodes to)
+    escaped, so the text encodes as UTF-8."""
     return '"' + _SPECIAL.sub(
         lambda m: _SHORT.get(m.group(), "\\u%04x" % ord(m.group())), text) + '"'
 
 
-def _render(obj, indent: int, out: list) -> None:
+@functools.lru_cache(maxsize=64)
+def _template(indent: int, shape: tuple) -> str:
+    """Format string of a float list (shape (m,)) or of m float lists
+    of length L (shape (m, L)) at nesting depth ``indent``."""
     pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
+    if len(shape) == 1:
+        item = "%.17g"
+    else:
+        item = _template(indent + 1, shape[1:])
+    return "[\n" + ",\n".join([pad + "  " + item] * shape[0]) + "\n" + pad + "]"
+
+
+def _floats(seq, indent: int) -> str | None:
+    """``seq`` rendered in one template pass, or None when it is not a
+    non-empty list of finite floats or of equal-length non-empty lists of
+    them (the item-by-item path then renders it, or raises)."""
+    first = seq[0]
+    if isinstance(first, float):
+        values, shape = seq, (len(seq),)
+    elif type(first) in _ROWS and first:
+        width = len(first)
+        if not (set(map(type, seq)) <= _ROWS and set(map(len, seq)) == {width}):
+            return None
+        values, shape = tuple(chain.from_iterable(seq)), (len(seq), width)
+    else:
+        return None
+    if not all(map(isinstance, values, repeat(float))):
+        return None
+    text = _template(indent, shape) % tuple(values)
+    # "%.17g" spells a non-finite value "inf" or "nan", and no finite one
+    # holds an "n"; the item-by-item path then raises on the first
+    if "n" in text:
+        return None
+    return text
+
+
+def _render(obj, indent: int, out: list) -> None:
+    kind = type(obj)
+    if kind not in _KINDS:
+        # a subclass (np.float64 among them) renders as its first base here
+        kind = next((base for base in _BASES if isinstance(obj, base)), kind)
+    pad = "  " * indent
+    if kind is float:
         if not math.isfinite(obj):
             raise ValueError("non-finite float in JSON output: %r" % obj)
         out.append("%.17g" % obj)
-    elif isinstance(obj, (list, tuple)):
+    elif kind is str:
+        out.append(_quote(obj))
+    elif kind is list or kind is tuple:
         if not obj:
             out.append("[]")
+            return
+        text = _floats(obj, indent)
+        if text is not None:
+            out.append(text)
             return
         out.append("[\n")
         for i, item in enumerate(obj):
@@ -46,7 +91,7 @@ def _render(obj, indent: int, out: list) -> None:
             _render(item, indent + 1, out)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, dict):
+    elif kind is dict:
         if not obj:
             out.append("{}")
             return
@@ -59,6 +104,12 @@ def _render(obj, indent: int, out: list) -> None:
             _render(value, indent + 1, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
     else:
         raise TypeError("cannot serialize %r" % type(obj))
 

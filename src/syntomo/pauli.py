@@ -244,6 +244,8 @@ class ErrorBasis:
 
     def index_of_label(self, label: str) -> int:
         if self.p == 0:
+            if not isinstance(label, str):
+                raise TypeError("a Pauli word must be a string, got %r" % (label,))
             if label.strip() in ("I", "", "+I"):
                 return 0
             raise ValueError("bad error label %r for empty coordinate set" % label)

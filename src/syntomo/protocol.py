@@ -154,10 +154,9 @@ def encode(code: StabilizerCode, beta, policy: NumericPolicy = DEFAULT_POLICY) -
                          % (1 << code.k, beta.shape))
     if not abs(np.linalg.norm(beta) - 1.0) <= policy.algebraic:  # NaN fails
         raise ValueError("logical amplitudes are not normalized")
-    out = np.zeros(1 << code.n, dtype=complex)
-    for amp, vec in zip(beta, code.logical_basis):
-        out = out + amp * vec
-    return out
+    # rows added in order onto an exact zero, as a running sum would
+    return np.add.reduce(beta[:, None] * np.array(code.logical_basis), axis=0,
+                         initial=0)
 
 
 def rotation_unitary(code: StabilizerCode, a: int, b: int) -> np.ndarray:
@@ -232,28 +231,7 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs,
     non-perfect codes (a norm check guards that). A channel on fewer
     qubits than the noisy subsystem acts on its leading ones.
     """
-    if channel.p > len(code.noisy_coords):
-        raise ValueError("channel acts on %d qubits but the code's noisy "
-                         "subsystem has %d" % (channel.p, len(code.noisy_coords)))
-    psi = encode(code, beta, policy)
-    total = sum(e.conj().T @ e for e in channel.kraus)
-    if np.linalg.eigvalsh(total).max() > 1.0 + policy.algebraic:
-        raise ValueError("Kraus completeness sum exceeds identity")
-    p = channel.p
-    coords = code.noisy_coords[:p]
-    # Kraus axes: (r, outputs in coords order, inputs in coords order)
-    ops = np.stack(channel.kraus).reshape((-1,) + (2,) * (2 * p))
-    branches = np.tensordot(ops, psi.reshape((2,) * code.n),
-                            axes=(tuple(range(p + 1, 2 * p + 1)), coords))
-    branches = np.moveaxis(branches, tuple(range(1, p + 1)),
-                           tuple(c + 1 for c in coords))
-    branches = branches.reshape(len(channel.kraus), -1)
-    coeffs = code.frame.conj().T @ branches.T
-    defect = abs(np.vdot(branches, branches).real - np.vdot(coeffs, coeffs).real)
-    if not defect <= policy.algebraic:
-        raise ValueError("channel output leaves the syndrome frame "
-                         "(norm defect %g)" % defect)
-    block = coeffs.reshape(code.d2, -1)
+    block = _frame_block(code, beta, channel, policy)
     records = []
     for cfg in configs:
         out = block if cfg.action is None else cfg.action @ block
@@ -262,6 +240,45 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs,
             config_index=cfg.index, shots=None,
             distribution=dict(zip(code.syndrome_table, probs.tolist()))))
     return records
+
+
+def _frame_block(code: StabilizerCode, beta, channel: Channel,
+                 policy: NumericPolicy) -> np.ndarray:
+    """The coefficient block of ``simulate``: the per-channel work, done
+    once per call whatever the number of configurations."""
+    if channel.p > len(code.noisy_coords):
+        raise ValueError("channel acts on %d qubits but the code's noisy "
+                         "subsystem has %d" % (channel.p, len(code.noisy_coords)))
+    psi = encode(code, beta, policy)
+    # row r d + i is row i of E_r, so ops† ops is the completeness sum
+    ops = np.stack(channel.kraus).reshape(-1, channel.dim)
+    if np.linalg.eigvalsh(ops.conj().T @ ops).max() > 1.0 + policy.algebraic:
+        raise ValueError("Kraus completeness sum exceeds identity")
+    gather, scatter = _noisy_first(code.n, code.noisy_coords[:channel.p])
+    branches = ops @ psi[gather].reshape(channel.dim, -1)
+    branches = branches.reshape(len(channel.kraus), -1)[:, scatter]
+    coeffs = code.frame.conj().T @ branches.T
+    defect = abs(np.vdot(branches, branches).real - np.vdot(coeffs, coeffs).real)
+    if not defect <= policy.algebraic:
+        raise ValueError("channel output leaves the syndrome frame "
+                         "(norm defect %g)" % defect)
+    return coeffs.reshape(code.d2, -1)
+
+
+@functools.lru_cache(maxsize=32)
+def _noisy_first(n: int, coords: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(gather, scatter), read-only: ``psi[gather]`` orders the 2^n
+    amplitudes with the qubits ``coords`` as the most significant bits,
+    in that order, and the other qubits after them in ascending order,
+    so a p-qubit operator acts on the 2^p x 2^(n-p) reshape by one
+    product; ``v[scatter]`` restores the register order."""
+    order = list(coords) + [q for q in range(n) if q not in coords]
+    gather = np.arange(1 << n).reshape((2,) * n).transpose(order).ravel()
+    scatter = np.empty_like(gather)
+    scatter[gather] = np.arange(gather.size)
+    gather.flags.writeable = False
+    scatter.flags.writeable = False
+    return gather, scatter
 
 
 def xi_simulated(code: StabilizerCode, beta, channel: Channel, cfg: Configuration,

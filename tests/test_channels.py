@@ -98,7 +98,31 @@ class TestBuiltinChannels:
             Channel(p=1, kraus=())
 
 
+def per_word_chi(channel, basis):
+    """chi_from_kraus with one trace per (word, Kraus operator)."""
+    d = channel.dim
+    words = [st.to_matrix(basis.restricted[m]) for m in range(basis.size)]
+    chi = np.zeros((basis.size, basis.size), dtype=complex)
+    for e in channel.kraus:
+        coeffs = np.array([np.trace(w.conj().T @ e) / d for w in words])
+        chi += np.outer(coeffs, coeffs.conj())
+    return chi
+
+
 class TestChiFromKraus:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_equals_the_per_word_loop(self, p):
+        """Bit for bit, on random, trace-decreasing and structured channels."""
+        basis = st.enumerate_error_basis(p + 1, range(p))
+        channels = [st.builtin_channel("random-cp", [seed, p, rank])
+                    for seed, rank in ((p, 1), (10 + p, 3))]
+        channels.append(Channel(p, channels[1].kraus[:2]))
+        channels.append(st.extend_channel(
+            st.builtin_channel("amplitude-damping", [0.36]), p))
+        for channel in channels:
+            got = st.chi_from_kraus(channel, basis).entries
+            assert got.tobytes() == per_word_chi(channel, basis).tobytes()
+
     def test_identity_channel(self):
         chi = st.chi_from_kraus(st.builtin_channel("identity", [1]),
                                 one_qubit_basis())

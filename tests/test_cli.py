@@ -308,6 +308,43 @@ class TestInputBoundary:
                          "--shots", "0")
         assert "shots" in err
 
+    # argv decodes the byte 0xff of a file name to the lone surrogate \udcff
+    NON_UTF8_COMMANDS = [("validate",), ("plan",),
+                         ("characterize", "--channel", "amplitude-damping",
+                          "--params", "0.2")]
+
+    def non_utf8_code_file(self, tmp_path):
+        path = tmp_path / os.fsdecode(b"c\xff.json")
+        path.write_text(json.dumps(st.code_to_json(st.builtin_code("code3"))))
+        return str(path)
+
+    def test_non_utf8_path_reports(self, capsys, tmp_path):
+        code = self.non_utf8_code_file(tmp_path)
+        out = tmp_path / os.fsdecode(b"r\xff.out")
+        for command, *rest in self.NON_UTF8_COMMANDS:
+            argv = (command, "--code", code, *rest)
+            rc, doc, err = run_json(capsys, *argv)
+            assert (rc, err) == (0, "")
+            if command != "plan":
+                assert doc["code"] == code
+            for fmt in ("json", "text"):
+                out.unlink(missing_ok=True)
+                rc, _, err = run(capsys, *argv, "--format", fmt, "--out", str(out))
+                assert (rc, err) == (0, "")
+                raw = out.read_bytes()
+                if fmt == "json":
+                    # valid UTF-8 JSON that names the file
+                    assert json.loads(raw.decode("utf-8")) == doc
+                elif command != "plan":
+                    assert os.fsencode(code) in raw
+
+    def test_non_utf8_path_text_on_a_strict_stdout(self, capsysbinary, tmp_path):
+        code = self.non_utf8_code_file(tmp_path)
+        assert sys.stdout.errors == "strict"
+        assert main(["validate", "--code", code]) == 0
+        out = capsysbinary.readouterr().out
+        assert out.startswith(b"code: " + os.fsencode(code) + b"  [[3,1]]")
+
 
 def test_report_escapes_label(capsys, tmp_path):
     label = 'line\nquote" back\\slash \x01'

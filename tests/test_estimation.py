@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import syntomo as st
+from syntomo import protocol
 
 
 def exact_record(dist, index=0):
@@ -186,14 +187,16 @@ def test_characterize_equals_the_stages(code5, ad036, sampling):
 
 
 def test_characterize_applies_the_channel_once(code5, monkeypatch):
+    """One Kraus application and frame projection per characterize,
+    shared by all 31 configurations."""
     calls = []
-    tensordot = np.tensordot
+    frame_block = protocol._frame_block
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return tensordot(*args, **kwargs)
+        return frame_block(*args, **kwargs)
 
-    monkeypatch.setattr(np, "tensordot", counting)
+    monkeypatch.setattr(protocol, "_frame_block", counting)
     result = st.characterize(code5, st.builtin_channel("random-cp", [3, 2, 2]),
                              (0.6, 0.8j))
     assert len(result.records) == 31

@@ -196,6 +196,15 @@ class TestErrorBasis:
         for e in basis.elements:
             assert e.is_hermitian
 
+    def test_non_string_label_is_a_type_error(self):
+        # the empty basis (p = 0) included
+        for basis in (st.enumerate_error_basis(3, []),
+                      st.enumerate_error_basis(3, [1])):
+            assert basis.index_of_label("I") == 0
+            for bad in (5, None, ["I"], b"I"):
+                with pytest.raises(TypeError, match="must be a string"):
+                    basis.index_of_label(bad)
+
     def test_label_index_round_trip(self):
         basis = st.enumerate_error_basis(5, [0, 1])
         for i in range(basis.size):

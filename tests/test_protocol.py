@@ -325,6 +325,51 @@ class TestFrameEngine:
             st.xi_simulated(broken, (1.0, 0.0), ad036, cfg)
 
 
+def tensordot_simulate(code, beta, channel, configs):
+    """Each configuration's syndrome probabilities, with psi encoded by a
+    running sum and the Kraus operators applied by tensordot and
+    moveaxis on the 2 x ... x 2 reshape of psi."""
+    psi = np.zeros(1 << code.n, dtype=complex)
+    for amp, vec in zip(np.asarray(beta, dtype=complex), code.logical_basis):
+        psi = psi + amp * vec
+    p = channel.p
+    coords = code.noisy_coords[:p]
+    ops = np.stack(channel.kraus).reshape((-1,) + (2,) * (2 * p))
+    branches = np.tensordot(ops, psi.reshape((2,) * code.n),
+                            axes=(tuple(range(p + 1, 2 * p + 1)), coords))
+    branches = np.moveaxis(branches, tuple(range(1, p + 1)),
+                           tuple(c + 1 for c in coords))
+    branches = branches.reshape(len(channel.kraus), -1)
+    block = (code.frame.conj().T @ branches.T).reshape(code.d2, -1)
+    out = []
+    for cfg in configs:
+        amps = block if cfg.action is None else cfg.action @ block
+        out.append(np.einsum("ij,ij->i", amps.conj(), amps).real)
+    return psi, out
+
+
+def test_simulate_equals_the_tensordot_kernel(frame_code):
+    """Bit for bit, for channels on 1..p of the noisy qubits."""
+    code = frame_code
+    configs, _ = st.plan_configurations(code)
+    rng = np.random.default_rng(len(code.noisy_coords) * 100 + code.n)
+    for q in range(1, len(code.noisy_coords) + 1):
+        wide = st.builtin_channel("random-cp", [q, q, 3])
+        for channel in (wide, st.Channel(q, wide.kraus[:2])):
+            beta = rng.normal(size=1 << code.k) + 1j * rng.normal(size=1 << code.k)
+            beta /= np.linalg.norm(beta)
+            psi, want = tensordot_simulate(code, beta, channel, configs)
+            assert st.encode(code, beta).tobytes() == psi.tobytes()
+            got = st.simulate(code, beta, channel, configs)
+            for rec, probs in zip(got, want, strict=True):
+                assert list(rec.distribution) == list(code.syndrome_table)
+                assert np.array(list(rec.distribution.values())).tobytes() \
+                    == probs.tobytes()
+            one = st.xi_simulated(code, beta, channel, configs[-1])
+            assert np.array(list(one.distribution.values())).tobytes() \
+                == want[-1].tobytes()
+
+
 @pytest.fixture(scope="session")
 def frame_oracle(frame_code):
     """A random channel on the noisy subsystem, its chi and amplitudes."""
