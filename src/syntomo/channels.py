@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, NumericPolicy
+from .numeric import DEFAULT_POLICY
 from .pauli import MATRIX_QUBIT_CAP, ErrorBasis, to_matrix
 
 _BUILTIN_NAMES = (
@@ -27,6 +27,8 @@ _BUILTIN_NAMES = (
     "phase-damping",
     "random-cp",
 )
+# accepted parameter counts; every other built-in takes exactly one
+_PARAM_COUNTS = {"identity": (0, 1), "random-cp": (3,)}
 
 _EYE = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -116,7 +118,7 @@ def chi_from_kraus(channel: Channel, basis: ErrorBasis) -> ProcessMatrix:
     return ProcessMatrix(chi, basis)
 
 
-def kraus_from_chi(chi: ProcessMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> Channel:
+def kraus_from_chi(chi: ProcessMatrix) -> Channel:
     """Kraus set reproducing a positive semidefinite process matrix.
 
     Eigendecomposes chi and reassembles one Kraus operator per positive
@@ -124,15 +126,15 @@ def kraus_from_chi(chi: ProcessMatrix, policy: NumericPolicy = DEFAULT_POLICY) -
     """
     basis = chi.basis
     m = chi.entries
-    if np.abs(m - m.conj().T).max() > policy.algebraic:
+    if np.abs(m - m.conj().T).max() > DEFAULT_POLICY.algebraic:
         raise ValueError("process matrix is not Hermitian")
     eigvals, eigvecs = np.linalg.eigh(m)
-    if eigvals.min() < -policy.psd:
+    if eigvals.min() < -DEFAULT_POLICY.psd:
         raise ValueError("process matrix has negative eigenvalue %g" % eigvals.min())
     words = [to_matrix(basis.restricted[i]) for i in range(basis.size)]
     ops = []
     for k in range(len(eigvals)):
-        if eigvals[k] <= policy.psd:
+        if eigvals[k] <= DEFAULT_POLICY.psd:
             continue
         e = np.zeros((basis.dim, basis.dim), dtype=complex)
         for i in range(basis.size):
@@ -143,7 +145,7 @@ def kraus_from_chi(chi: ProcessMatrix, policy: NumericPolicy = DEFAULT_POLICY) -
     return Channel(p=basis.p, kraus=tuple(ops), label="from-chi")
 
 
-def validate_channel(channel: Channel, policy: NumericPolicy = DEFAULT_POLICY) -> dict:
+def validate_channel(channel: Channel) -> dict:
     """Report complete positivity and trace preservation.
 
     cp is true by construction from Kraus form; tp holds iff the
@@ -152,7 +154,7 @@ def validate_channel(channel: Channel, policy: NumericPolicy = DEFAULT_POLICY) -
     """
     total = sum(e.conj().T @ e for e in channel.kraus)
     defect = float(np.linalg.norm(total - np.eye(channel.dim), 2))
-    return {"cp": True, "tp": defect < policy.algebraic, "defect": defect}
+    return {"cp": True, "tp": defect < DEFAULT_POLICY.algebraic, "defect": defect}
 
 
 def extend_channel(channel: Channel, p_total: int) -> Channel:
@@ -195,6 +197,14 @@ def builtin_channel(name: str, params=()) -> Channel:
     """
     key = name.strip().lower()
     params = list(params)
+    if key not in _BUILTIN_NAMES:
+        raise ValueError("unknown channel name %r; known names: %s"
+                         % (name, ", ".join(_BUILTIN_NAMES)))
+    counts = _PARAM_COUNTS.get(key, (1,))
+    if len(params) not in counts:
+        raise ValueError("%s takes %s parameter%s, got %d"
+                         % (key, " or ".join(map(str, counts)),
+                            "" if counts == (1,) else "s", len(params)))
     if key == "identity":
         p = _int_param("identity qubit-count", params[0]) if params else 1
         if p < 1:
@@ -230,17 +240,14 @@ def builtin_channel(name: str, params=()) -> Channel:
         e1 = np.diag([0.0, np.sqrt(gam)]).astype(complex)
         return Channel(1, (e0, e1), "phase-damping(%g)" % gam)
 
-    if key == "random-cp":
-        seed = _int_param("random-CP seed", params[0])
-        p = _int_param("random-CP qubit-count", params[1])
-        rank = _int_param("random-CP rank", params[2])
-        if p < 1 or rank < 1:
-            raise ValueError("random-CP qubit-count and rank must be positive")
-        _check_qubit_cap(p)
-        return _random_cp(seed, p, rank)
-
-    raise ValueError("unknown channel name %r; known names: %s"
-                     % (name, ", ".join(_BUILTIN_NAMES)))
+    # random-cp, the one name left
+    seed = _int_param("random-CP seed", params[0])
+    p = _int_param("random-CP qubit-count", params[1])
+    rank = _int_param("random-CP rank", params[2])
+    if p < 1 or rank < 1:
+        raise ValueError("random-CP qubit-count and rank must be positive")
+    _check_qubit_cap(p)
+    return _random_cp(seed, p, rank)
 
 
 def _random_cp(seed: int, p: int, rank: int) -> Channel:
@@ -269,7 +276,10 @@ def channel_to_json(channel: Channel) -> dict:
 
 
 def channel_from_json(doc: dict) -> Channel:
-    p = _check_qubit_cap(int(doc["p"]))
+    p = doc["p"]
+    if type(p) is not int:  # also refuses 1.5, "1" and true
+        raise TypeError("channel qubit count p must be an integer, got %r" % (p,))
+    _check_qubit_cap(p)
     ops = []
     for mat in doc["kraus"]:
         ops.append(np.array([[complex(v[0], v[1]) for v in row] for row in mat]))

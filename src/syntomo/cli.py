@@ -85,7 +85,7 @@ def _resolve_channel(spec: str, params):
             raise _InputError("bad channel schema in %s: %s" % (spec, exc))
     try:
         return builtin_channel(spec, params), True
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise _InputError(str(exc))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, NumericPolicy
+from .numeric import DEFAULT_POLICY
 from .pauli import (
     MATRIX_QUBIT_CAP,
     ErrorBasis,
@@ -33,7 +33,6 @@ Syndrome = tuple
 
 _FIVE_QUBIT_GENERATORS = ("IZZZZ", "XXXII", "ZXZIX", "ZZXXI")
 _THREE_QUBIT_GENERATORS = ("XIX", "YYZ")
-_THREE_QUBIT_LOGICAL_OPS = {"X": "−ZXZ", "Z": "XYX"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +87,7 @@ def _fix_global_phase(v: np.ndarray) -> np.ndarray:
     return v * ph.conjugate()
 
 
-def _derive_logical_basis(generators, k: int, logical_ops,
-                          policy: NumericPolicy) -> tuple:
+def _derive_logical_basis(generators, k: int, logical_ops) -> tuple:
     """Joint +1 eigenspace of the generators, with a fixed basis.
 
     With logical operators supplied, the basis is the Z_L eigenvector
@@ -123,7 +121,7 @@ def _derive_logical_basis(generators, k: int, logical_ops,
             raise ValueError("logical operators must anticommute")
         small = apply_pauli(z_l, block).conj().T @ block
         w, v = np.linalg.eigh(small)
-        if abs(w[-1] - 1.0) > policy.orthonormality:
+        if abs(w[-1] - 1.0) > DEFAULT_POLICY.orthonormality:
             raise ValueError("Z logical operator has no +1 eigenvector "
                              "inside the code space")
         zero = _fix_global_phase(block @ v[:, -1])
@@ -134,13 +132,12 @@ def _derive_logical_basis(generators, k: int, logical_ops,
     out = []
     for j in range(q.shape[1]):
         col = q[:, j]
-        lead = col[np.flatnonzero(np.abs(col) > policy.orthonormality)[0]]
+        lead = col[np.flatnonzero(np.abs(col) > DEFAULT_POLICY.orthonormality)[0]]
         out.append(col * (lead / abs(lead)).conjugate())
     return tuple(out)
 
 
-def build_code(generators, noisy_coords, codewords=None, logical_ops=None,
-               policy: NumericPolicy = DEFAULT_POLICY) -> StabilizerCode:
+def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> StabilizerCode:
     """Construct and verify a stabilizer code for the given error set.
 
     Parameters
@@ -201,10 +198,10 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None,
                 raise ValueError("codeword has non-finite amplitudes")
         logical = np.column_stack(basis_states)
         gap = np.abs(logical.conj().T @ logical - np.eye(1 << k)).max()
-        if not gap <= policy.orthonormality:  # NaN fails
+        if not gap <= DEFAULT_POLICY.orthonormality:  # NaN fails
             raise ValueError("states are not orthonormal")
         for g in gens:
-            if not np.abs(apply_pauli(g, logical) - logical).max() <= policy.algebraic:
+            if not np.abs(apply_pauli(g, logical) - logical).max() <= DEFAULT_POLICY.algebraic:
                 raise ValueError("codeword is not stabilized by %s"
                                  % pauli_to_string(g))
     else:
@@ -216,7 +213,7 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None,
                 x_l, z_l = logical_ops
             ops = (x_l if isinstance(x_l, PauliOperator) else pauli_from_string(x_l, n),
                    z_l if isinstance(z_l, PauliOperator) else pauli_from_string(z_l, n))
-        basis_states = _derive_logical_basis(gens, k, ops, policy)
+        basis_states = _derive_logical_basis(gens, k, ops)
 
     error_basis = enumerate_error_basis(n, noisy_coords)
     table = tuple(_syndrome_bits(e, gens) for e in error_basis.elements)
@@ -234,7 +231,7 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None,
     frame = np.hstack([apply_pauli(e, logical) for e in error_basis.elements])
     residual = float(np.abs(frame.conj().T @ frame
                             - np.eye(frame.shape[1])).max())
-    if not residual <= policy.kl_residual:
+    if not residual <= DEFAULT_POLICY.kl_residual:
         raise ValueError("error-correcting condition fails with residual %g"
                          % residual)
     return StabilizerCode(
@@ -261,14 +258,14 @@ def kl_scan(code: StabilizerCode) -> tuple:
     return c, residual
 
 
-def kl_condition(code: StabilizerCode, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def kl_condition(code: StabilizerCode) -> np.ndarray:
     """Error-correcting-condition matrix C with Pi F_a† F_b Pi = C_ab Pi.
 
-    A residual above the policy tolerance means the code cannot correct
-    this error set, and is an error.
+    A residual above ``DEFAULT_POLICY.kl_residual`` means the code
+    cannot correct this error set, and is an error.
     """
     c, residual = kl_scan(code)
-    if residual > policy.kl_residual:
+    if residual > DEFAULT_POLICY.kl_residual:
         raise ValueError("error-correcting condition fails with residual %g"
                          % residual)
     return c
@@ -290,16 +287,16 @@ def syndrome_projector(code: StabilizerCode, syndrome: Syndrome) -> np.ndarray:
     return w @ w.conj().T
 
 
-def builtin_code(name: str, policy: NumericPolicy = DEFAULT_POLICY) -> StabilizerCode:
+def builtin_code(name: str) -> StabilizerCode:
     """Built-in codes: "code3" ([[3,1]], one noisy qubit) and
     "code5" ([[5,1]], two noisy qubits)."""
     key = name.strip().lower()
     if key == "code3":
         return build_code(_THREE_QUBIT_GENERATORS, (0,),
-                          codewords=_three_qubit_codewords(), policy=policy)
+                          codewords=_three_qubit_codewords())
     if key == "code5":
         return build_code(_FIVE_QUBIT_GENERATORS, (0, 1),
-                          codewords=_five_qubit_codewords(), policy=policy)
+                          codewords=_five_qubit_codewords())
     raise ValueError("unknown code name %r; known names: code3, code5" % name)
 
 
@@ -335,7 +332,7 @@ def code_to_json(code: StabilizerCode) -> dict:
     }
 
 
-def code_from_json(doc: dict, policy: NumericPolicy = DEFAULT_POLICY) -> StabilizerCode:
+def code_from_json(doc: dict) -> StabilizerCode:
     """Build a code from its JSON form.
 
     Codewords take precedence; otherwise optional logical_ops
@@ -349,5 +346,4 @@ def code_from_json(doc: dict, policy: NumericPolicy = DEFAULT_POLICY) -> Stabili
     if "logical_ops" in doc and doc["logical_ops"] is not None:
         logical_ops = (doc["logical_ops"]["X"], doc["logical_ops"]["Z"])
     return build_code(doc["generators"], doc["noisy_coords"],
-                      codewords=codewords, logical_ops=logical_ops,
-                      policy=policy)
+                      codewords=codewords, logical_ops=logical_ops)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, NumericPolicy
+from .numeric import DEFAULT_POLICY
 
 
 def _qubit_count(dim: int, what: str) -> int:
@@ -27,23 +27,22 @@ def outer(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def projector_from_states(states, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def projector_from_states(states) -> np.ndarray:
     """Projector onto the span of mutually orthonormal states."""
     vecs = [np.asarray(s, dtype=complex) for s in states]
     if not vecs:
         raise ValueError("no states given")
     stack = np.column_stack(vecs)
     gram = stack.conj().T @ stack
-    if np.abs(gram - np.eye(len(vecs))).max() > policy.orthonormality:
+    if np.abs(gram - np.eye(len(vecs))).max() > DEFAULT_POLICY.orthonormality:
         raise ValueError("states are not orthonormal")
     return stack @ stack.conj().T
 
 
-def apply_unitary(rho: np.ndarray, u: np.ndarray,
-                  policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Conjugate a density matrix: U rho U†."""
     u = np.asarray(u, dtype=complex)
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > policy.algebraic:
+    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > DEFAULT_POLICY.algebraic:
         raise ValueError("operator is not unitary")
     return u @ rho @ u.conj().T
 
@@ -73,14 +72,12 @@ def embed_operator(op: np.ndarray, coords, n_total: int) -> np.ndarray:
     return big[np.ix_(src, src)]
 
 
-def apply_channel(rho: np.ndarray, kraus, coords,
-                  strict_tp: bool = False,
-                  policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def apply_channel(rho: np.ndarray, kraus, coords) -> np.ndarray:
     """Apply a Kraus-operator channel on the listed qubits.
 
     Computes sum_j (E_j (x) I) rho (E_j (x) I)† with each operator
     embedded on ``coords``. The Kraus set must satisfy
-    sum_j E_j† E_j <= I; with ``strict_tp`` equality is required.
+    sum_j E_j† E_j <= I, so trace-decreasing channels are allowed.
     """
     rho = np.asarray(rho, dtype=complex)
     n = _qubit_count(rho.shape[0], "density matrix")
@@ -93,10 +90,7 @@ def apply_channel(rho: np.ndarray, kraus, coords,
             raise ValueError("Kraus operator shape %s does not match %d coords"
                              % (e.shape, len(list(coords))))
     total = sum(e.conj().T @ e for e in ops)
-    defect = np.abs(total - np.eye(dim)).max()
-    if strict_tp and defect > policy.algebraic:
-        raise ValueError("channel is not trace preserving (defect %g)" % defect)
-    if np.linalg.eigvalsh(total).max() > 1.0 + policy.algebraic:
+    if np.linalg.eigvalsh(total).max() > 1.0 + DEFAULT_POLICY.algebraic:
         raise ValueError("Kraus completeness sum exceeds identity")
     out = np.zeros_like(rho)
     for e in ops:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .channels import Channel, ProcessMatrix, extend_channel
 from .codes import StabilizerCode
-from .numeric import DEFAULT_POLICY, NumericPolicy
+from .numeric import DEFAULT_POLICY
 from .protocol import (
     NO_DETECTION,
     MeasurementRecord,
@@ -28,6 +28,9 @@ class SamplingPolicy:
     def __post_init__(self):
         if self.shots_per_configuration <= 0:
             raise ValueError("shots must be positive")
+        # numpy's multinomial draws take a signed 64-bit count
+        if self.shots_per_configuration >= 1 << 63:
+            raise ValueError("shots must be at most 2^63 - 1")
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,7 @@ def _generator(seed: int, config_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_record(record: MeasurementRecord, policy: SamplingPolicy,
-                  numeric: NumericPolicy = DEFAULT_POLICY) -> MeasurementRecord:
+def sample_record(record: MeasurementRecord, sampling: SamplingPolicy) -> MeasurementRecord:
     """Draw multinomial counts from an exact-mode record.
 
     Negative probabilities beyond floating-point dust are an error;
@@ -61,26 +63,26 @@ def sample_record(record: MeasurementRecord, policy: SamplingPolicy,
     probs = []
     for syn in syndromes:
         p = float(record.distribution[syn])
-        if p < -numeric.sampling_clamp:
+        if p < -DEFAULT_POLICY.sampling_clamp:
             raise ValueError("probability %g for syndrome %s is negative "
                              "beyond tolerance" % (p, syn))
         probs.append(max(p, 0.0))
     total = sum(probs)
-    if total > 1.0 + numeric.algebraic:
+    if total > 1.0 + DEFAULT_POLICY.algebraic:
         raise ValueError("probabilities sum to %g > 1" % total)
     deficit = max(1.0 - total, 0.0)
-    has_overflow = deficit > numeric.algebraic
+    has_overflow = deficit > DEFAULT_POLICY.algebraic
     if has_overflow:
         probs.append(deficit)
     pvals = np.array(probs) / (total + deficit)
-    rng = _generator(policy.seed, record.config_index)
-    counts = rng.multinomial(policy.shots_per_configuration, pvals)
+    rng = _generator(sampling.seed, record.config_index)
+    counts = rng.multinomial(sampling.shots_per_configuration, pvals)
     dist = {syn: int(c) for syn, c in zip(syndromes, counts)}
     if has_overflow:
         dist[NO_DETECTION] = int(counts[-1])
     return MeasurementRecord(config_index=record.config_index,
                              distribution=dist,
-                             shots=policy.shots_per_configuration)
+                             shots=sampling.shots_per_configuration)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,17 +99,16 @@ class Characterization:
 
 
 def characterize(code: StabilizerCode, channel: Channel, beta,
-                 sampling: SamplingPolicy | None = None,
-                 policy: NumericPolicy = DEFAULT_POLICY) -> Characterization:
+                 sampling: SamplingPolicy | None = None) -> Characterization:
     """Plan, simulate, sample unless ``sampling`` is None (exact mode),
     reconstruct chi and evaluate its residuals on every record."""
     if channel.p < len(code.noisy_coords):
         channel = extend_channel(channel, len(code.noisy_coords))
     configs, readouts = plan_configurations(code)
-    records = simulate(code, beta, channel, configs, policy)
+    records = simulate(code, beta, channel, configs)
     if sampling is not None:
-        records = [sample_record(rec, sampling, policy) for rec in records]
-    chi = reconstruct(records, readouts, code.error_basis, policy)
+        records = [sample_record(rec, sampling) for rec in records]
+    chi = reconstruct(records, readouts, code.error_basis)
     observed, _ = readouts.observed(records)
     residuals = np.abs(observed - readouts.predicted(chi)).max(axis=1).tolist()
     return Characterization(channel, configs, records, chi, residuals)

@@ -1,7 +1,9 @@
-"""Shared numeric tolerance policy.
+"""The package's numeric tolerances.
 
-Every tolerance used for validation lives in one record so that
-reproducibility is controlled from a single place.
+Every tolerance a validation gate compares against is a field of
+``DEFAULT_POLICY``, so the whole set is written down in one place.
+The gates read it when they run; no public function takes a
+tolerance of its own.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    """Tolerance knobs applied across the package.
+    """Fixed, package-wide tolerances.
 
     Attributes
     ----------
@@ -30,6 +32,9 @@ class NumericPolicy:
     sampling_clamp : float
         Negative probabilities above this magnitude are an error;
         smaller ones are treated as floating-point dust and clamped.
+    rotation_unitarity : float
+        Allowed deviation of M†M from the identity for the planner's
+        pre-processing rotations.
     """
 
     algebraic: float = 1e-10
@@ -38,6 +43,7 @@ class NumericPolicy:
     kl_residual: float = 1e-8
     readout_consistency: float = 1e-8
     sampling_clamp: float = 1e-12
+    rotation_unitarity: float = 1e-12
 
 
 DEFAULT_POLICY = NumericPolicy()

@@ -37,7 +37,7 @@ import numpy as np
 
 from .channels import Channel, ProcessMatrix
 from .codes import StabilizerCode
-from .numeric import DEFAULT_POLICY, NumericPolicy
+from .numeric import DEFAULT_POLICY
 from .pauli import apply_pauli, commutes, to_matrix
 
 # sampled-mode overflow bin for trace-decreasing channels
@@ -146,13 +146,13 @@ class ReadoutTable:
                 + (self.coeff_re * z.real + self.coeff_im * z.imag))
 
 
-def encode(code: StabilizerCode, beta, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def encode(code: StabilizerCode, beta) -> np.ndarray:
     """Encoded logical state sum_j beta_j |j_L>."""
     beta = np.asarray(beta, dtype=complex)
     if beta.shape != (1 << code.k,):
         raise ValueError("expected %d logical amplitudes, got shape %s"
                          % (1 << code.k, beta.shape))
-    if not abs(np.linalg.norm(beta) - 1.0) <= policy.algebraic:  # NaN fails
+    if not abs(np.linalg.norm(beta) - 1.0) <= DEFAULT_POLICY.algebraic:  # NaN fails
         raise ValueError("logical amplitudes are not normalized")
     # rows added in order onto an exact zero, as a running sum would
     return np.add.reduce(beta[:, None] * np.array(code.logical_basis), axis=0,
@@ -174,7 +174,7 @@ def rotation_unitary(code: StabilizerCode, a: int, b: int) -> np.ndarray:
         u = (fa + 1j * fb) / np.sqrt(2.0)
     else:
         u = (fa + fb) / np.sqrt(2.0)
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-12:
+    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > DEFAULT_POLICY.rotation_unitarity:
         raise ValueError("rotation for pair (%s, %s) failed the unitarity check"
                          % (basis.label(a), basis.label(b)))
     return u
@@ -217,8 +217,7 @@ def xi_predicted(chi: ProcessMatrix, cfg: Configuration, x: int) -> float:
             + (c * z.real + s * z.imag))
 
 
-def simulate(code: StabilizerCode, beta, channel: Channel, configs,
-             policy: NumericPolicy = DEFAULT_POLICY) -> list:
+def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
     """Exact syndrome distributions of configurations under one channel.
 
     Encodes, applies each Kraus operator E_r to the state vector on the
@@ -231,7 +230,7 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs,
     non-perfect codes (a norm check guards that). A channel on fewer
     qubits than the noisy subsystem acts on its leading ones.
     """
-    block = _frame_block(code, beta, channel, policy)
+    block = _frame_block(code, beta, channel)
     records = []
     for cfg in configs:
         out = block if cfg.action is None else cfg.action @ block
@@ -242,24 +241,23 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs,
     return records
 
 
-def _frame_block(code: StabilizerCode, beta, channel: Channel,
-                 policy: NumericPolicy) -> np.ndarray:
+def _frame_block(code: StabilizerCode, beta, channel: Channel) -> np.ndarray:
     """The coefficient block of ``simulate``: the per-channel work, done
     once per call whatever the number of configurations."""
     if channel.p > len(code.noisy_coords):
         raise ValueError("channel acts on %d qubits but the code's noisy "
                          "subsystem has %d" % (channel.p, len(code.noisy_coords)))
-    psi = encode(code, beta, policy)
+    psi = encode(code, beta)
     # row r d + i is row i of E_r, so ops† ops is the completeness sum
     ops = np.stack(channel.kraus).reshape(-1, channel.dim)
-    if np.linalg.eigvalsh(ops.conj().T @ ops).max() > 1.0 + policy.algebraic:
+    if np.linalg.eigvalsh(ops.conj().T @ ops).max() > 1.0 + DEFAULT_POLICY.algebraic:
         raise ValueError("Kraus completeness sum exceeds identity")
     gather, scatter = _noisy_first(code.n, code.noisy_coords[:channel.p])
     branches = ops @ psi[gather].reshape(channel.dim, -1)
     branches = branches.reshape(len(channel.kraus), -1)[:, scatter]
     coeffs = code.frame.conj().T @ branches.T
     defect = abs(np.vdot(branches, branches).real - np.vdot(coeffs, coeffs).real)
-    if not defect <= policy.algebraic:
+    if not defect <= DEFAULT_POLICY.algebraic:
         raise ValueError("channel output leaves the syndrome frame "
                          "(norm defect %g)" % defect)
     return coeffs.reshape(code.d2, -1)
@@ -281,10 +279,10 @@ def _noisy_first(n: int, coords: tuple) -> tuple[np.ndarray, np.ndarray]:
     return gather, scatter
 
 
-def xi_simulated(code: StabilizerCode, beta, channel: Channel, cfg: Configuration,
-                 policy: NumericPolicy = DEFAULT_POLICY) -> MeasurementRecord:
+def xi_simulated(code: StabilizerCode, beta, channel: Channel,
+                 cfg: Configuration) -> MeasurementRecord:
     """Exact syndrome distribution of one configuration (see simulate)."""
-    return simulate(code, beta, channel, [cfg], policy)[0]
+    return simulate(code, beta, channel, [cfg])[0]
 
 
 def plan_configurations(code: StabilizerCode):
@@ -386,20 +384,22 @@ def _frame_maps(basis, a, b, commuting, signs, toggled) -> np.ndarray:
 
 
 def _check_unitary(basis, a, b, alpha, beta) -> None:
-    """M†M = I within 1e-12 for every rotation, from its two nonzeros
-    per column: the product can differ from I only on its diagonal,
-    |alpha_x|^2 + |beta_x|^2, and at (x, x') with x' = b.a.x, where
-    columns x and x' share both rows: conj(alpha_x) beta_x' +
-    conj(beta_x) alpha_x'. The first failing pair is named. Sixteen
-    rotations at a time, so the temporaries stay O(d^2)."""
+    """M†M = I within ``DEFAULT_POLICY.rotation_unitarity`` for every
+    rotation, from its two nonzeros per column: the product can differ
+    from I only on its diagonal, |alpha_x|^2 + |beta_x|^2, and at
+    (x, x') with x' = b.a.x, where columns x and x' share both rows:
+    conj(alpha_x) beta_x' + conj(beta_x) alpha_x'. The first failing
+    pair is named. Sixteen rotations at a time, so the temporaries
+    stay O(d^2)."""
     idx = basis.product_index
+    tol = DEFAULT_POLICY.rotation_unitarity
     for lo in range(0, len(a), 16):
         al, be = alpha[lo:lo + 16], beta[lo:lo + 16]
         partner = idx[b[lo:lo + 16, None], idx[a[lo:lo + 16]]]
         cross = (al.conj() * np.take_along_axis(be, partner, axis=1)
                  + be.conj() * np.take_along_axis(al, partner, axis=1))
         norm = np.abs(al) ** 2 + np.abs(be) ** 2
-        bad = ((np.abs(norm - 1.0) > 1e-12) | (np.abs(cross) > 1e-12)).any(axis=1)
+        bad = ((np.abs(norm - 1.0) > tol) | (np.abs(cross) > tol)).any(axis=1)
         if bad.any():
             r = lo + int(np.argmax(bad))
             raise ValueError("rotation for pair (%s, %s) failed the unitarity "
@@ -419,15 +419,14 @@ def derive_readouts(code: StabilizerCode, configs) -> ReadoutTable:
                         *columns)
 
 
-def reconstruct(records, readouts: ReadoutTable, basis,
-                policy: NumericPolicy = DEFAULT_POLICY) -> ProcessMatrix:
+def reconstruct(records, readouts: ReadoutTable, basis) -> ProcessMatrix:
     """Assemble the process matrix from measurement records.
 
     The diagonal comes straight from the bare readouts. Each
     off-diagonal readout is reduced to c*Re + s*Im of one upper-triangle
     entry by subtracting the diagonal half-sum; the redundant estimates
     are averaged, and in exact mode additionally cross-checked against
-    each other within the policy tolerance.
+    each other within ``DEFAULT_POLICY.readout_consistency``.
     """
     probs, exact = readouts.observed(records)
     d2 = basis.size
@@ -461,7 +460,7 @@ def reconstruct(records, readouts: ReadoutTable, basis,
         np.maximum.at(hi, slot, est)
         np.minimum.at(lo, slot, est)
         spread = hi[upper] - lo[upper]
-        bad |= spread > policy.readout_consistency
+        bad |= spread > DEFAULT_POLICY.readout_consistency
     if bad.any():
         k = int(np.argmax(bad))
         pair = (basis.label(int(rows[k // 2])), basis.label(int(cols[k // 2])))

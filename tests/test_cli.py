@@ -308,6 +308,38 @@ class TestInputBoundary:
                          "--shots", "0")
         assert "shots" in err
 
+    def test_shots_beyond_int64(self, capsys):
+        # numpy's multinomial takes a signed 64-bit count
+        err = self.check(capsys, "--channel", "amplitude-damping",
+                         "--params", "0.3", "--mode", "sampled",
+                         "--shots", str(1 << 63))
+        assert "shots must be at most 2^63 - 1" in err
+        rc, _, _ = run(capsys, "characterize", "--code", "code3",
+                       "--channel", "amplitude-damping", "--params", "0.3",
+                       "--mode", "sampled", "--shots", str((1 << 63) - 1))
+        assert rc == 0
+
+    @pytest.mark.parametrize("channel, params, want", [
+        ("depolarizing", None, "depolarizing takes 1 parameter, got 0"),
+        ("depolarizing", "0.1,0.2", "depolarizing takes 1 parameter, got 2"),
+        ("amplitude-damping", "0.1,0.2", "amplitude-damping takes 1 parameter"),
+        ("identity", "1,1", "identity takes 0 or 1 parameters, got 2"),
+        ("random-cp", "1,1", "random-cp takes 3 parameters, got 2"),
+        ("random-cp", "1,1,1,1", "random-cp takes 3 parameters, got 4"),
+    ])
+    def test_wrong_parameter_count(self, capsys, channel, params, want):
+        argv = ["--channel", channel] + (["--params", params] if params else [])
+        assert want in self.check(capsys, *argv)
+
+    def test_channel_file_qubit_count_must_be_an_integer(self, capsys, tmp_path):
+        doc = st.channel_to_json(st.builtin_channel("amplitude-damping", [0.2]))
+        path = tmp_path / "channel.json"
+        for bad in (1.5, 1.0, "1", True, None):
+            doc["p"] = bad
+            path.write_text(json.dumps(doc))
+            err = self.check(capsys, "--channel", str(path))
+            assert "bad channel schema" in err and "must be an integer" in err
+
     # argv decodes the byte 0xff of a file name to the lone surrogate \udcff
     NON_UTF8_COMMANDS = [("validate",), ("plan",),
                          ("characterize", "--channel", "amplitude-damping",

@@ -147,7 +147,7 @@ def test_kl_scan_sees_a_perturbed_code_space(name):
         _, residual = scan(broken)
         assert eps / 20 <= residual <= 2 * eps, scan
     with pytest.raises(ValueError, match="error-correcting condition fails"):
-        st.kl_condition(broken, st.NumericPolicy(kl_residual=1e-9))
+        st.kl_condition(broken)
 
 
 class TestHammingBound:
@@ -345,10 +345,10 @@ class TestSyndromeFrame:
         oracle = st.chi_from_kraus(channel, frame_code.error_basis)
         assert st.compare(chi, oracle).frobenius_error < 1e-12
 
-    def test_nonorthonormal_frame_rejected(self):
+    def test_nonorthonormal_frame_rejected(self, monkeypatch):
         # within the codeword gate's tolerance, outside a strict frame check
         zero = (ZERO3 + 1e-9 * ONE3) / np.linalg.norm(ZERO3 + 1e-9 * ONE3)
-        strict = st.NumericPolicy(kl_residual=1e-12)
+        monkeypatch.setattr("syntomo.codes.DEFAULT_POLICY",
+                            st.NumericPolicy(kl_residual=1e-12))
         with pytest.raises(ValueError, match="error-correcting condition fails"):
-            st.build_code(["XIX", "YYZ"], [0], codewords=[zero, ONE3],
-                          policy=strict)
+            st.build_code(["XIX", "YYZ"], [0], codewords=[zero, ONE3])

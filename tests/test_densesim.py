@@ -98,12 +98,10 @@ def test_apply_channel_rejects_overcomplete_kraus():
         st.apply_channel(st.outer(E0), kraus, [0])
 
 
-def test_apply_channel_strict_tp():
+def test_apply_channel_allows_trace_decreasing():
     half = [np.sqrt(0.5) * np.eye(2, dtype=complex)]
-    # allowed by default (trace-decreasing), rejected when strict
-    st.apply_channel(st.outer(E0), half, [0])
-    with pytest.raises(ValueError):
-        st.apply_channel(st.outer(E0), half, [0], strict_tp=True)
+    out = st.apply_channel(st.outer(E0), half, [0])
+    np.testing.assert_allclose(out, 0.5 * st.outer(E0), atol=1e-15)
 
 
 def test_embed_operator_single_site():

@@ -6,6 +6,8 @@ from the package would otherwise only show up as a broken traced run.
 
 import ast
 import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import syntomo
@@ -29,23 +31,80 @@ def test_every_traced_name_resolves():
         assert callable(found), "syntomo.%s.%s" % (module, name)
 
 
+def package_chain(node):
+    """("xi_simulated",) for ``st.xi_simulated``, ("cli", "main") for
+    ``syntomo.cli.main``; None for anything outside the package."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if parts and isinstance(node, ast.Name) and node.id in ("st", "syntomo"):
+        return tuple(reversed(parts))
+    return None
+
+
+def resolve(chain):
+    obj = syntomo
+    for attr in chain:
+        assert hasattr(obj, attr), "syntomo." + ".".join(chain)
+        obj = getattr(obj, attr)
+    return obj
+
+
 def test_every_package_name_the_worker_uses_exists():
     tree = parse("worker.py")
     aliases = {alias.asname or alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names
                if alias.name == "syntomo"}
     assert aliases == {"st"}
-    chains = set()
-    for node in ast.walk(tree):
-        parts = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if parts and isinstance(node, ast.Name) and node.id in ("st", "syntomo"):
-            chains.add(tuple(reversed(parts)))
+    chains = {package_chain(node) for node in ast.walk(tree)} - {None}
     assert ("xi_simulated",) in chains and ("cli", "main") in chains
     for chain in sorted(chains):
-        obj = syntomo
-        for attr in chain:
-            assert hasattr(obj, attr), "syntomo." + ".".join(chain)
-            obj = getattr(obj, attr)
+        resolve(chain)
+
+
+def test_every_worker_call_binds():
+    # a deleted or reordered parameter would otherwise only show up as
+    # failed ops in a benchmark run
+    shapes = set()
+    for node in ast.walk(parse("worker.py")):
+        chain = package_chain(node.func) if isinstance(node, ast.Call) else None
+        if chain is None:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), chain
+        assert all(kw.arg is not None for kw in node.keywords), chain
+        shapes.add((chain, len(node.args), tuple(kw.arg for kw in node.keywords)))
+    called = {chain for chain, _, _ in shapes}
+    for chain in (("xi_simulated",), ("sample_record",), ("reconstruct",),
+                  ("SamplingPolicy",), ("jsonio", "dumps"), ("cli", "main")):
+        assert chain in called, chain
+    for chain, n_args, keywords in sorted(shapes):
+        signature = inspect.signature(resolve(chain))
+        try:
+            signature.bind(*range(n_args), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError("syntomo.%s%s rejects %d positional arguments "
+                                 "and keywords %s: %s"
+                                 % (".".join(chain), signature, n_args,
+                                    keywords, exc))
+
+
+def test_no_callable_takes_a_tolerance():
+    # tolerances are the fields of numeric.DEFAULT_POLICY, read by the
+    # gates themselves; no function, public or private, takes one
+    modules = [importlib.import_module("syntomo." + info.name)
+               for info in pkgutil.iter_modules(syntomo.__path__)]
+    found = {("syntomo", name): getattr(syntomo, name) for name in syntomo.__all__}
+    for module in modules:
+        found.update(((module.__name__, name), obj) for name, obj in vars(module).items()
+                     if getattr(obj, "__module__", None) == module.__name__)
+    found = {key: obj for key, obj in found.items() if callable(obj)
+             and not (isinstance(obj, type) and issubclass(obj, Exception))}
+    assert ("syntomo", "sample_record") in found
+    assert ("syntomo.protocol", "_frame_block") in found
+    for (where, name), obj in sorted(found.items()):
+        for param in inspect.signature(obj).parameters.values():
+            assert param.name not in ("policy", "numeric", "strict_tp"), \
+                "%s.%s(%s)" % (where, name, param.name)
+            assert "NumericPolicy" not in str(param.annotation), \
+                "%s.%s(%s)" % (where, name, param.name)
