@@ -45,6 +45,9 @@ class Channel:
     label: str = ""
 
     def __post_init__(self):
+        if self.p < 1:
+            raise ValueError("channel qubit count p must be positive, got %d"
+                             % self.p)
         dim = 1 << self.p
         ops = tuple(np.asarray(e, dtype=complex) for e in self.kraus)
         if not ops:

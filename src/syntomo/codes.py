@@ -7,8 +7,10 @@ measurement identifies the error exactly. The builder stores the
 syndrome frame, whose columns F_x|j_L> span the error spaces, and
 rejects the code unless the frame is orthonormal: with distinct
 syndromes that is the error-correcting condition with C = I. Pauli
-words act on vectors as signed permutations (``apply_pauli``), so no
-2^n x 2^n Pauli matrix is formed.
+words act on vectors as signed permutations (``apply_pauli``), and a
+logical basis that is not given is derived by applying the generator
+projectors to a fixed 2^n x 2^k block, so no 2^n x 2^n matrix is
+formed.
 """
 
 from __future__ import annotations
@@ -80,61 +82,56 @@ def _syndrome_bits(error: PauliOperator, generators) -> Syndrome:
     return tuple(0 if commutes(error, g) else 1 for g in generators)
 
 
-def _fix_global_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-magnitude amplitude is real and positive."""
-    i = int(np.argmax(np.abs(v)))
-    ph = v[i] / abs(v[i])
-    return v * ph.conjugate()
+def _lead_real(v: np.ndarray) -> np.ndarray:
+    """Rotate so the first amplitude above the orthonormality cut is
+    real and positive."""
+    lead = v[np.flatnonzero(np.abs(v) > DEFAULT_POLICY.orthonormality)[0]]
+    return v * (lead / abs(lead)).conjugate()
 
 
 def _derive_logical_basis(generators, k: int, logical_ops) -> tuple:
     """Joint +1 eigenspace of the generators, with a fixed basis.
 
-    With logical operators supplied, the basis is the Z_L eigenvector
-    pair, |1_L> = X_L |0_L>. Without them, the eigenvectors of the
-    code projector are orthonormalized with each vector's leading
-    amplitude made real positive.
+    A fixed Gaussian 2^n x 2^k block is projected by every (I + g)/2,
+    applied as a signed permutation, and orthonormalized by QR; the
+    projection and QR run twice, so the columns are stabilized to
+    rounding. With logical operators supplied, the basis is the Z_L
+    eigenvector pair, |1_L> = X_L |0_L>; without them it is the QR
+    columns. Each derived vector except |1_L> gets its first amplitude
+    above the orthonormality cut made real and positive.
     """
-    n = generators[0].n
-    dim = 1 << n
-    proj = np.eye(dim, dtype=complex)
-    for g in generators:
-        proj = (proj + apply_pauli(g, proj)) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(proj)
-    keep = [i for i in range(dim) if eigvals[i] > 0.5]
-    if len(keep) != (1 << k):
+    dim = 1 << generators[0].n
+    real, imag = np.random.default_rng(0).standard_normal((2, dim, 1 << k))
+    block = real + 1j * imag
+    for _ in range(2):
+        for g in generators:
+            block = (block + apply_pauli(g, block)) / 2.0
+        block, r = np.linalg.qr(block)
+    rank = int((np.abs(np.diagonal(r)) > DEFAULT_POLICY.orthonormality).sum())
+    if rank != (1 << k):
         raise ValueError("code space has dimension %d, expected %d"
-                         % (len(keep), 1 << k))
-    block = eigvecs[:, keep]
+                         % (rank, 1 << k))
 
-    if logical_ops is not None:
-        if k != 1:
-            raise ValueError("logical-operator basis fixing supports k=1 only")
-        x_l, z_l = logical_ops
-        for op in (x_l, z_l):
-            for g in generators:
-                if not commutes(op, g):
-                    raise ValueError("logical operator %s anticommutes with "
-                                     "generator %s" % (pauli_to_string(op),
-                                                       pauli_to_string(g)))
-        if commutes(x_l, z_l):
-            raise ValueError("logical operators must anticommute")
-        small = apply_pauli(z_l, block).conj().T @ block
-        w, v = np.linalg.eigh(small)
-        if abs(w[-1] - 1.0) > DEFAULT_POLICY.orthonormality:
-            raise ValueError("Z logical operator has no +1 eigenvector "
-                             "inside the code space")
-        zero = _fix_global_phase(block @ v[:, -1])
-        one = apply_pauli(x_l, zero)
-        return (zero, one)
-
-    q, _ = np.linalg.qr(block)
-    out = []
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        lead = col[np.flatnonzero(np.abs(col) > DEFAULT_POLICY.orthonormality)[0]]
-        out.append(col * (lead / abs(lead)).conjugate())
-    return tuple(out)
+    if logical_ops is None:
+        return tuple(_lead_real(col) for col in block.T)
+    if k != 1:
+        raise ValueError("logical-operator basis fixing supports k=1 only")
+    x_l, z_l = logical_ops
+    for op in (x_l, z_l):
+        for g in generators:
+            if not commutes(op, g):
+                raise ValueError("logical operator %s anticommutes with "
+                                 "generator %s" % (pauli_to_string(op),
+                                                   pauli_to_string(g)))
+    if commutes(x_l, z_l):
+        raise ValueError("logical operators must anticommute")
+    small = apply_pauli(z_l, block).conj().T @ block
+    w, v = np.linalg.eigh(small)
+    if abs(w[-1] - 1.0) > DEFAULT_POLICY.orthonormality:
+        raise ValueError("Z logical operator has no +1 eigenvector "
+                         "inside the code space")
+    zero = _lead_real(block @ v[:, -1])
+    return (zero, apply_pauli(x_l, zero))
 
 
 def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> StabilizerCode:
@@ -143,23 +140,24 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
     Parameters
     ----------
     generators : iterable of PauliOperator or str
-        Mutually commuting, independent stabilizer generators.
+        Mutually commuting, independent, Hermitian stabilizer generators.
     noisy_coords : iterable of int
         Coordinates of the subsystem carrying unknown dynamics.
     codewords : optional iterable of vectors
-        Explicit logical basis; must be orthonormal and stabilized by
-        every generator. When omitted the basis is derived from the
-        joint +1 eigenspace (see ``logical_ops``).
-    logical_ops : optional pair (X_L, Z_L) of PauliOperator or str
+        Explicit logical basis. When omitted the basis is derived from
+        the joint +1 eigenspace by projecting a fixed random block (see
+        ``logical_ops``). Given or derived, the basis must be
+        orthonormal and stabilized by every generator.
+    logical_ops : optional dict {"X": X_L, "Z": Z_L} of PauliOperator or str
         Used only when codewords are omitted, to fix the derived basis
         as Z_L eigenvectors with X_L mapping between them.
 
     Raises
     ------
     ValueError
-        Non-commuting or dependent generators, codewords that are not
-        stabilized, a syndrome collision, or failure of the
-        error-correcting condition.
+        Non-commuting, dependent or non-Hermitian generators, a basis
+        that is not orthonormal or not stabilized, a syndrome
+        collision, or failure of the error-correcting condition.
     """
     gens = tuple(g if isinstance(g, PauliOperator) else pauli_from_string(g)
                  for g in generators)
@@ -172,6 +170,9 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
     if n > MATRIX_QUBIT_CAP:
         raise ValueError("codes are capped at %d qubits, got %d"
                          % (MATRIX_QUBIT_CAP, n))
+    for g in gens:
+        if not g.is_hermitian:
+            raise ValueError("generator %s is not Hermitian" % pauli_to_string(g))
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             if not commutes(gens[i], gens[j]):
@@ -196,24 +197,21 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
                                  "%d qubits" % (v.shape, 1 << n, n))
             if not np.isfinite(v).all():
                 raise ValueError("codeword has non-finite amplitudes")
-        logical = np.column_stack(basis_states)
-        gap = np.abs(logical.conj().T @ logical - np.eye(1 << k)).max()
-        if not gap <= DEFAULT_POLICY.orthonormality:  # NaN fails
-            raise ValueError("states are not orthonormal")
-        for g in gens:
-            if not np.abs(apply_pauli(g, logical) - logical).max() <= DEFAULT_POLICY.algebraic:
-                raise ValueError("codeword is not stabilized by %s"
-                                 % pauli_to_string(g))
     else:
         ops = None
         if logical_ops is not None:
-            if isinstance(logical_ops, dict):
-                x_l, z_l = logical_ops["X"], logical_ops["Z"]
-            else:
-                x_l, z_l = logical_ops
-            ops = (x_l if isinstance(x_l, PauliOperator) else pauli_from_string(x_l, n),
-                   z_l if isinstance(z_l, PauliOperator) else pauli_from_string(z_l, n))
+            ops = tuple(op if isinstance(op, PauliOperator) else pauli_from_string(op, n)
+                        for op in (logical_ops["X"], logical_ops["Z"]))
         basis_states = _derive_logical_basis(gens, k, ops)
+
+    logical = np.column_stack(basis_states)
+    gap = np.abs(logical.conj().T @ logical - np.eye(1 << k)).max()
+    if not gap <= DEFAULT_POLICY.orthonormality:  # NaN fails
+        raise ValueError("states are not orthonormal")
+    for g in gens:
+        if not np.abs(apply_pauli(g, logical) - logical).max() <= DEFAULT_POLICY.algebraic:
+            raise ValueError("codeword is not stabilized by %s"
+                             % pauli_to_string(g))
 
     error_basis = enumerate_error_basis(n, noisy_coords)
     table = tuple(_syndrome_bits(e, gens) for e in error_basis.elements)
@@ -227,7 +225,6 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
 
     # with distinct syndromes, an orthonormal frame is the
     # error-correcting condition with C = I
-    logical = np.column_stack(basis_states)
     frame = np.hstack([apply_pauli(e, logical) for e in error_basis.elements])
     residual = float(np.abs(frame.conj().T @ frame
                             - np.eye(frame.shape[1])).max())
@@ -342,8 +339,5 @@ def code_from_json(doc: dict) -> StabilizerCode:
     if "codewords" in doc and doc["codewords"] is not None:
         codewords = [np.array([complex(a[0], a[1]) for a in vec])
                      for vec in doc["codewords"]]
-    logical_ops = None
-    if "logical_ops" in doc and doc["logical_ops"] is not None:
-        logical_ops = (doc["logical_ops"]["X"], doc["logical_ops"]["Z"])
     return build_code(doc["generators"], doc["noisy_coords"],
-                      codewords=codewords, logical_ops=logical_ops)
+                      codewords=codewords, logical_ops=doc.get("logical_ops"))

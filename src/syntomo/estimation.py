@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ class SamplingPolicy:
         # numpy's multinomial draws take a signed 64-bit count
         if self.shots_per_configuration >= 1 << 63:
             raise ValueError("shots must be at most 2^63 - 1")
+        # the seed is one 64-bit word of the Philox key
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must be an integer in [0, 2^64 - 1], got %r"
+                             % (self.seed,))
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class ErrorReport:
 def _generator(seed: int, config_index: int) -> np.random.Generator:
     # counter-based and keyed per configuration, so sampling is
     # reproducible regardless of execution order
-    key = np.array([seed % (1 << 64), config_index], dtype=np.uint64)
+    key = np.array([seed, config_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

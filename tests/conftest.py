@@ -31,6 +31,13 @@ def bell_pair_generators(p):
     return gens
 
 
+# the code file of perfbench's cli-mix workload: bell_pair_generators(2)
+# in another order, with the spectator qubit's X and Z as logical operators
+BELL2_CODE = {"generators": ["XIXII", "ZIZII", "IXIXI", "IZIZI"],
+              "noisy_coords": [0, 1],
+              "logical_ops": {"X": "IIIIX", "Z": "IIIIZ"}}
+
+
 FRAME_CODES = {
     "code3": lambda: st.builtin_code("code3"),
     "code5": lambda: st.builtin_code("code5"),

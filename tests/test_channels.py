@@ -96,6 +96,9 @@ class TestBuiltinChannels:
             Channel(p=1, kraus=(np.eye(4, dtype=complex),))
         with pytest.raises(ValueError):
             Channel(p=1, kraus=())
+        for p in (0, -1):
+            with pytest.raises(ValueError, match="p must be positive, got %d" % p):
+                Channel(p=p, kraus=(np.eye(1, dtype=complex),))
 
 
 def per_word_chi(channel, basis):

@@ -319,6 +319,29 @@ class TestInputBoundary:
                        "--mode", "sampled", "--shots", str((1 << 63) - 1))
         assert rc == 0
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_out_of_range(self, capsys, seed):
+        # the seed keys the sampler as it is, so it must fit 64 bits
+        err = self.check(capsys, "--channel", "amplitude-damping",
+                         "--params", "0.3", "--mode", "sampled",
+                         "--seed", str(seed))
+        assert "seed must be an integer in [0, 2^64 - 1], got %d" % seed in err
+
+    def test_largest_seed_runs(self, capsys):
+        rc, doc, err = run_json(capsys, "characterize", "--code", "code3",
+                                "--channel", "amplitude-damping", "--params", "0.3",
+                                "--mode", "sampled", "--shots", "100",
+                                "--seed", str((1 << 64) - 1))
+        assert (rc, err) == (0, "")
+        assert doc["seed"] == (1 << 64) - 1
+
+    def test_channel_file_qubit_count_must_be_positive(self, capsys, tmp_path):
+        path = tmp_path / "channel.json"
+        for p in (-1, 0):
+            path.write_text(json.dumps({"p": p, "kraus": [[[[1.0, 0.0]]]]}))
+            err = self.check(capsys, "--channel", str(path))
+            assert "channel qubit count p must be positive, got %d" % p in err
+
     @pytest.mark.parametrize("channel, params, want", [
         ("depolarizing", None, "depolarizing takes 1 parameter, got 0"),
         ("depolarizing", "0.1,0.2", "depolarizing takes 1 parameter, got 2"),
@@ -376,6 +399,16 @@ class TestInputBoundary:
         assert main(["validate", "--code", code]) == 0
         out = capsysbinary.readouterr().out
         assert out.startswith(b"code: " + os.fsencode(code) + b"  [[3,1]]")
+
+
+def test_non_hermitian_generator_is_a_domain_error(capsys, tmp_path):
+    # -iYYZ commutes with XIX but has eigenvalues +-i: no code space
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"generators": ["XIX", "-iYYZ"],
+                                "noisy_coords": [0]}))
+    rc, out, err = run(capsys, "validate", "--code", str(path))
+    assert (rc, out) == (1, "")
+    assert err == "error: generator −iYYZ is not Hermitian\n"
 
 
 def test_report_escapes_label(capsys, tmp_path):

@@ -1,11 +1,13 @@
 """Built-in codes, code construction, and syndrome machinery."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import syntomo as st
+from conftest import BELL2_CODE, FRAME_CODES
 
 
 def ket(n, *indices_and_signs):
@@ -285,6 +287,50 @@ class TestBuildCode:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="code3, code5"):
             st.builtin_code("code7")
+
+    @pytest.mark.parametrize("generators, kwargs, message", [
+        ([], {}, "no generators given"),
+        (["XIX", "ZZ"], {}, "generators act on different qubit counts"),
+        (["ZI", "IZ"], {}, "no logical qubits: 2 generators on 2 qubits"),
+        (["XIX", "−iYYZ"], {}, "generator −iYYZ is not Hermitian"),
+        (["XIX", "YYZ"], {"codewords": [ZERO3]}, "expected 2 codewords, got 1"),
+        # |000> and |001> are orthonormal but not code states
+        (["XIX", "YYZ"], {"codewords": [ket(3, (0, 1)), ket(3, (1, 1))]},
+         "codeword is not stabilized by XIX"),
+        (["XXII", "ZZII"], {"logical_ops": {"X": "IIXI", "Z": "IIZI"}},
+         "logical-operator basis fixing supports k=1 only"),
+        (["XIX", "YYZ"], {"logical_ops": {"X": "ZII", "Z": "XYX"}},
+         "logical operator ZII anticommutes with generator XIX"),
+        (["XIX", "YYZ"], {"logical_ops": {"X": "XYX", "Z": "XYX"}},
+         "logical operators must anticommute"),
+        (BELL2_CODE["generators"], {"logical_ops": {"X": "IIIIX", "Z": "iIIIIZ"}},
+         "Z logical operator has no +1 eigenvector inside the code space"),
+    ])
+    def test_rejections(self, generators, kwargs, message):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            st.build_code(generators, [0], **kwargs)
+
+
+def test_building_forms_no_register_square_matrix(monkeypatch):
+    """The logical basis comes from 2^n x 2^k blocks and 2^k x 2^k
+    matrices: no apply_pauli, eigh or QR call sees a 2^n x 2^n input."""
+    seen = []
+
+    def spy(fn, arg):
+        def wrapped(*args, **kwargs):
+            seen.append(np.shape(args[arg]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr("syntomo.codes.apply_pauli", spy(st.codes.apply_pauli, 1))
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, 0))
+    monkeypatch.setattr(np.linalg, "qr", spy(np.linalg.qr, 0))
+    builds = list(FRAME_CODES.values()) + [lambda: st.code_from_json(BELL2_CODE)]
+    for build in builds:
+        seen.clear()
+        code = build()
+        assert seen
+        assert (1 << code.n, 1 << code.n) not in seen
 
 
 def dense_projectors(code):

@@ -97,6 +97,13 @@ def test_shots_must_be_positive():
         st.SamplingPolicy(shots_per_configuration=0, seed=1)
 
 
+def test_seed_must_fit_64_bits():
+    # the seed is one 64-bit word of the sampler's key, used as it is
+    for seed in (-1, 1 << 64, 1.0, "1"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64 - 1\]"):
+            st.SamplingPolicy(10, seed=seed)
+
+
 def test_sampling_is_unbiased(code3, ad036):
     # mean of many sampled frequencies approaches the exact distribution
     cfg = st.plan_configurations(code3)[0][0]

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -685,6 +686,24 @@ class TestCompiledPlan:
         with pytest.raises(ValueError, match=r"^rotation for pair \(XZ, YI\) "
                                              r"failed the unitarity check$"):
             st.plan_from_json(broken, doc)
+
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"kind": "rotated", "a": "X", "b": "X"},
+         "rotation needs two distinct error indices"),
+        ({"kind": "toggled", "a": "I", "b": "Z",
+          "theta": {"I": "+", "Z": "*", "X": "-", "Y": "-"}},
+         "bad theta sign '*'"),
+        ({"kind": "toggled", "a": "I", "b": "Z",
+          "theta": {"I": "+", "Z": "+", "X": "-"}},
+         "theta map does not cover the error basis"),
+        ({"kind": "spun", "a": "I", "b": "Z"},
+         "unknown configuration kind 'spun'"),
+    ])
+    def test_plan_from_json_rejections(self, code3, entry, message):
+        doc = {"configurations": [{"kind": "bare"}, entry]}
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            st.plan_from_json(code3, doc)
 
 
 class TestReconstruct:

@@ -1,0 +1,59 @@
+"""The README's examples run and print what the README shows."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from syntomo.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
+
+
+def console_examples():
+    """(argv, shown output lines, whether the output is cut with "...")
+    for each command block that shows its output."""
+    out = []
+    for lang, body in BLOCKS:
+        if lang or not body.startswith("$ syntomo "):
+            continue
+        lines = body.splitlines()
+        command = lines.pop(0)[2:]
+        while command.endswith("\\"):
+            command = command[:-1] + lines.pop(0)
+        if lines:
+            cut = lines[-1].strip() == "..."
+            out.append((shlex.split(command)[1:], lines[:-1] if cut else lines, cut))
+    return out
+
+
+EXAMPLES = console_examples()
+
+
+def test_the_named_examples_are_found():
+    commands = {" ".join(argv) for argv, _, _ in EXAMPLES}
+    assert commands == {
+        "validate --code code3",
+        "plan --code code5",
+        "characterize --code code3 --channel amplitude-damping --params 0.36",
+    }
+
+
+@pytest.mark.parametrize("argv, shown, cut", EXAMPLES,
+                         ids=[argv[0] for argv, _, _ in EXAMPLES])
+def test_console_example(capsys, argv, shown, cut):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    if cut:
+        printed = printed[:len(shown)]
+    assert printed == shown
+
+
+def test_python_blocks_run_in_one_namespace():
+    sources = [body for lang, body in BLOCKS if lang == "python"]
+    assert len(sources) == 2
+    namespace = {}
+    for source in sources:
+        exec(compile(source, "README.md", "exec"), namespace)
