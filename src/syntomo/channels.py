@@ -12,12 +12,13 @@ sums to 1 exactly for trace-preserving channels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numeric import DEFAULT_POLICY
-from .pauli import MATRIX_QUBIT_CAP, ErrorBasis, to_matrix
+from .pauli import MATRIX_QUBIT_CAP, ErrorBasis, enumerate_error_basis, to_matrix
 
 _BUILTIN_NAMES = (
     "identity",
@@ -49,7 +50,9 @@ class Channel:
             raise ValueError("channel qubit count p must be positive, got %d"
                              % self.p)
         dim = 1 << self.p
-        ops = tuple(np.asarray(e, dtype=complex) for e in self.kraus)
+        # read-only copies: the caller's arrays stay writable, and a
+        # channel never changes after construction
+        ops = tuple(np.array(e, dtype=complex) for e in self.kraus)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         for e in ops:
@@ -58,6 +61,7 @@ class Channel:
                                  % (e.shape, self.p))
             if not np.isfinite(e).all():
                 raise ValueError("Kraus operator has non-finite entries")
+            e.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
 
     @property
@@ -105,20 +109,31 @@ def chi_from_kraus(channel: Channel, basis: ErrorBasis) -> ProcessMatrix:
     """Brute-force process matrix of a Kraus channel.
 
     Expands every Kraus operator over the restricted error basis using
-    Tr(F_i F_j†) = d delta_{ij}, all words in one stacked product, and
-    assembles chi as a sum of outer products, one per Kraus operator.
+    Tr(F_i F_j†) = d delta_{ij}, all words in one stacked product (the
+    stack is rendered once per p), and assembles chi as a sum of outer
+    products, one per Kraus operator.
     """
     if basis.p != channel.p:
         raise ValueError("basis is on %d qubits, channel on %d"
                          % (basis.p, channel.p))
     d = channel.dim
-    adjoints = np.stack([to_matrix(w) for w in basis.restricted]).conj()
-    adjoints = adjoints.transpose(0, 2, 1)
+    adjoints = _adjoint_words(basis.p)
     chi = np.zeros((basis.size, basis.size), dtype=complex)
     for e in channel.kraus:
         coeffs = np.trace(adjoints @ e, axis1=1, axis2=2) / d
         chi += np.outer(coeffs, coeffs.conj())
     return ProcessMatrix(chi, basis)
+
+
+@functools.lru_cache(maxsize=8)
+def _adjoint_words(p: int) -> np.ndarray:
+    """The conjugate transposes of the restricted words of a p-qubit
+    error basis, stacked in basis order, read-only. The restricted
+    words depend on p alone, whatever the register and coordinates."""
+    words = enumerate_error_basis(p, range(p)).restricted
+    adjoints = np.stack([to_matrix(w) for w in words]).conj().transpose(0, 2, 1)
+    adjoints.flags.writeable = False
+    return adjoints
 
 
 def kraus_from_chi(chi: ProcessMatrix) -> Channel:

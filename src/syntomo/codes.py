@@ -39,7 +39,13 @@ _THREE_QUBIT_GENERATORS = ("XIX", "YYZ")
 
 @dataclass(frozen=True, eq=False)
 class StabilizerCode:
-    """[[n, k]] stabilizer code with a group-closed correctable error set."""
+    """[[n, k]] stabilizer code with a group-closed correctable error set.
+
+    ``frame`` and every ``logical_basis`` vector are read-only, so a
+    code never changes after construction: ``build_code`` freezes the
+    arrays it made, and any array that could still be written through
+    (``dataclasses.replace`` with a caller's array, say) is copied.
+    """
 
     n: int
     k: int
@@ -52,6 +58,11 @@ class StabilizerCode:
     # column x * 2^k + j is F_x |j_L>, x in error-basis order
     frame: np.ndarray = field(repr=False, compare=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "frame", _frozen(self.frame))
+        object.__setattr__(self, "logical_basis",
+                           tuple(_frozen(v) for v in self.logical_basis))
+
     @property
     def d2(self) -> int:
         """Error-basis size 4^p."""
@@ -61,6 +72,17 @@ class StabilizerCode:
         """Orthonormal columns F_x |j_L> spanning error x's syndrome space."""
         dim = 1 << self.k
         return self.frame[:, x * dim:(x + 1) * dim]
+
+
+def _frozen(array) -> np.ndarray:
+    """``array`` if it is read-only and owns its data, else a read-only
+    copy."""
+    if (isinstance(array, np.ndarray) and not array.flags.writeable
+            and array.base is None):
+        return array
+    array = np.array(array, dtype=complex)
+    array.flags.writeable = False
+    return array
 
 
 def _symplectic_rank(generators) -> int:
@@ -187,7 +209,7 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
                          % (len(gens), n))
 
     if codewords is not None:
-        basis_states = tuple(np.asarray(v, dtype=complex) for v in codewords)
+        basis_states = tuple(np.array(v, dtype=complex) for v in codewords)
         if len(basis_states) != (1 << k):
             raise ValueError("expected %d codewords, got %d"
                              % (1 << k, len(basis_states)))
@@ -231,6 +253,10 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
     if not residual <= DEFAULT_POLICY.kl_residual:
         raise ValueError("error-correcting condition fails with residual %g"
                          % residual)
+    # frozen in place, so StabilizerCode keeps them without a copy; the
+    # caller's codewords were copied above
+    for array in (frame,) + basis_states:
+        array.flags.writeable = False
     return StabilizerCode(
         n=n, k=k, generators=gens, logical_basis=basis_states,
         noisy_coords=tuple(noisy_coords), error_basis=error_basis,

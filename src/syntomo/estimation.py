@@ -27,6 +27,11 @@ class SamplingPolicy:
     seed: int
 
     def __post_init__(self):
+        # a fractional count would be truncated by the draw but still
+        # divide the frequencies
+        if not isinstance(self.shots_per_configuration, numbers.Integral):
+            raise ValueError("shots must be an integer, got %r"
+                             % (self.shots_per_configuration,))
         if self.shots_per_configuration <= 0:
             raise ValueError("shots must be positive")
         # numpy's multinomial draws take a signed 64-bit count

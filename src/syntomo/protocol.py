@@ -31,6 +31,7 @@ and the toggle is a diagonal phase), so no 2^n operator is formed.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,7 +231,7 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
     non-perfect codes (a norm check guards that). A channel on fewer
     qubits than the noisy subsystem acts on its leading ones.
     """
-    block = _frame_block(code, beta, channel)
+    block = _last_frame_block(code, beta, channel)
     records = []
     for cfg in configs:
         out = block if cfg.action is None else cfg.action @ block
@@ -241,9 +242,40 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
     return records
 
 
+# (code, channel) as weak references, beta's (shape, bytes) and the
+# block of the last _frame_block run that passed its gates; replaced
+# by one assignment, so a reader never pairs one key with another block
+_last_block = None
+
+
+def _last_frame_block(code: StabilizerCode, beta, channel: Channel) -> np.ndarray:
+    """``_frame_block``, run again only when the code, the channel or
+    the logical amplitudes differ from the last call's.
+
+    The code and channel are matched by identity through weak
+    references, so the memo keeps neither alive; both are immutable,
+    since ``StabilizerCode`` and ``Channel`` store read-only arrays. The
+    amplitudes are matched bit for bit after the conversion ``encode``
+    makes, so a changed sign of zero is a miss. A call that fails a gate
+    stores nothing and fails again next time. A loop of ``xi_simulated``
+    calls over one plan thus pays the per-channel work once.
+    """
+    global _last_block
+    last = _last_block
+    if last is not None and last[0]() is code and last[1]() is channel:
+        amps = np.asarray(beta, dtype=complex)
+        if last[2] == (amps.shape, amps.tobytes()):
+            return last[3]
+    block = _frame_block(code, beta, channel)
+    amps = np.asarray(beta, dtype=complex)
+    _last_block = (weakref.ref(code), weakref.ref(channel),
+                   (amps.shape, amps.tobytes()), block)
+    return block
+
+
 def _frame_block(code: StabilizerCode, beta, channel: Channel) -> np.ndarray:
-    """The coefficient block of ``simulate``: the per-channel work, done
-    once per call whatever the number of configurations."""
+    """The coefficient block of ``simulate``, read-only: the per-channel
+    work, done once per call whatever the number of configurations."""
     if channel.p > len(code.noisy_coords):
         raise ValueError("channel acts on %d qubits but the code's noisy "
                          "subsystem has %d" % (channel.p, len(code.noisy_coords)))
@@ -260,7 +292,9 @@ def _frame_block(code: StabilizerCode, beta, channel: Channel) -> np.ndarray:
     if not defect <= DEFAULT_POLICY.algebraic:
         raise ValueError("channel output leaves the syndrome frame "
                          "(norm defect %g)" % defect)
-    return coeffs.reshape(code.d2, -1)
+    block = coeffs.reshape(code.d2, -1)
+    block.flags.writeable = False
+    return block
 
 
 @functools.lru_cache(maxsize=32)

@@ -319,6 +319,17 @@ class TestInputBoundary:
                        "--mode", "sampled", "--shots", str((1 << 63) - 1))
         assert rc == 0
 
+    def test_fractional_shots_refused_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["characterize", "--code", "code3", "--channel", "depolarizing",
+                  "--params", "0.1", "--mode", "sampled", "--shots", "1000.7"])
+        assert exc.value.code == 2
+        assert "argument --shots: invalid int value: '1000.7'" in capsys.readouterr().err
+        rc, doc, _ = run_json(capsys, "characterize", "--code", "code3",
+                              "--channel", "depolarizing", "--params", "0.1",
+                              "--mode", "sampled", "--shots", "1000")
+        assert rc == 0 and doc["shots"] == 1000
+
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_seed_out_of_range(self, capsys, seed):
         # the seed keys the sampler as it is, so it must fit 64 bits

@@ -1,5 +1,7 @@
 """Seeded multinomial sampling and error reporting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,20 @@ def test_sampled_record_cannot_be_resampled():
 def test_shots_must_be_positive():
     with pytest.raises(ValueError):
         st.SamplingPolicy(shots_per_configuration=0, seed=1)
+
+
+def test_shots_must_be_an_integer(code3):
+    # 1000.7 would draw 1000 shots but divide by 1000.7
+    for shots in (1000.7, 1000.0, "1000"):
+        message = "shots must be an integer, got %r" % (shots,)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            st.SamplingPolicy(shots, seed=1)
+    rec = st.simulate(code3, (1.0, 0.0), st.builtin_channel("depolarizing", [0.1]),
+                      st.plan_configurations(code3)[0][:1])[0]
+    wide = st.sample_record(rec, st.SamplingPolicy(np.int64(1000), seed=1))
+    plain = st.sample_record(rec, st.SamplingPolicy(1000, seed=1))
+    assert wide.distribution == plain.distribution
+    assert sum(wide.distribution.values()) == 1000
 
 
 def test_seed_must_fit_64_bits():

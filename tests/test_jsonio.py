@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,24 @@ def test_lone_surrogates_escaped():
                    '"c\\udcff.json \\ud800 \\udfff"\n}\n')
     out.encode("utf-8")
     assert json.loads(out) == {text: text}
+
+
+# any code point, with control characters and lone surrogates often
+TEXT = hs.text(hs.one_of(hs.characters(codec=None, exclude_categories=()),
+                         hs.integers(0, 0x1F).map(chr),
+                         hs.integers(0xD800, 0xDFFF).map(chr)))
+# JSON reads the escapes of a high then a low surrogate as one character
+SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=TEXT)
+def test_strings_against_json_loads(text):
+    for obj in (text, {text: text}):
+        out = jsonio.dumps(obj)
+        out.encode("utf-8")
+        want = obj if SURROGATE_PAIR.search(text) is None else json.loads(json.dumps(obj))
+        assert json.loads(out) == want
 
 
 def test_checks_are_kept():

@@ -2,9 +2,11 @@
 
 import ast
 import dataclasses
+import gc
 import inspect
 import re
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +326,109 @@ class TestFrameEngine:
         cfg = st.plan_configurations(code3)[0][0]
         with pytest.raises(ValueError, match="leaves the syndrome frame"):
             st.xi_simulated(broken, (1.0, 0.0), ad036, cfg)
+
+
+def record_bits(records):
+    """Each record's index, syndrome order and probability bits."""
+    return [(rec.config_index, list(rec.distribution),
+             np.array(list(rec.distribution.values())).tobytes())
+            for rec in records]
+
+
+class TestFrameBlockMemo:
+    """The one-entry memo in front of ``protocol._frame_block``: equal
+    (code, channel, beta) in a row run the kernel once."""
+
+    @pytest.fixture
+    def kernel_runs(self, monkeypatch):
+        runs = []
+        kernel = protocol._frame_block
+
+        def counting(*args):
+            runs.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(protocol, "_frame_block", counting)
+        return runs
+
+    def test_a_configuration_loop_runs_the_kernel_once(self, code5, kernel_runs):
+        configs, _ = st.plan_configurations(code5)
+        channel = st.builtin_channel("random-cp", [3, 2, 2])
+        records = [st.xi_simulated(code5, (0.6, 0.8j), channel, cfg)
+                   for cfg in configs]
+        assert len(records) == 31 and len(kernel_runs) == 1
+        # an equal channel is another object: the kernel runs again
+        twin = st.Channel(channel.p, channel.kraus, channel.label)
+        reference = st.simulate(code5, (0.6, 0.8j), twin, configs)
+        assert len(kernel_runs) == 2
+        assert record_bits(records) == record_bits(reference)
+
+    def test_any_change_of_beta_misses(self, code3, ad036, kernel_runs):
+        cfg = st.plan_configurations(code3)[0][1]
+        runs = 0
+        for beta, runs_again in (((1.0, 0.0), True), ([1.0, 0.0], False),
+                                 (np.array([1.0, 0.0j]), False),
+                                 ((1.0, -0.0), True), ((1.0, 0.0), True),
+                                 ((-1.0, 0.0), True), ((0.6, 0.8j), True),
+                                 ((0.6, 0.8j), False)):
+            st.xi_simulated(code3, beta, ad036, cfg)
+            runs += runs_again
+            assert len(kernel_runs) == runs, beta
+        # equal bytes in another shape are refused, not served
+        with pytest.raises(ValueError, match="expected 2 logical amplitudes"):
+            st.xi_simulated(code3, [(0.6, 0.8j)], ad036, cfg)
+
+    def test_rejections_raise_on_every_call(self, code5, ad036, kernel_runs):
+        cfg = st.plan_configurations(code5)[0][1]
+        over = st.Channel(1, (np.eye(2), np.eye(2)))
+        wide = st.builtin_channel("random-cp", [1, 3, 1])
+        st.xi_simulated(code5, (1.0, 0.0), ad036, cfg)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds identity"):
+                st.xi_simulated(code5, (1.0, 0.0), over, cfg)
+            with pytest.raises(ValueError, match="not normalized"):
+                st.xi_simulated(code5, (1.0, 1.0), ad036, cfg)
+            with pytest.raises(ValueError, match="noisy subsystem"):
+                st.xi_simulated(code5, (1.0, 0.0), wide, cfg)
+        assert len(kernel_runs) == 7
+        # a failed call stores nothing, so the last good block still serves
+        st.xi_simulated(code5, (1.0, 0.0), ad036, cfg)
+        assert len(kernel_runs) == 7
+
+    def test_keeps_neither_code_nor_channel_alive(self):
+        code = st.builtin_code("code3")
+        channel = st.builtin_channel("depolarizing", [0.1])
+        cfg = st.plan_configurations(code)[0][0]
+        block = protocol._last_frame_block(code, (1.0, 0.0), channel)
+        assert not block.flags.writeable
+        st.xi_simulated(code, (1.0, 0.0), channel, cfg)
+        refs = (weakref.ref(code), weakref.ref(channel))
+        del code, channel, cfg
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_codes_and_channels_are_read_only(self, code5):
+        mine = np.eye(2, dtype=complex)
+        channel = st.Channel(1, (mine,))
+        with pytest.raises(ValueError, match="read-only"):
+            channel.kraus[0][0, 0] = 2.0
+        mine[0, 0] = 2.0
+        assert channel.kraus[0][0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            code5.frame[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            code5.logical_basis[0][0] = 1.0
+        words = [np.array(v) for v in code5.logical_basis]
+        code = st.build_code(code5.generators, code5.noisy_coords, codewords=words)
+        words[0][0] = 1.0
+        assert code.logical_basis[0][0] == code5.logical_basis[0][0]
+        # a code made around build_code copies what the caller can write
+        frame = code5.frame.copy()
+        replaced = dataclasses.replace(code5, frame=frame, logical_basis=words)
+        frame[0, 0] = words[1][0] = 1.0
+        assert replaced.frame.tobytes() == code5.frame.tobytes()
+        assert replaced.logical_basis[1].tobytes() == code5.logical_basis[1].tobytes()
+        assert not replaced.frame.flags.writeable
 
 
 def tensordot_simulate(code, beta, channel, configs):
