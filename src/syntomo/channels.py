@@ -149,14 +149,15 @@ def kraus_from_chi(chi: ProcessMatrix) -> Channel:
     eigvals, eigvecs = np.linalg.eigh(m)
     if eigvals.min() < -DEFAULT_POLICY.psd:
         raise ValueError("process matrix has negative eigenvalue %g" % eigvals.min())
-    words = [to_matrix(basis.restricted[i]) for i in range(basis.size)]
+    # conj undoes the stack's conj, so these are to_matrix's words bit for bit
+    words = _adjoint_words(basis.p).conj().transpose(0, 2, 1)
     ops = []
     for k in range(len(eigvals)):
         if eigvals[k] <= DEFAULT_POLICY.psd:
             continue
-        e = np.zeros((basis.dim, basis.dim), dtype=complex)
-        for i in range(basis.size):
-            e += eigvecs[i, k] * words[i]
+        # the words' terms added in basis order onto an exact zero, as a
+        # running sum would
+        e = np.add.reduce(eigvecs[:, k, None, None] * words, axis=0, initial=0)
         ops.append(np.sqrt(eigvals[k]) * e)
     if not ops:
         raise ValueError("process matrix is numerically zero")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +54,28 @@ class ErrorReport:
     min_eigenvalue: float
 
 
+# one Philox generator per thread, re-keyed for every draw
+_THREAD = threading.local()
+_ZEROS = (0, 0, 0, 0)
+
+
 def _generator(seed: int, config_index: int) -> np.random.Generator:
-    # counter-based and keyed per configuration, so sampling is
-    # reproducible regardless of execution order
-    key = np.array([seed, config_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """This thread's generator, reset to the Philox stream of key
+    (seed, config_index) at counter 0 with an empty buffer: the stream
+    of ``Philox(key=(seed, config_index))``, without the entropy draw
+    that constructor makes and discards. Counter-based and keyed per
+    configuration, so sampling is reproducible regardless of execution
+    order; the generator is never shared between threads."""
+    try:
+        bits, rng = _THREAD.philox
+    except AttributeError:
+        bits = np.random.Philox(0)
+        rng = np.random.Generator(bits)
+        _THREAD.philox = bits, rng
+    bits.state = {"bit_generator": "Philox",
+                  "state": {"counter": _ZEROS, "key": (seed, config_index)},
+                  "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def sample_record(record: MeasurementRecord, sampling: SamplingPolicy) -> MeasurementRecord:
@@ -65,34 +83,35 @@ def sample_record(record: MeasurementRecord, sampling: SamplingPolicy) -> Measur
 
     Negative probabilities beyond floating-point dust are an error;
     dust is clamped to zero. For trace-decreasing channels the missing
-    probability goes to a no-detection bin.
+    probability goes to a no-detection bin, a last column.
     """
     if not record.exact:
         raise ValueError("sampling needs an exact-mode record")
-    syndromes = list(record.distribution)
-    probs = []
-    for syn in syndromes:
-        p = float(record.distribution[syn])
-        if p < -DEFAULT_POLICY.sampling_clamp:
-            raise ValueError("probability %g for syndrome %s is negative "
-                             "beyond tolerance" % (p, syn))
-        probs.append(max(p, 0.0))
-    total = sum(probs)
+    row = record.row
+    negative = row < -DEFAULT_POLICY.sampling_clamp
+    if negative.any():
+        i = int(negative.argmax())
+        raise ValueError("probability %g for syndrome %s is negative "
+                         "beyond tolerance" % (float(row[i]), record.syndromes[i]))
+    # max(p, 0.0) per entry: -0.0 and NaN stay, where np.maximum
+    # would turn -0.0 into 0.0
+    probs = np.where(row < 0.0, 0.0, row)
+    # Python's sum of the floats, as the per-syndrome loop took it:
+    # numpy's pairwise sum can differ in the last bit, and pvals with it
+    total = sum(probs.tolist())
     if total > 1.0 + DEFAULT_POLICY.algebraic:
         raise ValueError("probabilities sum to %g > 1" % total)
     deficit = max(1.0 - total, 0.0)
-    has_overflow = deficit > DEFAULT_POLICY.algebraic
-    if has_overflow:
-        probs.append(deficit)
-    pvals = np.array(probs) / (total + deficit)
+    syndromes = record.syndromes
+    if deficit > DEFAULT_POLICY.algebraic:
+        probs = np.append(probs, deficit)
+        syndromes += (NO_DETECTION,)
+    pvals = probs / (total + deficit)
     rng = _generator(sampling.seed, record.config_index)
     counts = rng.multinomial(sampling.shots_per_configuration, pvals)
-    dist = {syn: int(c) for syn, c in zip(syndromes, counts)}
-    if has_overflow:
-        dist[NO_DETECTION] = int(counts[-1])
-    return MeasurementRecord(config_index=record.config_index,
-                             distribution=dist,
-                             shots=sampling.shots_per_configuration)
+    counts.flags.writeable = False
+    return MeasurementRecord(record.config_index, syndromes, counts,
+                             sampling.shots_per_configuration)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,10 @@
 All floats are rendered with 17 significant digits, which round-trips
 IEEE doubles losslessly and keeps reports byte-stable across runs. A
 list of floats, or of equal-length float lists such as a row of chi,
-is rendered by one ``%`` of a cached template over all its values.
+is rendered by one ``%`` of a cached template over all its values, and
+so is a list of flat dicts with the same keys and value types, such as
+a report's residual rows. numpy integers and bools render as ints and
+bools.
 """
 
 from __future__ import annotations
@@ -13,12 +16,20 @@ import math
 import re
 from itertools import chain, repeat
 
+import numpy as np
+
 _SPECIAL = re.compile(r'[\x00-\x1f"\\\ud800-\udfff]')
 _SHORT = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
           "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _ROWS = {list, tuple}
 _BASES = (str, int, float, list, tuple, dict)
 _KINDS = {type(None), bool, *_BASES}
+# what a subclass or a numpy scalar renders as, by its first match
+_ALIASES = ((np.integer, int), (np.bool_, bool)) + tuple((b, b) for b in _BASES)
+# a dict row's cells: the template field of each value type, and the
+# text of a bool or None cell
+_CELLS = {int: "%d", float: "%.17g", str: "%s", bool: "%s", type(None): "%s"}
+_CONVERT = {bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
 
 
 def _quote(text: str) -> str:
@@ -65,11 +76,52 @@ def _floats(seq, indent: int) -> str | None:
     return text
 
 
+@functools.lru_cache(maxsize=64)
+def _dict_row(indent: int, keys: tuple, kinds: tuple) -> str:
+    """Format string of a dict with keys ``keys`` and value types
+    ``kinds``, as an item of a list at nesting depth ``indent``."""
+    pad = "  " * (indent + 1)
+    return pad + "{\n" + ",\n".join(
+        pad + "  " + _quote(key).replace("%", "%%") + ": " + _CELLS[kind]
+        for key, kind in zip(keys, kinds)) + "\n" + pad + "}"
+
+
+def _dicts(seq, indent: int) -> str | None:
+    """``seq`` rendered in one template pass, or None when it is not a
+    list of non-empty dicts with the same string keys in the same order
+    and values of the same types, each an int, finite float, str, bool
+    or None (the item-by-item path then renders it, or raises)."""
+    first = seq[0]
+    if type(first) is not dict or not first or set(map(type, seq)) != {dict}:
+        return None
+    keys, kinds = tuple(first), tuple(map(type, first.values()))
+    if not (set(map(type, keys)) == {str} and set(kinds) <= _CELLS.keys()):
+        return None
+    if list(chain.from_iterable(seq)) != list(keys) * len(seq):
+        return None
+    values = list(chain.from_iterable(map(dict.values, seq)))
+    if list(map(type, values)) != list(kinds) * len(seq):
+        return None
+    width = len(keys)
+    for j, kind in enumerate(kinds):
+        column = values[j::width]
+        if kind is float:
+            if not all(map(math.isfinite, column)):
+                return None
+        elif kind is str:
+            # a column repeats few strings: quote each once
+            quoted = {text: _quote(text) for text in set(column)}
+            values[j::width] = map(quoted.__getitem__, column)
+        elif kind is not int:
+            values[j::width] = map(_CONVERT[kind], column)
+    rows = ",\n".join([_dict_row(indent, keys, kinds)] * len(seq))
+    return "[\n" + rows % tuple(values) + "\n" + "  " * indent + "]"
+
+
 def _render(obj, indent: int, out: list) -> None:
     kind = type(obj)
     if kind not in _KINDS:
-        # a subclass (np.float64 among them) renders as its first base here
-        kind = next((base for base in _BASES if isinstance(obj, base)), kind)
+        kind = next((k for base, k in _ALIASES if isinstance(obj, base)), kind)
     pad = "  " * indent
     if kind is float:
         if not math.isfinite(obj):
@@ -82,6 +134,8 @@ def _render(obj, indent: int, out: list) -> None:
             out.append("[]")
             return
         text = _floats(obj, indent)
+        if text is None:
+            text = _dicts(obj, indent)
         if text is not None:
             out.append(text)
             return

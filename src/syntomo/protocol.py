@@ -31,6 +31,7 @@ and the toggle is a diagonal phase), so no 2^n operator is formed.
 from __future__ import annotations
 
 import functools
+import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -75,27 +76,58 @@ class Configuration:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """Syndrome distribution observed under one configuration.
+    """Syndrome statistics observed under one configuration.
 
-    Exact mode stores probabilities (``shots`` is None); sampled mode
-    stores counts. The distribution may carry a no-detection bin when
-    the channel is trace decreasing.
+    ``row`` holds one value per entry of ``syndromes``, in that order,
+    read-only: probabilities (float64) in exact mode, where ``shots`` is
+    None, and counts (int64) in sampled mode. The records that
+    ``simulate`` and ``sample_record`` make share the code's
+    ``syndrome_table`` tuple; a trace-decreasing channel's sampled
+    records add a last ``NO_DETECTION`` column. ``from_distribution``
+    builds a record from a dict.
     """
 
     config_index: int
-    distribution: dict
+    syndromes: tuple
+    row: np.ndarray = field(repr=False)
     shots: int | None = None
+
+    @classmethod
+    def from_distribution(cls, config_index: int, distribution: dict,
+                          shots: int | None = None) -> MeasurementRecord:
+        """A record of ``distribution``'s keys and values, in its order:
+        probabilities when ``shots`` is None, else integer counts."""
+        values = list(distribution.values())
+        if shots is None:
+            row = np.array(values, dtype=float)
+        elif all(isinstance(v, numbers.Integral) for v in values):
+            row = np.array(values, dtype=np.int64)
+        else:
+            raise ValueError("sampled counts must be integers")
+        row.flags.writeable = False
+        return cls(config_index, tuple(distribution), row, shots)
 
     @property
     def exact(self) -> bool:
         return self.shots is None
 
+    @property
+    def distribution(self) -> dict:
+        """{syndrome: value}, built on request: floats in exact mode,
+        ints in sampled mode; of a repeated syndrome the last column."""
+        return dict(zip(self.syndromes, self.row.tolist()))
+
+    # {syndrome: value}, built by the first ``value`` call
+    _estimates = None
+
     def value(self, syndrome) -> float:
-        """Probability estimate for one syndrome."""
-        raw = self.distribution.get(syndrome, 0.0)
-        if self.shots is None:
-            return float(raw)
-        return float(raw) / float(self.shots)
+        """Probability estimate for one syndrome; 0.0 when it is absent."""
+        estimates = self._estimates
+        if estimates is None:
+            row = self.row if self.shots is None else self.row / float(self.shots)
+            estimates = dict(zip(self.syndromes, row.tolist()))
+            object.__setattr__(self, "_estimates", estimates)
+        return estimates.get(syndrome, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,21 +154,28 @@ class ReadoutTable:
 
     def observed(self, records) -> tuple[np.ndarray, bool]:
         """(probability estimates, exact): the records' values in the
-        table's layout, and whether every record is exact."""
+        table's layout, and whether every record is exact. A record
+        whose syndromes start with the table's gives its row as it is;
+        any other is gathered by syndrome, a missing one reading 0."""
         by_config = {rec.config_index: rec for rec in records}
         missing = sorted(set(self.configs) - set(by_config))
         if missing:
             raise ValueError("missing records for configurations %s" % missing)
         exact = all(rec.exact for rec in by_config.values())
         rows = [by_config[i] for i in self.configs]
-        zeros = (0.0,) * len(self.syndromes)
-        flat = []
-        for rec in rows:
-            flat += map(rec.distribution.get, self.syndromes, zeros)
-        raw = np.array(flat, dtype=float).reshape(self.a_index.shape)
+        width = len(self.syndromes)
+        raw = np.array([rec.row[:width] if rec.syndromes is self.syndromes
+                        or rec.syndromes[:width] == self.syndromes
+                        else self._gather(rec) for rec in rows],
+                       dtype=float).reshape(self.a_index.shape)
         shots = np.array([1.0 if rec.shots is None else float(rec.shots)
                           for rec in rows])
         return raw / shots[:, None], exact
+
+    def _gather(self, rec: MeasurementRecord) -> list:
+        """The record's values at the table's syndromes, 0 where absent."""
+        dist = rec.distribution
+        return [dist.get(syn, 0) for syn in self.syndromes]
 
     def predicted(self, chi: ProcessMatrix) -> np.ndarray:
         """Every readout's closed-form probability under chi."""
@@ -235,10 +274,9 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
     records = []
     for cfg in configs:
         out = block if cfg.action is None else cfg.action @ block
-        probs = np.einsum("ij,ij->i", out.conj(), out).real
-        records.append(MeasurementRecord(
-            config_index=cfg.index, shots=None,
-            distribution=dict(zip(code.syndrome_table, probs.tolist()))))
+        probs = np.einsum("ij,ij->i", out.conj(), out).real.copy()
+        probs.flags.writeable = False
+        records.append(MeasurementRecord(cfg.index, code.syndrome_table, probs))
     return records
 
 

@@ -223,6 +223,52 @@ class TestKrausFromChi:
             st.kraus_from_chi(ProcessMatrix(entries, basis))
 
 
+def reference_kraus_from_chi(chi):
+    """The per-word loop: each Kraus operator summed word by word, with
+    every word rendered by ``to_matrix``."""
+    basis = chi.basis
+    eigvals, eigvecs = np.linalg.eigh(chi.entries)
+    words = [st.to_matrix(basis.restricted[i]) for i in range(basis.size)]
+    ops = []
+    for k in range(len(eigvals)):
+        if eigvals[k] <= st.DEFAULT_POLICY.psd:
+            continue
+        e = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for i in range(basis.size):
+            e += eigvecs[i, k] * words[i]
+        ops.append(np.sqrt(eigvals[k]) * e)
+    return ops
+
+
+@pytest.mark.parametrize("name,params", [
+    ("identity", [1]), ("identity", [2]), ("phase-damping", [0.3]),
+    ("amplitude-damping", [0.36]), ("correlated-flip", [0.2]),
+    ("depolarizing", [0.1]), ("random-cp", [4, 1, 2]), ("random-cp", [5, 2, 3]),
+    ("random-cp", [6, 2, 4]), ("random-cp", [7, 3, 2])])
+def test_kraus_from_chi_equals_the_per_word_loop(name, params):
+    # bit for bit, signed zeros included: the stacked words are
+    # to_matrix's, and each operator sums them in basis order from zero
+    channel = st.builtin_channel(name, params)
+    chi = st.chi_from_kraus(channel, st.enumerate_error_basis(channel.p, range(channel.p)))
+    got = st.kraus_from_chi(chi).kraus
+    want = reference_kraus_from_chi(chi)
+    assert len(got) == len(want)
+    for e, ref in zip(got, want):
+        assert e.tobytes() == ref.tobytes()
+
+
+def test_kraus_from_chi_renders_no_word(monkeypatch):
+    # the oracle caches its stack of words for p = 2 here
+    chi = st.chi_from_kraus(st.builtin_channel("random-cp", [3, 2, 2]),
+                            two_qubit_basis())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kraus_from_chi rendered a Pauli word")
+
+    monkeypatch.setattr("syntomo.channels.to_matrix", refuse)
+    assert len(st.kraus_from_chi(chi).kraus) == 2
+
+
 def test_validate_channel_identity():
     report = st.validate_channel(st.builtin_channel("identity", [1]))
     assert report == {"cp": True, "tp": True, "defect": report["defect"]}

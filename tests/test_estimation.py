@@ -1,17 +1,20 @@
 """Seeded multinomial sampling and error reporting."""
 
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import syntomo as st
-from syntomo import protocol
+from syntomo import estimation, jsonio, protocol
 
 
 def exact_record(dist, index=0):
-    return st.MeasurementRecord(config_index=index, distribution=dict(dist),
-                                shots=None)
+    return st.MeasurementRecord.from_distribution(index, dict(dist))
 
 
 def test_counts_are_deterministic():
@@ -111,6 +114,26 @@ def test_shots_must_be_an_integer(code3):
     plain = st.sample_record(rec, st.SamplingPolicy(1000, seed=1))
     assert wide.distribution == plain.distribution
     assert sum(wide.distribution.values()) == 1000
+
+
+def sampled_report(code, channel, policy):
+    """A sampled report as a library caller writes one."""
+    result = st.characterize(code, channel, (0.6, 0.8j), policy)
+    return jsonio.dumps({
+        "shots": policy.shots_per_configuration, "seed": policy.seed,
+        "chi": [[[float(v.real), float(v.imag)] for v in row]
+                for row in result.chi.entries],
+        "records": [{"configuration": rec.config_index, "shots": rec.shots}
+                    for rec in result.records],
+        "residuals": result.residuals})
+
+
+def test_numpy_shot_count_writes_the_same_report(code3):
+    channel = st.builtin_channel("amplitude-damping", [0.36])
+    wide = sampled_report(code3, channel, st.SamplingPolicy(np.int64(1000), seed=1))
+    plain = sampled_report(code3, channel, st.SamplingPolicy(1000, seed=1))
+    assert wide == plain
+    assert '"shots": 1000,' in plain
 
 
 def test_seed_must_fit_64_bits():
@@ -224,3 +247,176 @@ def test_characterize_applies_the_channel_once(code5, monkeypatch):
                              (0.6, 0.8j))
     assert len(result.records) == 31
     assert len(calls) == 1
+
+
+def reference_sample(record, sampling, generator):
+    """The per-syndrome sampling loop over the record's distribution,
+    drawing from ``generator(seed, config_index)``."""
+    if not record.exact:
+        raise ValueError("sampling needs an exact-mode record")
+    syndromes = list(record.distribution)
+    probs = []
+    for syn in syndromes:
+        p = float(record.distribution[syn])
+        if p < -st.DEFAULT_POLICY.sampling_clamp:
+            raise ValueError("probability %g for syndrome %s is negative "
+                             "beyond tolerance" % (p, syn))
+        probs.append(max(p, 0.0))
+    total = sum(probs)
+    if total > 1.0 + st.DEFAULT_POLICY.algebraic:
+        raise ValueError("probabilities sum to %g > 1" % total)
+    deficit = max(1.0 - total, 0.0)
+    has_overflow = deficit > st.DEFAULT_POLICY.algebraic
+    if has_overflow:
+        probs.append(deficit)
+    pvals = np.array(probs) / (total + deficit)
+    counts = generator(sampling.seed, record.config_index).multinomial(
+        sampling.shots_per_configuration, pvals)
+    dist = {syn: int(c) for syn, c in zip(syndromes, counts)}
+    if has_overflow:
+        dist[st.NO_DETECTION] = int(counts[-1])
+    return protocol.MeasurementRecord.from_distribution(
+        record.config_index, dist, sampling.shots_per_configuration)
+
+
+def fresh_generator(seed, config_index):
+    """A generator built from the key, as the sampler's stream is defined."""
+    key = np.array([seed, config_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+class Capture:
+    """Generator factory that records every pvals handed to multinomial
+    and draws from the keyed stream."""
+
+    def __init__(self):
+        self.pvals = []
+
+    def __call__(self, seed, config_index):
+        rng = fresh_generator(seed, config_index)
+        capture = self
+
+        class Stub:
+            def multinomial(self, n, pvals):
+                capture.pvals.append(np.array(pvals).tobytes())
+                return rng.multinomial(n, pvals)
+
+        return Stub()
+
+
+def sample_outcome(fn, *args):
+    try:
+        rec = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    dist = rec.distribution
+    return (rec.config_index, rec.shots, list(dist), bits(dist.values()),
+            [type(v) for v in dist.values()],
+            bits(rec.value(syn) for syn in list(dist) + [("absent",)]))
+
+
+PROBABILITIES = hs.one_of(
+    hs.floats(0.0, 1.0), hs.floats(0.01, 1.0), hs.floats(0.01, 1.0),
+    hs.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25, 1e-300]),
+    # dust at or below the clamp, and, rarely, negatives beyond it
+    hs.floats(-1e-12, 0.0), hs.floats(-1e-12, 0.0),
+    hs.floats(-1e-3, -1.01e-12))
+SYNDROMES = hs.one_of(hs.lists(hs.integers(0, 1), min_size=5, max_size=5).map(tuple),
+                      hs.text(max_size=2), hs.just(st.NO_DETECTION))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+def test_sampler_matches_the_per_syndrome_loop(data):
+    """The array sampler hands multinomial the same pvals bit for bit,
+    draws the same counts and raises the same messages, naming the same
+    first offending syndrome, as the per-syndrome loop: on dust
+    negatives, trace-decreasing records and extra keys (a no-detection
+    key among them)."""
+    # more than 8 entries now and then, where numpy's pairwise sum
+    # departs from a running sum
+    size = data.draw(hs.sampled_from([1, 4, 12, 24]), label="size")
+    dist = data.draw(hs.dictionaries(SYNDROMES, PROBABILITIES, min_size=(size + 1) // 2,
+                                     max_size=size),
+                     label="distribution")
+    # scaled to sum to 1 (the trace-preserving path), or to a little
+    # more (the excess error), or left as drawn (mostly trace decreasing)
+    scale = data.draw(hs.sampled_from([1.0, 1.0, 1.0 + 1e-9, None]), label="scale")
+    total = sum(max(v, 0.0) for v in dist.values())
+    if scale is not None and total > 0:
+        dist = {k: scale * v / total for k, v in dist.items()}
+    config = data.draw(hs.integers(0, 40), label="config")
+    if data.draw(hs.sampled_from(["exact"] * 9 + ["counts"]), label="mode") == "counts":
+        record = protocol.MeasurementRecord.from_distribution(
+            config, dict.fromkeys(dist, 1), shots=len(dist))
+    else:
+        record = protocol.MeasurementRecord.from_distribution(config, dist)
+    policy = st.SamplingPolicy(data.draw(hs.sampled_from([1, 50, 100_000]), label="shots"),
+                               seed=data.draw(hs.integers(0, (1 << 64) - 1), label="seed"))
+    want_capture, got_capture = Capture(), Capture()
+    want = sample_outcome(reference_sample, record, policy, want_capture)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_generator", got_capture)
+        got = sample_outcome(st.sample_record, record, policy)
+    assert got == want
+    assert got_capture.pvals == want_capture.pvals
+    # the sampler's own per-thread generator draws the same counts
+    assert sample_outcome(st.sample_record, record, policy) == got
+
+
+def uniform_record(index, width=4):
+    return exact_record({(k,): 1.0 / width for k in range(width)}, index=index)
+
+
+def test_generator_reuse_matches_fresh_streams():
+    """Sample A, then B, then A again; between draws a 32-bit draw
+    leaves half a word and a partial buffer behind. Every draw equals
+    one from a generator built fresh from its key."""
+    a, b = uniform_record(3), uniform_record(11)
+    pa, pb = st.SamplingPolicy(100_000, seed=5), st.SamplingPolicy(777, seed=(1 << 64) - 1)
+    pvals = np.full(4, 0.25)
+    for rec, policy in ((a, pa), (b, pb), (a, pa)):
+        got = st.sample_record(rec, policy)
+        want = fresh_generator(policy.seed, rec.config_index).multinomial(
+            policy.shots_per_configuration, pvals)
+        assert got.row.tolist() == want.tolist()
+        estimation._generator(policy.seed, 99).random(3, dtype=np.float32)
+    for seed, index in ((5, 3), (0, 0), ((1 << 64) - 1, 7)):
+        rng = estimation._generator(seed, index)
+        first = rng.random(5)
+        assert first.tobytes() == fresh_generator(seed, index).random(5).tobytes()
+
+
+def test_threads_sample_as_a_serial_run():
+    """More threads than cores, each with its own seed, draw what a
+    serial run draws."""
+    records = [uniform_record(i, width=16) for i in range(40)]
+    policies = [st.SamplingPolicy(10_000, seed=s) for s in (21, 22, 23)]
+
+    def run(policy):
+        return [st.sample_record(rec, policy).row.tolist()
+                for _ in range(10) for rec in records]
+
+    serial = [run(policy) for policy in policies]
+    results = [None] * len(policies)
+    barrier = threading.Barrier(len(policies))
+
+    def worker(k):
+        barrier.wait(timeout=60)
+        results[k] = run(policies[k])
+
+    # switch threads as often as the interpreter allows, so one thread's
+    # reset lands between another's reset and draw if they shared one
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(len(policies))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial

@@ -74,10 +74,12 @@ def reference_render(obj, indent, out):
         out.append("true")
     elif obj is False:
         out.append("false")
+    elif isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
     elif isinstance(obj, str):
         out.append(jsonio._quote(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
     elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError("non-finite float in JSON output: %r" % obj)
@@ -129,8 +131,11 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e300,
 FLOATS = hs.one_of(hs.floats(), hs.sampled_from(EDGE_FLOATS))
 # mostly floats, so the template path runs; np.float64 is a float subclass
 FLOAT_ITEMS = hs.one_of(FLOATS, FLOATS.map(np.float64))
+NUMPY_SCALARS = hs.one_of(hs.integers(-(1 << 63), (1 << 63) - 1).map(np.int64),
+                         hs.integers(0, (1 << 64) - 1).map(np.uint64),
+                         hs.integers(-128, 127).map(np.int8), hs.booleans().map(np.bool_))
 ITEMS = hs.one_of(FLOAT_ITEMS, FLOAT_ITEMS, FLOAT_ITEMS, hs.booleans(),
-                  hs.integers(-(1 << 70), 1 << 70), hs.none())
+                  hs.integers(-(1 << 70), 1 << 70), hs.none(), NUMPY_SCALARS)
 
 
 def sequences(items, **kwargs):
@@ -145,7 +150,34 @@ ROWS = hs.one_of(
     hs.integers(0, 4).flatmap(lambda width: sequences(
         sequences(FLOAT_ITEMS, min_size=width, max_size=width), max_size=5)),
     sequences(FLOAT_LISTS, max_size=5))
-LEAVES = hs.one_of(ITEMS, hs.text(max_size=4), FLOAT_LISTS, ROWS)
+# cells of dict rows: scalars of each kind a row template renders, plus
+# numpy scalars, lists and dicts, which it leaves to the item-by-item path
+CELLS = [FLOATS, hs.integers(-(1 << 70), 1 << 70), hs.text(max_size=3),
+         hs.booleans(), hs.none(), NUMPY_SCALARS, FLOAT_LISTS,
+         hs.dictionaries(hs.text(max_size=2), FLOATS, max_size=2)]
+KEYS = hs.one_of(hs.sampled_from(["configuration", "kind", "max_residual", "%s", "%%d"]),
+                 hs.text(max_size=3))
+
+
+@hs.composite
+def same_key_rows(draw):
+    """Dicts with one key order and one cell kind per key, as residual
+    rows are; now and then a key that is not a string."""
+    keys = draw(hs.lists(KEYS, min_size=1, max_size=4, unique=True))
+    if draw(hs.sampled_from([False] * 7 + [True])):
+        keys[-1] = draw(hs.integers(0, 2))
+    kinds = [draw(hs.sampled_from(CELLS[:5] * 4 + CELLS[5:])) for _ in keys]
+    rows = draw(hs.lists(hs.tuples(*kinds), min_size=1, max_size=5))
+    return [dict(zip(keys, row)) for row in rows]
+
+
+# lists of same-key dicts, and of dicts with unequal keys, orders or kinds
+DICT_ROWS = hs.one_of(
+    same_key_rows(), same_key_rows(), same_key_rows(), same_key_rows(),
+    hs.lists(hs.dictionaries(KEYS, hs.one_of(*CELLS), max_size=3), min_size=1, max_size=4),
+    hs.lists(hs.one_of(same_key_rows().map(lambda rows: rows[0]), ITEMS), min_size=1,
+             max_size=4))
+LEAVES = hs.one_of(ITEMS, hs.text(max_size=4), FLOAT_LISTS, ROWS, DICT_ROWS, DICT_ROWS)
 DOCUMENTS = hs.recursive(
     LEAVES,
     lambda inner: hs.one_of(sequences(inner, max_size=4),
@@ -165,3 +197,33 @@ def test_chi_rows_match_the_item_by_item_renderer():
     doc = {"chi": [[[float(v.real), float(v.imag)] for v in row] for row in chi],
            "validity": {"trace": 1.0, "min_eigenvalue": -0.0}}
     assert jsonio.dumps(doc) == reference_dumps(doc)
+
+
+def test_numpy_integers_and_bools_render_as_ints_and_bools():
+    doc = {"shots": np.int64(5), "n": [np.uint64((1 << 64) - 1), np.int8(-3)],
+           "flag": np.bool_(True), "off": [np.False_]}
+    assert jsonio.dumps(doc) == reference_dumps(doc)
+    assert json.loads(jsonio.dumps(doc)) == {"shots": 5, "n": [(1 << 64) - 1, -3],
+                                             "flag": True, "off": [False]}
+
+
+def test_residual_rows_render_by_one_template(monkeypatch):
+    rows = [{"configuration": i, "kind": kind, "max_residual": 1.0 / (i + 3),
+             "flag": i % 2 == 0, "note": None}
+            for i, kind in enumerate(["bare", "rotated", 'to"g%sgled'])]
+    doc = {"residuals": rows}
+    want = reference_dumps(doc)
+    # the rows go through the template, not one _render call per value
+    calls = []
+    render = jsonio._render
+
+    def counting(obj, indent, out):
+        calls.append(obj)
+        render(obj, indent, out)
+
+    monkeypatch.setattr(jsonio, "_render", counting)
+    assert jsonio.dumps(doc) == want
+    assert len(calls) == 2
+    rows[1]["max_residual"] = math.nan
+    assert outcome(jsonio.dumps, doc) == outcome(reference_dumps, doc)
+    assert outcome(jsonio.dumps, doc)[0] is ValueError

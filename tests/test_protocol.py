@@ -249,8 +249,7 @@ class TestSimulatedReadout:
             assert abs(narrow.value(syn) - prob) < 1e-12
 
     def test_missing_syndrome_reads_zero(self, code3):
-        rec = st.MeasurementRecord(config_index=0,
-                                   distribution={(0, 0): 1.0}, shots=None)
+        rec = st.MeasurementRecord.from_distribution(0, {(0, 0): 1.0})
         assert rec.value((1, 1)) == 0.0
 
 
@@ -848,8 +847,7 @@ class TestReconstruct:
         broken = dict(rec.distribution)
         syn = code3.syndrome_table[2]
         broken[syn] = broken.get(syn, 0.0) + 1e-5
-        records[1] = st.MeasurementRecord(config_index=rec.config_index,
-                                          distribution=broken, shots=None)
+        records[1] = st.MeasurementRecord.from_distribution(rec.config_index, broken)
         with pytest.raises(ValueError, match="inconsistent redundant"):
             st.reconstruct(records, readouts, code3.error_basis)
 
@@ -981,7 +979,8 @@ def random_plan(code, data):
 def test_reconstruct_matches_readout_loop(code3, code5, data):
     """Array reconstruction equals the per-readout loop bit for bit
     (values, signed zeros and error messages) on random plans that
-    repeat configurations, for exact and sampled records."""
+    repeat configurations, for exact and sampled records, simulated or
+    built by hand from dicts."""
     name = data.draw(hs.sampled_from(sorted(RECONSTRUCT_CASES)), label="case")
     code_name, channel_name, params = RECONSTRUCT_CASES[name]
     code = code3 if code_name == "code3" else code5
@@ -1010,7 +1009,32 @@ def test_reconstruct_matches_readout_loop(code3, code5, data):
             x = data.draw(hs.integers(0, code.d2 - 1), label="syndrome")
             dist = dict(records[r].distribution)
             dist[code.syndrome_table[x]] += 1e-5
-            records[r] = st.MeasurementRecord(records[r].config_index, dist)
+            records[r] = st.MeasurementRecord.from_distribution(records[r].config_index,
+                                                                dist)
+    # hand-built records, through the one constructor: syndromes
+    # reordered, dropped (they read 0), repeated among the pairs the dict
+    # is built from (the last value wins) or foreign; a record may also
+    # come twice for one configuration, and the later one counts
+    for _ in range(data.draw(hs.integers(0, 3), label="hand-built")):
+        r = data.draw(hs.integers(0, len(records) - 1), label="hand-built record")
+        rec = records[r]
+        pairs = data.draw(hs.permutations(list(rec.distribution.items())),
+                          label="reordered")
+        dropped = data.draw(hs.sets(hs.integers(0, code.d2 - 1), max_size=2),
+                            label="dropped")
+        pairs = [pair for i, pair in enumerate(pairs) if i not in dropped]
+        step = 1 if rec.shots is not None else 1e-5
+        if pairs and data.draw(hs.booleans(), label="repeated"):
+            syn, val = data.draw(hs.sampled_from(pairs), label="repeat")
+            pairs.append((syn, val + step))
+        if data.draw(hs.booleans(), label="foreign"):
+            pairs.insert(0, ((2,) * len(code.syndrome_table[0]), 7 * step))
+        rebuilt = st.MeasurementRecord.from_distribution(rec.config_index,
+                                                         dict(pairs), rec.shots)
+        if data.draw(hs.booleans(), label="twice"):
+            records.append(rebuilt)
+        else:
+            records[r] = rebuilt
     want = outcome(reference_reconstruct, records, readouts, basis)
     got = outcome(st.reconstruct, records, readouts, basis)
     if isinstance(want, str):

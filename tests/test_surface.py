@@ -10,6 +10,8 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import syntomo
 import syntomo.cli
 import syntomo.jsonio
@@ -108,3 +110,61 @@ def test_no_callable_takes_a_tolerance():
                 "%s.%s(%s)" % (where, name, param.name)
             assert "NumericPolicy" not in str(param.annotation), \
                 "%s.%s(%s)" % (where, name, param.name)
+
+
+# the record attributes the worker reads, directly or through its checks
+WORKER_RECORD_ATTRIBUTES = ("distribution", "value", "config_index", "shots", "exact")
+
+
+def worker_record_reads():
+    """Attributes the worker reads on ``rec``, its name for a record."""
+    return {node.attr for node in ast.walk(parse("worker.py"))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "rec"}
+
+
+def test_the_worker_reads_only_listed_record_attributes():
+    reads = worker_record_reads()
+    assert {"distribution", "value", "config_index"} <= reads
+    assert reads <= set(WORKER_RECORD_ATTRIBUTES)
+
+
+def records_from(source):
+    code = syntomo.builtin_code("code5")
+    configs, _ = syntomo.plan_configurations(code)
+    channel = syntomo.builtin_channel("random-cp", [3, 2, 2])
+    # trace decreasing, so a sampled record carries a no-detection bin
+    weak = syntomo.Channel(2, tuple(0.9 * e for e in channel.kraus))
+    if source == "xi_simulated":
+        return code, [syntomo.xi_simulated(code, (0.6, 0.8j), channel, cfg)
+                      for cfg in configs[:3]]
+    records = syntomo.simulate(code, (0.6, 0.8j), channel, configs[:3])
+    if source == "sample_record":
+        policy = syntomo.SamplingPolicy(1000, seed=1)
+        records = [syntomo.sample_record(rec, policy) for rec in records]
+        records += [syntomo.sample_record(rec, policy) for rec in
+                    syntomo.simulate(code, (0.6, 0.8j), weak, configs[:1])]
+    return code, records
+
+
+@pytest.mark.parametrize("source", ["simulate", "xi_simulated", "sample_record"])
+def test_records_have_what_the_worker_reads(source):
+    code, records = records_from(source)
+    for rec in records:
+        for attr in WORKER_RECORD_ATTRIBUTES:
+            assert hasattr(rec, attr), (source, attr)
+        # the worker's count digest holds repr(config_index)
+        assert type(rec.config_index) is int
+        sampled = source == "sample_record"
+        assert rec.exact is not sampled
+        assert rec.shots == (1000 if sampled else None)
+        dist = rec.distribution
+        assert type(dist) is dict
+        assert list(dist)[:code.d2] == list(code.syndrome_table)
+        assert set(map(type, dist.values())) == {int if sampled else float}
+        scale = 1000.0 if sampled else 1.0
+        for syn in code.syndrome_table:
+            value = rec.value(syn)
+            assert type(value) is float and value == dist[syn] / scale
+    if source == "sample_record":
+        assert syntomo.NO_DETECTION in records[-1].distribution
