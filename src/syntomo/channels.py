@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import complex_from_pair
 from .numeric import DEFAULT_POLICY
 from .pauli import MATRIX_QUBIT_CAP, ErrorBasis, enumerate_error_basis, to_matrix
 
@@ -266,6 +267,11 @@ def builtin_channel(name: str, params=()) -> Channel:
     if p < 1 or rank < 1:
         raise ValueError("random-CP qubit-count and rank must be positive")
     _check_qubit_cap(p)
+    # 4^p Kraus operators span every p-qubit channel
+    if rank > 4 ** p:
+        raise ValueError("random-CP rank %d exceeds 4^%d = %d, the most Kraus "
+                         "operators a %d-qubit channel needs"
+                         % (rank, p, 4 ** p, p))
     return _random_cp(seed, p, rank)
 
 
@@ -301,5 +307,5 @@ def channel_from_json(doc: dict) -> Channel:
     _check_qubit_cap(p)
     ops = []
     for mat in doc["kraus"]:
-        ops.append(np.array([[complex(v[0], v[1]) for v in row] for row in mat]))
+        ops.append(np.array([[complex_from_pair(v) for v in row] for row in mat]))
     return Channel(p=p, kraus=tuple(ops), label=str(doc.get("label", "")))

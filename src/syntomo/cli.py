@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -108,8 +109,12 @@ def _emit(report: dict, text_lines, args) -> None:
     # a file name that is not valid UTF-8 reaches the text as lone
     # surrogates; surrogateescape writes its original bytes back
     if args.out:
-        with open(args.out, "w", encoding="utf-8", errors="surrogateescape") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8",
+                      errors="surrogateescape") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise _InputError("cannot write %s: %s" % (args.out, exc))
         return
     try:
         sys.stdout.write(payload)
@@ -233,7 +238,10 @@ def _cmd_characterize(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it
+    unchanged, and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="syntomo",
         description="Characterize quantum channels from stabilizer-code "

@@ -6,11 +6,12 @@ code space to a distinct syndrome space, so that one round of syndrome
 measurement identifies the error exactly. The builder stores the
 syndrome frame, whose columns F_x|j_L> span the error spaces, and
 rejects the code unless the frame is orthonormal: with distinct
-syndromes that is the error-correcting condition with C = I. Pauli
-words act on vectors as signed permutations (``apply_pauli``), and a
-logical basis that is not given is derived by applying the generator
-projectors to a fixed 2^n x 2^k block, so no 2^n x 2^n matrix is
-formed.
+syndromes that is the error-correcting condition with C = I. The
+check, and ``kl_scan``, read the frame's Gram matrix off d² blocks of
+2^k x 2^k (``_overlap_blocks``). Pauli words act on vectors as signed
+permutations (``apply_pauli``), and a logical basis that is not given
+is derived by applying the generator projectors to a fixed 2^n x 2^k
+block, so no 2^n x 2^n matrix is formed.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import complex_from_pair
 from .numeric import DEFAULT_POLICY
 from .pauli import (
+    I_POWERS,
     MATRIX_QUBIT_CAP,
     ErrorBasis,
     PauliOperator,
@@ -248,8 +251,7 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
     # with distinct syndromes, an orthonormal frame is the
     # error-correcting condition with C = I
     frame = np.hstack([apply_pauli(e, logical) for e in error_basis.elements])
-    residual = float(np.abs(frame.conj().T @ frame
-                            - np.eye(frame.shape[1])).max())
+    residual = _frame_gap(frame, 1 << k)
     if not residual <= DEFAULT_POLICY.kl_residual:
         raise ValueError("error-correcting condition fails with residual %g"
                          % residual)
@@ -264,21 +266,47 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
     )
 
 
+def _overlap_blocks(frame: np.ndarray, dim: int) -> np.ndarray:
+    """The blocks B_z = W_0† F_z W_0 of every error z, shape (d², dim, dim).
+
+    F_0 is the identity, so the frame's first ``dim`` columns are W_0
+    and the blocks come from one dim x 2^n by 2^n x d² dim product. The
+    error words are Hermitian, so F_x† F_y = F_x F_y = i^e F_{x.y} with
+    (x.y, e) from the error basis's product table, and block (x, y) of
+    the frame's Gram matrix frame† frame is i^e B_{x.y}: d² blocks stand
+    for all d⁴ of it.
+    """
+    products = frame[:, :dim].conj().T @ frame
+    return products.reshape(dim, -1, dim).transpose(1, 0, 2)
+
+
+def _frame_gap(frame: np.ndarray, dim: int) -> float:
+    """max |frame† frame − I|, read off the overlap blocks.
+
+    x.x is the identity with e = 0, and x != y gives x.y != 0, so the
+    Gram matrix minus I holds B_0 − I on its diagonal blocks and
+    i^e B_z, z != 0, everywhere else.
+    """
+    blocks = _overlap_blocks(frame, dim)
+    blocks[0] -= np.eye(dim)
+    return float(np.abs(blocks).max())
+
+
 def kl_scan(code: StabilizerCode) -> tuple:
     """Error-correcting-condition matrix and worst residual, unchecked.
 
-    Read off the frame's Gram matrix: with W_a = F_a W_0 the 2^k x 2^k
-    block W_a† W_b, C_ab = Tr(W_a† W_b) / 2^k, and residual is the
-    largest |W_a† W_b - C_ab I| over all error pairs. Since
-    Pi F_a† F_b Pi = W_0 (W_a† W_b) W_0†, the residual is zero exactly
+    Read off the overlap blocks B_z = W_0† F_z W_0 (``_overlap_blocks``):
+    c_z = Tr(B_z) / 2^k, C_ab = i^e c_{a.b} with F_a F_b = i^e F_{a.b},
+    and residual is the largest |B_z − c_z I| over all errors z. Since
+    Pi F_a† F_b Pi = i^e W_0 B_{a.b} W_0†, the residual is zero exactly
     when Pi F_a† F_b Pi = C_ab Pi for every pair.
     """
     dim = 1 << code.k
-    gram = code.frame.conj().T @ code.frame
-    blocks = gram.reshape(code.d2, dim, code.d2, dim).transpose(0, 2, 1, 3)
-    c = np.trace(blocks, axis1=2, axis2=3) / dim
-    residual = float(np.abs(blocks - c[:, :, None, None] * np.eye(dim)).max())
-    return c, residual
+    blocks = _overlap_blocks(code.frame, dim)
+    c = np.trace(blocks, axis1=1, axis2=2) / dim
+    residual = float(np.abs(blocks - c[:, None, None] * np.eye(dim)).max())
+    basis = code.error_basis
+    return I_POWERS[basis.product_phase] * c[basis.product_index], residual
 
 
 def kl_condition(code: StabilizerCode) -> np.ndarray:
@@ -363,7 +391,7 @@ def code_from_json(doc: dict) -> StabilizerCode:
     """
     codewords = None
     if "codewords" in doc and doc["codewords"] is not None:
-        codewords = [np.array([complex(a[0], a[1]) for a in vec])
+        codewords = [np.array([complex_from_pair(a) for a in vec])
                      for vec in doc["codewords"]]
     return build_code(doc["generators"], doc["noisy_coords"],
                       codewords=codewords, logical_ops=doc.get("logical_ops"))

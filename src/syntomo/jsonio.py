@@ -1,4 +1,4 @@
-"""Deterministic JSON writing.
+"""Deterministic JSON writing, and the reading of complex amplitudes.
 
 All floats are rendered with 17 significant digits, which round-trips
 IEEE doubles losslessly and keeps reports byte-stable across runs. A
@@ -6,13 +6,15 @@ list of floats, or of equal-length float lists such as a row of chi,
 is rendered by one ``%`` of a cached template over all its values, and
 so is a list of flat dicts with the same keys and value types, such as
 a report's residual rows. numpy integers and bools render as ints and
-bools.
+bools. Input files write a complex amplitude as a pair ``[re, im]``
+(``complex_from_pair``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 from itertools import chain, repeat
 
@@ -174,3 +176,21 @@ def dumps(obj) -> str:
     _render(obj, 0, out)
     out.append("\n")
     return "".join(out)
+
+
+def complex_from_pair(pair) -> complex:
+    """The amplitude ``re + i im`` of a JSON pair ``[re, im]``.
+
+    Anything but a two-item list or tuple of real numbers (bools are
+    not numbers here), or a number out of float range, raises
+    ``TypeError``, which the file readers report as a schema error.
+    """
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                       for v in pair)):
+        raise TypeError("an amplitude must be a [re, im] pair of numbers, "
+                        "got %r" % (pair,))
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError:
+        raise TypeError("amplitude %r is out of float range" % (pair,))

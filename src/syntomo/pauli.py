@@ -29,6 +29,9 @@ _MINUS = "−"
 
 # i^e * (-1)^m, indexed by (e, m)
 _SIGNED_POWERS = np.array([[1.0, -1.0], [1j, -1j], [-1.0, 1.0], [-1j, 1j]])
+_SIGNED_POWERS.flags.writeable = False
+# i^e for a phase exponent e, such as an entry of a product table
+I_POWERS = _SIGNED_POWERS[:, 0]
 
 # letter for (x_bit, z_bit)
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}

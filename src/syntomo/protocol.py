@@ -40,15 +40,12 @@ import numpy as np
 from .channels import Channel, ProcessMatrix
 from .codes import StabilizerCode
 from .numeric import DEFAULT_POLICY
-from .pauli import apply_pauli, commutes, to_matrix
+from .pauli import I_POWERS, apply_pauli, commutes, to_matrix
 
 # sampled-mode overflow bin for trace-decreasing channels
 NO_DETECTION = "no-detection"
 
 _MINUS = "−"
-
-# i^e for a product phase exponent e
-_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 # rows (c, s) with Re(i^e z) = c Re z + s Im z, columns indexed by e mod 4
 _RE_IM = np.array([[1, 0, -1, 0], [0, -1, 0, 1]])
@@ -440,8 +437,8 @@ def _frame_maps(basis, a, b, commuting, signs, toggled) -> np.ndarray:
     toggle multiplies column x by e^{i theta_x}.
     """
     idx, phase = basis.product_index, basis.product_phase
-    alpha = _I_POWERS[phase[a]] / np.sqrt(2.0)
-    beta = np.where(commuting, 1j, 1.0)[:, None] * _I_POWERS[phase[b]]
+    alpha = I_POWERS[phase[a]] / np.sqrt(2.0)
+    beta = np.where(commuting, 1j, 1.0)[:, None] * I_POWERS[phase[b]]
     beta /= np.sqrt(2.0)
     _check_unitary(basis, a, b, alpha, beta)
     phases = np.exp(1j * signs * np.pi / 4.0)

@@ -1,7 +1,9 @@
 """Command-line pipeline: validate, plan, characterize."""
 
+import functools
 import hashlib
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -9,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
 import syntomo as st
-from conftest import bell_pair_generators
+from conftest import BELL2_CODE, bell_pair_generators
 from syntomo.cli import main
 
 
@@ -374,6 +378,32 @@ class TestInputBoundary:
             err = self.check(capsys, "--channel", str(path))
             assert "bad channel schema" in err and "must be an integer" in err
 
+    def test_unwritable_out(self, capsys, tmp_path):
+        for out in (tmp_path / "missing" / "r.json", tmp_path):
+            err = self.check(capsys, "--channel", "depolarizing",
+                             "--params", "0.1", "--out", str(out))
+            assert err.startswith("error: cannot write %s: " % out)
+
+    def test_amplitude_must_be_a_pair(self, capsys, tmp_path):
+        err = self.check_code(capsys, tmp_path, {
+            "generators": ["XIX", "YYZ"], "noisy_coords": [0],
+            "codewords": "abc"})
+        assert err.startswith("error: bad code schema in %s: " % (tmp_path / "code.json"))
+        assert "[re, im] pair" in err
+        path = tmp_path / "channel.json"
+        good = st.channel_to_json(st.builtin_channel("amplitude-damping", [0.2]))
+        # a string, a one-number amplitude, an integer beyond float range
+        for kraus in ("x", [[[[1], [0, 0]], [[0, 0], [1, 0]]]],
+                      [[[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]]):
+            path.write_text(json.dumps({**good, "kraus": kraus}))
+            err = self.check(capsys, "--channel", str(path))
+            assert err.startswith("error: bad channel schema in %s: " % path)
+
+    def test_random_cp_rank_capped_at_four_to_the_p(self, capsys):
+        err = self.check(capsys, "--channel", "random-cp", "--params", "1,1,5")
+        assert err == ("error: random-CP rank 5 exceeds 4^1 = 4, the most "
+                       "Kraus operators a 1-qubit channel needs\n")
+
     # argv decodes the byte 0xff of a file name to the lone surrogate \udcff
     NON_UTF8_COMMANDS = [("validate",), ("plan",),
                          ("characterize", "--channel", "amplitude-damping",
@@ -410,6 +440,81 @@ class TestInputBoundary:
         assert main(["validate", "--code", code]) == 0
         out = capsysbinary.readouterr().out
         assert out.startswith(b"code: " + os.fsencode(code) + b"  [[3,1]]")
+
+
+# small valid documents to corrupt: codes of 3 and 5 qubits with given
+# and derived bases, channels on 1 and 2 qubits (rank 2)
+FUZZ_CODES = [st.code_to_json(st.builtin_code("code3")), BELL2_CODE]
+FUZZ_CHANNELS = [st.channel_to_json(st.builtin_channel("amplitude-damping", [0.2])),
+                 st.channel_to_json(st.builtin_channel("random-cp", [3, 2, 2]))]
+FUZZ_LEAVES = (hs.none() | hs.booleans() | hs.integers(-3, 7)
+               | hs.floats(allow_nan=False) | hs.text(max_size=3))
+# no None and no empty container at the top: either could stand for an
+# optional field left out, and so make a valid document
+FUZZ_JUNK = (hs.booleans() | hs.integers(-3, 7) | hs.floats(allow_nan=False)
+             | hs.text(min_size=1, max_size=3)
+             | hs.lists(FUZZ_LEAVES, min_size=1, max_size=3)
+             | hs.dictionaries(hs.text(max_size=2), FUZZ_LEAVES,
+                               min_size=1, max_size=2))
+
+
+def json_kind(value):
+    for kind in (str, list, dict):
+        if isinstance(value, kind):
+            return kind
+    return None if value is None else float
+
+
+def json_nodes(doc, path):
+    """Every path into ``doc`` but to the fields that the readers ignore
+    (a code's n and k) or take as they are (a channel's label)."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    yield path
+    for key, value in items:
+        if key not in ("n", "k", "label"):
+            yield from json_nodes(value, path + (key,))
+
+
+@hs.composite
+def malformed(draw, docs):
+    """A copy of one of ``docs`` with one node made wrong for sure: put a
+    value of another JSON kind there, or, for an amplitude [re, im],
+    the wrong number of items or an integer out of float range."""
+    root = [json.loads(json.dumps(draw(hs.sampled_from(docs))))]
+    path = draw(hs.sampled_from(list(json_nodes(root[0], (0,)))))
+    parent = functools.reduce(operator.getitem, path[:-1], root)
+    old = parent[path[-1]]
+    amplitude = (path[1:2] in (("codewords",), ("kraus",))
+                 and json_kind(old) is list and len(old) == 2
+                 and all(json_kind(v) is float for v in old))
+    if amplitude and draw(hs.booleans()):
+        new = draw(hs.sampled_from([[], old[:1], old + [0.0], [10 ** 400, old[1]]]))
+    else:
+        new = draw(FUZZ_JUNK.filter(lambda v: json_kind(v) != json_kind(old)))
+    parent[path[-1]] = new
+    return root[0]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=hs.data())
+def test_fuzzed_files_end_in_one_error_line(capsys, tmp_path, data):
+    path = tmp_path / "doc.json"
+    if data.draw(hs.booleans(), label="code file"):
+        path.write_text(json.dumps(data.draw(malformed(FUZZ_CODES))))
+        argv = data.draw(hs.sampled_from([
+            ["validate", "--code", str(path)],
+            ["characterize", "--code", str(path), "--channel", "depolarizing",
+             "--params", "0.1"]]))
+    else:
+        path.write_text(json.dumps(data.draw(malformed(FUZZ_CHANNELS))))
+        code = data.draw(hs.sampled_from(["code3", "code5"]))
+        argv = ["characterize", "--code", code, "--channel", str(path)]
+    rc, out, err = run(capsys, *argv, "--format", "json")
+    assert rc in (1, 2), err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_non_hermitian_generator_is_a_domain_error(capsys, tmp_path):

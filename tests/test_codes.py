@@ -2,12 +2,13 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import syntomo as st
-from conftest import BELL2_CODE, FRAME_CODES
+from conftest import BELL2_CODE, FRAME_CODES, bell_pair_generators
 
 
 def ket(n, *indices_and_signs):
@@ -150,6 +151,39 @@ def test_kl_scan_sees_a_perturbed_code_space(name):
         assert eps / 20 <= residual <= 2 * eps, scan
     with pytest.raises(ValueError, match="error-correcting condition fails"):
         st.kl_condition(broken)
+
+
+def gram_gap(frame):
+    """The frame check as it reads on paper: max |frame† frame − I|."""
+    return float(np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max())
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CODES))
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6, 1e-3])
+def test_frame_gate_equals_the_gram_check(name, eps):
+    # |0_L> tilted by eps towards F_1|0_L>; eps = 0 is the code itself
+    code = FRAME_CODES[name]()
+    words = [st.to_matrix(e) for e in code.error_basis.elements]
+    logical = np.column_stack(code.logical_basis)
+    logical[:, 0] = (np.cos(eps) * logical[:, 0]
+                     + np.sin(eps) * (words[1] @ logical[:, 0]))
+    frame = np.hstack([w @ logical for w in words])
+    gate = st.codes._frame_gap(frame, 1 << code.k)
+    assert abs(gate - gram_gap(frame)) <= 1e-15
+    assert (gate > 1e-12) == (eps > 0)
+
+
+def test_kl_scan_peaks_below_one_register_square_matrix():
+    # a 2^n x 2^n complex matrix is 4 MiB at n = 9
+    code = st.build_code(bell_pair_generators(4), range(4))
+    tracemalloc.start()
+    try:
+        c, residual = st.kl_scan(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << (2 * code.n)
+    assert c.shape == (256, 256) and residual < 1e-12
 
 
 class TestHammingBound:
