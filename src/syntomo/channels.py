@@ -13,6 +13,8 @@ sums to 1 exactly for trace-preserving channels.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,9 +198,13 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
 
 
 def _int_param(name: str, value) -> int:
-    if float(value) != int(value):
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    # int() raises OverflowError on inf and a bare ValueError on nan
+    number = float(value)
+    if not math.isfinite(number) or number != int(number):
         raise ValueError("%s parameter must be an integer, got %r" % (name, value))
-    return int(value)
+    return int(number)
 
 
 def _check_qubit_cap(p: int) -> int:

@@ -250,8 +250,12 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
 
     # with distinct syndromes, an orthonormal frame is the
     # error-correcting condition with C = I
-    frame = np.hstack([apply_pauli(e, logical) for e in error_basis.elements])
-    residual = _frame_gap(frame, 1 << k)
+    # filled one block at a time, so the blocks are never all held at once
+    dim = 1 << k
+    frame = np.empty((1 << n, error_basis.size * dim), dtype=complex)
+    for i, e in enumerate(error_basis.elements):
+        frame[:, i * dim:(i + 1) * dim] = apply_pauli(e, logical)
+    residual = _frame_gap(frame, dim)
     if not residual <= DEFAULT_POLICY.kl_residual:
         raise ValueError("error-correcting condition fails with residual %g"
                          % residual)

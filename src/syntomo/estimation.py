@@ -29,8 +29,9 @@ class SamplingPolicy:
 
     def __post_init__(self):
         # a fractional count would be truncated by the draw but still
-        # divide the frequencies
-        if not isinstance(self.shots_per_configuration, numbers.Integral):
+        # divide the frequencies; a bool would be one shot written as true
+        if (isinstance(self.shots_per_configuration, bool)
+                or not isinstance(self.shots_per_configuration, numbers.Integral)):
             raise ValueError("shots must be an integer, got %r"
                              % (self.shots_per_configuration,))
         if self.shots_per_configuration <= 0:
@@ -39,7 +40,8 @@ class SamplingPolicy:
         if self.shots_per_configuration >= 1 << 63:
             raise ValueError("shots must be at most 2^63 - 1")
         # the seed is one 64-bit word of the Philox key
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 1 << 64:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or not 0 <= self.seed < 1 << 64):
             raise ValueError("seed must be an integer in [0, 2^64 - 1], got %r"
                              % (self.seed,))
 

@@ -373,21 +373,53 @@ def plan_configurations(code: StabilizerCode):
 
 
 def _compile(code: StabilizerCode, kinds, a, b, signs):
-    """(configurations, readout table) of a whole plan, in array passes.
+    """(configurations, readout table) of a whole plan, in one pass over
+    the error basis's product table.
 
     Configuration i has kind ``kinds[i]``, pair (a[i], b[i]) and theta
     signs ``signs[i]``; a bare row carries the pair (0, 0) and a row
-    that is not toggled zero signs.
+    that is not toggled zero signs. The pairs' table rows A = a.x,
+    B = b.x, e_a and e_b (F_a F_x = i^{e_a} F_A, F_b F_x = i^{e_b} F_B)
+    are gathered once for the rules, the frame maps and their check.
+
+    The rotation (F_a + c F_b)/sqrt(2), c = i for a commuting pair and
+    1 otherwise, has M[A_x, x] = i^{e_a}/sqrt(2) and M[B_x, x] =
+    c i^{e_b}/sqrt(2); a toggle scales column x by e^{i theta_x} and
+    leaves M†M alone. Column x shares its rows only with column
+    x' = b.a.x, so M†M = I exactly when e(x') + e(x) + 2[commuting]
+    = 2 mod 4 for e = e_b - e_a; bare rows pass. The first failing
+    pair is named.
     """
     basis = code.error_basis
+    idx, phase = basis.product_index, basis.product_phase
     rotated = np.array([kind != "bare" for kind in kinds], dtype=bool)
     toggled = np.array([kind == "toggled" for kind in kinds], dtype=bool)
-    commuting = basis.product_phase[a, b] == basis.product_phase[b, a]
-    actions = _frame_maps(basis, a[rotated], b[rotated], commuting[rotated],
-                          signs[toggled], toggled[rotated])
-    columns = _rules(basis, a, b, commuting, signs, rotated)
+    commuting = phase[a, b] == phase[b, a]
+    big_a, big_b, e_a, e_b = idx[a], idx[b], phase[a], phase[b]
+    e = e_b.astype(np.int64) - e_a
+    partner = np.take_along_axis(big_b, big_a, axis=1)
+    overlap = np.take_along_axis(e, partner, axis=1) + e + 2 * commuting[:, None]
+    bad = (overlap % 4 != 2).any(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValueError("rotation for pair (%s, %s) failed the unitarity check"
+                         % (basis.label(a[r]), basis.label(b[r])))
+    columns = _rules(big_a, big_b, e, commuting, signs, rotated)
+
+    alpha = I_POWERS[e_a[rotated]] / np.sqrt(2.0)
+    beta = np.where(commuting[rotated], 1j, 1.0)[:, None] * I_POWERS[e_b[rotated]]
+    beta /= np.sqrt(2.0)
+    phases = np.exp(1j * signs[toggled] * np.pi / 4.0)
+    alpha[toggled[rotated]] *= phases
+    beta[toggled[rotated]] *= phases
+    rows, cols = np.arange(len(alpha))[:, None], np.arange(basis.size)
+    maps = np.zeros((len(alpha), basis.size, basis.size), dtype=complex)
+    maps[rows, big_a[rotated], cols] = alpha
+    maps[rows, big_b[rotated], cols] = beta
+    maps.flags.writeable = False
+
     configs = []
-    maps = iter(actions)
+    maps = iter(maps)
     for i, kind in enumerate(kinds):
         rule = tuple(zip(*(column[i].tolist() for column in columns)))
         if kind == "bare":
@@ -401,78 +433,27 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
                                  *columns)
 
 
-def _rules(basis, a, b, commuting, signs, rotated) -> tuple:
+def _rules(big_a, big_b, e, commuting, signs, rotated) -> tuple:
     """The readout rule of every configuration as the read-only columns
-    (A, B, c, s) of a ``ReadoutTable``, each of shape configurations x d^2.
+    (A, B, c, s) of a ``ReadoutTable``, each of shape configurations x d^2,
+    from the gathered table rows A, B and e = e_b - e_a of ``_compile``.
 
     Entry x of configuration i is (A, B, c, s), A <= B, such that the
     syndrome of x has probability (chi_AA + chi_BB)/2 + c Re chi_AB +
-    s Im chi_AB. With F_a F_x = i^{e_a} F_A and F_b F_x = i^{e_b} F_B the
-    cross term is Re(i^e chi_AB) for e = e_b - e_a, plus (s_A - s_B)/2
-    when toggled, minus 1 for a commuting pair; A > B folds via
-    chi_BA = chi_AB*. A bare row (x, x, 0, 0) reads chi_xx alone.
+    s Im chi_AB. The cross term is Re(i^e chi_AB), with e raised by
+    (s_A - s_B)/2 when toggled and lowered by 1 for a commuting pair;
+    A > B folds via chi_BA = chi_AB*. A bare row (x, x, 0, 0) reads
+    chi_xx alone.
     """
-    idx, phase = basis.product_index, basis.product_phase
-    big_a, big_b = idx[a], idx[b]
-    e = phase[b].astype(np.int64) - phase[a]
-    e += (np.take_along_axis(signs, big_a, axis=1)
-          - np.take_along_axis(signs, big_b, axis=1)) // 2
-    e = (e - commuting[:, None]) % 4
+    e = (e + (np.take_along_axis(signs, big_a, axis=1)
+              - np.take_along_axis(signs, big_b, axis=1)) // 2
+         - commuting[:, None]) % 4
     c, s = _RE_IM[0, e] * rotated[:, None], _RE_IM[1, e] * rotated[:, None]
     columns = (np.minimum(big_a, big_b), np.maximum(big_a, big_b),
                c, np.where(big_a < big_b, s, -s))
     for column in columns:
         column.flags.writeable = False
     return columns
-
-
-def _frame_maps(basis, a, b, commuting, signs, toggled) -> np.ndarray:
-    """The frame maps M of rotated and toggled configurations, read-only,
-    of shape configurations x d^2 x d^2; ``signs`` holds the rows of the
-    toggled ones.
-
-    The rotation (F_a + c F_b)/sqrt(2) has M[a.x, x] = alpha_x =
-    g_a/sqrt(2) and M[b.x, x] = beta_x = c g_b/sqrt(2), where
-    F_a F_x = g_a F_{a.x} and c is i for a commuting pair, else 1; a
-    toggle multiplies column x by e^{i theta_x}.
-    """
-    idx, phase = basis.product_index, basis.product_phase
-    alpha = I_POWERS[phase[a]] / np.sqrt(2.0)
-    beta = np.where(commuting, 1j, 1.0)[:, None] * I_POWERS[phase[b]]
-    beta /= np.sqrt(2.0)
-    _check_unitary(basis, a, b, alpha, beta)
-    phases = np.exp(1j * signs * np.pi / 4.0)
-    alpha[toggled] *= phases
-    beta[toggled] *= phases
-    rows, cols = np.arange(len(a))[:, None], np.arange(basis.size)
-    maps = np.zeros((len(a), basis.size, basis.size), dtype=complex)
-    maps[rows, idx[a], cols] = alpha
-    maps[rows, idx[b], cols] = beta
-    maps.flags.writeable = False
-    return maps
-
-
-def _check_unitary(basis, a, b, alpha, beta) -> None:
-    """M†M = I within ``DEFAULT_POLICY.rotation_unitarity`` for every
-    rotation, from its two nonzeros per column: the product can differ
-    from I only on its diagonal, |alpha_x|^2 + |beta_x|^2, and at
-    (x, x') with x' = b.a.x, where columns x and x' share both rows:
-    conj(alpha_x) beta_x' + conj(beta_x) alpha_x'. The first failing
-    pair is named. Sixteen rotations at a time, so the temporaries
-    stay O(d^2)."""
-    idx = basis.product_index
-    tol = DEFAULT_POLICY.rotation_unitarity
-    for lo in range(0, len(a), 16):
-        al, be = alpha[lo:lo + 16], beta[lo:lo + 16]
-        partner = idx[b[lo:lo + 16, None], idx[a[lo:lo + 16]]]
-        cross = (al.conj() * np.take_along_axis(be, partner, axis=1)
-                 + be.conj() * np.take_along_axis(al, partner, axis=1))
-        norm = np.abs(al) ** 2 + np.abs(be) ** 2
-        bad = ((np.abs(norm - 1.0) > tol) | (np.abs(cross) > tol)).any(axis=1)
-        if bad.any():
-            r = lo + int(np.argmax(bad))
-            raise ValueError("rotation for pair (%s, %s) failed the unitarity "
-                             "check" % (basis.label(a[r]), basis.label(b[r])))
 
 
 def derive_readouts(code: StabilizerCode, configs) -> ReadoutTable:
@@ -592,8 +573,12 @@ def plan_from_json(code: StabilizerCode, doc: dict):
     basis = code.error_basis
     # a plan repeats each label many times; parse each distinct one once
     index_of_label = functools.cache(basis.index_of_label)
+    entries = doc["configurations"]
+    # a string or an object would iterate, and "" or {} as no configurations
+    if not isinstance(entries, (list, tuple)):
+        raise TypeError('"configurations" must be a list, got %r' % (entries,))
     kinds, pairs, signs = [], [], []
-    for entry in doc["configurations"]:
+    for entry in entries:
         kind = entry["kind"]
         kinds.append(kind)
         row = [0] * code.d2
@@ -606,7 +591,11 @@ def plan_from_json(code: StabilizerCode, doc: dict):
             raise ValueError("rotation needs two distinct error indices")
         pairs.append(pair)
         if kind == "toggled":
-            for label, sign in entry["theta"].items():
+            theta = entry["theta"]
+            if not isinstance(theta, dict):
+                raise TypeError('"theta" must map error labels to signs, got %r'
+                                % (theta,))
+            for label, sign in theta.items():
                 if sign not in ("+", "-", _MINUS):
                     raise ValueError("bad theta sign %r" % sign)
                 row[index_of_label(label)] = 1 if sign == "+" else -1

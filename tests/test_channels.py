@@ -67,6 +67,23 @@ class TestBuiltinChannels:
         with pytest.raises(ValueError, match="12-qubit cap"):
             st.channel_from_json({"p": 40, "kraus": [[[[1.0, 0.0]]]]})
 
+    def test_integer_parameters_must_be_finite(self):
+        # int() of inf overflows and of nan raises its own bare message
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            for pos, name in enumerate(("seed", "qubit-count", "rank")):
+                params = [3, 1, 1]
+                params[pos] = bad
+                with pytest.raises(ValueError, match="^random-CP %s parameter must be "
+                                                     "an integer, got %r$" % (name, bad)):
+                    st.builtin_channel("random-cp", params)
+            with pytest.raises(ValueError, match="^identity qubit-count parameter must "
+                                                 "be an integer, got %r$" % bad):
+                st.builtin_channel("identity", [bad])
+        # an integer too large for a float is still an integer
+        with pytest.raises(ValueError, match="12-qubit cap"):
+            st.builtin_channel("identity", [10 ** 400])
+        assert st.builtin_channel("random-cp", [10 ** 400, 1, 2]).p == 1
+
     def test_unknown_name_lists_builtins(self):
         with pytest.raises(ValueError, match="amplitude-damping"):
             st.builtin_channel("nosuch")

@@ -1,9 +1,7 @@
 """Command-line pipeline: validate, plan, characterize."""
 
-import functools
 import hashlib
 import json
-import operator
 import os
 import subprocess
 import sys
@@ -15,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
 import syntomo as st
-from conftest import BELL2_CODE, bell_pair_generators
+from conftest import BELL2_CODE, bell_pair_generators, malformed
 from syntomo.cli import main
 
 
@@ -447,53 +445,6 @@ class TestInputBoundary:
 FUZZ_CODES = [st.code_to_json(st.builtin_code("code3")), BELL2_CODE]
 FUZZ_CHANNELS = [st.channel_to_json(st.builtin_channel("amplitude-damping", [0.2])),
                  st.channel_to_json(st.builtin_channel("random-cp", [3, 2, 2]))]
-FUZZ_LEAVES = (hs.none() | hs.booleans() | hs.integers(-3, 7)
-               | hs.floats(allow_nan=False) | hs.text(max_size=3))
-# no None and no empty container at the top: either could stand for an
-# optional field left out, and so make a valid document
-FUZZ_JUNK = (hs.booleans() | hs.integers(-3, 7) | hs.floats(allow_nan=False)
-             | hs.text(min_size=1, max_size=3)
-             | hs.lists(FUZZ_LEAVES, min_size=1, max_size=3)
-             | hs.dictionaries(hs.text(max_size=2), FUZZ_LEAVES,
-                               min_size=1, max_size=2))
-
-
-def json_kind(value):
-    for kind in (str, list, dict):
-        if isinstance(value, kind):
-            return kind
-    return None if value is None else float
-
-
-def json_nodes(doc, path):
-    """Every path into ``doc`` but to the fields that the readers ignore
-    (a code's n and k) or take as they are (a channel's label)."""
-    items = (doc.items() if isinstance(doc, dict)
-             else enumerate(doc) if isinstance(doc, list) else ())
-    yield path
-    for key, value in items:
-        if key not in ("n", "k", "label"):
-            yield from json_nodes(value, path + (key,))
-
-
-@hs.composite
-def malformed(draw, docs):
-    """A copy of one of ``docs`` with one node made wrong for sure: put a
-    value of another JSON kind there, or, for an amplitude [re, im],
-    the wrong number of items or an integer out of float range."""
-    root = [json.loads(json.dumps(draw(hs.sampled_from(docs))))]
-    path = draw(hs.sampled_from(list(json_nodes(root[0], (0,)))))
-    parent = functools.reduce(operator.getitem, path[:-1], root)
-    old = parent[path[-1]]
-    amplitude = (path[1:2] in (("codewords",), ("kraus",))
-                 and json_kind(old) is list and len(old) == 2
-                 and all(json_kind(v) is float for v in old))
-    if amplitude and draw(hs.booleans()):
-        new = draw(hs.sampled_from([[], old[:1], old + [0.0], [10 ** 400, old[1]]]))
-    else:
-        new = draw(FUZZ_JUNK.filter(lambda v: json_kind(v) != json_kind(old)))
-    parent[path[-1]] = new
-    return root[0]
 
 
 @settings(max_examples=100, deadline=None,

@@ -186,6 +186,22 @@ def test_kl_scan_peaks_below_one_register_square_matrix():
     assert c.shape == (256, 256) and residual < 1e-12
 
 
+def test_build_code_holds_the_frame_about_once():
+    # the frame is 4 MiB at bell4; stacking its 256 blocks held it twice
+    gens = bell_pair_generators(4)
+    tracemalloc.start()
+    try:
+        code = st.build_code(gens, range(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * code.frame.nbytes
+    logical = np.column_stack(code.logical_basis)
+    stacked = np.hstack([st.pauli.apply_pauli(e, logical) for e in code.error_basis.elements])
+    assert stacked.dtype == code.frame.dtype
+    assert stacked.tobytes() == code.frame.tobytes()
+
+
 class TestHammingBound:
     def test_perfect_codes(self):
         assert st.hamming_bound(3, 1, 1) == {"satisfied": True,

@@ -136,6 +136,18 @@ def test_numpy_shot_count_writes_the_same_report(code3):
     assert '"shots": 1000,' in plain
 
 
+def test_bools_are_refused():
+    # bool is an Integral, so True would sample one shot and write "shots": true
+    for shots in (True, False, np.True_):
+        message = "shots must be an integer, got %r" % (shots,)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            st.SamplingPolicy(shots, seed=1)
+    for seed in (True, False, np.False_):
+        message = "seed must be an integer in [0, 2^64 - 1], got %r" % (seed,)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            st.SamplingPolicy(10, seed=seed)
+
+
 def test_seed_must_fit_64_bits():
     # the seed is one 64-bit word of the sampler's key, used as it is
     for seed in (-1, 1 << 64, 1.0, "1"):

@@ -1,6 +1,7 @@
 """Measurement configurations, readout algebra, and reconstruction."""
 
 import ast
+import copy
 import dataclasses
 import gc
 import inspect
@@ -11,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 import syntomo as st
-from conftest import FRAME_CODES
+from conftest import FRAME_CODES, malformed
 from syntomo import densesim, pauli, protocol
 from syntomo.channels import ProcessMatrix
 
@@ -712,6 +713,18 @@ def reference_plan(code, doc):
     return out
 
 
+def dense_rotation_map(basis, a, b):
+    """The frame map of the rotation of pair (a, b), built densely from
+    the product table by ``reference_plan``'s formula, unchecked."""
+    idx, phase = basis.product_index, basis.product_phase
+    powers = np.array([1.0, 1j, -1.0, -1j])
+    cols = np.arange(basis.size)
+    m = np.zeros((basis.size, basis.size), dtype=complex)
+    m[idx[a], cols] = powers[phase[a]]
+    m[idx[b], cols] = (1j if phase[a, b] == phase[b, a] else 1.0) * powers[phase[b]]
+    return m / np.sqrt(2.0)
+
+
 def pair_plan(code, pairs, rng):
     """A rotated and a toggled configuration, with random balanced
     signs, per pair (a, b)."""
@@ -791,6 +804,39 @@ class TestCompiledPlan:
                                              r"failed the unitarity check$"):
             st.plan_from_json(broken, doc)
 
+    def test_exact_check_equals_the_dense_one(self, code3, code5):
+        # every product_phase entry of code3 shifted by 1, 2 and 3, 60
+        # seeded (entry, shift) draws on code5, and both tables intact
+        rng = np.random.default_rng(41)
+        cases = [(code3, i, j, shift) for i in range(4) for j in range(4)
+                 for shift in (1, 2, 3)]
+        cases += [(code5, k // 48, k // 3 % 16, k % 3 + 1)
+                  for k in rng.choice(16 * 16 * 3, 60, replace=False).tolist()]
+        cases += [(code3, 0, 0, 0), (code5, 0, 0, 0)]
+        failed = 0
+        for code, i, j, shift in cases:
+            basis = code.error_basis
+            phase = basis.product_phase.copy()
+            phase[i, j] = (phase[i, j] + shift) % 4
+            phase.flags.writeable = False
+            broken = dataclasses.replace(
+                code, error_basis=dataclasses.replace(basis, product_phase=phase))
+            pairs = [(a, b) for a in range(code.d2) for b in range(code.d2) if a != b]
+            doc = {"configurations": [{"kind": "bare"}] + [
+                {"kind": "rotated", "a": basis.label(a), "b": basis.label(b)}
+                for a, b in pairs]}
+            maps = [dense_rotation_map(broken.error_basis, a, b) for a, b in pairs]
+            bad = [pair for pair, m in zip(pairs, maps)
+                   if np.abs(m.conj().T @ m - np.eye(code.d2)).max() > 1e-12]
+            if not bad:
+                st.plan_from_json(broken, doc)
+                continue
+            failed += 1
+            message = ("rotation for pair (%s, %s) failed the unitarity check"
+                       % tuple(map(basis.label, bad[0])))
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                st.plan_from_json(broken, doc)
+        assert failed == len(cases) - 2
 
     @pytest.mark.parametrize("entry, message", [
         ({"kind": "rotated", "a": "X", "b": "X"},
@@ -808,6 +854,39 @@ class TestCompiledPlan:
         doc = {"configurations": [{"kind": "bare"}, entry]}
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             st.plan_from_json(code3, doc)
+
+
+# valid documents for the plan fuzz: the default plans of code3 and code5
+PLAN_DOCS = {name: st.plan_to_json(code, st.plan_configurations(code)[0])
+             for name, code in (("code3", st.builtin_code("code3")),
+                                ("code5", st.builtin_code("code5")))}
+
+
+@hs.composite
+def malformed_plan(draw):
+    """(code name, its plan document with one node made wrong)."""
+    name = draw(hs.sampled_from(sorted(PLAN_DOCS)))
+    return name, draw(malformed([PLAN_DOCS[name]]))
+
+
+def with_theta(value):
+    """code3's plan with the first toggled entry's theta set to ``value``."""
+    doc = copy.deepcopy(PLAN_DOCS["code3"])
+    doc["configurations"][2]["theta"] = value
+    return "code3", doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=malformed_plan())
+@example(case=with_theta(["+", "-", "-", "+"]))
+@example(case=with_theta("+--+"))
+@example(case=with_theta(None))
+@example(case=("code3", {"configurations": ""}))
+def test_fuzzed_plans_raise_only_schema_errors(code3, code5, case):
+    name, doc = case
+    code = {"code3": code3, "code5": code5}[name]
+    with pytest.raises((KeyError, TypeError, ValueError)):
+        st.plan_from_json(code, doc)
 
 
 class TestReconstruct:
@@ -1118,6 +1197,36 @@ class TestRecovery:
         for shape in ((4,), (16,), (8, 4), (16, 16), (8, 8, 1)):
             with pytest.raises(ValueError, match="expected a state vector"):
                 st.recover(np.zeros(shape), code3, (0, 1))
+
+
+@pytest.mark.parametrize("name", ["code3", "code5", "nonperfect4", "bell2-tail"])
+def test_recovery_after_channel_and_configuration(name):
+    """The paper's on-line claim: under any configuration of the default
+    plan, every syndrome outcome of a noisy encoded state is corrected
+    back to it. Dense oracle: channel, then the configuration's U, then
+    the syndrome's projector branch and ``recover`` on the density matrix."""
+    code = FRAME_CODES[name]()
+    psi = st.encode(code, (0.6, 0.8j))
+    p = len(code.noisy_coords)
+    channel = st.builtin_channel("random-cp", [19, p, 3])
+    rho = st.apply_channel(st.outer(psi), channel.kraus, code.noisy_coords)
+    projectors = {syn: st.syndrome_projector(code, syn) for syn in code.syndrome_table}
+    configs, _ = st.plan_configurations(code)
+    branches = 0
+    for cfg in configs:
+        rho_u = rho if cfg.kind == "bare" else st.apply_unitary(rho, dense_unitary(code, cfg))
+        total = 0.0
+        for syn, proj in projectors.items():
+            branch = proj @ rho_u @ proj
+            prob = np.trace(branch).real
+            total += prob
+            if prob <= 1e-12:
+                continue
+            fixed = st.recover(branch / prob, code, syn)
+            assert np.vdot(psi, fixed @ psi).real >= 1 - 1e-10, (cfg.index, syn)
+            branches += 1
+        assert abs(total - 1.0) < 1e-10
+    assert branches > len(configs)
 
 
 def test_plan_from_json_parses_each_label_once(code5, monkeypatch):
