@@ -198,6 +198,9 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
 
 
 def _int_param(name: str, value) -> int:
+    # bool is an Integral and np.bool_ converts by float(): neither is a count
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError("%s parameter must be an integer, got %r" % (name, value))
     if isinstance(value, numbers.Integral):
         return int(value)
     # int() raises OverflowError on inf and a bare ValueError on nan

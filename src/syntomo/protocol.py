@@ -20,8 +20,12 @@ element P. Identity commutes with everything, so one uniform unitary
 form applies, and x -> index(P F_x) is a fixed-point-free pairing whose
 two-coloring (+pi/4 to the smaller index of each pair) satisfies the
 equal-sign requirement. One bare configuration plus a rotated and a
-toggled configuration per P meets the 1 + 2(d^2 - 1) bound, and every
-off-diagonal entry is determined twice over for cross-checking.
+toggled configuration per P gives 1 + 2(d^2 - 1) configurations, one
+more than the paper's bound of 2(d^2 - 1): the bare one is redundant,
+since under a non-bare (a, b) the syndromes of x and b.a.x have
+probabilities summing to chi_AA + chi_BB, and these sums fix the
+diagonal. Every off-diagonal entry is determined twice over for
+cross-checking.
 
 Simulation never leaves the syndrome frame F_x|j_L>: a configuration
 acts there as a d^2 x d^2 map on error indices (F_a F_x = g F_{a.x},
@@ -114,17 +118,15 @@ class MeasurementRecord:
         ints in sampled mode; of a repeated syndrome the last column."""
         return dict(zip(self.syndromes, self.row.tolist()))
 
-    # {syndrome: value}, built by the first ``value`` call
-    _estimates = None
+    @functools.cached_property
+    def _estimates(self) -> dict:
+        """{syndrome: probability estimate}, built by the first ``value`` call."""
+        row = self.row if self.shots is None else self.row / float(self.shots)
+        return dict(zip(self.syndromes, row.tolist()))
 
     def value(self, syndrome) -> float:
         """Probability estimate for one syndrome; 0.0 when it is absent."""
-        estimates = self._estimates
-        if estimates is None:
-            row = self.row if self.shots is None else self.row / float(self.shots)
-            estimates = dict(zip(self.syndromes, row.tolist()))
-            object.__setattr__(self, "_estimates", estimates)
-        return estimates.get(syndrome, 0.0)
+        return self._estimates.get(syndrome, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,21 +292,20 @@ def _last_frame_block(code: StabilizerCode, beta, channel: Channel) -> np.ndarra
     The code and channel are matched by identity through weak
     references, so the memo keeps neither alive; both are immutable,
     since ``StabilizerCode`` and ``Channel`` store read-only arrays. The
-    amplitudes are matched bit for bit after the conversion ``encode``
-    makes, so a changed sign of zero is a miss. A call that fails a gate
+    amplitudes are converted to complex once, as ``encode`` would, and
+    matched bit for bit, so a changed sign of zero is a miss. A call that fails a gate
     stores nothing and fails again next time. A loop of ``xi_simulated``
     calls over one plan thus pays the per-channel work once.
     """
     global _last_block
-    last = _last_block
-    if last is not None and last[0]() is code and last[1]() is channel:
-        amps = np.asarray(beta, dtype=complex)
-        if last[2] == (amps.shape, amps.tobytes()):
-            return last[3]
-    block = _frame_block(code, beta, channel)
     amps = np.asarray(beta, dtype=complex)
-    _last_block = (weakref.ref(code), weakref.ref(channel),
-                   (amps.shape, amps.tobytes()), block)
+    key = (amps.shape, amps.tobytes())
+    last = _last_block
+    if (last is not None and last[0]() is code and last[1]() is channel
+            and last[2] == key):
+        return last[3]
+    block = _frame_block(code, amps, channel)
+    _last_block = (weakref.ref(code), weakref.ref(channel), key, block)
     return block
 
 
@@ -319,9 +320,16 @@ def _frame_block(code: StabilizerCode, beta, channel: Channel) -> np.ndarray:
     ops = np.stack(channel.kraus).reshape(-1, channel.dim)
     if np.linalg.eigvalsh(ops.conj().T @ ops).max() > 1.0 + DEFAULT_POLICY.algebraic:
         raise ValueError("Kraus completeness sum exceeds identity")
-    gather, scatter = _noisy_first(code.n, code.noisy_coords[:channel.p])
-    branches = ops @ psi[gather].reshape(channel.dim, -1)
-    branches = branches.reshape(len(channel.kraus), -1)[:, scatter]
+    # psi's qubit axes with the noisy ones leading, in their order, and
+    # the others after them ascending, so one product applies every
+    # Kraus operator; then axis 0 is the Kraus index and the qubit axes
+    # go back to register order
+    noisy = code.noisy_coords[:channel.p]
+    order = noisy + tuple(q for q in range(code.n) if q not in noisy)
+    view = psi.reshape((2,) * code.n).transpose(order)
+    branches = (ops @ view.reshape(channel.dim, -1)).reshape((-1,) + view.shape)
+    branches = branches.transpose((0,) + tuple(1 + order.index(q) for q in range(code.n)))
+    branches = branches.reshape(len(channel.kraus), -1)
     coeffs = code.frame.conj().T @ branches.T
     defect = abs(np.vdot(branches, branches).real - np.vdot(coeffs, coeffs).real)
     if not defect <= DEFAULT_POLICY.algebraic:
@@ -330,22 +338,6 @@ def _frame_block(code: StabilizerCode, beta, channel: Channel) -> np.ndarray:
     block = coeffs.reshape(code.d2, -1)
     block.flags.writeable = False
     return block
-
-
-@functools.lru_cache(maxsize=32)
-def _noisy_first(n: int, coords: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(gather, scatter), read-only: ``psi[gather]`` orders the 2^n
-    amplitudes with the qubits ``coords`` as the most significant bits,
-    in that order, and the other qubits after them in ascending order,
-    so a p-qubit operator acts on the 2^p x 2^(n-p) reshape by one
-    product; ``v[scatter]`` restores the register order."""
-    order = list(coords) + [q for q in range(n) if q not in coords]
-    gather = np.arange(1 << n).reshape((2,) * n).transpose(order).ravel()
-    scatter = np.empty_like(gather)
-    scatter[gather] = np.arange(gather.size)
-    gather.flags.writeable = False
-    scatter.flags.writeable = False
-    return gather, scatter
 
 
 def xi_simulated(code: StabilizerCode, beta, channel: Channel,

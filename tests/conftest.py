@@ -54,10 +54,16 @@ FRAME_CODES = {
 }
 
 
+@functools.cache
+def built_frame_code(name):
+    """``FRAME_CODES[name]``, built once, for tests that draw a code by name."""
+    return FRAME_CODES[name]()
+
+
 @pytest.fixture(scope="session", params=sorted(FRAME_CODES))
 def frame_code(request):
     """Codes for frame checks: perfect, non-perfect, p=3, reordered."""
-    return FRAME_CODES[request.param]()
+    return built_frame_code(request.param)
 
 
 @pytest.fixture

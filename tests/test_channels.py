@@ -1,5 +1,7 @@
 """Channel constructors and the chi-matrix transforms they feed."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,19 @@ class TestBuiltinChannels:
         with pytest.raises(ValueError, match="12-qubit cap"):
             st.builtin_channel("identity", [10 ** 400])
         assert st.builtin_channel("random-cp", [10 ** 400, 1, 2]).p == 1
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_],
+                             ids=["True", "False", "np.True_", "np.False_"])
+    def test_integer_parameters_refuse_bools(self, flag):
+        for pos, name in enumerate(("seed", "qubit-count", "rank")):
+            params = [3, 1, 1]
+            params[pos] = flag
+            with pytest.raises(ValueError, match="^%s$" % re.escape(
+                    "random-CP %s parameter must be an integer, got %r" % (name, flag))):
+                st.builtin_channel("random-cp", params)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "identity qubit-count parameter must be an integer, got %r" % flag)):
+            st.builtin_channel("identity", [flag])
 
     def test_unknown_name_lists_builtins(self):
         with pytest.raises(ValueError, match="amplitude-damping"):

@@ -1,14 +1,18 @@
 """Built-in codes, code construction, and syndrome machinery."""
 
 import dataclasses
+import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import syntomo as st
-from conftest import BELL2_CODE, FRAME_CODES, bell_pair_generators
+from conftest import BELL2_CODE, FRAME_CODES, bell_pair_generators, built_frame_code
+from syntomo import jsonio
 
 
 def ket(n, *indices_and_signs):
@@ -333,6 +337,29 @@ class TestBuildCode:
         assert again.syndrome_table == code5.syndrome_table
         np.testing.assert_allclose(code_projector(again),
                                    code_projector(code5), atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=hs.sampled_from(sorted(FRAME_CODES)), seed=hs.integers(0, 2 ** 32 - 1),
+           data=hs.data())
+    def test_json_text_round_trip(self, name, seed, data):
+        """code_to_json, jsonio text and code_from_json give the same code:
+        equal frame values (a zero amplitude may lose its sign, since
+        -0.0 is written as -0) and simulate records equal bit for bit."""
+        code = built_frame_code(name)
+        again = st.code_from_json(json.loads(jsonio.dumps(st.code_to_json(code))))
+        assert again.generators == code.generators
+        assert again.noisy_coords == code.noisy_coords
+        assert again.syndrome_table == code.syndrome_table
+        assert np.array_equal(again.frame, code.frame)
+        width = data.draw(hs.integers(1, len(code.noisy_coords)), label="width")
+        rank = data.draw(hs.integers(1, 3), label="rank")
+        channel = st.builtin_channel("random-cp", [seed, width, rank])
+        beta = (1, 1j) @ np.random.default_rng(seed).normal(size=(2, 1 << code.k))
+        beta /= np.linalg.norm(beta)
+        rows = [[rec.row.tobytes() for rec in st.simulate(
+                    c, beta, channel, st.plan_configurations(c)[0])]
+                for c in (code, again)]
+        assert rows[0] == rows[1]
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="code3, code5"):

@@ -1,6 +1,8 @@
 """Phase-exact Pauli algebra against dense matrices."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +167,18 @@ def test_apply_matches_the_dense_matrix_bit_for_bit(rng):
                     np.testing.assert_array_equal(apply_pauli(p, vec), m @ vec)
                     np.testing.assert_array_equal(apply_pauli(p, stack),
                                                   m @ stack)
+
+
+def test_numpy_floor_has_bitwise_count():
+    """The declared numpy floor admits no release without np.bitwise_count,
+    which ``apply_pauli`` and the product table read signs through. A
+    regex, since tomllib needs Python 3.11."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', pyproject.read_text(encoding="utf-8"))
+    assert floor is not None, "pyproject.toml declares no numpy floor"
+    assert tuple(map(int, floor.groups())) >= (2, 0), (
+        "numpy>=%s.%s admits numpy 1.x, which has no np.bitwise_count (new in 2.0)"
+        % floor.groups())
 
 
 def test_apply_rejects_a_wrong_length():

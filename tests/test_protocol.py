@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import gc
 import inspect
+import json
 import re
 import sys
 import weakref
@@ -16,8 +17,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 import syntomo as st
-from conftest import FRAME_CODES, malformed
-from syntomo import densesim, pauli, protocol
+from conftest import FRAME_CODES, built_frame_code, malformed
+from syntomo import densesim, jsonio, pauli, protocol
 from syntomo.channels import ProcessMatrix
 
 
@@ -747,6 +748,32 @@ def some_pairs(code, rng, count):
     return [pairs[i] for i in rng.choice(len(pairs), count, replace=False)]
 
 
+@settings(max_examples=30, deadline=None)
+@given(name=hs.sampled_from(sorted(FRAME_CODES)), seed=hs.integers(0, 2 ** 32 - 1),
+       count=hs.integers(1, 6))
+def test_pair_plan_json_text_round_trip(name, seed, count):
+    """plan_to_json, jsonio text and plan_from_json rebuild a random pair
+    plan bit for bit: descriptors, rules, frame maps and table columns."""
+    code = built_frame_code(name)
+    rng = np.random.default_rng(seed)
+    pairs = some_pairs(code, rng, count)
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))[:count]]
+    configs, readouts = st.plan_from_json(code, pair_plan(code, pairs, rng))
+    text = jsonio.dumps(st.plan_to_json(code, configs))
+    again, again_readouts = st.plan_from_json(code, json.loads(text))
+
+    def described(cfg):
+        action = None if cfg.action is None else (cfg.action.dtype, cfg.action.tobytes())
+        return cfg.index, cfg.kind, cfg.a, cfg.b, cfg.theta_signs, cfg.rule, action
+
+    assert list(map(described, again)) == list(map(described, configs))
+    assert again_readouts.syndromes == readouts.syndromes
+    assert again_readouts.configs == readouts.configs
+    for field in ("a_index", "b_index", "coeff_re", "coeff_im"):
+        column, want = getattr(again_readouts, field), getattr(readouts, field)
+        assert column.dtype == want.dtype and np.array_equal(column, want)
+
+
 class TestCompiledPlan:
     """The one-pass compile against per-configuration construction."""
 
@@ -1227,6 +1254,30 @@ def test_recovery_after_channel_and_configuration(name):
             branches += 1
         assert abs(total - 1.0) < 1e-10
     assert branches > len(configs)
+
+
+def test_non_bare_configurations_fix_the_diagonal(frame_code):
+    """The paper's bound is 2(d^2 - 1) configurations; the default plan's
+    bare one is redundant. Under a rotated or toggled (a, b), syndromes x
+    and x' = b.a.x read p_x + p_x' = chi_AA + chi_BB with A = a.x and
+    B = b.x, and over the non-bare configurations these sums fix chi's
+    diagonal."""
+    code = frame_code
+    channel = st.builtin_channel("random-cp", [23, len(code.noisy_coords), 3])
+    configs, _, records = exact_records(code, channel, (0.6, 0.8j))
+    idx, eye = code.error_basis.product_index, np.eye(code.d2)
+    system, sums = [], []
+    for cfg, rec in zip(configs, records):
+        if cfg.kind != "bare":
+            big_a, big_b = idx[cfg.a], idx[cfg.b]
+            system.append(eye[big_a] + eye[big_b])
+            sums.append(rec.row + rec.row[big_b[big_a]])
+    system, sums = np.concatenate(system), np.concatenate(sums)
+    assert system.shape == (2 * (code.d2 - 1) * code.d2, code.d2)
+    assert np.linalg.matrix_rank(system) == code.d2
+    diag = np.linalg.lstsq(system, sums, rcond=None)[0]
+    oracle = st.chi_from_kraus(channel, code.error_basis).entries.diagonal().real
+    assert np.abs(diag - oracle).max() < 1e-12
 
 
 def test_plan_from_json_parses_each_label_once(code5, monkeypatch):
