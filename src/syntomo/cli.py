@@ -102,10 +102,12 @@ def _parse_beta(text: str) -> np.ndarray:
 
 
 def _emit(report: dict, text_lines, args) -> None:
+    """Write the report as JSON, or as the lines ``text_lines(report)``
+    in text mode; the lines are formed only there."""
     if args.format == "json":
         payload = jsonio.dumps(report)
     else:
-        payload = "\n".join(text_lines) + "\n"
+        payload = "\n".join(text_lines(report)) + "\n"
     # a file name that is not valid UTF-8 reaches the text as lone
     # surrogates; surrogateescape writes its original bytes back
     if args.out:
@@ -145,32 +147,40 @@ def _cmd_validate(args) -> int:
         "hamming": bound,
         "pass": True,
     }
+    _emit(report, _validate_lines, args)
+    return 0
+
+
+def _validate_lines(report: dict) -> list:
+    bound = report["hamming"]
     lines = [
         "code: %s  [[%d,%d]] with %d noisy coordinate(s)"
-        % (args.code, code.n, code.k, len(code.noisy_coords)),
+        % (report["code"], report["n"], report["k"], len(report["noisy_coords"])),
         "generators commute: yes",
-        "error-correcting condition residual: %.3g" % residual,
-        "syndrome table: %d distinct syndromes" % code.d2,
+        "error-correcting condition residual: %.3g" % report["kl_residual"],
+        "syndrome table: %d distinct syndromes" % report["syndrome_count"],
     ]
-    for label, bits in syndromes.items():
+    for label, bits in report["syndromes"].items():
         lines.append("  %-4s -> %s" % (label, bits))
     lines.append("hamming bound: %s%s"
                  % ("satisfied" if bound["satisfied"] else "violated",
                     ", perfect" if bound["perfect"] else ""))
-    _emit(report, lines, args)
-    return 0
+    return lines
 
 
 def _cmd_plan(args) -> int:
     code = _resolve_code(args.code)
     configs, _ = plan_configurations(code)
-    doc = plan_to_json(code, configs)
-    lines = ["%d configurations" % len(configs)]
-    lines += ["  bare" if e["kind"] == "bare"
-              else "  %s (a=%s, b=%s)" % (e["kind"], e["a"], e["b"])
-              for e in doc["configurations"]]
-    _emit(doc, lines, args)
+    _emit(plan_to_json(code, configs), _plan_lines, args)
     return 0
+
+
+def _plan_lines(doc: dict) -> list:
+    entries = doc["configurations"]
+    return ["%d configurations" % len(entries)] + [
+        "  bare" if e["kind"] == "bare"
+        else "  %s (a=%s, b=%s)" % (e["kind"], e["a"], e["b"])
+        for e in entries]
 
 
 def _cmd_characterize(args) -> int:
@@ -205,37 +215,43 @@ def _cmd_characterize(args) -> int:
                   "max_residual": worst}
                  for cfg, worst in zip(result.configs, result.residuals)]
 
-    labels = [code.error_basis.label(i) for i in range(code.d2)]
-    chi_json = [[[float(v.real), float(v.imag)] for v in row]
-                for row in chi_est.entries]
+    entries = chi_est.entries
     report = {
         "code": args.code,
         "channel": channel.label,
         "mode": args.mode,
         "shots": args.shots if args.mode == "sampled" else None,
         "seed": args.seed if args.mode == "sampled" else None,
-        "basis": labels,
-        "chi": chi_json,
+        "basis": list(code.error_basis.labels),
+        # [re, im] pairs as Python floats, negative zeros kept
+        "chi": np.stack((entries.real, entries.imag), -1).tolist(),
         "validity": validity_report(chi_est),
         "residuals": residuals,
     }
-    lines = [
-        "channel: %s on %s (%s mode)" % (channel.label, args.code, args.mode),
-        "chi diagonal: " + ", ".join(
-            "%s=%.6g" % (lab, chi_est.entries[i, i].real)
-            for i, lab in enumerate(labels)),
-        "validity: trace %.6g, min eigenvalue %.3g, hermiticity defect %.3g"
-        % (report["validity"]["trace"], report["validity"]["min_eigenvalue"],
-           report["validity"]["hermiticity_defect"]),
-    ]
     if have_oracle:
         oracle = chi_from_kraus(channel, code.error_basis)
-        err = compare(chi_est, oracle)
-        report["error_report"] = dataclasses.asdict(err)
-        lines.append("error vs oracle: frobenius %.3g, max entry %.3g"
-                     % (err.frobenius_error, err.max_entry_error))
-    _emit(report, lines, args)
+        report["error_report"] = dataclasses.asdict(compare(chi_est, oracle))
+    _emit(report, _characterize_lines, args)
     return 0
+
+
+def _characterize_lines(report: dict) -> list:
+    validity = report["validity"]
+    lines = [
+        "channel: %s on %s (%s mode)" % (report["channel"], report["code"],
+                                         report["mode"]),
+        "chi diagonal: " + ", ".join(
+            "%s=%.6g" % (lab, report["chi"][i][i][0])
+            for i, lab in enumerate(report["basis"])),
+        "validity: trace %.6g, min eigenvalue %.3g, hermiticity defect %.3g"
+        % (validity["trace"], validity["min_eigenvalue"],
+           validity["hermiticity_defect"]),
+    ]
+    if "error_report" in report:
+        err = report["error_report"]
+        lines.append("error vs oracle: frobenius %.3g, max entry %.3g"
+                     % (err["frobenius_error"], err["max_entry_error"]))
+    return lines
 
 
 @functools.cache

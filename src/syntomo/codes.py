@@ -9,9 +9,11 @@ rejects the code unless the frame is orthonormal: with distinct
 syndromes that is the error-correcting condition with C = I. The
 check, and ``kl_scan``, read the frame's Gram matrix off d² blocks of
 2^k x 2^k (``_overlap_blocks``). Pauli words act on vectors as signed
-permutations (``apply_pauli``), and a logical basis that is not given
-is derived by applying the generator projectors to a fixed 2^n x 2^k
-block, so no 2^n x 2^n matrix is formed.
+permutations: the frame and the stabilizer check gather the images of
+all their words at once (``pauli._apply_words``), and the syndrome
+table is a popcount over the words' mask arrays. A logical basis that
+is not given is derived by applying the generator projectors to a
+fixed 2^n x 2^k block, so no 2^n x 2^n matrix is formed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .pauli import (
     MATRIX_QUBIT_CAP,
     ErrorBasis,
     PauliOperator,
+    _anticommuting,
+    _apply_words,
+    _register_masks,
     apply_pauli,
     commutes,
     enumerate_error_basis,
@@ -101,10 +106,6 @@ def _symplectic_rank(generators) -> int:
         bit = 1 << (pivot.bit_length() - 1)
         rows = [r ^ pivot if r & bit else r for r in rows]
         rank += 1
-
-
-def _syndrome_bits(error: PauliOperator, generators) -> Syndrome:
-    return tuple(0 if commutes(error, g) else 1 for g in generators)
 
 
 def _lead_real(v: np.ndarray) -> np.ndarray:
@@ -183,6 +184,9 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
         Non-commuting, dependent or non-Hermitian generators, a basis
         that is not orthonormal or not stabilized, a syndrome
         collision, or failure of the error-correcting condition.
+    TypeError
+        A noisy coordinate that is not an integer, such as ``True``,
+        ``1.0``, or a character of the string ``"01"``.
     """
     gens = tuple(g if isinstance(g, PauliOperator) else pauli_from_string(g)
                  for g in generators)
@@ -198,12 +202,14 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
     for g in gens:
         if not g.is_hermitian:
             raise ValueError("generator %s is not Hermitian" % pauli_to_string(g))
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not commutes(gens[i], gens[j]):
-                raise ValueError("generators %s and %s do not commute"
-                                 % (pauli_to_string(gens[i]),
-                                    pauli_to_string(gens[j])))
+    gen_masks = _register_masks(gens)
+    # symmetric with a zero diagonal, so the first nonzero entry in row
+    # order is the first anticommuting pair i < j
+    first, second = np.nonzero(_anticommuting(gen_masks, gen_masks))
+    if first.size:
+        raise ValueError("generators %s and %s do not commute"
+                         % (pauli_to_string(gens[first[0]]),
+                            pauli_to_string(gens[second[0]])))
     if _symplectic_rank(gens) != len(gens):
         raise ValueError("generators are not independent")
     k = n - len(gens)
@@ -229,32 +235,36 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
                         for op in (logical_ops["X"], logical_ops["Z"]))
         basis_states = _derive_logical_basis(gens, k, ops)
 
+    dim = 1 << k
     logical = np.column_stack(basis_states)
-    gap = np.abs(logical.conj().T @ logical - np.eye(1 << k)).max()
+    gap = np.abs(logical.conj().T @ logical - np.eye(dim)).max()
     if not gap <= DEFAULT_POLICY.orthonormality:  # NaN fails
         raise ValueError("states are not orthonormal")
-    for g in gens:
-        if not np.abs(apply_pauli(g, logical) - logical).max() <= DEFAULT_POLICY.algebraic:
-            raise ValueError("codeword is not stabilized by %s"
-                             % pauli_to_string(g))
+    # every generator's image of the basis, gathered at once; NaN fails
+    images = np.empty((1 << n, len(gens), dim), dtype=complex)
+    _apply_words(gen_masks, logical, images)
+    stabilized = np.abs(images - logical[:, None]).max(axis=(0, 2)) <= DEFAULT_POLICY.algebraic
+    if not stabilized.all():
+        raise ValueError("codeword is not stabilized by %s"
+                         % pauli_to_string(gens[int(np.argmin(stabilized))]))
 
     error_basis = enumerate_error_basis(n, noisy_coords)
-    table = tuple(_syndrome_bits(e, gens) for e in error_basis.elements)
-    index = {}
-    for i, syn in enumerate(table):
-        if syn in index:
-            raise ValueError(
-                "syndrome collision: errors %s and %s share syndrome %s"
-                % (error_basis.label(index[syn]), error_basis.label(i), syn))
-        index[syn] = i
+    error_masks = _register_masks(error_basis.elements)
+    # bit j of error i's syndrome is 1 when it anticommutes with generator j
+    table = tuple(map(tuple, _anticommuting(error_masks, gen_masks).tolist()))
+    # the first error of each syndrome
+    index = dict(zip(table[::-1], range(len(table) - 1, -1, -1)))
+    if len(index) != len(table):
+        i = next(i for i, syn in enumerate(table) if index[syn] != i)
+        raise ValueError(
+            "syndrome collision: errors %s and %s share syndrome %s"
+            % (error_basis.label(index[table[i]]), error_basis.label(i), table[i]))
 
     # with distinct syndromes, an orthonormal frame is the
-    # error-correcting condition with C = I
-    # filled one block at a time, so the blocks are never all held at once
-    dim = 1 << k
+    # error-correcting condition with C = I; the words' images are
+    # written into it in place, so they are never all held twice
     frame = np.empty((1 << n, error_basis.size * dim), dtype=complex)
-    for i, e in enumerate(error_basis.elements):
-        frame[:, i * dim:(i + 1) * dim] = apply_pauli(e, logical)
+    _apply_words(error_masks, logical, frame.reshape(1 << n, error_basis.size, dim))
     residual = _frame_gap(frame, dim)
     if not residual <= DEFAULT_POLICY.kl_residual:
         raise ValueError("error-correcting condition fails with residual %g"
@@ -265,7 +275,7 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
         array.flags.writeable = False
     return StabilizerCode(
         n=n, k=k, generators=gens, logical_basis=basis_states,
-        noisy_coords=tuple(noisy_coords), error_basis=error_basis,
+        noisy_coords=error_basis.coords, error_basis=error_basis,
         syndrome_table=table, syndrome_index=index, frame=frame,
     )
 
@@ -355,21 +365,23 @@ def builtin_code(name: str) -> StabilizerCode:
     raise ValueError("unknown code name %r; known names: code3, code5" % name)
 
 
-def _ket(bits: str) -> np.ndarray:
-    v = np.zeros(1 << len(bits), dtype=complex)
-    v[int(bits, 2)] = 1.0
+def _kets(terms: str) -> np.ndarray:
+    """The sum of the signed basis kets in ``terms``, such as
+    "+001 -110", written into one vector."""
+    terms = terms.split()
+    v = np.zeros(1 << (len(terms[0]) - 1), dtype=complex)
+    v[[int(t[1:], 2) for t in terms]] = [1.0 if t[0] == "+" else -1.0 for t in terms]
     return v
 
 
 def _three_qubit_codewords() -> tuple:
-    zero = (_ket("001") + _ket("010") + _ket("100") + _ket("111")) / 2.0
-    one = (_ket("110") - _ket("101") + _ket("011") - _ket("000")) / 2.0
+    zero = _kets("+001 +010 +100 +111") / 2.0
+    one = _kets("+110 -101 +011 -000") / 2.0
     return (zero, one)
 
 
 def _five_qubit_codewords() -> tuple:
-    zero = (_ket("00000") + _ket("00110") + _ket("01001") - _ket("01111")
-            - _ket("10011") + _ket("10101") + _ket("11010") + _ket("11100"))
+    zero = _kets("+00000 +00110 +01001 -01111 -10011 +10101 +11010 +11100")
     zero = zero / (2.0 * np.sqrt(2.0))
     return (zero, apply_pauli(pauli_from_string("XXXXX"), zero))
 

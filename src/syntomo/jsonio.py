@@ -5,9 +5,9 @@ IEEE doubles losslessly and keeps reports byte-stable across runs. A
 list of floats, or of equal-length float lists such as a row of chi,
 is rendered by one ``%`` of a cached template over all its values, and
 so is a list of flat dicts with the same keys and value types, such as
-a report's residual rows. numpy integers and bools render as ints and
-bools. Input files write a complex amplitude as a pair ``[re, im]``
-(``complex_from_pair``).
+a report's residual rows, and a flat dict alone. numpy integers and
+bools render as ints and bools. Input files write a complex amplitude
+as a pair ``[re, im]`` (``complex_from_pair``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 import math
 import numbers
 import re
-from itertools import chain, repeat
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -38,6 +38,8 @@ def _quote(text: str) -> str:
     """JSON string literal; quotes, backslashes, U+0000-U+001F and lone
     surrogates (U+D800-U+DFFF, as a non-UTF-8 file name decodes to)
     escaped, so the text encodes as UTF-8."""
+    if _SPECIAL.search(text) is None:
+        return '"' + text + '"'
     return '"' + _SPECIAL.sub(
         lambda m: _SHORT.get(m.group(), "\\u%04x" % ord(m.group())), text) + '"'
 
@@ -93,6 +95,13 @@ def _dicts(seq, indent: int) -> str | None:
     list of non-empty dicts with the same string keys in the same order
     and values of the same types, each an int, finite float, str, bool
     or None (the item-by-item path then renders it, or raises)."""
+    rows = _dict_rows(seq, indent)
+    return None if rows is None else "[\n" + rows + "\n" + "  " * indent + "]"
+
+
+def _dict_rows(seq, indent: int) -> str | None:
+    """The dicts of ``seq`` as the items of a list at nesting depth
+    ``indent``, one per line, or None as for ``_dicts``."""
     first = seq[0]
     if type(first) is not dict or not first or set(map(type, seq)) != {dict}:
         return None
@@ -104,20 +113,21 @@ def _dicts(seq, indent: int) -> str | None:
     values = list(chain.from_iterable(map(dict.values, seq)))
     if list(map(type, values)) != list(kinds) * len(seq):
         return None
-    width = len(keys)
-    for j, kind in enumerate(kinds):
-        column = values[j::width]
+    cells = []
+    # the rows repeat few strings: quote each once
+    quoted = {}
+    for value, kind in zip(values, cycle(kinds)):
         if kind is float:
-            if not all(map(math.isfinite, column)):
+            if not math.isfinite(value):
                 return None
         elif kind is str:
-            # a column repeats few strings: quote each once
-            quoted = {text: _quote(text) for text in set(column)}
-            values[j::width] = map(quoted.__getitem__, column)
+            if value not in quoted:
+                quoted[value] = _quote(value)
+            value = quoted[value]
         elif kind is not int:
-            values[j::width] = map(_CONVERT[kind], column)
-    rows = ",\n".join([_dict_row(indent, keys, kinds)] * len(seq))
-    return "[\n" + rows % tuple(values) + "\n" + "  " * indent + "]"
+            value = _CONVERT[kind](value)
+        cells.append(value)
+    return ",\n".join([_dict_row(indent, keys, kinds)] * len(seq)) % tuple(cells)
 
 
 def _render(obj, indent: int, out: list) -> None:
@@ -150,6 +160,12 @@ def _render(obj, indent: int, out: list) -> None:
     elif kind is dict:
         if not obj:
             out.append("{}")
+            return
+        # a flat dict is the one row of a list one level up, less the
+        # row's indentation
+        text = _dict_rows((obj,), indent - 1)
+        if text is not None:
+            out.append(text[2 * indent:])
             return
         out.append("{\n")
         items = list(obj.items())

@@ -12,12 +12,14 @@ under the convention Y = i X Z, with the i absorbed into ``phase_exp``.
 With this layout, multiplication reduces to mask XOR plus exact integer
 phase bookkeeping, commutation to a symplectic inner product, and the
 action on a state vector to a signed permutation of its amplitudes
-(``apply_pauli``). The dense matrix form (``to_matrix``) is for the
-tests' oracle.
+(``apply_pauli``, the one-word case of ``_apply_words``, which gathers
+the images of many words at once). The dense matrix form
+(``to_matrix``) is for the tests' oracle.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,35 +119,76 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     return s % 2 == 0
 
 
-def _signed_rows(p: PauliOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The signed permutation of ``p`` as (rows, phases).
+# bytes of states gathered at once by ``_apply_words``: a chunk of
+# words at a time, so the gather never holds a frame-sized temporary
+_GATHER_BYTES = 1 << 16
+
+
+def _register_masks(words) -> np.ndarray:
+    """The words' X and Z masks in register order, qubit 0 moved to the
+    top bit, and their phase exponents: a 3 x len(words) integer array
+    with rows (u, v, phase_exp)."""
+    fmt = "0%db" % (words[0].n if words else 1)
+    return np.array([(int(format(w.x_mask, fmt)[::-1], 2),
+                      int(format(w.z_mask, fmt)[::-1], 2), w.phase_exp)
+                     for w in words], dtype=np.int64).reshape(-1, 3).T
+
+
+def _anticommuting(p_masks: np.ndarray, q_masks: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is 1 when word i of ``p_masks`` and word j of
+    ``q_masks`` (``_register_masks`` of two lists of words on the same
+    qubits) anticommute, else 0: the symplectic inner product of
+    ``commutes``, which reordering the bits of every mask alike leaves
+    unchanged."""
+    (px, pz, _), (qx, qz, _) = p_masks, q_masks
+    return (np.bitwise_count(px[:, None] & qz)
+            + np.bitwise_count(pz[:, None] & qx)) & 1
+
+
+def _signed_rows(masks: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The signed permutations of words on a register of dimension ``dim``
+    = 2^n as (cols, phases), each dim x (number of words), from their
+    ``_register_masks``.
 
     Qubit 0 is the most significant tensor factor, matching the string
-    form read left to right. X^u Z^v is a signed permutation: column c
-    holds i^phase (-1)^{|c & v|} in row c ^ u, where u and v are the X
-    and Z masks with qubit 0 moved to the top bit.
+    form read left to right. X^u Z^v is a signed permutation: row r
+    holds its one nonzero entry i^phase (-1)^{|c & v|} in column
+    c = r ^ u, where u and v are the X and Z masks in register order.
+    Column w of ``cols`` and ``phases`` is word w's c and entry.
     """
-    u = int(format(p.x_mask, "0%db" % p.n)[::-1], 2)
-    v = int(format(p.z_mask, "0%db" % p.n)[::-1], 2)
-    cols = np.arange(1 << p.n)
-    return cols ^ u, _SIGNED_POWERS[p.phase_exp, np.bitwise_count(cols & v) & 1]
+    u, v, phase = masks
+    cols = np.arange(dim)[:, None] ^ u
+    return cols, _SIGNED_POWERS[phase, np.bitwise_count(cols & v) & 1]
+
+
+def _apply_words(masks: np.ndarray, states: np.ndarray, out: np.ndarray) -> None:
+    """``out[:, w] = (word w) @ states`` for every word of ``masks``
+    (``_register_masks``), in place.
+
+    ``states`` is a complex vector or a stack of column vectors with 2^n
+    rows, and ``out`` has shape (2^n, number of words) + states.shape[1:].
+    Row r of word w's image is row c = r ^ u of ``states`` times its
+    entry (``_signed_rows``), gathered for a chunk of words at a time;
+    no 2^n x 2^n matrix is formed.
+    """
+    chunk = max(1, _GATHER_BYTES // max(states.nbytes, 1))
+    for start in range(0, masks.shape[1], chunk):
+        cols, phases = _signed_rows(masks[:, start:start + chunk], len(states))
+        if states.ndim == 2:
+            phases = phases[:, :, None]
+        np.multiply(phases, states[cols], out=out[:, start:start + chunk])
 
 
 def apply_pauli(p: PauliOperator, states) -> np.ndarray:
-    """``p @ states`` for a vector or a stack of column vectors.
-
-    Row r of the result is row r ^ u of ``states`` times that row's
-    phase, since c -> c ^ u is its own inverse; no 2^n x 2^n matrix is
-    formed.
-    """
+    """``p @ states`` for a vector or a stack of column vectors: the
+    one-word case of ``_apply_words``."""
     states = np.asarray(states, dtype=complex)
     if states.ndim not in (1, 2) or states.shape[0] != 1 << p.n:
         raise ValueError("a %d-qubit Pauli word needs %d rows, got shape %s"
                          % (p.n, 1 << p.n, states.shape))
-    rows, phases = _signed_rows(p)
-    if states.ndim == 2:
-        phases = phases[:, None]
-    return phases[rows] * states[rows]
+    out = np.empty((states.shape[0], 1) + states.shape[1:], dtype=complex)
+    _apply_words(_register_masks((p,)), states, out)
+    return out.reshape(states.shape)
 
 
 def to_matrix(p: PauliOperator) -> np.ndarray:
@@ -153,9 +196,9 @@ def to_matrix(p: PauliOperator) -> np.ndarray:
     ``_signed_rows`` for the layout)."""
     if p.n > MATRIX_QUBIT_CAP:
         raise ValueError("dense rendering capped at %d qubits" % MATRIX_QUBIT_CAP)
-    rows, phases = _signed_rows(p)
+    cols, phases = _signed_rows(_register_masks((p,)), 1 << p.n)
     out = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
-    out[rows, np.arange(1 << p.n)] = phases
+    out[np.arange(1 << p.n), cols[:, 0]] = phases[:, 0]
     return out
 
 
@@ -265,36 +308,37 @@ def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
     """Build the error basis for the given noisy coordinates.
 
     Returns all 4^p Hermitian Pauli words on ``coords`` embedded as
-    identity elsewhere, in the fixed lexicographic (u, v) order.
+    identity elsewhere, in the fixed lexicographic (u, v) order. A
+    coordinate that is not an integer (a bool is not one) is a
+    ``TypeError``.
     """
+    given = coords
     coords = tuple(coords)
+    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
+               for c in coords):
+        raise TypeError("noisy coordinates must be integers, got %r" % (given,))
+    coords = tuple(map(int, coords))
     if len(set(coords)) != len(coords):
         raise ValueError("duplicate coordinates: %s" % list(coords))
     for c in coords:
         if not (0 <= c < n_total):
             raise ValueError("coordinate %d outside 0..%d" % (c, n_total - 1))
     p = len(coords)
+    # the masks of every u (and v): bit j of u, coords[0] the most
+    # significant, is qubit coords[j] of the register and qubit j of
+    # the restricted word
+    bits = [[(w >> (p - 1 - j)) & 1 for j in range(p)] for w in range(1 << p)]
+    full = [sum(b << c for b, c in zip(row, coords)) for row in bits]
+    local = [sum(b << j for j, b in enumerate(row)) for row in bits]
     elements = []
     restricted = []
     restricted_index = {}
     for u in range(1 << p):
         for v in range(1 << p):
-            x_mask = 0
-            z_mask = 0
-            rx = 0
-            rz = 0
-            for j, c in enumerate(coords):
-                # coords[0] is the most significant bit of u and v
-                ub = (u >> (p - 1 - j)) & 1
-                vb = (v >> (p - 1 - j)) & 1
-                x_mask |= ub << c
-                z_mask |= vb << c
-                rx |= ub << j
-                rz |= vb << j
             y = (u & v).bit_count()
-            restricted_index[(rx, rz)] = len(elements)
-            elements.append(PauliOperator(n_total, x_mask, z_mask, y))
-            restricted.append(PauliOperator(max(p, 1), rx, rz, y))
+            restricted_index[(local[u], local[v])] = len(elements)
+            elements.append(PauliOperator(n_total, full[u], full[v], y))
+            restricted.append(PauliOperator(max(p, 1), local[u], local[v], y))
     index, phase = _product_table(p)
     return ErrorBasis(
         n_total=n_total,

@@ -263,20 +263,44 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
     noisy coordinates and expands every branch E_r|psi> in the syndrome
     frame W, once: row x of the d^2 x (2^k K) coefficient block holds
     the amplitudes on F_x|j_L> for all j and r. Each configuration's
-    frame map acts on that block; the squared norm of row x is the
-    probability of the syndrome of x, and the probabilities sum to the
-    output trace. Branches stay in the frame's span, also for
+    frame map acts on that block, written into stacks of at most
+    ``_STACK_BYTES`` of amplitudes (one product, if that is larger),
+    and one reduction per stack takes every squared row norm: row x's
+    is the probability of the syndrome of x, and the probabilities sum
+    to the output trace. The records come back in the order of
+    ``configs``. Branches stay in the frame's span, also for
     non-perfect codes (a norm check guards that). A channel on fewer
     qubits than the noisy subsystem acts on its leading ones.
     """
     block = _last_frame_block(code, beta, channel)
-    records = []
-    for cfg in configs:
-        out = block if cfg.action is None else cfg.action @ block
-        probs = np.einsum("ij,ij->i", out.conj(), out).real.copy()
-        probs.flags.writeable = False
-        records.append(MeasurementRecord(cfg.index, code.syndrome_table, probs))
-    return records
+    configs = tuple(configs)
+    # the amplitude sources: each configuration's frame map, then the
+    # block itself, once, if a bare configuration reads it
+    maps = [cfg.action for cfg in configs if cfg.action is not None]
+    if len(maps) < len(configs):
+        maps.append(None)
+    probs = np.empty((len(maps), block.shape[0]))
+    step = max(1, _STACK_BYTES // block.nbytes)
+    for start in range(0, len(maps), step):
+        chunk = maps[start:start + step]
+        amps = np.empty((len(chunk),) + block.shape, dtype=complex)
+        for out, m in zip(amps, chunk):
+            if m is None:
+                out[...] = block
+            else:
+                np.matmul(m, block, out=out)
+        probs[start:start + len(chunk)] = np.einsum(
+            "kij,kij->ki", amps.conj(), amps).real
+    probs.flags.writeable = False
+    rows = iter(probs)
+    return [MeasurementRecord(cfg.index, code.syndrome_table,
+                              probs[-1] if cfg.action is None else next(rows))
+            for cfg in configs]
+
+
+# amplitudes that simulate stacks for one reduction: all of a code5
+# plan's, while a p = 4 plan's stack stays far below its frame maps
+_STACK_BYTES = 1 << 18
 
 
 # (code, channel) as weak references, beta's (shape, bytes) and the
@@ -389,8 +413,8 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
     commuting = phase[a, b] == phase[b, a]
     big_a, big_b, e_a, e_b = idx[a], idx[b], phase[a], phase[b]
     e = e_b.astype(np.int64) - e_a
-    partner = np.take_along_axis(big_b, big_a, axis=1)
-    overlap = np.take_along_axis(e, partner, axis=1) + e + 2 * commuting[:, None]
+    row = np.arange(len(kinds))[:, None]
+    overlap = e[row, big_b[row, big_a]] + e + 2 * commuting[:, None]
     bad = (overlap % 4 != 2).any(axis=1)
     if bad.any():
         r = int(np.argmax(bad))
@@ -412,15 +436,18 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
 
     configs = []
     maps = iter(maps)
-    for i, kind in enumerate(kinds):
-        rule = tuple(zip(*(column[i].tolist() for column in columns)))
+    # every configuration's rule rows (A, B, c, s), from one tolist
+    entries = list(zip(*np.stack(columns).reshape(len(columns), -1).tolist()))
+    d2 = basis.size
+    for i, (kind, a_i, b_i, theta) in enumerate(
+            zip(kinds, a.tolist(), b.tolist(), signs.tolist())):
+        rule = tuple(entries[i * d2:(i + 1) * d2])
         if kind == "bare":
             configs.append(Configuration(index=i, kind=kind, rule=rule))
             continue
-        theta = tuple(signs[i].tolist()) if kind == "toggled" else None
-        configs.append(Configuration(index=i, kind=kind, rule=rule,
-                                     a=int(a[i]), b=int(b[i]), theta_signs=theta,
-                                     action=next(maps)))
+        theta = tuple(theta) if kind == "toggled" else None
+        configs.append(Configuration(index=i, kind=kind, rule=rule, a=a_i, b=b_i,
+                                     theta_signs=theta, action=next(maps)))
     return configs, ReadoutTable(code.syndrome_table, tuple(range(len(configs))),
                                  *columns)
 
@@ -437,9 +464,8 @@ def _rules(big_a, big_b, e, commuting, signs, rotated) -> tuple:
     A > B folds via chi_BA = chi_AB*. A bare row (x, x, 0, 0) reads
     chi_xx alone.
     """
-    e = (e + (np.take_along_axis(signs, big_a, axis=1)
-              - np.take_along_axis(signs, big_b, axis=1)) // 2
-         - commuting[:, None]) % 4
+    row = np.arange(len(signs))[:, None]
+    e = (e + (signs[row, big_a] - signs[row, big_b]) // 2 - commuting[:, None]) % 4
     c, s = _RE_IM[0, e] * rotated[:, None], _RE_IM[1, e] * rotated[:, None]
     columns = (np.minimum(big_a, big_b), np.maximum(big_a, big_b),
                c, np.where(big_a < big_b, s, -s))
@@ -554,8 +580,8 @@ def plan_to_json(code: StabilizerCode, configs) -> dict:
             continue
         entry = {"kind": cfg.kind, "a": basis.label(cfg.a), "b": basis.label(cfg.b)}
         if cfg.kind == "toggled":
-            entry["theta"] = {basis.label(m): ("+" if s > 0 else _MINUS)
-                              for m, s in enumerate(cfg.theta_signs)}
+            entry["theta"] = {label: ("+" if s > 0 else _MINUS)
+                              for label, s in zip(basis.labels, cfg.theta_signs)}
         out.append(entry)
     return {"configurations": out}
 

@@ -287,6 +287,18 @@ class TestInputBoundary:
             err = self.check_code(capsys, tmp_path, doc)
             assert "must be a string" in err
 
+    def test_non_integer_noisy_coords(self, capsys, tmp_path):
+        # bools once read as qubits 0 and 1; 1.0 and a string failed
+        # with Python's own operator messages
+        for coords, shown in (([False, True], "[False, True]"),
+                              ([0, 1.0], "[0, 1.0]"), ("01", "'01'")):
+            err = self.check_code(capsys, tmp_path, {
+                "generators": ["XIXII", "ZIZII", "IXIXI", "IZIZI"],
+                "noisy_coords": coords,
+                "logical_ops": {"X": "IIIIX", "Z": "IIIIZ"}})
+            assert err == ("error: bad code schema in %s: noisy coordinates "
+                           "must be integers, got %s\n" % (tmp_path / "code.json", shown))
+
     def test_undecodable_code_file(self, capsys, tmp_path):
         path = tmp_path / "code.json"
         path.write_bytes(b"\xff\xfe{")

@@ -206,6 +206,27 @@ def test_build_code_holds_the_frame_about_once():
     assert stacked.tobytes() == code.frame.tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(FRAME_CODES) + ["bell2-file"])
+def test_bulk_frame_and_syndromes_equal_the_per_word_reference(name):
+    """The frame, gathered for all error words at once, holds the bytes
+    of apply_pauli per word, stacked; the syndrome table, read off mask
+    arrays, is commutes per generator, as Python ints."""
+    if name == "bell2-file":
+        code = st.code_from_json(json.loads(json.dumps(BELL2_CODE)))
+    else:
+        code = built_frame_code(name)
+    logical = np.column_stack(code.logical_basis)
+    stacked = np.hstack([st.pauli.apply_pauli(e, logical)
+                         for e in code.error_basis.elements])
+    assert stacked.dtype == code.frame.dtype
+    assert stacked.tobytes() == code.frame.tobytes()
+    table = tuple(tuple(0 if st.commutes(e, g) else 1 for g in code.generators)
+                  for e in code.error_basis.elements)
+    assert code.syndrome_table == table
+    assert {type(bit) for syndrome in code.syndrome_table for bit in syndrome} == {int}
+    assert code.syndrome_index == {syn: i for i, syn in enumerate(table)}
+
+
 class TestHammingBound:
     def test_perfect_codes(self):
         assert st.hamming_bound(3, 1, 1) == {"satisfied": True,
@@ -254,6 +275,14 @@ class TestSyndromeProjectors:
 
 
 class TestBuildCode:
+    def test_noisy_coords_from_any_iterable(self, code3):
+        # a generator of coordinates was consumed by the error basis and
+        # stored as ()
+        code = st.build_code(["XIX", "YYZ"], (q for q in [0]),
+                             codewords=code3.logical_basis)
+        assert code.noisy_coords == code.error_basis.coords == (0,)
+        st.simulate(code, (1.0, 0.0), st.builtin_channel("depolarizing", [0.1]), [])
+
     def test_derived_basis_from_logical_ops(self, code3):
         code = st.build_code(["XIX", "YYZ"], [0],
                              logical_ops={"X": "−ZXZ", "Z": "XYX"})
@@ -389,8 +418,9 @@ class TestBuildCode:
 
 
 def test_building_forms_no_register_square_matrix(monkeypatch):
-    """The logical basis comes from 2^n x 2^k blocks and 2^k x 2^k
-    matrices: no apply_pauli, eigh or QR call sees a 2^n x 2^n input."""
+    """The logical basis and the frame come from 2^n x 2^k blocks and
+    2^k x 2^k matrices: no Pauli word (one by ``apply_pauli`` or many by
+    ``_apply_words``), eigh or QR call sees a 2^n x 2^n input."""
     seen = []
 
     def spy(fn, arg):
@@ -400,6 +430,7 @@ def test_building_forms_no_register_square_matrix(monkeypatch):
         return wrapped
 
     monkeypatch.setattr("syntomo.codes.apply_pauli", spy(st.codes.apply_pauli, 1))
+    monkeypatch.setattr("syntomo.codes._apply_words", spy(st.codes._apply_words, 1))
     monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, 0))
     monkeypatch.setattr(np.linalg, "qr", spy(np.linalg.qr, 0))
     builds = list(FRAME_CODES.values()) + [lambda: st.code_from_json(BELL2_CODE)]

@@ -262,6 +262,14 @@ class TestErrorBasis:
             st.enumerate_error_basis(3, [0, 0])
         with pytest.raises(ValueError):
             st.enumerate_error_basis(3, [3])
+        for coords in ([True], [0, 1.0], "01", [np.float64(0)]):
+            with pytest.raises(TypeError, match="^noisy coordinates must be integers"):
+                st.enumerate_error_basis(3, coords)
+
+    def test_numpy_integer_coords_are_ints(self):
+        basis = st.enumerate_error_basis(3, np.array([2, 0]))
+        assert basis.coords == (2, 0) and all(type(c) is int for c in basis.coords)
+        assert basis.labels == st.enumerate_error_basis(3, [2, 0]).labels
 
     def test_empty_coords_give_trivial_basis(self):
         basis = st.enumerate_error_basis(3, [])

@@ -8,6 +8,7 @@ import inspect
 import json
 import re
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -475,6 +476,55 @@ def test_simulate_equals_the_tensordot_kernel(frame_code):
             one = st.xi_simulated(code, beta, channel, configs[-1])
             assert np.array(list(one.distribution.values())).tobytes() \
                 == want[-1].tobytes()
+
+
+def test_simulate_subset_matches_xi_simulated(code5):
+    """A shuffled subset of a plan, one configuration repeated and the
+    bare one included: each position holds the record xi_simulated
+    gives for its configuration."""
+    configs, _ = st.plan_configurations(code5)
+    channel = st.builtin_channel("random-cp", [11, 2, 3])
+    beta = np.array([0.6, 0.8j])
+    order = np.random.default_rng(16).permutation(len(configs))[:9].tolist()
+    subset = [configs[i] for i in order + [order[2], 0]]
+    records = st.simulate(code5, beta, channel, subset)
+    assert len(records) == len(subset)
+    for cfg, rec in zip(subset, records):
+        want = st.xi_simulated(code5, beta, channel, cfg)
+        assert rec.config_index == want.config_index == cfg.index
+        assert rec.syndromes is code5.syndrome_table
+        assert rec.row.dtype == want.row.dtype and rec.row.tobytes() == want.row.tobytes()
+        assert not rec.row.flags.writeable
+
+
+def test_simulate_holds_far_less_than_the_frame_maps():
+    # bell3's 126 frame maps are 8 MiB; stacking them, or every
+    # configuration's amplitudes at once, held more than that
+    code = built_frame_code("bell3")
+    configs, _ = st.plan_configurations(code)
+    maps = sum(cfg.action.nbytes for cfg in configs if cfg.action is not None)
+    channel = st.builtin_channel("random-cp", [5, 3, 64])
+    beta = np.array([0.6, 0.8j])
+    # the first call forms the frame block, which the second reuses
+    st.simulate(code, beta, channel, configs[:1])
+    tracemalloc.start()
+    try:
+        records = st.simulate(code, beta, channel, configs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < maps / 8
+    assert [rec.config_index for rec in records] == [cfg.index for cfg in configs]
+
+
+def test_simulate_of_no_configurations_runs_the_gates(code3):
+    channel = st.builtin_channel("depolarizing", [0.1])
+    assert st.simulate(code3, (1.0, 0.0), channel, []) == []
+    with pytest.raises(ValueError, match="not normalized"):
+        st.simulate(code3, (1.0, 1.0), channel, [])
+    wide = st.builtin_channel("random-cp", [3, 2, 1])
+    with pytest.raises(ValueError, match="channel acts on 2 qubits"):
+        st.simulate(code3, (1.0, 0.0), wide, [])
 
 
 @pytest.fixture(scope="session")
