@@ -21,7 +21,8 @@ import numpy as np
 
 from .jsonio import complex_from_pair
 from .numeric import DEFAULT_POLICY
-from .pauli import MATRIX_QUBIT_CAP, ErrorBasis, enumerate_error_basis, to_matrix
+from .pauli import (MATRIX_QUBIT_CAP, ErrorBasis, _signed_rows, enumerate_error_basis,
+                    to_matrix)
 
 _BUILTIN_NAMES = (
     "identity",
@@ -70,6 +71,31 @@ class Channel:
     @property
     def dim(self) -> int:
         return 1 << self.p
+
+    @functools.cached_property
+    def _pauli_coefficients(self) -> np.ndarray:
+        """C[x, r] = Tr(F_x E_r)/d over the channel's own p-qubit error
+        basis, d^2 x (Kraus operators), read-only, built by the first
+        call. A completeness sum above the identity raises and stores
+        nothing, so such a channel fails every call. Word x = (u << p) | v
+        is i^{|u & v|} X^u Z^v (the masks ``pauli._register_masks`` gives
+        restricted word x), a signed permutation (``pauli._signed_rows``),
+        so row x of C reads d entries of each Kraus operator.
+        """
+        ops = np.stack(self.kraus)
+        # row r d + i is row i of E_r, so flat† flat is the completeness sum
+        flat = ops.reshape(-1, self.dim)
+        if np.linalg.eigvalsh(flat.conj().T @ flat).max() > 1.0 + DEFAULT_POLICY.algebraic:
+            raise ValueError("Kraus completeness sum exceeds identity")
+        x = np.arange(self.dim * self.dim)
+        u, v = x >> self.p, x & (self.dim - 1)
+        cols, phases = _signed_rows(np.stack((u, v, np.bitwise_count(u & v) & 3)),
+                                     self.dim)
+        # Tr(F_x E) is the sum over rows i of F_x[i, c] E[c, i], c = cols[i, x]
+        entries = ops[:, cols, np.arange(self.dim)[:, None]]
+        coeffs = np.einsum("ix,rix->xr", phases, entries) / self.dim
+        coeffs.flags.writeable = False
+        return coeffs
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,12 +90,15 @@ def _resolve_channel(spec: str, params):
         raise _InputError(str(exc))
 
 
-def _parse_beta(text: str) -> np.ndarray:
+def _parse_beta(text: str, dim: int) -> np.ndarray:
     try:
         beta = np.array([complex(tok.strip()) for tok in text.split(",")])
     except ValueError:
         raise _InputError("cannot parse logical amplitudes %r" % text)
-    # encode checks this too, but here it is an input failure; NaN fails
+    # simulate checks these too, but here they are input failures; NaN fails
+    if len(beta) != dim:
+        raise _InputError("expected %d logical amplitudes, got %d in %r"
+                          % (dim, len(beta), text))
     if not abs(np.linalg.norm(beta) - 1.0) <= DEFAULT_POLICY.algebraic:
         raise _InputError("logical amplitudes %r are not normalized" % text)
     return beta
@@ -193,10 +196,10 @@ def _cmd_characterize(args) -> int:
         raise _InputError("channel parameters must be finite, got %r"
                           % args.params)
     channel, have_oracle = _resolve_channel(args.channel, params)
+    dim = 1 << code.k
     if args.beta:
-        beta = _parse_beta(args.beta)
+        beta = _parse_beta(args.beta, dim)
     else:
-        dim = 1 << code.k
         beta = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     sampling = None
     if args.mode == "sampled":

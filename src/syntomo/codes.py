@@ -405,9 +405,13 @@ def code_from_json(doc: dict) -> StabilizerCode:
     Codewords take precedence; otherwise optional logical_ops
     {"X": ..., "Z": ...} fix the derived basis.
     """
+    generators = doc["generators"]
+    # a string would iterate its letters, and an object its keys
+    if not isinstance(generators, (list, tuple)):
+        raise TypeError('"generators" must be a list, got %r' % (generators,))
     codewords = None
     if "codewords" in doc and doc["codewords"] is not None:
         codewords = [np.array([complex_from_pair(a) for a in vec])
                      for vec in doc["codewords"]]
-    return build_code(doc["generators"], doc["noisy_coords"],
+    return build_code(generators, doc["noisy_coords"],
                       codewords=codewords, logical_ops=doc.get("logical_ops"))

@@ -27,16 +27,17 @@ probabilities summing to chi_AA + chi_BB, and these sums fix the
 diagonal. Every off-diagonal entry is determined twice over for
 cross-checking.
 
-Simulation never leaves the syndrome frame F_x|j_L>: a configuration
-acts there as a d^2 x d^2 map on error indices (F_a F_x = g F_{a.x},
-and the toggle is a diagonal phase), so no 2^n operator is formed.
+Simulation works in the syndrome frame F_x|j_L>: a configuration acts
+there as a d^2 x d^2 map on error indices (F_a F_x = g F_{a.x}, and
+the toggle is a diagonal phase), and the channel as its Pauli
+coefficients, so neither a 2^n operator nor a 2^n state is formed.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,7 @@ _MINUS = "−"
 
 # rows (c, s) with Re(i^e z) = c Re z + s Im z, columns indexed by e mod 4
 _RE_IM = np.array([[1, 0, -1, 0], [0, -1, 0, 1]])
+_RE_IM.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,14 +187,23 @@ class ReadoutTable:
                 + (self.coeff_re * z.real + self.coeff_im * z.imag))
 
 
-def encode(code: StabilizerCode, beta) -> np.ndarray:
-    """Encoded logical state sum_j beta_j |j_L>."""
+def _amplitudes(code: StabilizerCode, beta) -> np.ndarray:
+    """The logical amplitudes as a complex vector, after checking their
+    count and their norm."""
     beta = np.asarray(beta, dtype=complex)
     if beta.shape != (1 << code.k,):
         raise ValueError("expected %d logical amplitudes, got shape %s"
                          % (1 << code.k, beta.shape))
-    if not abs(np.linalg.norm(beta) - 1.0) <= DEFAULT_POLICY.algebraic:  # NaN fails
+    # the square root of the squared magnitudes, as np.linalg.norm takes
+    # it but without its dispatch; NaN fails
+    if not abs(math.sqrt(np.vdot(beta, beta).real) - 1.0) <= DEFAULT_POLICY.algebraic:
         raise ValueError("logical amplitudes are not normalized")
+    return beta
+
+
+def encode(code: StabilizerCode, beta) -> np.ndarray:
+    """Encoded logical state sum_j beta_j |j_L>."""
+    beta = _amplitudes(code, beta)
     # rows added in order onto an exact zero, as a running sum would
     return np.add.reduce(beta[:, None] * np.array(code.logical_basis), axis=0,
                          initial=0)
@@ -259,20 +270,33 @@ def xi_predicted(chi: ProcessMatrix, cfg: Configuration, x: int) -> float:
 def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
     """Exact syndrome distributions of configurations under one channel.
 
-    Encodes, applies each Kraus operator E_r to the state vector on the
-    noisy coordinates and expands every branch E_r|psi> in the syndrome
-    frame W, once: row x of the d^2 x (2^k K) coefficient block holds
-    the amplitudes on F_x|j_L> for all j and r. Each configuration's
-    frame map acts on that block, written into stacks of at most
-    ``_STACK_BYTES`` of amplitudes (one product, if that is larger),
-    and one reduction per stack takes every squared row norm: row x's
-    is the probability of the syndrome of x, and the probabilities sum
-    to the output trace. The records come back in the order of
-    ``configs``. Branches stay in the frame's span, also for
-    non-perfect codes (a norm check guards that). A channel on fewer
-    qubits than the noisy subsystem acts on its leading ones.
+    For every code that ``build_code`` accepts, branch E_r|psi> expands
+    in the syndrome frame as sum_x C[x, r] F_x|psi>, with C the
+    channel's Pauli coefficients Tr(F_x E_r)/2^p
+    (``Channel._pauli_coefficients``, computed once per channel). A
+    configuration's frame map M acts on the error index alone, so the
+    syndrome of x has probability |row x of M C|^2 whatever the logical
+    state: beta is only checked. The maps act on the d^2 x K block C,
+    written into stacks of at most ``_STACK_BYTES`` of amplitudes (one
+    product, if that is larger), and one reduction per stack takes
+    every squared row norm; the probabilities sum to the output trace.
+    The records come back in the order of ``configs``. A channel on
+    fewer qubits than the noisy subsystem acts on its leading ones.
     """
-    block = _last_frame_block(code, beta, channel)
+    noisy = len(code.noisy_coords)
+    if channel.p > noisy:
+        raise ValueError("channel acts on %d qubits but the code's noisy "
+                         "subsystem has %d" % (channel.p, noisy))
+    _amplitudes(code, beta)
+    coeffs = block = channel._pauli_coefficients
+    shift = noisy - channel.p
+    if shift:
+        # the channel's word (u << q) | v is the code's word with masks
+        # u << shift and v << shift: identity on the trailing noisy qubits
+        x = np.arange(len(coeffs))
+        block = np.zeros((code.d2, coeffs.shape[1]), dtype=complex)
+        block[((x >> channel.p) << (noisy + shift))
+              | ((x & (channel.dim - 1)) << shift)] = coeffs
     configs = tuple(configs)
     # the amplitude sources: each configuration's frame map, then the
     # block itself, once, if a bare configuration reads it
@@ -301,67 +325,6 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
 # amplitudes that simulate stacks for one reduction: all of a code5
 # plan's, while a p = 4 plan's stack stays far below its frame maps
 _STACK_BYTES = 1 << 18
-
-
-# (code, channel) as weak references, beta's (shape, bytes) and the
-# block of the last _frame_block run that passed its gates; replaced
-# by one assignment, so a reader never pairs one key with another block
-_last_block = None
-
-
-def _last_frame_block(code: StabilizerCode, beta, channel: Channel) -> np.ndarray:
-    """``_frame_block``, run again only when the code, the channel or
-    the logical amplitudes differ from the last call's.
-
-    The code and channel are matched by identity through weak
-    references, so the memo keeps neither alive; both are immutable,
-    since ``StabilizerCode`` and ``Channel`` store read-only arrays. The
-    amplitudes are converted to complex once, as ``encode`` would, and
-    matched bit for bit, so a changed sign of zero is a miss. A call that fails a gate
-    stores nothing and fails again next time. A loop of ``xi_simulated``
-    calls over one plan thus pays the per-channel work once.
-    """
-    global _last_block
-    amps = np.asarray(beta, dtype=complex)
-    key = (amps.shape, amps.tobytes())
-    last = _last_block
-    if (last is not None and last[0]() is code and last[1]() is channel
-            and last[2] == key):
-        return last[3]
-    block = _frame_block(code, amps, channel)
-    _last_block = (weakref.ref(code), weakref.ref(channel), key, block)
-    return block
-
-
-def _frame_block(code: StabilizerCode, beta, channel: Channel) -> np.ndarray:
-    """The coefficient block of ``simulate``, read-only: the per-channel
-    work, done once per call whatever the number of configurations."""
-    if channel.p > len(code.noisy_coords):
-        raise ValueError("channel acts on %d qubits but the code's noisy "
-                         "subsystem has %d" % (channel.p, len(code.noisy_coords)))
-    psi = encode(code, beta)
-    # row r d + i is row i of E_r, so ops† ops is the completeness sum
-    ops = np.stack(channel.kraus).reshape(-1, channel.dim)
-    if np.linalg.eigvalsh(ops.conj().T @ ops).max() > 1.0 + DEFAULT_POLICY.algebraic:
-        raise ValueError("Kraus completeness sum exceeds identity")
-    # psi's qubit axes with the noisy ones leading, in their order, and
-    # the others after them ascending, so one product applies every
-    # Kraus operator; then axis 0 is the Kraus index and the qubit axes
-    # go back to register order
-    noisy = code.noisy_coords[:channel.p]
-    order = noisy + tuple(q for q in range(code.n) if q not in noisy)
-    view = psi.reshape((2,) * code.n).transpose(order)
-    branches = (ops @ view.reshape(channel.dim, -1)).reshape((-1,) + view.shape)
-    branches = branches.transpose((0,) + tuple(1 + order.index(q) for q in range(code.n)))
-    branches = branches.reshape(len(channel.kraus), -1)
-    coeffs = code.frame.conj().T @ branches.T
-    defect = abs(np.vdot(branches, branches).real - np.vdot(coeffs, coeffs).real)
-    if not defect <= DEFAULT_POLICY.algebraic:
-        raise ValueError("channel output leaves the syndrome frame "
-                         "(norm defect %g)" % defect)
-    block = coeffs.reshape(code.d2, -1)
-    block.flags.writeable = False
-    return block
 
 
 def xi_simulated(code: StabilizerCode, beta, channel: Channel,

@@ -71,6 +71,23 @@ def rng():
     return np.random.default_rng(4217)
 
 
+@pytest.fixture
+def transforms(monkeypatch):
+    """The channels whose Pauli coefficients are computed while the test
+    runs, one entry per computation (``Channel._pauli_coefficients``)."""
+    runs = []
+    compute = st.Channel._pauli_coefficients.func
+
+    def counting(channel):
+        runs.append(channel)
+        return compute(channel)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(st.Channel, "_pauli_coefficients")
+    monkeypatch.setattr(st.Channel, "_pauli_coefficients", spy)
+    return runs
+
+
 # one-node corruptions of valid JSON documents, for the file and plan fuzzers
 FUZZ_LEAVES = (hs.none() | hs.booleans() | hs.integers(-3, 7)
                | hs.floats(allow_nan=False) | hs.text(max_size=3))

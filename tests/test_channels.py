@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import syntomo as st
+from syntomo import channels
 from syntomo.channels import Channel, ProcessMatrix
 
 
@@ -362,3 +363,18 @@ def test_channel_json_round_trip(ad036):
     chi_a = st.chi_from_kraus(ad036, one_qubit_basis()).entries
     chi_b = st.chi_from_kraus(again, one_qubit_basis()).entries
     np.testing.assert_allclose(chi_a, chi_b, atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_pauli_coefficients_match_the_oracle_words(p):
+    """C[x, r] = Tr(F_x E_r)/d, read from the words' signed rows, equals
+    the traces of the oracle's dense words, and C C† is chi."""
+    channel = st.builtin_channel("random-cp", [p, p, 3])
+    words = channels._adjoint_words(p)
+    want = np.stack([np.trace(words @ e, axis1=1, axis2=2)
+                     for e in channel.kraus], axis=1) / channel.dim
+    coeffs = channel._pauli_coefficients
+    assert coeffs.shape == (4 ** p, 3) and not coeffs.flags.writeable
+    assert np.abs(coeffs - want).max() <= 1e-15
+    chi = st.chi_from_kraus(channel, st.enumerate_error_basis(p, range(p)))
+    assert np.abs(coeffs @ coeffs.conj().T - chi.entries).max() <= 1e-15

@@ -195,13 +195,6 @@ class TestCharacterize:
                        "--beta", "1;0")
         assert rc == 2
 
-    def test_wrong_length_beta_is_domain_error(self, capsys):
-        # parses fine, fails against the code's logical dimension
-        rc, _, _ = run(capsys, "characterize", "--code", "code3",
-                       "--channel", "amplitude-damping", "--params", "0.3",
-                       "--beta", "1,0,0")
-        assert rc == 1
-
     def test_unknown_channel(self, capsys):
         rc, _, err = run(capsys, "characterize", "--code", "code3",
                          "--channel", "nosuch")
@@ -222,9 +215,9 @@ GOLDEN_REPORTS = [
     (("--code", "code5", "--channel", "random-cp", "--params", "3,2,2",
       "--mode", "sampled", "--seed", "4"), "55f1ca3a8bb49222"),
     (("--code", "code5", "--channel", "random-cp", "--params", "3,2,2",
-      "--seed", "4"), "104ebe34ea4532f2"),
+      "--seed", "4"), "ca2650639b20ad58"),
     (("--code", "code3", "--channel", "amplitude-damping", "--params", "0.36",
-      "--mode", "sampled", "--shots", "10", "--seed", "1"), "16844897c3ec2096"),
+      "--mode", "sampled", "--shots", "10", "--seed", "1"), "6fb6974d66a37de3"),
 ]
 
 
@@ -287,6 +280,14 @@ class TestInputBoundary:
             err = self.check_code(capsys, tmp_path, doc)
             assert "must be a string" in err
 
+    def test_generators_must_be_a_list(self, capsys, tmp_path):
+        # a string once iterated its letters, and an object its keys
+        for generators in ("XIX", {"XIX": 1, "YYZ": 2}):
+            err = self.check_code(capsys, tmp_path, {"generators": generators,
+                                                     "noisy_coords": [0]})
+            assert err == ('error: bad code schema in %s: "generators" must be '
+                           "a list, got %r\n" % (tmp_path / "code.json", generators))
+
     def test_non_integer_noisy_coords(self, capsys, tmp_path):
         # bools once read as qubits 0 and 1; 1.0 and a string failed
         # with Python's own operator messages
@@ -309,6 +310,14 @@ class TestInputBoundary:
     def test_channel_over_qubit_cap(self, capsys):
         err = self.check(capsys, "--channel", "identity", "--params", "40")
         assert "cap" in err
+
+    def test_wrong_length_beta(self, capsys):
+        # parses fine and is normalized, but code3 has 2 logical amplitudes
+        for beta, count in (("1,0,0", 3), ("1", 1)):
+            err = self.check(capsys, "--channel", "amplitude-damping",
+                             "--params", "0.3", "--beta", beta)
+            assert err == "error: expected 2 logical amplitudes, got %d in %r\n" \
+                % (count, beta)
 
     def test_unnormalized_beta(self, capsys):
         for beta in ("1,1", "nan,0"):

@@ -244,21 +244,13 @@ def test_characterize_equals_the_stages(code5, ad036, sampling):
     assert bits(got.residuals) == bits(residuals)
 
 
-def test_characterize_applies_the_channel_once(code5, monkeypatch):
-    """One Kraus application and frame projection per characterize,
+def test_characterize_applies_the_channel_once(code5, transforms):
+    """One Pauli-coefficient transform of the channel per characterize,
     shared by all 31 configurations."""
-    calls = []
-    frame_block = protocol._frame_block
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return frame_block(*args, **kwargs)
-
-    monkeypatch.setattr(protocol, "_frame_block", counting)
     result = st.characterize(code5, st.builtin_channel("random-cp", [3, 2, 2]),
                              (0.6, 0.8j))
     assert len(result.records) == 31
-    assert len(calls) == 1
+    assert len(transforms) == 1
 
 
 def reference_sample(record, sampling, generator):

@@ -18,8 +18,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 import syntomo as st
-from conftest import FRAME_CODES, built_frame_code, malformed
-from syntomo import densesim, jsonio, pauli, protocol
+from conftest import FRAME_CODES, bell_pair_generators, built_frame_code, malformed
+from syntomo import channels, densesim, jsonio, pauli, protocol
 from syntomo.channels import ProcessMatrix
 
 
@@ -319,15 +319,13 @@ class TestFrameEngine:
         with pytest.raises(ValueError, match="noisy subsystem"):
             st.xi_simulated(code5, (1.0, 0.0), wide, cfg)
 
-    def test_output_outside_the_frame_is_caught(self, code3, ad036):
-        # amplitude damping puts weight 0.09 on Y, whose block is cut out
-        y = code3.error_basis.index_of_label("Y")
-        frame = code3.frame.copy()
-        frame[:, 2 * y:2 * y + 2] = 0.0
-        broken = dataclasses.replace(code3, frame=frame)
-        cfg = st.plan_configurations(code3)[0][0]
-        with pytest.raises(ValueError, match="leaves the syndrome frame"):
-            st.xi_simulated(broken, (1.0, 0.0), ad036, cfg)
+    def test_simulate_reads_no_frame(self, code3, ad036):
+        # the register kernel expanded the branches in the frame; a code
+        # with its frame zeroed now gives the same records bit for bit
+        configs, _ = st.plan_configurations(code3)
+        blank = dataclasses.replace(code3, frame=np.zeros_like(code3.frame))
+        assert record_bits(st.simulate(blank, (1.0, 0.0), ad036, configs)) \
+            == record_bits(st.simulate(code3, (1.0, 0.0), ad036, configs))
 
 
 def record_bits(records):
@@ -338,72 +336,50 @@ def record_bits(records):
 
 
 class TestFrameBlockMemo:
-    """The one-entry memo in front of ``protocol._frame_block``: equal
-    (code, channel, beta) in a row run the kernel once."""
+    """Each ``Channel`` computes its Pauli coefficients once, on first
+    use, and keeps them: equal (code, channel) in a row run the
+    transform once, whatever the logical amplitudes."""
 
-    @pytest.fixture
-    def kernel_runs(self, monkeypatch):
-        runs = []
-        kernel = protocol._frame_block
-
-        def counting(*args):
-            runs.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(protocol, "_frame_block", counting)
-        return runs
-
-    def test_a_configuration_loop_runs_the_kernel_once(self, code5, kernel_runs):
+    def test_a_configuration_loop_runs_the_kernel_once(self, code5, transforms):
         configs, _ = st.plan_configurations(code5)
         channel = st.builtin_channel("random-cp", [3, 2, 2])
         records = [st.xi_simulated(code5, (0.6, 0.8j), channel, cfg)
                    for cfg in configs]
-        assert len(records) == 31 and len(kernel_runs) == 1
-        # an equal channel is another object: the kernel runs again
+        assert len(records) == 31 and transforms == [channel]
+        # an equal channel is another object: the transform runs again
         twin = st.Channel(channel.p, channel.kraus, channel.label)
         reference = st.simulate(code5, (0.6, 0.8j), twin, configs)
-        assert len(kernel_runs) == 2
+        assert transforms == [channel, twin]
         assert record_bits(records) == record_bits(reference)
 
-    def test_any_change_of_beta_misses(self, code3, ad036, kernel_runs):
-        cfg = st.plan_configurations(code3)[0][1]
-        runs = 0
-        for beta, runs_again in (((1.0, 0.0), True), ([1.0, 0.0], False),
-                                 (np.array([1.0, 0.0j]), False),
-                                 ((1.0, -0.0), True), ((1.0, 0.0), True),
-                                 ((-1.0, 0.0), True), ((0.6, 0.8j), True),
-                                 ((0.6, 0.8j), False)):
-            st.xi_simulated(code3, beta, ad036, cfg)
-            runs += runs_again
-            assert len(kernel_runs) == runs, beta
-        # equal bytes in another shape are refused, not served
-        with pytest.raises(ValueError, match="expected 2 logical amplitudes"):
-            st.xi_simulated(code3, [(0.6, 0.8j)], ad036, cfg)
-
-    def test_rejections_raise_on_every_call(self, code5, ad036, kernel_runs):
+    def test_rejections_raise_on_every_call(self, code5, transforms):
         cfg = st.plan_configurations(code5)[0][1]
+        good = st.builtin_channel("amplitude-damping", [0.36])
         over = st.Channel(1, (np.eye(2), np.eye(2)))
         wide = st.builtin_channel("random-cp", [1, 3, 1])
-        st.xi_simulated(code5, (1.0, 0.0), ad036, cfg)
+        st.xi_simulated(code5, (1.0, 0.0), good, cfg)
         for _ in range(2):
             with pytest.raises(ValueError, match="exceeds identity"):
                 st.xi_simulated(code5, (1.0, 0.0), over, cfg)
             with pytest.raises(ValueError, match="not normalized"):
-                st.xi_simulated(code5, (1.0, 1.0), ad036, cfg)
+                st.xi_simulated(code5, (1.0, 1.0), good, cfg)
+            with pytest.raises(ValueError, match="expected 2 logical amplitudes"):
+                st.xi_simulated(code5, [(0.6, 0.8j)], good, cfg)
             with pytest.raises(ValueError, match="noisy subsystem"):
                 st.xi_simulated(code5, (1.0, 0.0), wide, cfg)
-        assert len(kernel_runs) == 7
-        # a failed call stores nothing, so the last good block still serves
-        st.xi_simulated(code5, (1.0, 0.0), ad036, cfg)
-        assert len(kernel_runs) == 7
+        # the width and amplitude checks come first; a failed transform
+        # stores nothing, and the good channel's coefficients still serve
+        assert transforms == [good, over, over]
+        assert "_pauli_coefficients" not in vars(over)
+        st.xi_simulated(code5, (1.0, 0.0), good, cfg)
+        assert len(transforms) == 3
 
     def test_keeps_neither_code_nor_channel_alive(self):
         code = st.builtin_code("code3")
         channel = st.builtin_channel("depolarizing", [0.1])
         cfg = st.plan_configurations(code)[0][0]
-        block = protocol._last_frame_block(code, (1.0, 0.0), channel)
-        assert not block.flags.writeable
         st.xi_simulated(code, (1.0, 0.0), channel, cfg)
+        assert not channel._pauli_coefficients.flags.writeable
         refs = (weakref.ref(code), weakref.ref(channel))
         del code, channel, cfg
         gc.collect()
@@ -433,10 +409,14 @@ class TestFrameBlockMemo:
         assert not replaced.frame.flags.writeable
 
 
-def tensordot_simulate(code, beta, channel, configs):
-    """Each configuration's syndrome probabilities, with psi encoded by a
-    running sum and the Kraus operators applied by tensordot and
-    moveaxis on the 2 x ... x 2 reshape of psi."""
+def register_block(code, beta, channel):
+    """The register kernel, the reference for ``simulate``: psi encoded by
+    a running sum, the Kraus operators applied by tensordot and
+    moveaxis on the 2 x ... x 2 reshape of psi, and every branch
+    expanded in the syndrome frame. Returns (psi, block, leak): row x
+    of the d^2 x (2^k K) block holds the amplitudes of all branches on
+    F_x|j_L>, column j K + r, and leak is the branches' squared norm
+    that the frame does not hold."""
     psi = np.zeros(1 << code.n, dtype=complex)
     for amp, vec in zip(np.asarray(beta, dtype=complex), code.logical_basis):
         psi = psi + amp * vec
@@ -448,7 +428,14 @@ def tensordot_simulate(code, beta, channel, configs):
     branches = np.moveaxis(branches, tuple(range(1, p + 1)),
                            tuple(c + 1 for c in coords))
     branches = branches.reshape(len(channel.kraus), -1)
-    block = (code.frame.conj().T @ branches.T).reshape(code.d2, -1)
+    coeffs = code.frame.conj().T @ branches.T
+    leak = np.vdot(branches, branches).real - np.vdot(coeffs, coeffs).real
+    return psi, coeffs.reshape(code.d2, -1), leak
+
+
+def tensordot_simulate(code, beta, channel, configs):
+    """Each configuration's syndrome probabilities from ``register_block``."""
+    psi, block, _ = register_block(code, beta, channel)
     out = []
     for cfg in configs:
         amps = block if cfg.action is None else cfg.action @ block
@@ -457,7 +444,7 @@ def tensordot_simulate(code, beta, channel, configs):
 
 
 def test_simulate_equals_the_tensordot_kernel(frame_code):
-    """Bit for bit, for channels on 1..p of the noisy qubits."""
+    """Within 1e-15, for channels on 1..p of the noisy qubits."""
     code = frame_code
     configs, _ = st.plan_configurations(code)
     rng = np.random.default_rng(len(code.noisy_coords) * 100 + code.n)
@@ -470,12 +457,47 @@ def test_simulate_equals_the_tensordot_kernel(frame_code):
             assert st.encode(code, beta).tobytes() == psi.tobytes()
             got = st.simulate(code, beta, channel, configs)
             for rec, probs in zip(got, want, strict=True):
-                assert list(rec.distribution) == list(code.syndrome_table)
-                assert np.array(list(rec.distribution.values())).tobytes() \
-                    == probs.tobytes()
+                assert rec.syndromes == code.syndrome_table
+                assert np.abs(rec.row - probs).max() <= 1e-15
             one = st.xi_simulated(code, beta, channel, configs[-1])
-            assert np.array(list(one.distribution.values())).tobytes() \
-                == want[-1].tobytes()
+            assert np.abs(one.row - want[-1]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CODES) + ["bell4"])
+def test_the_register_block_is_the_pauli_coefficients_times_beta(name):
+    """For every accepted code the register kernel's block is C ⊗ beta,
+    with C the Pauli coefficients of the channel padded to the noisy
+    subsystem, and the branches stay in the frame's span, also for a
+    non-perfect code: so beta drops out of the records."""
+    code = (st.build_code(bell_pair_generators(4), range(4)) if name == "bell4"
+            else built_frame_code(name))
+    noisy = len(code.noisy_coords)
+    rng = np.random.default_rng(noisy * 100 + code.n)
+    for q in range(1, noisy + 1):
+        channel = st.builtin_channel("random-cp", [q, q, 3])
+        coeffs = st.extend_channel(channel, noisy)._pauli_coefficients
+        beta = rng.normal(size=1 << code.k) + 1j * rng.normal(size=1 << code.k)
+        beta /= np.linalg.norm(beta)
+        _, block, leak = register_block(code, beta, channel)
+        want = coeffs[:, None, :] * beta[None, :, None]
+        assert np.abs(block.reshape(want.shape) - want).max() <= 1e-15
+        assert abs(leak) <= 1e-15
+
+
+def test_records_do_not_depend_on_the_logical_state(frame_code):
+    """Bit for bit the same records for every normalized beta: the
+    paper's claim that any element of the code space serves."""
+    code = frame_code
+    dim = 1 << code.k
+    configs, _ = st.plan_configurations(code)
+    channel = st.builtin_channel("random-cp", [7, len(code.noisy_coords), 2])
+    rng = np.random.default_rng(17)
+    random = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    betas = [np.eye(dim)[0], np.eye(dim)[-1], np.full(dim, dim ** -0.5),
+             np.exp(1j * np.arange(dim)) / np.sqrt(dim), random / np.linalg.norm(random)]
+    want = record_bits(st.simulate(code, betas[0], channel, configs))
+    for beta in betas[1:]:
+        assert record_bits(st.simulate(code, beta, channel, configs)) == want
 
 
 def test_simulate_subset_matches_xi_simulated(code5):
@@ -505,7 +527,7 @@ def test_simulate_holds_far_less_than_the_frame_maps():
     maps = sum(cfg.action.nbytes for cfg in configs if cfg.action is not None)
     channel = st.builtin_channel("random-cp", [5, 3, 64])
     beta = np.array([0.6, 0.8j])
-    # the first call forms the frame block, which the second reuses
+    # the first call computes the channel's coefficients, which the second reuses
     st.simulate(code, beta, channel, configs[:1])
     tracemalloc.start()
     try:
@@ -565,14 +587,18 @@ def test_plan_from_json_pairs_match_simulation(frame_code, frame_oracle, data):
 
 def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
     """Code building, planning, simulation, reconstruction, validation
-    and recovery form no dense Pauli matrix and call no dense simulator."""
+    and recovery form no dense Pauli matrix, encode no register state
+    and call no dense simulator."""
+    # oracle words that earlier tests kept would hide a to_matrix call
+    channels._adjoint_words.cache_clear()
     channel = st.builtin_channel("random-cp", [3, 2, 2])
     oracle = st.chi_from_kraus(channel, code5.error_basis)
+    psi = st.encode(code5, (0.6, 0.8j))
     public_densesim = [fn for name, fn in inspect.getmembers(densesim, inspect.isfunction)
                        if fn.__module__ == densesim.__name__ and not name.startswith("_")]
     assert densesim.projector_from_states in public_densesim
     banned = [pauli.to_matrix, protocol.rotation_unitary,
-              protocol.build_toggle] + public_densesim
+              protocol.build_toggle, protocol.encode] + public_densesim
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense 2^n operator on the pipeline path")
@@ -585,7 +611,8 @@ def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
                 monkeypatch.setattr(module, attr, refuse)
     for call in (lambda: st.build_toggle(code5, [1, -1] * 8),
                  lambda: pauli.to_matrix(code5.generators[0]),
-                 lambda: st.projector_from_states(code5.logical_basis)):
+                 lambda: st.projector_from_states(code5.logical_basis),
+                 lambda: st.encode(code5, (1.0, 0.0))):
         with pytest.raises(AssertionError):
             call()
 
@@ -613,7 +640,6 @@ def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
                               st.SamplingPolicy(shots, seed=1))
     assert st.compare(sampled.chi, oracle).max_entry_error < 6 / np.sqrt(shots)
 
-    psi = st.encode(code5, (0.6, 0.8j))
     m = code5.error_basis.index_of_label("XY")
     corrupted = code5.error_space(m) @ np.array([0.6, 0.8j])  # F_m psi
     fixed = st.recover(corrupted, code5, code5.syndrome_table[m])

@@ -103,7 +103,7 @@ def test_no_callable_takes_a_tolerance():
     found = {key: obj for key, obj in found.items() if callable(obj)
              and not (isinstance(obj, type) and issubclass(obj, Exception))}
     assert ("syntomo", "sample_record") in found
-    assert ("syntomo.protocol", "_frame_block") in found
+    assert ("syntomo.protocol", "_compile") in found
     for (where, name), obj in sorted(found.items()):
         for param in inspect.signature(obj).parameters.values():
             assert param.name not in ("policy", "numeric", "strict_tp"), \
