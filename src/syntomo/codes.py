@@ -3,17 +3,16 @@
 A code is specified by commuting generators, the noisy coordinate
 subset and a logical basis. Every error-basis element must map the
 code space to a distinct syndrome space, so that one round of syndrome
-measurement identifies the error exactly. The builder stores the
-syndrome frame, whose columns F_x|j_L> span the error spaces, and
-rejects the code unless the frame is orthonormal: with distinct
-syndromes that is the error-correcting condition with C = I. The
-check, and ``kl_scan``, read the frame's Gram matrix off d² blocks of
-2^k x 2^k (``_overlap_blocks``). Pauli words act on vectors as signed
-permutations: the frame and the stabilizer check gather the images of
-all their words at once (``pauli._apply_words``), and the syndrome
-table is a popcount over the words' mask arrays. A logical basis that
-is not given is derived by applying the generator projectors to a
-fixed 2^n x 2^k block, so no 2^n x 2^n matrix is formed.
+measurement identifies the error exactly. The builder rejects the code
+unless the syndrome frame, whose columns F_x|j_L> span the error
+spaces, is orthonormal: with distinct syndromes that is the
+error-correcting condition with C = I. The check, and ``kl_scan``, read
+the frame's Gram matrix off d² blocks of 2^k x 2^k
+(``_overlap_blocks``), formed from the logical basis a chunk of error
+words at a time (``pauli._apply_words``), so no code stores its frame.
+The syndrome table is a popcount over the words' mask arrays. A logical
+basis that is not given is derived by applying the generator projectors
+to a fixed 2^n x 2^k block, so no 2^n x 2^n matrix is formed.
 """
 
 from __future__ import annotations
@@ -43,16 +42,19 @@ Syndrome = tuple
 
 _FIVE_QUBIT_GENERATORS = ("IZZZZ", "XXXII", "ZXZIX", "ZZXXI")
 _THREE_QUBIT_GENERATORS = ("XIX", "YYZ")
+# bytes of error-word images that ``_overlap_blocks`` holds at once; one
+# word per chunk (64 KiB at bell5) moved bell5's residual in its last bits
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
 class StabilizerCode:
     """[[n, k]] stabilizer code with a group-closed correctable error set.
 
-    ``frame`` and every ``logical_basis`` vector are read-only, so a
-    code never changes after construction: ``build_code`` freezes the
-    arrays it made, and any array that could still be written through
-    (``dataclasses.replace`` with a caller's array, say) is copied.
+    Every ``logical_basis`` vector is read-only, so a code never changes
+    after construction: ``build_code`` freezes the vectors it made, and
+    one that could still be written through (``dataclasses.replace``
+    with a caller's array, say) is copied.
     """
 
     n: int
@@ -63,23 +65,14 @@ class StabilizerCode:
     error_basis: ErrorBasis
     syndrome_table: tuple
     syndrome_index: dict = field(repr=False, compare=False)
-    # column x * 2^k + j is F_x |j_L>, x in error-basis order
-    frame: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "frame", _frozen(self.frame))
-        object.__setattr__(self, "logical_basis",
-                           tuple(_frozen(v) for v in self.logical_basis))
+        object.__setattr__(self, "logical_basis", tuple(map(_frozen, self.logical_basis)))
 
     @property
     def d2(self) -> int:
         """Error-basis size 4^p."""
         return self.error_basis.size
-
-    def error_space(self, x: int) -> np.ndarray:
-        """Orthonormal columns F_x |j_L> spanning error x's syndrome space."""
-        dim = 1 << self.k
-        return self.frame[:, x * dim:(x + 1) * dim]
 
 
 def _frozen(array) -> np.ndarray:
@@ -260,50 +253,46 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
             "syndrome collision: errors %s and %s share syndrome %s"
             % (error_basis.label(index[table[i]]), error_basis.label(i), table[i]))
 
-    # with distinct syndromes, an orthonormal frame is the
-    # error-correcting condition with C = I; the words' images are
-    # written into it in place, so they are never all held twice
-    frame = np.empty((1 << n, error_basis.size * dim), dtype=complex)
-    _apply_words(error_masks, logical, frame.reshape(1 << n, error_basis.size, dim))
-    residual = _frame_gap(frame, dim)
-    if not residual <= DEFAULT_POLICY.kl_residual:
+    # distinct syndromes and frame† frame = I are the condition with C = I;
+    # frame† frame − I is made of B_0 − I and the i^e B_z, z != 0
+    blocks = _overlap_blocks(logical, error_masks)
+    blocks[0] -= np.eye(dim)
+    residual = float(np.abs(blocks).max())
+    if not residual <= DEFAULT_POLICY.kl_residual:  # NaN fails
         raise ValueError("error-correcting condition fails with residual %g"
                          % residual)
     # frozen in place, so StabilizerCode keeps them without a copy; the
     # caller's codewords were copied above
-    for array in (frame,) + basis_states:
+    for array in basis_states:
         array.flags.writeable = False
     return StabilizerCode(
         n=n, k=k, generators=gens, logical_basis=basis_states,
         noisy_coords=error_basis.coords, error_basis=error_basis,
-        syndrome_table=table, syndrome_index=index, frame=frame,
+        syndrome_table=table, syndrome_index=index,
     )
 
 
-def _overlap_blocks(frame: np.ndarray, dim: int) -> np.ndarray:
+def _overlap_blocks(logical: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """The blocks B_z = W_0† F_z W_0 of every error z, shape (d², dim, dim).
 
-    F_0 is the identity, so the frame's first ``dim`` columns are W_0
-    and the blocks come from one dim x 2^n by 2^n x d² dim product. The
-    error words are Hermitian, so F_x† F_y = F_x F_y = i^e F_{x.y} with
-    (x.y, e) from the error basis's product table, and block (x, y) of
-    the frame's Gram matrix frame† frame is i^e B_{x.y}: d² blocks stand
-    for all d⁴ of it.
+    W_0 is ``logical``, the 2^n x dim logical block, and ``masks`` the
+    error words' ``_register_masks``; the images F_z W_0 of a chunk of
+    words, at most ``_BLOCK_BYTES``, are multiplied by W_0† at a time.
+    The words are Hermitian, so F_x† F_y = i^e F_{x.y} with (x.y, e)
+    from the product table, and block (x, y) of the frame's Gram matrix
+    is i^e B_{x.y}: d² blocks stand for all d⁴ of it.
     """
-    products = frame[:, :dim].conj().T @ frame
-    return products.reshape(dim, -1, dim).transpose(1, 0, 2)
-
-
-def _frame_gap(frame: np.ndarray, dim: int) -> float:
-    """max |frame† frame − I|, read off the overlap blocks.
-
-    x.x is the identity with e = 0, and x != y gives x.y != 0, so the
-    Gram matrix minus I holds B_0 − I on its diagonal blocks and
-    i^e B_z, z != 0, everywhere else.
-    """
-    blocks = _overlap_blocks(frame, dim)
-    blocks[0] -= np.eye(dim)
-    return float(np.abs(blocks).max())
+    rows, dim = logical.shape
+    adjoint = logical.conj().T
+    chunk = max(1, _BLOCK_BYTES // logical.nbytes)
+    buffer = np.empty((rows, min(chunk, masks.shape[1]), dim), dtype=complex)
+    products = []
+    for start in range(0, masks.shape[1], chunk):
+        part = masks[:, start:start + chunk]
+        images = buffer[:, :part.shape[1]]
+        _apply_words(part, logical, images)
+        products.append(adjoint @ images.reshape(rows, -1))
+    return np.hstack(products).reshape(dim, -1, dim).transpose(1, 0, 2)
 
 
 def kl_scan(code: StabilizerCode) -> tuple:
@@ -316,7 +305,8 @@ def kl_scan(code: StabilizerCode) -> tuple:
     when Pi F_a† F_b Pi = C_ab Pi for every pair.
     """
     dim = 1 << code.k
-    blocks = _overlap_blocks(code.frame, dim)
+    blocks = _overlap_blocks(np.column_stack(code.logical_basis),
+                             _register_masks(code.error_basis.elements))
     c = np.trace(blocks, axis1=1, axis2=2) / dim
     residual = float(np.abs(blocks - c[:, None, None] * np.eye(dim)).max())
     basis = code.error_basis
@@ -348,7 +338,8 @@ def syndrome_projector(code: StabilizerCode, syndrome: Syndrome) -> np.ndarray:
     syn = tuple(int(b) for b in syndrome)
     if syn not in code.syndrome_index:
         raise ValueError("syndrome %s not in table" % (syn,))
-    w = code.error_space(code.syndrome_index[syn])
+    word = code.error_basis.elements[code.syndrome_index[syn]]
+    w = apply_pauli(word, np.column_stack(code.logical_basis))
     return w @ w.conj().T
 
 

@@ -99,14 +99,20 @@ class MeasurementRecord:
     def from_distribution(cls, config_index: int, distribution: dict,
                           shots: int | None = None) -> MeasurementRecord:
         """A record of ``distribution``'s keys and values, in its order:
-        probabilities when ``shots`` is None, else integer counts."""
+        probabilities when ``shots`` is None, else integer counts within it."""
         values = list(distribution.values())
         if shots is None:
             row = np.array(values, dtype=float)
-        elif all(isinstance(v, numbers.Integral) for v in values):
-            row = np.array(values, dtype=np.int64)
-        else:
+        elif isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots <= 0:
+            raise ValueError("shots must be a positive integer, got %r" % (shots,))
+        elif not all(isinstance(v, numbers.Integral) for v in values):
             raise ValueError("sampled counts must be integers")
+        elif min(values, default=0) < 0:
+            raise ValueError("sampled counts must be nonnegative, got %d" % min(values))
+        elif sum(values) > shots:
+            raise ValueError("sampled counts sum to %d, over %d shots" % (sum(values), shots))
+        else:
+            row = np.array(values, dtype=np.int64)
         row.flags.writeable = False
         return cls(config_index, tuple(distribution), row, shots)
 
@@ -253,9 +259,11 @@ def build_toggle(code: StabilizerCode, theta_signs) -> np.ndarray:
     chi -> S chi S†.
     """
     phases = np.exp(1j * np.array(_check_signs(code.d2, theta_signs)) * np.pi / 4.0)
-    # W diag(e^{i theta} - 1) W† + I: identity outside the error ball
+    # W diag(e^{i theta} - 1) W† + I, W the frame: identity outside the error ball
+    logical = np.column_stack(code.logical_basis)
+    frame = np.hstack([apply_pauli(e, logical) for e in code.error_basis.elements])
     shift = np.repeat(phases - 1.0, 1 << code.k)
-    return (code.frame * shift) @ code.frame.conj().T + np.eye(1 << code.n)
+    return (frame * shift) @ frame.conj().T + np.eye(1 << code.n)
 
 
 def xi_predicted(chi: ProcessMatrix, cfg: Configuration, x: int) -> float:

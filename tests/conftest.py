@@ -60,6 +60,13 @@ def built_frame_code(name):
     return FRAME_CODES[name]()
 
 
+def dense_frame(code):
+    """The syndrome frame from dense Pauli matrices: column x 2^k + j is
+    F_x|j_L>, x in error-basis order."""
+    logical = np.column_stack(code.logical_basis)
+    return np.hstack([st.to_matrix(e) @ logical for e in code.error_basis.elements])
+
+
 @pytest.fixture(scope="session", params=sorted(FRAME_CODES))
 def frame_code(request):
     """Codes for frame checks: perfect, non-perfect, p=3, reordered."""

@@ -489,6 +489,76 @@ def test_fuzzed_files_end_in_one_error_line(capsys, tmp_path, data):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# command-line tokens: small counts, which keep a random-cp or identity
+# channel at 6 qubits or fewer, floats, non-finite and junk text
+FUZZ_TOKENS = (hs.integers(-3, 6).map(str) | hs.floats(-2, 2).map(repr)
+               | hs.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "", " ",
+                                  "x", ",", "1,", "0x1", "1j", "--", "1e", "[1]"]))
+FUZZ_BIG = hs.integers(-3, (1 << 64) + 1).map(str) | FUZZ_TOKENS
+# the options that a run on code3 accepts, as argv pieces
+VALID_PARAMS = {
+    "identity": hs.sampled_from(["", "1"]),
+    "amplitude-damping": hs.floats(0, 1).map(repr),
+    "depolarizing": hs.floats(0, 1).map(repr),
+    "phase-damping": hs.floats(0, 1).map(repr),
+    "random-cp": hs.tuples(hs.integers(0, 6), hs.integers(1, 4)).map(
+        lambda seed_rank: "%d,1,%d" % seed_rank),
+}
+VALID_OPTIONS = {
+    "--beta": hs.sampled_from(["1,0", "0,1", "0.6,0.8j", "0.6j,-0.8"]),
+    "--mode": hs.sampled_from(["exact", "sampled"]),
+    "--shots": hs.integers(1, (1 << 63) - 1).map(str),
+    "--seed": hs.integers(0, (1 << 64) - 1).map(str),
+}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=hs.data())
+def test_fuzzed_options_end_in_one_error_line(capsys, data):
+    """characterize's options on code3: a run either succeeds, or ends
+    in exit 1 or 2 with an ``error:`` line (argparse's usage error for
+    option syntax), and never raises; with every option drawn valid, it
+    succeeds."""
+    channel = data.draw(hs.sampled_from(sorted(VALID_PARAMS) + ["correlated-flip"]),
+                        label="channel")
+    argv = ["characterize", "--code", "code3", "--channel", channel]
+    valid = channel in VALID_PARAMS
+    options = {"--params": VALID_PARAMS.get(channel), **VALID_OPTIONS}
+    for option, good in options.items():
+        # --params has no default but identity's, which VALID_PARAMS holds
+        ways = ["valid", "fuzzed"] if option == "--params" else ["default", "valid", "fuzzed"]
+        how = data.draw(hs.sampled_from(ways), label=option)
+        if how == "default":
+            continue
+        if how == "valid" and good is not None:
+            argv += [option, data.draw(good, label=option + " valid")]
+            continue
+        valid = False
+        if option == "--params" or option == "--beta":
+            tokens = data.draw(hs.lists(FUZZ_TOKENS, max_size=4), label=option + " tokens")
+            argv += [option, ",".join(tokens)]
+        else:
+            argv += [option, data.draw(FUZZ_BIG if option in ("--shots", "--seed")
+                                       else FUZZ_TOKENS, label=option + " token")]
+    try:
+        rc = main(argv)
+        usage = False
+    except SystemExit as exc:
+        rc, usage = exc.code, True
+    out, err = capsys.readouterr()
+    if rc == 0:
+        assert err == "" and out
+        return
+    assert not valid, err
+    assert rc in (1, 2) and out == ""
+    last = err.splitlines()[-1]
+    if usage:
+        assert rc == 2 and last.startswith("syntomo characterize: error: "), err
+    else:
+        assert last.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_non_hermitian_generator_is_a_domain_error(capsys, tmp_path):
     # -iYYZ commutes with XIX but has eigenvalues +-i: no code space
     path = tmp_path / "code.json"

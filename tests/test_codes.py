@@ -141,20 +141,24 @@ def dense_kl_scan(code):
 @pytest.mark.parametrize("name", ["code3", "code5"])
 def test_kl_scan_sees_a_perturbed_code_space(name):
     # |0_L> tilted by eps towards F_z|0_L>: still orthogonal to |1_L>,
-    # but no longer a code space for the error set
+    # but no longer a code space for the error set; the scan reads the
+    # basis the code holds, whatever was built before the replace
     code = st.builtin_code(name)
     eps = 1e-6
     zero, one = code.logical_basis
     tilted = (np.cos(eps) * zero
               + np.sin(eps) * (st.to_matrix(code.error_basis.elements[1]) @ zero))
-    logical = np.column_stack([tilted, one])
-    frame = np.hstack([st.to_matrix(e) @ logical for e in code.error_basis.elements])
-    broken = dataclasses.replace(code, logical_basis=(tilted, one), frame=frame)
+    broken = dataclasses.replace(code, logical_basis=(tilted, one))
     for scan in (st.kl_scan, dense_kl_scan):
         _, residual = scan(broken)
         assert eps / 20 <= residual <= 2 * eps, scan
     with pytest.raises(ValueError, match="error-correcting condition fails"):
         st.kl_condition(broken)
+
+
+def error_masks(code):
+    """The error words' mask arrays, as the overlap blocks read them."""
+    return st.pauli._register_masks(code.error_basis.elements)
 
 
 def gram_gap(frame):
@@ -172,7 +176,9 @@ def test_frame_gate_equals_the_gram_check(name, eps):
     logical[:, 0] = (np.cos(eps) * logical[:, 0]
                      + np.sin(eps) * (words[1] @ logical[:, 0]))
     frame = np.hstack([w @ logical for w in words])
-    gate = st.codes._frame_gap(frame, 1 << code.k)
+    blocks = st.codes._overlap_blocks(logical, error_masks(code))
+    blocks[0] -= np.eye(1 << code.k)
+    gate = float(np.abs(blocks).max())
     assert abs(gate - gram_gap(frame)) <= 1e-15
     assert (gate > 1e-12) == (eps > 0)
 
@@ -190,8 +196,9 @@ def test_kl_scan_peaks_below_one_register_square_matrix():
     assert c.shape == (256, 256) and residual < 1e-12
 
 
-def test_build_code_holds_the_frame_about_once():
-    # the frame is 4 MiB at bell4; stacking its 256 blocks held it twice
+def test_build_code_peaks_below_one_frame():
+    # the frame F_x|j_L> is 2^n x d² 2^k, 4 MiB at bell4; the build
+    # gathers its words' images a chunk at a time and keeps none
     gens = bell_pair_generators(4)
     tracemalloc.start()
     try:
@@ -199,27 +206,30 @@ def test_build_code_holds_the_frame_about_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * code.frame.nbytes
-    logical = np.column_stack(code.logical_basis)
-    stacked = np.hstack([st.pauli.apply_pauli(e, logical) for e in code.error_basis.elements])
-    assert stacked.dtype == code.frame.dtype
-    assert stacked.tobytes() == code.frame.tobytes()
+    frame_bytes = 16 << code.n << 2 * len(code.noisy_coords) << code.k
+    assert frame_bytes == 4 << 20
+    assert peak < frame_bytes
+    assert not hasattr(code, "frame") and not hasattr(code, "error_space")
 
 
 @pytest.mark.parametrize("name", sorted(FRAME_CODES) + ["bell2-file"])
 def test_bulk_frame_and_syndromes_equal_the_per_word_reference(name):
-    """The frame, gathered for all error words at once, holds the bytes
-    of apply_pauli per word, stacked; the syndrome table, read off mask
-    arrays, is commutes per generator, as Python ints."""
+    """The overlap blocks, gathered a chunk of error words at a time,
+    hold the bytes of W_0† times apply_pauli per word, stacked; the
+    syndrome table, read off mask arrays, is commutes per generator, as
+    Python ints."""
     if name == "bell2-file":
         code = st.code_from_json(json.loads(json.dumps(BELL2_CODE)))
     else:
         code = built_frame_code(name)
     logical = np.column_stack(code.logical_basis)
+    dim = 1 << code.k
     stacked = np.hstack([st.pauli.apply_pauli(e, logical)
                          for e in code.error_basis.elements])
-    assert stacked.dtype == code.frame.dtype
-    assert stacked.tobytes() == code.frame.tobytes()
+    want = (logical.conj().T @ stacked).reshape(dim, -1, dim).transpose(1, 0, 2)
+    blocks = st.codes._overlap_blocks(logical, error_masks(code))
+    assert blocks.dtype == want.dtype and blocks.shape == (code.d2, dim, dim)
+    assert blocks.tobytes() == np.ascontiguousarray(want).tobytes()
     table = tuple(tuple(0 if st.commutes(e, g) else 1 for g in code.generators)
                   for e in code.error_basis.elements)
     assert code.syndrome_table == table
@@ -372,14 +382,16 @@ class TestBuildCode:
            data=hs.data())
     def test_json_text_round_trip(self, name, seed, data):
         """code_to_json, jsonio text and code_from_json give the same code:
-        equal frame values (a zero amplitude may lose its sign, since
-        -0.0 is written as -0) and simulate records equal bit for bit."""
+        equal logical-basis values (a zero amplitude may lose its sign,
+        since -0.0 is written as -0) and simulate records equal bit for
+        bit."""
         code = built_frame_code(name)
         again = st.code_from_json(json.loads(jsonio.dumps(st.code_to_json(code))))
         assert again.generators == code.generators
         assert again.noisy_coords == code.noisy_coords
         assert again.syndrome_table == code.syndrome_table
-        assert np.array_equal(again.frame, code.frame)
+        assert np.array_equal(np.column_stack(again.logical_basis),
+                              np.column_stack(code.logical_basis))
         width = data.draw(hs.integers(1, len(code.noisy_coords)), label="width")
         rank = data.draw(hs.integers(1, 3), label="rank")
         channel = st.builtin_channel("random-cp", [seed, width, rank])
@@ -418,7 +430,7 @@ class TestBuildCode:
 
 
 def test_building_forms_no_register_square_matrix(monkeypatch):
-    """The logical basis and the frame come from 2^n x 2^k blocks and
+    """The logical basis and the overlap blocks come from 2^n x 2^k blocks and
     2^k x 2^k matrices: no Pauli word (one by ``apply_pauli`` or many by
     ``_apply_words``), eigh or QR call sees a 2^n x 2^n input."""
     seen = []
@@ -452,15 +464,16 @@ def dense_projectors(code):
 
 
 class TestSyndromeFrame:
-    """The stored frame against the dense definitions it replaces."""
+    """The frame's projectors, toggles and overlap blocks against the
+    dense definitions they replace."""
 
     def test_column_order(self, frame_code):
-        dim = 1 << frame_code.k
-        for x, e in enumerate(frame_code.error_basis.elements):
-            f = st.to_matrix(e)
-            for j, v in enumerate(frame_code.logical_basis):
-                np.testing.assert_allclose(frame_code.frame[:, x * dim + j],
-                                           f @ v, atol=1e-15)
+        # block z, entry (i, j) is <i_L| F_z |j_L>, z in error-basis order
+        logical = np.column_stack(frame_code.logical_basis)
+        blocks = st.codes._overlap_blocks(logical, error_masks(frame_code))
+        for z, e in enumerate(frame_code.error_basis.elements):
+            want = logical.conj().T @ st.to_matrix(e) @ logical
+            np.testing.assert_allclose(blocks[z], want, atol=1e-15)
 
     def test_projectors_match_dense(self, frame_code):
         for x, proj in enumerate(dense_projectors(frame_code)):

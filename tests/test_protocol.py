@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 import syntomo as st
-from conftest import FRAME_CODES, bell_pair_generators, built_frame_code, malformed
+from conftest import FRAME_CODES, bell_pair_generators, built_frame_code, dense_frame, malformed
 from syntomo import channels, densesim, jsonio, pauli, protocol
 from syntomo.channels import ProcessMatrix
 
@@ -255,6 +255,27 @@ class TestSimulatedReadout:
         rec = st.MeasurementRecord.from_distribution(0, {(0, 0): 1.0})
         assert rec.value((1, 1)) == 0.0
 
+    @pytest.mark.parametrize("shots, counts, message", [
+        (0, [100, 0, 0, 0], "shots must be a positive integer, got 0"),
+        (-100, [100, 0, 0, 0], "shots must be a positive integer, got -100"),
+        (1.5, [1, 0, 0, 0], "shots must be a positive integer, got 1.5"),
+        (True, [1, 0, 0, 0], "shots must be a positive integer, got True"),
+        (100, [90.0, 10, 0, 0], "sampled counts must be integers"),
+        (100, [105, -5, 0, 0], "sampled counts must be nonnegative, got -5"),
+        (100, [90, 11, 0, 0], "sampled counts sum to 101, over 100 shots"),
+        # a trace-decreasing record may leave its no-detection count out
+        (100, [90, 5, 0, 0], None),
+        (np.int64(100), [90, 10, 0, 0], None),
+    ])
+    def test_sampled_counts_fit_the_shots(self, code3, shots, counts, message):
+        dist = dict(zip(code3.syndrome_table, counts))
+        if message is None:
+            rec = st.MeasurementRecord.from_distribution(0, dist, shots)
+            assert rec.row.tolist() == counts and rec.shots == shots
+        else:
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                st.MeasurementRecord.from_distribution(0, dist, shots)
+
 
 def dense_unitary(code, cfg):
     """A configuration's pre-processing as a dense 2^n operator."""
@@ -318,14 +339,6 @@ class TestFrameEngine:
         wide = st.builtin_channel("random-cp", [1, 3, 1])
         with pytest.raises(ValueError, match="noisy subsystem"):
             st.xi_simulated(code5, (1.0, 0.0), wide, cfg)
-
-    def test_simulate_reads_no_frame(self, code3, ad036):
-        # the register kernel expanded the branches in the frame; a code
-        # with its frame zeroed now gives the same records bit for bit
-        configs, _ = st.plan_configurations(code3)
-        blank = dataclasses.replace(code3, frame=np.zeros_like(code3.frame))
-        assert record_bits(st.simulate(blank, (1.0, 0.0), ad036, configs)) \
-            == record_bits(st.simulate(code3, (1.0, 0.0), ad036, configs))
 
 
 def record_bits(records):
@@ -393,30 +406,26 @@ class TestFrameBlockMemo:
         mine[0, 0] = 2.0
         assert channel.kraus[0][0, 0] == 1.0
         with pytest.raises(ValueError, match="read-only"):
-            code5.frame[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
             code5.logical_basis[0][0] = 1.0
         words = [np.array(v) for v in code5.logical_basis]
         code = st.build_code(code5.generators, code5.noisy_coords, codewords=words)
         words[0][0] = 1.0
         assert code.logical_basis[0][0] == code5.logical_basis[0][0]
         # a code made around build_code copies what the caller can write
-        frame = code5.frame.copy()
-        replaced = dataclasses.replace(code5, frame=frame, logical_basis=words)
-        frame[0, 0] = words[1][0] = 1.0
-        assert replaced.frame.tobytes() == code5.frame.tobytes()
+        replaced = dataclasses.replace(code5, logical_basis=words)
+        words[1][0] = 1.0
         assert replaced.logical_basis[1].tobytes() == code5.logical_basis[1].tobytes()
-        assert not replaced.frame.flags.writeable
+        assert not replaced.logical_basis[1].flags.writeable
 
 
 def register_block(code, beta, channel):
     """The register kernel, the reference for ``simulate``: psi encoded by
     a running sum, the Kraus operators applied by tensordot and
     moveaxis on the 2 x ... x 2 reshape of psi, and every branch
-    expanded in the syndrome frame. Returns (psi, block, leak): row x
-    of the d^2 x (2^k K) block holds the amplitudes of all branches on
-    F_x|j_L>, column j K + r, and leak is the branches' squared norm
-    that the frame does not hold."""
+    expanded in the syndrome frame of dense words (``dense_frame``).
+    Returns (psi, block, leak): row x of the d^2 x (2^k K) block holds
+    the amplitudes of all branches on F_x|j_L>, column j K + r, and leak
+    is the branches' squared norm that the frame does not hold."""
     psi = np.zeros(1 << code.n, dtype=complex)
     for amp, vec in zip(np.asarray(beta, dtype=complex), code.logical_basis):
         psi = psi + amp * vec
@@ -428,7 +437,7 @@ def register_block(code, beta, channel):
     branches = np.moveaxis(branches, tuple(range(1, p + 1)),
                            tuple(c + 1 for c in coords))
     branches = branches.reshape(len(channel.kraus), -1)
-    coeffs = code.frame.conj().T @ branches.T
+    coeffs = dense_frame(code).conj().T @ branches.T
     leak = np.vdot(branches, branches).real - np.vdot(coeffs, coeffs).real
     return psi, coeffs.reshape(code.d2, -1), leak
 
@@ -641,7 +650,9 @@ def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
     assert st.compare(sampled.chi, oracle).max_entry_error < 6 / np.sqrt(shots)
 
     m = code5.error_basis.index_of_label("XY")
-    corrupted = code5.error_space(m) @ np.array([0.6, 0.8j])  # F_m psi
+    error_space = pauli.apply_pauli(code5.error_basis.elements[m],
+                                    np.column_stack(code5.logical_basis))
+    corrupted = error_space @ np.array([0.6, 0.8j])  # F_m psi
     fixed = st.recover(corrupted, code5, code5.syndrome_table[m])
     np.testing.assert_allclose(fixed, psi, atol=1e-12)
     rho = np.outer(corrupted, corrupted.conj())
@@ -1211,8 +1222,11 @@ def test_reconstruct_matches_readout_loop(code3, code5, data):
             pairs.append((syn, val + step))
         if data.draw(hs.booleans(), label="foreign"):
             pairs.insert(0, ((2,) * len(code.syndrome_table[0]), 7 * step))
+        # counts may not sum past shots: a sampled record's shots cover
+        # the one count a repeat adds and the seven of a foreign syndrome
+        shots = None if rec.shots is None else rec.shots + 8
         rebuilt = st.MeasurementRecord.from_distribution(rec.config_index,
-                                                         dict(pairs), rec.shots)
+                                                         dict(pairs), shots)
         if data.draw(hs.booleans(), label="twice"):
             records.append(rebuilt)
         else:

@@ -4,8 +4,11 @@ import re
 import shlex
 from pathlib import Path
 
+import dataclasses
+
 import pytest
 
+import syntomo as st
 from syntomo.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -57,3 +60,26 @@ def test_python_blocks_run_in_one_namespace():
     namespace = {}
     for source in sources:
         exec(compile(source, "README.md", "exec"), namespace)
+
+
+# the public classes whose attributes the README names as Class.attr
+NAMED_CLASSES = ("Configuration", "Channel", "ReadoutTable", "MeasurementRecord",
+                 "StabilizerCode", "ErrorBasis")
+
+
+def test_named_attributes_exist():
+    """Every backticked ``code.<attr>`` is an attribute of a built code,
+    and every ``<Class>.<attr>`` a field or attribute of that class."""
+    code = st.builtin_code("code3")
+    code_attrs = re.findall(r"`code\.(\w+)", README)
+    assert code_attrs
+    assert [a for a in code_attrs if not hasattr(code, a)] == []
+    named = re.findall(r"`(%s)\.(\w+)" % "|".join(NAMED_CLASSES), README)
+    assert named
+    missing = []
+    for name, attr in named:
+        cls = getattr(st, name)
+        fields = {f.name for f in dataclasses.fields(cls)}
+        if attr not in fields and not hasattr(cls, attr):
+            missing.append("%s.%s" % (name, attr))
+    assert missing == []
