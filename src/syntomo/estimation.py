@@ -10,9 +10,7 @@ import numpy as np
 
 from .channels import Channel, ProcessMatrix, extend_channel
 from .codes import StabilizerCode
-from .numeric import DEFAULT_POLICY
 from .protocol import (
-    NO_DETECTION,
     MeasurementRecord,
     plan_configurations,
     reconstruct,
@@ -85,30 +83,14 @@ def sample_record(record: MeasurementRecord, sampling: SamplingPolicy) -> Measur
 
     Negative probabilities beyond floating-point dust are an error;
     dust is clamped to zero. For trace-decreasing channels the missing
-    probability goes to a no-detection bin, a last column.
+    probability goes to a no-detection bin, a last column. The record
+    checks and normalizes its probabilities once, at its first sampling
+    (``MeasurementRecord._sampling``); every call after that resets the
+    generator and draws.
     """
     if not record.exact:
         raise ValueError("sampling needs an exact-mode record")
-    row = record.row
-    negative = row < -DEFAULT_POLICY.sampling_clamp
-    if negative.any():
-        i = int(negative.argmax())
-        raise ValueError("probability %g for syndrome %s is negative "
-                         "beyond tolerance" % (float(row[i]), record.syndromes[i]))
-    # max(p, 0.0) per entry: -0.0 and NaN stay, where np.maximum
-    # would turn -0.0 into 0.0
-    probs = np.where(row < 0.0, 0.0, row)
-    # Python's sum of the floats, as the per-syndrome loop took it:
-    # numpy's pairwise sum can differ in the last bit, and pvals with it
-    total = sum(probs.tolist())
-    if total > 1.0 + DEFAULT_POLICY.algebraic:
-        raise ValueError("probabilities sum to %g > 1" % total)
-    deficit = max(1.0 - total, 0.0)
-    syndromes = record.syndromes
-    if deficit > DEFAULT_POLICY.algebraic:
-        probs = np.append(probs, deficit)
-        syndromes += (NO_DETECTION,)
-    pvals = probs / (total + deficit)
+    syndromes, pvals = record._sampling
     rng = _generator(sampling.seed, record.config_index)
     counts = rng.multinomial(sampling.shots_per_configuration, pvals)
     counts.flags.writeable = False

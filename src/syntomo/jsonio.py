@@ -2,12 +2,12 @@
 
 All floats are rendered with 17 significant digits, which round-trips
 IEEE doubles losslessly and keeps reports byte-stable across runs. A
-list of floats, or of equal-length float lists such as a row of chi,
-is rendered by one ``%`` of a cached template over all its values, and
-so is a list of flat dicts with the same keys and value types, such as
-a report's residual rows, and a flat dict alone. numpy integers and
-bools render as ints and bools. Input files write a complex amplitude
-as a pair ``[re, im]`` (``complex_from_pair``).
+uniformly nested list of floats, of any depth, such as chi as rows of
+[re, im] pairs, is rendered by one ``%`` of a cached template over all
+its values, and so is a list of flat dicts with the same keys and value
+types, such as a report's residual rows, and a flat dict alone. numpy
+integers and bools render as ints and bools. Input files write a
+complex amplitude as a pair ``[re, im]`` (``complex_from_pair``).
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ def _quote(text: str) -> str:
 
 @functools.lru_cache(maxsize=64)
 def _template(indent: int, shape: tuple) -> str:
-    """Format string of a float list (shape (m,)) or of m float lists
-    of length L (shape (m, L)) at nesting depth ``indent``."""
+    """Format string of a nested float list of shape ``shape`` (a float
+    list for shape (m,), m float lists of length L for (m, L), and so on)
+    at nesting depth ``indent``."""
     pad = "  " * indent
     if len(shape) == 1:
         item = "%.17g"
@@ -58,21 +59,25 @@ def _template(indent: int, shape: tuple) -> str:
 
 def _floats(seq, indent: int) -> str | None:
     """``seq`` rendered in one template pass, or None when it is not a
-    non-empty list of finite floats or of equal-length non-empty lists of
-    them (the item-by-item path then renders it, or raises)."""
-    first = seq[0]
-    if isinstance(first, float):
-        values, shape = seq, (len(seq),)
-    elif type(first) in _ROWS and first:
-        width = len(first)
-        if not (set(map(type, seq)) <= _ROWS and set(map(len, seq)) == {width}):
-            return None
-        values, shape = tuple(chain.from_iterable(seq)), (len(seq), width)
-    else:
+    non-empty, uniformly nested list of finite floats: at every depth
+    the lists have one non-empty length, and the floats sit at one depth
+    (the item-by-item path then renders it, or raises). Chi's rows of
+    [re, im] pairs are such a list of depth 3."""
+    shape = []
+    first = seq
+    while type(first) in _ROWS and first:
+        shape.append(len(first))
+        first = first[0]
+    if not isinstance(first, float):
         return None
+    values = seq
+    for width in shape[1:]:
+        if not (set(map(type, values)) <= _ROWS and set(map(len, values)) == {width}):
+            return None
+        values = tuple(chain.from_iterable(values))
     if not all(map(isinstance, values, repeat(float))):
         return None
-    text = _template(indent, shape) % tuple(values)
+    text = _template(indent, tuple(shape)) % tuple(values)
     # "%.17g" spells a non-finite value "inf" or "nan", and no finite one
     # holds an "n"; the item-by-item path then raises on the first
     if "n" in text:

@@ -3,7 +3,8 @@
 Every tolerance a validation gate compares against is a field of
 ``DEFAULT_POLICY``, so the whole set is written down in one place.
 The gates read it when they run; no public function takes a
-tolerance of its own.
+tolerance of its own. The sampling gates run at an exact record's
+first sampling, and the record keeps the distribution they pass.
 """
 
 from __future__ import annotations

@@ -77,6 +77,12 @@ class Configuration:
     action: np.ndarray | None = field(default=None, repr=False)
 
 
+def _is_integer(value) -> bool:
+    """An integer, numpy's included; a bool is not one (True would be one
+    shot written as true)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """Syndrome statistics observed under one configuration.
@@ -103,10 +109,11 @@ class MeasurementRecord:
         values = list(distribution.values())
         if shots is None:
             row = np.array(values, dtype=float)
-        elif isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots <= 0:
+        elif not _is_integer(shots) or shots <= 0:
             raise ValueError("shots must be a positive integer, got %r" % (shots,))
-        elif not all(isinstance(v, numbers.Integral) for v in values):
-            raise ValueError("sampled counts must be integers")
+        elif not all(map(_is_integer, values)):
+            raise ValueError("sampled counts must be integers, got %r"
+                             % (next(v for v in values if not _is_integer(v)),))
         elif min(values, default=0) < 0:
             raise ValueError("sampled counts must be nonnegative, got %d" % min(values))
         elif sum(values) > shots:
@@ -135,6 +142,35 @@ class MeasurementRecord:
     def value(self, syndrome) -> float:
         """Probability estimate for one syndrome; 0.0 when it is absent."""
         return self._estimates.get(syndrome, 0.0)
+
+    @functools.cached_property
+    def _sampling(self) -> tuple:
+        """(syndromes, pvals) that ``sample_record`` draws from, pvals
+        read-only: built at an exact record's first sampling, after the
+        checks ``sample_record`` describes. A record that fails a check
+        stores nothing and fails again on the next call."""
+        row = self.row
+        negative = row < -DEFAULT_POLICY.sampling_clamp
+        if negative.any():
+            i = int(negative.argmax())
+            raise ValueError("probability %g for syndrome %s is negative "
+                             "beyond tolerance" % (float(row[i]), self.syndromes[i]))
+        # max(p, 0.0) per entry: -0.0 and NaN stay, where np.maximum
+        # would turn -0.0 into 0.0
+        probs = np.where(row < 0.0, 0.0, row)
+        # Python's sum of the floats, as the per-syndrome loop took it:
+        # numpy's pairwise sum can differ in the last bit, and pvals with it
+        total = sum(probs.tolist())
+        if total > 1.0 + DEFAULT_POLICY.algebraic:
+            raise ValueError("probabilities sum to %g > 1" % total)
+        deficit = max(1.0 - total, 0.0)
+        syndromes = self.syndromes
+        if deficit > DEFAULT_POLICY.algebraic:
+            probs = np.append(probs, deficit)
+            syndromes += (NO_DETECTION,)
+        pvals = probs / (total + deficit)
+        pvals.flags.writeable = False
+        return syndromes, pvals
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +214,44 @@ class ReadoutTable:
         shots = np.array([1.0 if rec.shots is None else float(rec.shots)
                           for rec in rows])
         return raw / shots[:, None], exact
+
+    @functools.cached_property
+    def _reductions(self) -> dict:
+        """{d2: ``_reduction(d2)``}, filled by ``reconstruct``."""
+        return {}
+
+    def _reduction(self, d2: int) -> tuple:
+        """What ``reconstruct`` derives from the table alone for a basis
+        of d2 elements, built by its first call at that size: (bare, off,
+        bare A, A, B, c + s, slot, count, rows, cols, upper).
+
+        ``bare`` and ``off`` mask the flat readouts; A, B, c + s (one of
+        c, s is +-1, the other 0) and the slots belong to the off-diagonal
+        ones. Slot 2 (A d2 + B) holds the real part of entry (A, B), the
+        next slot its imaginary part. ``rows``, ``cols`` and ``upper``
+        list the upper triangle A < B in row-major order, two slots per
+        entry, and ``count`` the readouts in each. Keyed by d2, which a
+        table that reads a subset of the syndromes does not fix.
+        """
+        try:
+            return self._reductions[d2]
+        except KeyError:
+            pass
+        a, b = self.a_index.ravel(), self.b_index.ravel()
+        c, s = self.coeff_re.ravel(), self.coeff_im.ravel()
+        bare = a == b
+        off = ~bare
+        bare_a = a[bare]
+        a, b, c, s = a[off], b[off], c[off], s[off]
+        slot = 2 * (a * d2 + b) + (c == 0)
+        rows, cols = np.triu_indices(d2, 1)
+        upper = (2 * (rows * d2 + cols)[:, None] + np.arange(2)).ravel()
+        count = np.bincount(slot, minlength=2 * d2 * d2)[upper]
+        out = (bare, off, bare_a, a, b, c + s, slot, count, rows, cols, upper)
+        for array in out:
+            array.flags.writeable = False
+        self._reductions[d2] = out
+        return out
 
     def _gather(self, rec: MeasurementRecord) -> list:
         """The record's values at the table's syndromes, 0 where absent."""
@@ -469,29 +543,17 @@ def reconstruct(records, readouts: ReadoutTable, basis) -> ProcessMatrix:
     """
     probs, exact = readouts.observed(records)
     d2 = basis.size
-    probs, a, b = probs.ravel(), readouts.a_index.ravel(), readouts.b_index.ravel()
-    c, s = readouts.coeff_re.ravel(), readouts.coeff_im.ravel()
-    bare = a == b
+    (bare, off, bare_a, a, b, cs, slot, n, rows, cols,
+     upper) = readouts._reduction(d2)
+    probs = probs.ravel()
     diag = np.zeros(d2)
-    diag[a[bare]] = probs[bare]
-
-    off = ~bare
-    a, b, c, s = a[off], b[off], c[off], s[off]
-    # one of c, s is +-1 and the other 0
-    est = (probs[off] - 0.5 * (diag[a] + diag[b])) / (c + s)
-    # slot 2 (a d2 + b) holds the real part of entry (a, b), the next
-    # slot its imaginary part; sums start at -0.0, the exact additive
-    # identity, and accumulate in readout order
-    slot = 2 * (a * d2 + b) + (c == 0)
+    diag[bare_a] = probs[bare]
+    est = (probs[off] - 0.5 * (diag[a] + diag[b])) / cs
+    # sums start at -0.0, the exact additive identity, and accumulate in
+    # readout order
     size = 2 * d2 * d2
     sums = np.full(size, -0.0)
     np.add.at(sums, slot, est)
-    counts = np.bincount(slot, minlength=size)
-
-    # the upper triangle a < b in row-major order, two slots per entry
-    rows, cols = np.triu_indices(d2, 1)
-    upper = (2 * (rows * d2 + cols)[:, None] + np.arange(2)).ravel()
-    n = counts[upper]
     bad = n == 0
     if exact:
         hi = np.full(size, -np.inf)

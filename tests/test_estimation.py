@@ -1,5 +1,6 @@
 """Seeded multinomial sampling and error reporting."""
 
+import dataclasses
 import re
 import sys
 import threading
@@ -78,16 +79,22 @@ def test_negative_dust_is_clamped():
     assert out.distribution[(1, 1)] == 0
 
 
+def rejected_every_call(rec, message):
+    """Two samplings raise ``message``, and the record caches nothing."""
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            st.sample_record(rec, st.SamplingPolicy(1000, seed=4))
+    assert set(vars(rec)) == {f.name for f in dataclasses.fields(rec)}
+
+
 def test_negative_probability_rejected():
-    rec = exact_record({(0, 0): 1.0, (1, 1): -1e-6})
-    with pytest.raises(ValueError, match="negative"):
-        st.sample_record(rec, st.SamplingPolicy(1000, seed=4))
+    rejected_every_call(exact_record({(0, 0): 1.0, (1, 1): -1e-6}),
+                        "probability -1e-06 for syndrome (1, 1) is negative beyond tolerance")
 
 
 def test_excess_probability_rejected():
-    rec = exact_record({(0, 0): 0.8, (1, 1): 0.4})
-    with pytest.raises(ValueError, match="> 1"):
-        st.sample_record(rec, st.SamplingPolicy(1000, seed=4))
+    rejected_every_call(exact_record({(0, 0): 0.8, (1, 1): 0.4}),
+                        "probabilities sum to 1.2 > 1")
 
 
 def test_sampled_record_cannot_be_resampled():
@@ -366,6 +373,26 @@ def test_sampler_matches_the_per_syndrome_loop(data):
     assert got_capture.pvals == want_capture.pvals
     # the sampler's own per-thread generator draws the same counts
     assert sample_outcome(st.sample_record, record, policy) == got
+
+
+def test_a_record_samples_as_a_fresh_copy():
+    """The distribution a record keeps from its first sampling gives,
+    under every seed, the counts and pvals of a copy that keeps nothing:
+    with dust clamped and a no-detection column."""
+    rec = exact_record({(0, 0): 0.5, (0, 1): 0.25, (1, 0): -1e-13, (1, 1): 0.2},
+                       index=3)
+    for seed in (1, 2, (1 << 64) - 1):
+        policy = st.SamplingPolicy(1000, seed=seed)
+        want_capture, got_capture = Capture(), Capture()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "_generator", want_capture)
+            want = st.sample_record(dataclasses.replace(rec), policy)
+            mp.setattr(estimation, "_generator", got_capture)
+            got = st.sample_record(rec, policy)
+        assert got.syndromes == want.syndromes == rec.syndromes + (st.NO_DETECTION,)
+        assert got.row.tobytes() == want.row.tobytes()
+        assert got_capture.pvals == want_capture.pvals
+    assert not rec._sampling[1].flags.writeable
 
 
 def uniform_record(index, width=4):

@@ -150,6 +150,14 @@ ROWS = hs.one_of(
     hs.integers(0, 4).flatmap(lambda width: sequences(
         sequences(FLOAT_ITEMS, min_size=width, max_size=width), max_size=5)),
     sequences(FLOAT_LISTS, max_size=5))
+# depth 3, as chi's rows of [re, im] pairs: uniform shapes, empty lists
+# among them, and lists of rows of unequal widths
+CUBES = hs.one_of(
+    hs.tuples(hs.integers(0, 3), hs.integers(0, 3), hs.integers(0, 2)).flatmap(
+        lambda shape: sequences(sequences(
+            sequences(FLOAT_ITEMS, min_size=shape[2], max_size=shape[2]),
+            min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0])),
+    sequences(ROWS, max_size=3))
 # cells of dict rows: scalars of each kind a row template renders, plus
 # numpy scalars, lists and dicts, which it leaves to the item-by-item path
 CELLS = [FLOATS, hs.integers(-(1 << 70), 1 << 70), hs.text(max_size=3),
@@ -177,7 +185,8 @@ DICT_ROWS = hs.one_of(
     hs.lists(hs.dictionaries(KEYS, hs.one_of(*CELLS), max_size=3), min_size=1, max_size=4),
     hs.lists(hs.one_of(same_key_rows().map(lambda rows: rows[0]), ITEMS), min_size=1,
              max_size=4))
-LEAVES = hs.one_of(ITEMS, hs.text(max_size=4), FLOAT_LISTS, ROWS, DICT_ROWS, DICT_ROWS)
+LEAVES = hs.one_of(ITEMS, hs.text(max_size=4), FLOAT_LISTS, ROWS, CUBES, DICT_ROWS,
+                  DICT_ROWS)
 DOCUMENTS = hs.recursive(
     LEAVES,
     lambda inner: hs.one_of(sequences(inner, max_size=4),
@@ -191,12 +200,23 @@ def test_dumps_matches_the_item_by_item_renderer(obj):
     assert outcome(jsonio.dumps, obj) == outcome(reference_dumps, obj)
 
 
-def test_chi_rows_match_the_item_by_item_renderer():
+def test_chi_rows_match_the_item_by_item_renderer(monkeypatch):
     rng = np.random.default_rng(5)
     chi = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     doc = {"chi": [[[float(v.real), float(v.imag)] for v in row] for row in chi],
            "validity": {"trace": 1.0, "min_eigenvalue": -0.0}}
-    assert jsonio.dumps(doc) == reference_dumps(doc)
+    want = reference_dumps(doc)
+    # chi, a list of depth 3, goes through one template
+    calls = []
+    render = jsonio._render
+
+    def counting(obj, indent, out):
+        calls.append(obj)
+        render(obj, indent, out)
+
+    monkeypatch.setattr(jsonio, "_render", counting)
+    assert jsonio.dumps(doc) == want
+    assert len(calls) == 3
 
 
 def test_numpy_integers_and_bools_render_as_ints_and_bools():

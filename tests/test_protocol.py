@@ -260,12 +260,16 @@ class TestSimulatedReadout:
         (-100, [100, 0, 0, 0], "shots must be a positive integer, got -100"),
         (1.5, [1, 0, 0, 0], "shots must be a positive integer, got 1.5"),
         (True, [1, 0, 0, 0], "shots must be a positive integer, got True"),
-        (100, [90.0, 10, 0, 0], "sampled counts must be integers"),
+        (100, [90.0, 10, 0, 0], "sampled counts must be integers, got 90.0"),
         (100, [105, -5, 0, 0], "sampled counts must be nonnegative, got -5"),
         (100, [90, 11, 0, 0], "sampled counts sum to 101, over 100 shots"),
         # a trace-decreasing record may leave its no-detection count out
         (100, [90, 5, 0, 0], None),
         (np.int64(100), [90, 10, 0, 0], None),
+        # True would be one shot; numpy integers are counts
+        (1, [True, False], "sampled counts must be integers, got True"),
+        (2, [0, np.False_], "sampled counts must be integers, got np.False_"),
+        (3, [np.int64(2), np.uint8(1)], None),
     ])
     def test_sampled_counts_fit_the_shots(self, code3, shots, counts, message):
         dist = dict(zip(code3.syndrome_table, counts))
@@ -1059,9 +1063,11 @@ class TestReconstruct:
                                   {"kind": "rotated", "a": "I", "b": "Z"}]}
         configs, readouts = st.plan_from_json(code3, doc)
         records = st.simulate(code3, (1.0, 0.0), ad036, configs)
-        with pytest.raises(ValueError, match=r"^entry \(I, Z\) lacks a real "
-                                             r"or imaginary readout$"):
-            st.reconstruct(records, readouts, code3.error_basis)
+        # the table keeps its structure, and the check runs on every call
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^entry \(I, Z\) lacks a real "
+                                                 r"or imaginary readout$"):
+                st.reconstruct(records, readouts, code3.error_basis)
 
 
 def reference_reconstruct(records, readouts, basis, policy=st.DEFAULT_POLICY):
@@ -1250,6 +1256,24 @@ def test_reconstruct_keeps_a_lone_negative_zero(code3):
     assert same_bits(got, reference_reconstruct(records, readouts, code3.error_basis))
     upper = got[np.triu_indices(4, 1)]
     assert ((upper.imag == 0) & np.signbit(upper.imag)).any()
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+def test_a_warm_table_reconstructs_as_the_readout_loop(frame_code, sampled):
+    """A table keeps what reconstruct derives from it alone; a second
+    call, on other records, equals the per-readout loop bit for bit."""
+    configs, readouts = st.plan_configurations(frame_code)
+    basis = frame_code.error_basis
+    p = len(frame_code.noisy_coords)
+    sampler = st.SamplingPolicy(shots_per_configuration=10_000, seed=8)
+    for seed in (3, 4):
+        channel = st.builtin_channel("random-cp", [seed, p, 2])
+        records = st.simulate(frame_code, (0.6, 0.8j), channel, configs)
+        if sampled:
+            records = [st.sample_record(rec, sampler) for rec in records]
+        got = st.reconstruct(records, readouts, basis).entries
+    assert list(vars(readouts)["_reductions"]) == [frame_code.d2]
+    assert same_bits(got, reference_reconstruct(records, readouts, basis))
 
 
 def test_characterize_evaluates_the_rule_once_per_configuration(code5, monkeypatch):
