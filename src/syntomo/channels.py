@@ -307,6 +307,12 @@ def builtin_channel(name: str, params=()) -> Channel:
         raise ValueError("random-CP rank %d exceeds 4^%d = %d, the most Kraus "
                          "operators a %d-qubit channel needs"
                          % (rank, p, 4 ** p, p))
+    # the Kraus stack holds rank 4^p entries: at most one dense matrix's
+    # at the qubit cap
+    if rank * 4 ** p > 4 ** MATRIX_QUBIT_CAP:
+        raise ValueError("random-CP rank %d on %d qubits needs %d Kraus entries, "
+                         "over the 4^%d of one dense matrix at the %d-qubit cap"
+                         % (rank, p, rank * 4 ** p, MATRIX_QUBIT_CAP, MATRIX_QUBIT_CAP))
     return _random_cp(seed, p, rank)
 
 

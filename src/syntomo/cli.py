@@ -25,6 +25,7 @@ from .channels import (
     validity_report,
 )
 from .codes import (
+    _BUILTIN_CODES,
     builtin_code,
     code_from_json,
     hamming_bound,
@@ -33,8 +34,6 @@ from .codes import (
 from .estimation import SamplingPolicy, characterize, compare
 from .numeric import DEFAULT_POLICY
 from .protocol import plan_configurations, plan_to_json
-
-_BUILTIN_CODES = ("code3", "code5")
 
 
 class _InputError(Exception):
@@ -269,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--code", required=True,
-                       help="builtin name (code3, code5) or code JSON file")
+                       help="builtin name (%s) or code JSON file"
+                            % ", ".join(_BUILTIN_CODES))
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--format", choices=("json", "text"), default="text")
 

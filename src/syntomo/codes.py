@@ -30,6 +30,7 @@ from .pauli import (
     PauliOperator,
     _anticommuting,
     _apply_words,
+    _check_coords,
     _register_masks,
     apply_pauli,
     commutes,
@@ -40,6 +41,8 @@ from .pauli import (
 
 Syndrome = tuple
 
+# the names builtin_code knows
+_BUILTIN_CODES = ("code3", "code5")
 _FIVE_QUBIT_GENERATORS = ("IZZZZ", "XXXII", "ZXZIX", "ZZXXI")
 _THREE_QUBIT_GENERATORS = ("XIX", "YYZ")
 # bytes of error-word images that ``_overlap_blocks`` holds at once; one
@@ -241,7 +244,14 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
         raise ValueError("codeword is not stabilized by %s"
                          % pauli_to_string(gens[int(np.argmin(stabilized))]))
 
-    error_basis = enumerate_error_basis(n, noisy_coords)
+    coords = _check_coords(n, noisy_coords)
+    # 4^p errors cannot have distinct syndromes among 2^(n-k): refused
+    # before the basis and its 16^p-entry product table are formed
+    if k + 2 * len(coords) > n:
+        raise ValueError("syndrome collision: %d errors on %d noisy qubits "
+                         "exceed the %d syndromes of %d generators"
+                         % (4 ** len(coords), len(coords), 1 << len(gens), len(gens)))
+    error_basis = enumerate_error_basis(n, coords)
     error_masks = _register_masks(error_basis.elements)
     # bit j of error i's syndrome is 1 when it anticommutes with generator j
     table = tuple(map(tuple, _anticommuting(error_masks, gen_masks).tolist()))
@@ -353,7 +363,8 @@ def builtin_code(name: str) -> StabilizerCode:
     if key == "code5":
         return build_code(_FIVE_QUBIT_GENERATORS, (0, 1),
                           codewords=_five_qubit_codewords())
-    raise ValueError("unknown code name %r; known names: code3, code5" % name)
+    raise ValueError("unknown code name %r; known names: %s"
+                     % (name, ", ".join(_BUILTIN_CODES)))
 
 
 def _kets(terms: str) -> np.ndarray:

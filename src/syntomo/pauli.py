@@ -312,17 +312,7 @@ def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
     coordinate that is not an integer (a bool is not one) is a
     ``TypeError``.
     """
-    given = coords
-    coords = tuple(coords)
-    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
-               for c in coords):
-        raise TypeError("noisy coordinates must be integers, got %r" % (given,))
-    coords = tuple(map(int, coords))
-    if len(set(coords)) != len(coords):
-        raise ValueError("duplicate coordinates: %s" % list(coords))
-    for c in coords:
-        if not (0 <= c < n_total):
-            raise ValueError("coordinate %d outside 0..%d" % (c, n_total - 1))
+    coords = _check_coords(n_total, coords)
     p = len(coords)
     # the masks of every u (and v): bit j of u, coords[0] the most
     # significant, is qubit coords[j] of the register and qubit j of
@@ -350,6 +340,23 @@ def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
         product_phase=phase,
         labels=tuple(pauli_to_string(r) for r in restricted),
     )
+
+
+def _check_coords(n_total: int, coords) -> tuple:
+    """The coordinates as a tuple of ints, after checking that they are
+    integers (a bool is not one), distinct and inside the register."""
+    given = coords
+    coords = tuple(coords)
+    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
+               for c in coords):
+        raise TypeError("noisy coordinates must be integers, got %r" % (given,))
+    coords = tuple(map(int, coords))
+    if len(set(coords)) != len(coords):
+        raise ValueError("duplicate coordinates: %s" % list(coords))
+    for c in coords:
+        if not (0 <= c < n_total):
+            raise ValueError("coordinate %d outside 0..%d" % (c, n_total - 1))
+    return coords
 
 
 def _product_table(p: int) -> tuple[np.ndarray, np.ndarray]:

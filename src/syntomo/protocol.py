@@ -27,9 +27,10 @@ probabilities summing to chi_AA + chi_BB, and these sums fix the
 diagonal. Every off-diagonal entry is determined twice over for
 cross-checking.
 
-Simulation works in the syndrome frame F_x|j_L>: a configuration acts
-there as a d^2 x d^2 map on error indices (F_a F_x = g F_{a.x}, and
-the toggle is a diagonal phase), and the channel as its Pauli
+Simulation works in the syndrome frame F_x|j_L>: every configuration
+acts there as a d^2 x d^2 map on error indices (F_a F_x = g F_{a.x},
+the toggle is a diagonal phase, and the bare configuration is the
+identity), and a channel on the whole noisy subsystem as its Pauli
 coefficients, so neither a 2^n operator nor a 2^n state is formed.
 """
 
@@ -64,8 +65,9 @@ class Configuration:
     ``rule[x]`` is the readout rule (A, B, c, s) of error index x (see
     ``_rules``).
     ``theta_signs`` maps error index m to the sign of theta_m = +-pi/4.
-    ``action`` is the pre-processing U in frame coordinates (None when
-    bare): the d^2 x d^2 matrix M with U F_x|j_L> = sum_y M[y, x] F_y|j_L>.
+    ``action`` is the pre-processing U in frame coordinates, the
+    identity when bare: the d^2 x d^2 matrix M with
+    U F_x|j_L> = sum_y M[y, x] F_y|j_L>.
     """
 
     index: int
@@ -74,7 +76,7 @@ class Configuration:
     a: int | None = None
     b: int | None = None
     theta_signs: tuple | None = None
-    action: np.ndarray | None = field(default=None, repr=False)
+    action: np.ndarray = field(repr=False, kw_only=True)
 
 
 def _is_integer(value) -> bool:
@@ -352,56 +354,40 @@ def xi_predicted(chi: ProcessMatrix, cfg: Configuration, x: int) -> float:
 def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
     """Exact syndrome distributions of configurations under one channel.
 
-    For every code that ``build_code`` accepts, branch E_r|psi> expands
-    in the syndrome frame as sum_x C[x, r] F_x|psi>, with C the
-    channel's Pauli coefficients Tr(F_x E_r)/2^p
-    (``Channel._pauli_coefficients``, computed once per channel). A
-    configuration's frame map M acts on the error index alone, so the
-    syndrome of x has probability |row x of M C|^2 whatever the logical
-    state: beta is only checked. The maps act on the d^2 x K block C,
-    written into stacks of at most ``_STACK_BYTES`` of amplitudes (one
-    product, if that is larger), and one reduction per stack takes
-    every squared row norm; the probabilities sum to the output trace.
-    The records come back in the order of ``configs``. A channel on
-    fewer qubits than the noisy subsystem acts on its leading ones.
+    ``channel`` acts on the whole noisy subsystem (``extend_channel``
+    pads a narrower one, as ``characterize`` does). For every code that
+    ``build_code`` accepts, branch E_r|psi> expands in the syndrome
+    frame as sum_x C[x, r] F_x|psi>, with C the channel's Pauli
+    coefficients Tr(F_x E_r)/2^p (``Channel._pauli_coefficients``,
+    computed once per channel). A configuration's frame map M acts on
+    the error index alone, so the syndrome of x has probability
+    |row x of M C|^2 whatever the logical state: beta is only checked.
+    The maps act on the d^2 x K block C, written into stacks of at most
+    ``_STACK_BYTES`` of amplitudes (one product, if that is larger), and
+    one reduction per stack takes every squared row norm; the
+    probabilities sum to the output trace. The records come back in the
+    order of ``configs``.
     """
     noisy = len(code.noisy_coords)
-    if channel.p > noisy:
+    if channel.p != noisy:
         raise ValueError("channel acts on %d qubits but the code's noisy "
-                         "subsystem has %d" % (channel.p, noisy))
+                         "subsystem has %d; extend_channel pads a narrower "
+                         "channel" % (channel.p, noisy))
     _amplitudes(code, beta)
-    coeffs = block = channel._pauli_coefficients
-    shift = noisy - channel.p
-    if shift:
-        # the channel's word (u << q) | v is the code's word with masks
-        # u << shift and v << shift: identity on the trailing noisy qubits
-        x = np.arange(len(coeffs))
-        block = np.zeros((code.d2, coeffs.shape[1]), dtype=complex)
-        block[((x >> channel.p) << (noisy + shift))
-              | ((x & (channel.dim - 1)) << shift)] = coeffs
+    block = channel._pauli_coefficients
     configs = tuple(configs)
-    # the amplitude sources: each configuration's frame map, then the
-    # block itself, once, if a bare configuration reads it
-    maps = [cfg.action for cfg in configs if cfg.action is not None]
-    if len(maps) < len(configs):
-        maps.append(None)
-    probs = np.empty((len(maps), block.shape[0]))
+    probs = np.empty((len(configs), block.shape[0]))
     step = max(1, _STACK_BYTES // block.nbytes)
-    for start in range(0, len(maps), step):
-        chunk = maps[start:start + step]
+    for start in range(0, len(configs), step):
+        chunk = configs[start:start + step]
         amps = np.empty((len(chunk),) + block.shape, dtype=complex)
-        for out, m in zip(amps, chunk):
-            if m is None:
-                out[...] = block
-            else:
-                np.matmul(m, block, out=out)
+        for out, cfg in zip(amps, chunk):
+            np.matmul(cfg.action, block, out=out)
         probs[start:start + len(chunk)] = np.einsum(
             "kij,kij->ki", amps.conj(), amps).real
     probs.flags.writeable = False
-    rows = iter(probs)
-    return [MeasurementRecord(cfg.index, code.syndrome_table,
-                              probs[-1] if cfg.action is None else next(rows))
-            for cfg in configs]
+    return [MeasurementRecord(cfg.index, code.syndrome_table, row)
+            for cfg, row in zip(configs, probs)]
 
 
 # amplitudes that simulate stacks for one reduction: all of a code5
@@ -448,8 +434,8 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
     c i^{e_b}/sqrt(2); a toggle scales column x by e^{i theta_x} and
     leaves M†M alone. Column x shares its rows only with column
     x' = b.a.x, so M†M = I exactly when e(x') + e(x) + 2[commuting]
-    = 2 mod 4 for e = e_b - e_a; bare rows pass. The first failing
-    pair is named.
+    = 2 mod 4 for e = e_b - e_a; bare rows pass, and their map is the
+    identity. The first failing pair is named.
     """
     basis = code.error_basis
     idx, phase = basis.product_index, basis.product_phase
@@ -473,26 +459,25 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
     phases = np.exp(1j * signs[toggled] * np.pi / 4.0)
     alpha[toggled[rotated]] *= phases
     beta[toggled[rotated]] *= phases
-    rows, cols = np.arange(len(alpha))[:, None], np.arange(basis.size)
-    maps = np.zeros((len(alpha), basis.size, basis.size), dtype=complex)
+    rows, cols = np.flatnonzero(rotated)[:, None], np.arange(basis.size)
+    maps = np.zeros((len(kinds), basis.size, basis.size), dtype=complex)
     maps[rows, big_a[rotated], cols] = alpha
     maps[rows, big_b[rotated], cols] = beta
+    maps[np.flatnonzero(~rotated)[:, None], cols, cols] = 1.0
     maps.flags.writeable = False
 
     configs = []
-    maps = iter(maps)
     # every configuration's rule rows (A, B, c, s), from one tolist
     entries = list(zip(*np.stack(columns).reshape(len(columns), -1).tolist()))
     d2 = basis.size
     for i, (kind, a_i, b_i, theta) in enumerate(
             zip(kinds, a.tolist(), b.tolist(), signs.tolist())):
-        rule = tuple(entries[i * d2:(i + 1) * d2])
-        if kind == "bare":
-            configs.append(Configuration(index=i, kind=kind, rule=rule))
-            continue
-        theta = tuple(theta) if kind == "toggled" else None
-        configs.append(Configuration(index=i, kind=kind, rule=rule, a=a_i, b=b_i,
-                                     theta_signs=theta, action=next(maps)))
+        bare = kind == "bare"
+        configs.append(Configuration(
+            index=i, kind=kind, rule=tuple(entries[i * d2:(i + 1) * d2]),
+            a=None if bare else a_i, b=None if bare else b_i,
+            theta_signs=tuple(theta) if kind == "toggled" else None,
+            action=maps[i]))
     return configs, ReadoutTable(code.syndrome_table, tuple(range(len(configs))),
                                  *columns)
 

@@ -1,6 +1,7 @@
 """Channel constructors and the chi-matrix transforms they feed."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,21 @@ class TestBuiltinChannels:
             st.builtin_channel("random-cp", [1, 40, 2])
         with pytest.raises(ValueError, match="12-qubit cap"):
             st.channel_from_json({"p": 40, "kraus": [[[[1.0, 0.0]]]]})
+
+    def test_random_cp_kraus_stack_is_checked_before_drawing(self):
+        # rank 4^8 on 8 qubits is 2^32 Kraus entries, 4^4 dense matrices
+        # at the cap; rank 4^2 on 10 qubits is exactly one
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^random-CP rank 65536 on 8 qubits "
+                                                 "needs 4294967296 Kraus entries"):
+                st.builtin_channel("random-cp", [1, 8, 65536])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match="12-qubit cap"):
+            st.builtin_channel("random-cp", [1, 10, 17])
 
     def test_integer_parameters_must_be_finite(self):
         # int() of inf overflows and of nan raises its own bare message

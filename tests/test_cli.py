@@ -80,6 +80,20 @@ class TestValidate:
         assert rc == 1
         assert "syndrome collision" in err
 
+    @pytest.mark.parametrize("noisy", [6, 7])
+    def test_too_many_noisy_qubits_for_the_syndromes(self, capsys, tmp_path, noisy):
+        # 11 generators Z_q Z_{q+1} on 12 qubits have 2^11 syndromes,
+        # fewer than the 4^6 errors on six noisy qubits
+        path = tmp_path / "zz12.json"
+        path.write_text(json.dumps({
+            "generators": ["I" * q + "ZZ" + "I" * (10 - q) for q in range(11)],
+            "noisy_coords": list(range(noisy))}))
+        rc, out, err = run(capsys, "validate", "--code", str(path))
+        assert rc == 1 and out == ""
+        assert err == ("error: syndrome collision: %d errors on %d noisy qubits "
+                       "exceed the 2048 syndromes of 11 generators\n"
+                       % (4 ** noisy, noisy))
+
     def test_unparseable_file(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
@@ -422,6 +436,14 @@ class TestInputBoundary:
         err = self.check(capsys, "--channel", "random-cp", "--params", "1,1,5")
         assert err == ("error: random-CP rank 5 exceeds 4^1 = 4, the most "
                        "Kraus operators a 1-qubit channel needs\n")
+
+    def test_random_cp_kraus_stack_capped_at_one_dense_matrix(self, capsys):
+        # rank 4^8 on 8 qubits passes the rank and qubit caps, but its
+        # Kraus stack would be a 32 GiB draw
+        err = self.check(capsys, "--channel", "random-cp", "--params", "1,8,65536")
+        assert err == ("error: random-CP rank 65536 on 8 qubits needs 4294967296 "
+                       "Kraus entries, over the 4^12 of one dense matrix at the "
+                       "12-qubit cap\n")
 
     # argv decodes the byte 0xff of a file name to the lone surrogate \udcff
     NON_UTF8_COMMANDS = [("validate",), ("plan",),

@@ -196,6 +196,27 @@ def test_kl_scan_peaks_below_one_register_square_matrix():
     assert c.shape == (256, 256) and residual < 1e-12
 
 
+@pytest.mark.parametrize("noisy", [6, 7])
+def test_too_many_noisy_qubits_refused_before_the_basis(noisy):
+    # k + 2p > n: 4^p errors cannot have distinct syndromes among the
+    # 2^(n - k); the basis's 16^p-entry product table alone is 128 MiB
+    # at p = 6
+    gens = ["I" * q + "ZZ" + "I" * (10 - q) for q in range(11)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^syndrome collision: "):
+            st.build_code(gens, range(noisy))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    # the coordinate checks come first and keep their messages
+    with pytest.raises(ValueError, match="^duplicate coordinates"):
+        st.build_code(gens, [0] * noisy)
+    with pytest.raises(ValueError, match="^coordinate 12 outside 0..11$"):
+        st.build_code(gens, range(7, 7 + noisy))
+
+
 def test_build_code_peaks_below_one_frame():
     # the frame F_x|j_L> is 2^n x d² 2^k, 4 MiB at bell4; the build
     # gathers its words' images a chunk at a time and keeps none
@@ -394,7 +415,8 @@ class TestBuildCode:
                               np.column_stack(code.logical_basis))
         width = data.draw(hs.integers(1, len(code.noisy_coords)), label="width")
         rank = data.draw(hs.integers(1, 3), label="rank")
-        channel = st.builtin_channel("random-cp", [seed, width, rank])
+        channel = st.extend_channel(st.builtin_channel("random-cp", [seed, width, rank]),
+                                    len(code.noisy_coords))
         beta = (1, 1j) @ np.random.default_rng(seed).normal(size=(2, 1 << code.k))
         beta /= np.linalg.norm(beta)
         rows = [[rec.row.tobytes() for rec in st.simulate(

@@ -244,12 +244,17 @@ class TestSimulatedReadout:
                             st.builtin_channel("correlated-flip", [0.2]), cfg)
 
     def test_smaller_channel_acts_on_leading_noisy_qubit(self, code5, ad036):
+        # characterize pads a narrower channel; the padding is identity
+        # on the trailing noisy qubit
+        narrow = st.characterize(code5, ad036, (1.0, 0.0)).records[0]
         cfg = st.plan_configurations(code5)[0][0]
-        narrow = st.xi_simulated(code5, (1.0, 0.0), ad036, cfg)
         wide = st.xi_simulated(code5, (1.0, 0.0),
                                st.extend_channel(ad036, 2), cfg)
         for syn, prob in wide.distribution.items():
             assert abs(narrow.value(syn) - prob) < 1e-12
+        for x, label in enumerate(code5.error_basis.labels):
+            if label[1] != "I":
+                assert narrow.value(code5.syndrome_table[x]) == 0.0
 
     def test_missing_syndrome_reads_zero(self, code3):
         rec = st.MeasurementRecord.from_distribution(0, {(0, 0): 1.0})
@@ -326,7 +331,8 @@ class TestFrameEngine:
                     rho_u = st.apply_unitary(rho, unitaries[cfg.index])
                 else:
                     rho_u = rho
-                rec = st.xi_simulated(code, beta, channel, cfg)
+                rec = st.xi_simulated(code, beta, st.extend_channel(
+                    channel, len(code.noisy_coords)), cfg)
                 got = np.array([rec.value(syn) for syn in code.syndrome_table])
                 want = np.array([st.expectation(rho_u, proj)
                                  for proj in projectors])
@@ -335,11 +341,11 @@ class TestFrameEngine:
 
     def test_rejections(self, code5, ad036):
         cfg = st.plan_configurations(code5)[0][1]
-        over = st.Channel(1, (np.eye(2), np.eye(2)))
+        over = st.extend_channel(st.Channel(1, (np.eye(2), np.eye(2))), 2)
         with pytest.raises(ValueError, match="exceeds identity"):
             st.xi_simulated(code5, (1.0, 0.0), over, cfg)
         with pytest.raises(ValueError, match="not normalized"):
-            st.xi_simulated(code5, (1.0, 1.0), ad036, cfg)
+            st.xi_simulated(code5, (1.0, 1.0), st.extend_channel(ad036, 2), cfg)
         wide = st.builtin_channel("random-cp", [1, 3, 1])
         with pytest.raises(ValueError, match="noisy subsystem"):
             st.xi_simulated(code5, (1.0, 0.0), wide, cfg)
@@ -371,8 +377,8 @@ class TestFrameBlockMemo:
 
     def test_rejections_raise_on_every_call(self, code5, transforms):
         cfg = st.plan_configurations(code5)[0][1]
-        good = st.builtin_channel("amplitude-damping", [0.36])
-        over = st.Channel(1, (np.eye(2), np.eye(2)))
+        good = st.extend_channel(st.builtin_channel("amplitude-damping", [0.36]), 2)
+        over = st.extend_channel(st.Channel(1, (np.eye(2), np.eye(2))), 2)
         wide = st.builtin_channel("random-cp", [1, 3, 1])
         st.xi_simulated(code5, (1.0, 0.0), good, cfg)
         for _ in range(2):
@@ -451,23 +457,26 @@ def tensordot_simulate(code, beta, channel, configs):
     psi, block, _ = register_block(code, beta, channel)
     out = []
     for cfg in configs:
-        amps = block if cfg.action is None else cfg.action @ block
+        amps = cfg.action @ block
         out.append(np.einsum("ij,ij->i", amps.conj(), amps).real)
     return psi, out
 
 
 def test_simulate_equals_the_tensordot_kernel(frame_code):
-    """Within 1e-15, for channels on 1..p of the noisy qubits."""
+    """Within 1e-15, for channels on 1..p of the noisy qubits, padded
+    with ``extend_channel`` for simulate."""
     code = frame_code
+    noisy = len(code.noisy_coords)
     configs, _ = st.plan_configurations(code)
-    rng = np.random.default_rng(len(code.noisy_coords) * 100 + code.n)
-    for q in range(1, len(code.noisy_coords) + 1):
+    rng = np.random.default_rng(noisy * 100 + code.n)
+    for q in range(1, noisy + 1):
         wide = st.builtin_channel("random-cp", [q, q, 3])
         for channel in (wide, st.Channel(q, wide.kraus[:2])):
             beta = rng.normal(size=1 << code.k) + 1j * rng.normal(size=1 << code.k)
             beta /= np.linalg.norm(beta)
             psi, want = tensordot_simulate(code, beta, channel, configs)
             assert st.encode(code, beta).tobytes() == psi.tobytes()
+            channel = st.extend_channel(channel, noisy)
             got = st.simulate(code, beta, channel, configs)
             for rec, probs in zip(got, want, strict=True):
                 assert rec.syndromes == code.syndrome_table
@@ -537,7 +546,7 @@ def test_simulate_holds_far_less_than_the_frame_maps():
     # configuration's amplitudes at once, held more than that
     code = built_frame_code("bell3")
     configs, _ = st.plan_configurations(code)
-    maps = sum(cfg.action.nbytes for cfg in configs if cfg.action is not None)
+    maps = sum(cfg.action.nbytes for cfg in configs if cfg.kind != "bare")
     channel = st.builtin_channel("random-cp", [5, 3, 64])
     beta = np.array([0.6, 0.8j])
     # the first call computes the channel's coefficients, which the second reuses
@@ -560,6 +569,45 @@ def test_simulate_of_no_configurations_runs_the_gates(code3):
     wide = st.builtin_channel("random-cp", [3, 2, 1])
     with pytest.raises(ValueError, match="channel acts on 2 qubits"):
         st.simulate(code3, (1.0, 0.0), wide, [])
+
+
+def test_simulate_refuses_a_narrower_channel(code5, ad036):
+    configs, _ = st.plan_configurations(code5)
+    message = ("^channel acts on 1 qubits but the code's noisy subsystem has 2; "
+               "extend_channel pads a narrower channel$")
+    with pytest.raises(ValueError, match=message):
+        st.simulate(code5, (1.0, 0.0), ad036, configs)
+    with pytest.raises(ValueError, match=message):
+        st.xi_simulated(code5, (1.0, 0.0), ad036, configs[0])
+
+
+def test_every_configuration_carries_a_frame_map(frame_code):
+    """The bare configuration's map is the identity, bit for bit, also
+    when the plan is rebuilt from its JSON descriptors."""
+    code = frame_code
+    configs, _ = st.plan_configurations(code)
+    again, _ = st.plan_from_json(code, st.plan_to_json(code, configs))
+    for plan in (configs, again):
+        for cfg in plan:
+            assert cfg.action.shape == (code.d2, code.d2)
+            assert cfg.action.dtype == complex and not cfg.action.flags.writeable
+        assert [cfg.kind for cfg in plan].count("bare") == 1
+        assert plan[0].kind == "bare"
+        assert same_bits(plan[0].action, np.eye(code.d2, dtype=complex))
+
+
+@pytest.mark.parametrize("name", ["code5", "bell2-tail"])
+def test_characterize_pads_a_narrower_channel_for_simulate(name):
+    code = built_frame_code(name)
+    configs, _ = st.plan_configurations(code)
+    beta = np.array([0.6, 0.8j])
+    for channel in (st.builtin_channel("amplitude-damping", [0.36]),
+                    st.builtin_channel("random-cp", [9, 1, 2])):
+        want = st.characterize(code, channel, beta).records
+        got = st.simulate(code, beta,
+                          st.extend_channel(channel, len(code.noisy_coords)), configs)
+        assert ([(rec.config_index, rec.syndromes, rec.row.tobytes()) for rec in got]
+                == [(rec.config_index, rec.syndromes, rec.row.tobytes()) for rec in want])
 
 
 @pytest.fixture(scope="session")
@@ -745,10 +793,7 @@ class TestPlanner:
         for c, d in zip(configs, again_cfgs):
             assert (c.kind, c.a, c.b, c.theta_signs) == \
                 (d.kind, d.a, d.b, d.theta_signs)
-            if c.action is None:
-                assert d.action is None
-            else:
-                assert np.abs(c.action - d.action).max() < 1e-12
+            assert np.abs(c.action - d.action).max() < 1e-12
         assert again_ros.configs == readouts.configs
         assert again_ros.syndromes == readouts.syndromes
         assert table_rows(again_ros) == table_rows(readouts)
@@ -766,9 +811,10 @@ class TestPlanner:
 
 def reference_plan(code, doc):
     """The plan built one configuration at a time, as (action, rule,
-    theta signs) per descriptor: a dense d^2 x d^2 rotation map with a
-    dense unitarity check, its toggle, and the readout rule evaluated
-    for that configuration alone."""
+    theta signs) per descriptor: the identity for a bare one, else a
+    dense d^2 x d^2 rotation map with a dense unitarity check, its
+    toggle, and the readout rule evaluated for that configuration
+    alone."""
     basis = code.error_basis
     idx, phase = basis.product_index, basis.product_phase
     powers = np.array([1.0, 1j, -1.0, -1j])
@@ -776,7 +822,8 @@ def reference_plan(code, doc):
     out = []
     for entry in doc["configurations"]:
         if entry["kind"] == "bare":
-            out.append((None, np.stack([cols, cols, 0 * cols, 0 * cols], axis=1), None))
+            out.append((np.eye(code.d2, dtype=complex),
+                        np.stack([cols, cols, 0 * cols, 0 * cols], axis=1), None))
             continue
         a, b = basis.index_of_label(entry["a"]), basis.index_of_label(entry["b"])
         commuting = phase[a, b] == phase[b, a]
@@ -854,7 +901,7 @@ def test_pair_plan_json_text_round_trip(name, seed, count):
     again, again_readouts = st.plan_from_json(code, json.loads(text))
 
     def described(cfg):
-        action = None if cfg.action is None else (cfg.action.dtype, cfg.action.tobytes())
+        action = (cfg.action.dtype, cfg.action.tobytes())
         return cfg.index, cfg.kind, cfg.a, cfg.b, cfg.theta_signs, cfg.rule, action
 
     assert list(map(described, again)) == list(map(described, configs))
@@ -879,10 +926,7 @@ class TestCompiledPlan:
             want = reference_plan(code, doc)
             assert len(configs) == len(want)
             for cfg, (action, rule, signs) in zip(configs, want):
-                if action is None:
-                    assert cfg.action is None
-                else:
-                    assert same_bits(cfg.action, action)
+                assert same_bits(cfg.action, action)
                 assert cfg.rule == tuple(map(tuple, rule.tolist()))
                 assert cfg.theta_signs == signs
             rules = np.array([rule for _, rule, _ in want]).reshape(-1, code.d2, 4)
