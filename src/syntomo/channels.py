@@ -250,6 +250,16 @@ def builtin_channel(name: str, params=()) -> Channel:
     Known names: identity, amplitude-damping(lam), correlated-flip(p),
     depolarizing(p), phase-damping(gam), random-CP(seed, p_qubits, rank).
     """
+    _, draw = _builtin_recipe(name, params)
+    return draw()
+
+
+def _builtin_recipe(name: str, params=()) -> tuple:
+    """(p, draw): the qubit count of ``builtin_channel(name, params)`` and
+    a call that forms the channel, after every check of the name and
+    the parameters. The width is known before any Kraus operator is
+    formed, so a caller can refuse a channel that does not fit first.
+    """
     key = name.strip().lower()
     params = list(params)
     if key not in _BUILTIN_NAMES:
@@ -265,21 +275,21 @@ def builtin_channel(name: str, params=()) -> Channel:
         if p < 1:
             raise ValueError("identity qubit-count must be positive")
         _check_qubit_cap(p)
-        return Channel(p, (np.eye(1 << p, dtype=complex),), "identity")
+        return p, lambda: Channel(p, (np.eye(1 << p, dtype=complex),), "identity")
 
     if key == "amplitude-damping":
         lam = _check_range("amplitude-damping", params[0], 0.0, 1.0)
         s = np.sqrt(1.0 - lam)
         e0 = ((1.0 + s) / 2.0) * _EYE + ((1.0 - s) / 2.0) * _Z
         e1 = (np.sqrt(lam) / 2.0) * _X + (1j * np.sqrt(lam) / 2.0) * _Y
-        return Channel(1, (e0, e1), "amplitude-damping(%g)" % lam)
+        return 1, lambda: Channel(1, (e0, e1), "amplitude-damping(%g)" % lam)
 
     if key == "correlated-flip":
         prob = _check_range("correlated-flip", params[0], 0.0, 1.0)
         xx = np.kron(_X, _X)
-        return Channel(2, (np.sqrt(1.0 - prob) * np.eye(4, dtype=complex),
-                           np.sqrt(prob) * xx),
-                       "correlated-flip(%g)" % prob)
+        return 2, lambda: Channel(2, (np.sqrt(1.0 - prob) * np.eye(4, dtype=complex),
+                                      np.sqrt(prob) * xx),
+                                  "correlated-flip(%g)" % prob)
 
     if key == "depolarizing":
         prob = _check_range("depolarizing", params[0], 0.0, 1.0)
@@ -287,13 +297,13 @@ def builtin_channel(name: str, params=()) -> Channel:
                np.sqrt(prob / 3.0) * _X,
                np.sqrt(prob / 3.0) * _Y,
                np.sqrt(prob / 3.0) * _Z)
-        return Channel(1, ops, "depolarizing(%g)" % prob)
+        return 1, lambda: Channel(1, ops, "depolarizing(%g)" % prob)
 
     if key == "phase-damping":
         gam = _check_range("phase-damping", params[0], 0.0, 1.0)
         e0 = np.diag([1.0, np.sqrt(1.0 - gam)]).astype(complex)
         e1 = np.diag([0.0, np.sqrt(gam)]).astype(complex)
-        return Channel(1, (e0, e1), "phase-damping(%g)" % gam)
+        return 1, lambda: Channel(1, (e0, e1), "phase-damping(%g)" % gam)
 
     # random-cp, the one name left
     seed = _int_param("random-CP seed", params[0])
@@ -313,7 +323,7 @@ def builtin_channel(name: str, params=()) -> Channel:
         raise ValueError("random-CP rank %d on %d qubits needs %d Kraus entries, "
                          "over the 4^%d of one dense matrix at the %d-qubit cap"
                          % (rank, p, rank * 4 ** p, MATRIX_QUBIT_CAP, MATRIX_QUBIT_CAP))
-    return _random_cp(seed, p, rank)
+    return p, lambda: _random_cp(seed, p, rank)
 
 
 def _random_cp(seed: int, p: int, rank: int) -> Channel:

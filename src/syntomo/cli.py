@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jsonio
 from .channels import (
-    builtin_channel,
+    _builtin_recipe,
     channel_from_json,
     chi_from_kraus,
     validity_report,
@@ -77,14 +77,19 @@ def _resolve_code(spec: str):
 
 
 def _resolve_channel(spec: str, params):
+    """(p, draw, have_oracle): the channel's qubit count and a call that
+    forms it. A file's channel is read here; a built-in one is only
+    checked, so its width is compared with the code's before it is
+    drawn."""
     if os.path.exists(spec):
         doc = _load_json(spec)
         try:
-            return channel_from_json(doc), False
+            channel = channel_from_json(doc)
         except (KeyError, TypeError, ValueError) as exc:
             raise _InputError("bad channel schema in %s: %s" % (spec, exc))
+        return channel.p, lambda: channel, False
     try:
-        return builtin_channel(spec, params), True
+        return _builtin_recipe(spec, params) + (True,)
     except ValueError as exc:
         raise _InputError(str(exc))
 
@@ -194,7 +199,7 @@ def _cmd_characterize(args) -> int:
     if not all(math.isfinite(v) for v in params):
         raise _InputError("channel parameters must be finite, got %r"
                           % args.params)
-    channel, have_oracle = _resolve_channel(args.channel, params)
+    width, draw, have_oracle = _resolve_channel(args.channel, params)
     dim = 1 << code.k
     if args.beta:
         beta = _parse_beta(args.beta, dim)
@@ -208,8 +213,12 @@ def _cmd_characterize(args) -> int:
         except ValueError as exc:
             raise _InputError(str(exc))
 
+    noisy = len(code.noisy_coords)
+    if width > noisy:
+        raise _DomainError("channel acts on %d qubits, wider than the code's "
+                           "noisy subsystem of %d" % (width, noisy))
     try:
-        result = characterize(code, channel, beta, sampling)
+        result = characterize(code, draw(), beta, sampling)
     except ValueError as exc:
         raise _DomainError(str(exc))
     channel, chi_est = result.channel, result.chi

@@ -1,18 +1,20 @@
 """Stabilizer codes that correct arbitrary errors on known coordinates.
 
 A code is specified by commuting generators, the noisy coordinate
-subset and a logical basis. Every error-basis element must map the
-code space to a distinct syndrome space, so that one round of syndrome
-measurement identifies the error exactly. The builder rejects the code
-unless the syndrome frame, whose columns F_x|j_L> span the error
-spaces, is orthonormal: with distinct syndromes that is the
-error-correcting condition with C = I. The check, and ``kl_scan``, read
-the frame's Gram matrix off d² blocks of 2^k x 2^k
-(``_overlap_blocks``), formed from the logical basis a chunk of error
-words at a time (``pauli._apply_words``), so no code stores its frame.
-The syndrome table is a popcount over the words' mask arrays. A logical
-basis that is not given is derived by applying the generator projectors
-to a fixed 2^n x 2^k block, so no 2^n x 2^n matrix is formed.
+subset and, optionally, a logical basis. Every error-basis element must
+map the code space to a distinct syndrome space, so that one round of
+syndrome measurement identifies the error exactly. A code given by its
+generators alone is checked by symplectic algebra on the words' mask
+arrays: Hermiticity, commutation, GF(2) rank, the logical operators and
+the syndrome table. These imply the error-correcting condition with
+C = I, and no 2^n vector is formed; the logical basis is derived from
+the generators only when it is read. A code given by explicit codewords
+also has its vectors checked: they must be orthonormal and stabilized,
+and the syndrome frame they span, whose columns F_x|j_L> span the
+error spaces, must be orthonormal. That check, and ``kl_scan`` of such
+a code, read the frame's Gram matrix off d² blocks of 2^k x 2^k
+(``_overlap_blocks``), formed a chunk of error words at a time
+(``pauli._apply_words``), so no code stores its frame.
 """
 
 from __future__ import annotations
@@ -50,27 +52,55 @@ _THREE_QUBIT_GENERATORS = ("XIX", "YYZ")
 _BLOCK_BYTES = 1 << 20
 
 
+class _LogicalBasis:
+    """The descriptor behind ``StabilizerCode.logical_basis``.
+
+    A code keeps the vectors it is given as read-only arrays
+    (``_frozen``; one that could still be written through, as
+    ``dataclasses.replace`` may hand over, is copied). A code given
+    none (None, or the field left out), as ``build_code`` makes from
+    generators alone, derives its basis on first read
+    (``_derive_logical_basis``) and keeps it; past ``MATRIX_QUBIT_CAP``
+    qubits that read is an error.
+    """
+
+    def __get__(self, code, owner=None):
+        if code is None:
+            return self
+        basis = code.__dict__["_codewords"] or code.__dict__.get("_derived")
+        if basis is None:
+            if code.n > MATRIX_QUBIT_CAP:
+                raise ValueError("the logical basis of a %d-qubit code is past "
+                                 "the %d-qubit cap on dense vectors"
+                                 % (code.n, MATRIX_QUBIT_CAP))
+            basis = tuple(map(_frozen, _derive_logical_basis(
+                code.generators, code.k, code.logical_ops)))
+            code.__dict__["_derived"] = basis
+        return basis
+
+    def __set__(self, code, basis):
+        code.__dict__["_codewords"] = (None if basis is None or basis is self
+                                       else tuple(map(_frozen, basis)))
+
+
 @dataclass(frozen=True, eq=False)
 class StabilizerCode:
     """[[n, k]] stabilizer code with a group-closed correctable error set.
 
-    Every ``logical_basis`` vector is read-only, so a code never changes
-    after construction: ``build_code`` freezes the vectors it made, and
-    one that could still be written through (``dataclasses.replace``
-    with a caller's array, say) is copied.
+    ``logical_basis`` is read-only (see ``_LogicalBasis``), so a code
+    never changes after construction; ``logical_ops`` (X_L, Z_L) fixes
+    a derived basis.
     """
 
     n: int
     k: int
     generators: tuple
-    logical_basis: tuple
     noisy_coords: tuple
     error_basis: ErrorBasis
     syndrome_table: tuple
     syndrome_index: dict = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "logical_basis", tuple(map(_frozen, self.logical_basis)))
+    logical_basis: tuple = field(default=_LogicalBasis(), repr=False, kw_only=True)
+    logical_ops: tuple | None = field(default=None, kw_only=True)
 
     @property
     def d2(self) -> int:
@@ -117,10 +147,11 @@ def _derive_logical_basis(generators, k: int, logical_ops) -> tuple:
     A fixed Gaussian 2^n x 2^k block is projected by every (I + g)/2,
     applied as a signed permutation, and orthonormalized by QR; the
     projection and QR run twice, so the columns are stabilized to
-    rounding. With logical operators supplied, the basis is the Z_L
-    eigenvector pair, |1_L> = X_L |0_L>; without them it is the QR
-    columns. Each derived vector except |1_L> gets its first amplitude
-    above the orthonormality cut made real and positive.
+    rounding. With logical operators (X_L, Z_L), which ``build_code``
+    has checked, the basis is the Z_L eigenvector pair,
+    |1_L> = X_L |0_L>; without them it is the QR columns. Each derived
+    vector except |1_L> gets its first amplitude above the
+    orthonormality cut made real and positive.
     """
     dim = 1 << generators[0].n
     real, imag = np.random.default_rng(0).standard_normal((2, dim, 1 << k))
@@ -128,30 +159,12 @@ def _derive_logical_basis(generators, k: int, logical_ops) -> tuple:
     for _ in range(2):
         for g in generators:
             block = (block + apply_pauli(g, block)) / 2.0
-        block, r = np.linalg.qr(block)
-    rank = int((np.abs(np.diagonal(r)) > DEFAULT_POLICY.orthonormality).sum())
-    if rank != (1 << k):
-        raise ValueError("code space has dimension %d, expected %d"
-                         % (rank, 1 << k))
-
+        block, _ = np.linalg.qr(block)
     if logical_ops is None:
         return tuple(_lead_real(col) for col in block.T)
-    if k != 1:
-        raise ValueError("logical-operator basis fixing supports k=1 only")
     x_l, z_l = logical_ops
-    for op in (x_l, z_l):
-        for g in generators:
-            if not commutes(op, g):
-                raise ValueError("logical operator %s anticommutes with "
-                                 "generator %s" % (pauli_to_string(op),
-                                                   pauli_to_string(g)))
-    if commutes(x_l, z_l):
-        raise ValueError("logical operators must anticommute")
-    small = apply_pauli(z_l, block).conj().T @ block
-    w, v = np.linalg.eigh(small)
-    if abs(w[-1] - 1.0) > DEFAULT_POLICY.orthonormality:
-        raise ValueError("Z logical operator has no +1 eigenvector "
-                         "inside the code space")
+    # Z_L acts on the code space with eigenvalues +1 and -1
+    _, v = np.linalg.eigh(apply_pauli(z_l, block).conj().T @ block)
     zero = _lead_real(block @ v[:, -1])
     return (zero, apply_pauli(x_l, zero))
 
@@ -166,10 +179,11 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
     noisy_coords : iterable of int
         Coordinates of the subsystem carrying unknown dynamics.
     codewords : optional iterable of vectors
-        Explicit logical basis. When omitted the basis is derived from
-        the joint +1 eigenspace by projecting a fixed random block (see
-        ``logical_ops``). Given or derived, the basis must be
-        orthonormal and stabilized by every generator.
+        Explicit logical basis, which must be orthonormal and
+        stabilized by every generator, and whose syndrome frame must be
+        orthonormal. When omitted the code is checked by symplectic
+        algebra alone, and its basis is derived from the joint +1
+        eigenspace when first read (see ``logical_ops``).
     logical_ops : optional dict {"X": X_L, "Z": Z_L} of PauliOperator or str
         Used only when codewords are omitted, to fix the derived basis
         as Z_L eigenvectors with X_L mapping between them.
@@ -177,9 +191,12 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
     Raises
     ------
     ValueError
-        Non-commuting, dependent or non-Hermitian generators, a basis
-        that is not orthonormal or not stabilized, a syndrome
-        collision, or failure of the error-correcting condition.
+        Non-commuting, dependent or non-Hermitian generators, logical
+        operators that fix no basis, a basis that is not orthonormal or
+        not stabilized, a syndrome collision, or failure of the
+        error-correcting condition. Codes with codewords have at most
+        ``MATRIX_QUBIT_CAP`` qubits, and codes given by generators at
+        most ``MASK_QUBIT_CAP``.
     TypeError
         A noisy coordinate that is not an integer, such as ``True``,
         ``1.0``, or a character of the string ``"01"``.
@@ -192,13 +209,13 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
     for g in gens:
         if g.n != n:
             raise ValueError("generators act on different qubit counts")
-    if n > MATRIX_QUBIT_CAP:
+    if codewords is not None and n > MATRIX_QUBIT_CAP:
         raise ValueError("codes are capped at %d qubits, got %d"
                          % (MATRIX_QUBIT_CAP, n))
+    gen_masks = _register_masks(gens)
     for g in gens:
         if not g.is_hermitian:
             raise ValueError("generator %s is not Hermitian" % pauli_to_string(g))
-    gen_masks = _register_masks(gens)
     # symmetric with a zero diagonal, so the first nonzero entry in row
     # order is the first anticommuting pair i < j
     first, second = np.nonzero(_anticommuting(gen_masks, gen_masks))
@@ -213,6 +230,7 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
         raise ValueError("no logical qubits: %d generators on %d qubits"
                          % (len(gens), n))
 
+    basis_states = ops = None
     if codewords is not None:
         basis_states = tuple(np.array(v, dtype=complex) for v in codewords)
         if len(basis_states) != (1 << k):
@@ -224,29 +242,40 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
                                  "%d qubits" % (v.shape, 1 << n, n))
             if not np.isfinite(v).all():
                 raise ValueError("codeword has non-finite amplitudes")
-    else:
-        ops = None
-        if logical_ops is not None:
-            ops = tuple(op if isinstance(op, PauliOperator) else pauli_from_string(op, n)
-                        for op in (logical_ops["X"], logical_ops["Z"]))
-        basis_states = _derive_logical_basis(gens, k, ops)
-
-    dim = 1 << k
-    logical = np.column_stack(basis_states)
-    gap = np.abs(logical.conj().T @ logical - np.eye(dim)).max()
-    if not gap <= DEFAULT_POLICY.orthonormality:  # NaN fails
-        raise ValueError("states are not orthonormal")
-    # every generator's image of the basis, gathered at once; NaN fails
-    images = np.empty((1 << n, len(gens), dim), dtype=complex)
-    _apply_words(gen_masks, logical, images)
-    stabilized = np.abs(images - logical[:, None]).max(axis=(0, 2)) <= DEFAULT_POLICY.algebraic
-    if not stabilized.all():
-        raise ValueError("codeword is not stabilized by %s"
-                         % pauli_to_string(gens[int(np.argmin(stabilized))]))
+        logical = np.column_stack(basis_states)
+        gap = np.abs(logical.conj().T @ logical - np.eye(1 << k)).max()
+        if not gap <= DEFAULT_POLICY.orthonormality:  # NaN fails
+            raise ValueError("states are not orthonormal")
+        # every generator's image of the basis, gathered at once; NaN fails
+        images = np.empty((1 << n, len(gens), 1 << k), dtype=complex)
+        _apply_words(gen_masks, logical, images)
+        stabilized = np.abs(images - logical[:, None]).max(axis=(0, 2)) <= DEFAULT_POLICY.algebraic
+        if not stabilized.all():
+            raise ValueError("codeword is not stabilized by %s"
+                             % pauli_to_string(gens[int(np.argmin(stabilized))]))
+    elif logical_ops is not None:
+        ops = tuple(op if isinstance(op, PauliOperator) else pauli_from_string(op, n)
+                    for op in (logical_ops["X"], logical_ops["Z"]))
+        if k != 1:
+            raise ValueError("logical-operator basis fixing supports k=1 only")
+        # both must map the code space to itself, and X_L exchange the
+        # eigenspaces of Z_L; a Hermitian Z_L then has eigenvalues +1 and
+        # -1 there, and one with an i or -i prefix +i and -i
+        for op in ops:
+            for g in gens:
+                if not commutes(op, g):
+                    raise ValueError("logical operator %s anticommutes with "
+                                     "generator %s" % (pauli_to_string(op),
+                                                       pauli_to_string(g)))
+        if commutes(*ops):
+            raise ValueError("logical operators must anticommute")
+        if not ops[1].is_hermitian:
+            raise ValueError("Z logical operator has no +1 eigenvector "
+                             "inside the code space")
 
     coords = _check_coords(n, noisy_coords)
     # 4^p errors cannot have distinct syndromes among 2^(n-k): refused
-    # before the basis and its 16^p-entry product table are formed
+    # before the 16^p-entry product table is formed
     if k + 2 * len(coords) > n:
         raise ValueError("syndrome collision: %d errors on %d noisy qubits "
                          "exceed the %d syndromes of %d generators"
@@ -263,22 +292,26 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
             "syndrome collision: errors %s and %s share syndrome %s"
             % (error_basis.label(index[table[i]]), error_basis.label(i), table[i]))
 
-    # distinct syndromes and frame† frame = I are the condition with C = I;
-    # frame† frame − I is made of B_0 − I and the i^e B_z, z != 0
-    blocks = _overlap_blocks(logical, error_masks)
-    blocks[0] -= np.eye(dim)
-    residual = float(np.abs(blocks).max())
-    if not residual <= DEFAULT_POLICY.kl_residual:  # NaN fails
-        raise ValueError("error-correcting condition fails with residual %g"
-                         % residual)
-    # frozen in place, so StabilizerCode keeps them without a copy; the
-    # caller's codewords were copied above
-    for array in basis_states:
-        array.flags.writeable = False
+    # distinct syndromes mean every product F_a† F_b but the identity
+    # anticommutes with a generator, so Pi F_a† F_b Pi = delta_ab Pi on
+    # the generators' code space. Given codewords must span it: with
+    # distinct syndromes, frame† frame = I is the condition with C = I,
+    # and frame† frame − I is made of B_0 − I and the i^e B_z, z != 0
+    if basis_states is not None:
+        blocks = _overlap_blocks(logical, error_masks)
+        blocks[0] -= np.eye(1 << k)
+        residual = float(np.abs(blocks).max())
+        if not residual <= DEFAULT_POLICY.kl_residual:  # NaN fails
+            raise ValueError("error-correcting condition fails with residual %g"
+                             % residual)
+        # frozen in place, so StabilizerCode keeps them without a copy;
+        # the caller's codewords were copied above
+        for array in basis_states:
+            array.flags.writeable = False
     return StabilizerCode(
-        n=n, k=k, generators=gens, logical_basis=basis_states,
-        noisy_coords=error_basis.coords, error_basis=error_basis,
-        syndrome_table=table, syndrome_index=index,
+        n=n, k=k, generators=gens, noisy_coords=error_basis.coords,
+        error_basis=error_basis, syndrome_table=table, syndrome_index=index,
+        logical_basis=basis_states, logical_ops=ops,
     )
 
 
@@ -308,12 +341,18 @@ def _overlap_blocks(logical: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def kl_scan(code: StabilizerCode) -> tuple:
     """Error-correcting-condition matrix and worst residual, unchecked.
 
-    Read off the overlap blocks B_z = W_0† F_z W_0 (``_overlap_blocks``):
-    c_z = Tr(B_z) / 2^k, C_ab = i^e c_{a.b} with F_a F_b = i^e F_{a.b},
-    and residual is the largest |B_z − c_z I| over all errors z. Since
+    For a code given by its generators this is C = I and residual 0
+    exactly: ``build_code`` checked that every error has its own
+    syndrome, so Pi F_a† F_b Pi = delta_ab Pi (see there). For a code
+    that holds given vectors, they are read off the overlap blocks
+    B_z = W_0† F_z W_0 (``_overlap_blocks``): c_z = Tr(B_z) / 2^k,
+    C_ab = i^e c_{a.b} with F_a F_b = i^e F_{a.b}, and residual is the
+    largest |B_z − c_z I| over all errors z. Since
     Pi F_a† F_b Pi = i^e W_0 B_{a.b} W_0†, the residual is zero exactly
     when Pi F_a† F_b Pi = C_ab Pi for every pair.
     """
+    if code._codewords is None:
+        return np.eye(code.d2, dtype=complex), 0.0
     dim = 1 << code.k
     blocks = _overlap_blocks(np.column_stack(code.logical_basis),
                              _register_masks(code.error_basis.elements))

@@ -26,6 +26,8 @@ import numpy as np
 
 # Dense rendering above this qubit count is not desk scale.
 MATRIX_QUBIT_CAP = 12
+# Register-order masks are int64 arrays (``_register_masks``).
+MASK_QUBIT_CAP = 62
 
 _MINUS = "−"
 
@@ -127,11 +129,18 @@ _GATHER_BYTES = 1 << 16
 def _register_masks(words) -> np.ndarray:
     """The words' X and Z masks in register order, qubit 0 moved to the
     top bit, and their phase exponents: a 3 x len(words) integer array
-    with rows (u, v, phase_exp)."""
-    fmt = "0%db" % (words[0].n if words else 1)
-    return np.array([(int(format(w.x_mask, fmt)[::-1], 2),
-                      int(format(w.z_mask, fmt)[::-1], 2), w.phase_exp)
-                     for w in words], dtype=np.int64).reshape(-1, 3).T
+    with rows (u, v, phase_exp). Words on more than ``MASK_QUBIT_CAP``
+    qubits are refused before any mask is built."""
+    n = words[0].n if words else 1
+    if n > MASK_QUBIT_CAP:
+        raise ValueError("Pauli masks are capped at %d qubits (int64), got %d"
+                         % (MASK_QUBIT_CAP, n))
+    masks = np.array([(w.x_mask, w.z_mask, w.phase_exp) for w in words],
+                     dtype=np.int64).reshape(-1, 3).T
+    # bit q of a mask moves to bit n - 1 - q
+    q = np.arange(n)
+    masks[:2] = (masks[:2, :, None] >> q & 1) @ (1 << q[::-1])
+    return masks
 
 
 def _anticommuting(p_masks: np.ndarray, q_masks: np.ndarray) -> np.ndarray:

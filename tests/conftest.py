@@ -36,6 +36,24 @@ def bell_pair_generators(p):
     return gens
 
 
+def rotated_surface_generators(d):
+    """The d^2 - 1 checks of the distance-d rotated surface code on a
+    d x d grid, qubit r d + c at row r and column c: weight-4 X and Z
+    plaquettes in a checkerboard, and weight-2 X checks on the top and
+    bottom edges and Z checks on the left and right ones."""
+    n = d * d
+    gens = []
+    for r in range(-1, d):
+        for c in range(-1, d):
+            kind = "X" if (r + c) % 2 else "Z"
+            qubits = [rr * d + cc for rr in (r, r + 1) for cc in (c, c + 1)
+                      if 0 <= rr < d and 0 <= cc < d]
+            edge = r in (-1, d - 1) if kind == "X" else c in (-1, d - 1)
+            if len(qubits) == 4 or (len(qubits) == 2 and edge):
+                gens.append("".join(kind if q in qubits else "I" for q in range(n)))
+    return gens
+
+
 # the code file of perfbench's cli-mix workload: bell_pair_generators(2)
 # in another order, with the spectator qubit's X and Z as logical operators
 BELL2_CODE = {"generators": ["XIXII", "ZIZII", "IXIXI", "IZIZI"],

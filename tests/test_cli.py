@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
 import syntomo as st
-from conftest import BELL2_CODE, bell_pair_generators, malformed
+from conftest import BELL2_CODE, bell_pair_generators, malformed, rotated_surface_generators
 from syntomo.cli import main
 
 
@@ -93,6 +94,13 @@ class TestValidate:
         assert err == ("error: syndrome collision: %d errors on %d noisy qubits "
                        "exceed the 2048 syndromes of 11 generators\n"
                        % (4 ** noisy, noisy))
+
+    def test_code_file_past_the_mask_cap(self, capsys, tmp_path):
+        path = tmp_path / "z63.json"
+        path.write_text(json.dumps({"generators": ["Z" * 63], "noisy_coords": []}))
+        rc, out, err = run(capsys, "validate", "--code", str(path))
+        assert rc == 1 and out == ""
+        assert err == "error: Pauli masks are capped at 62 qubits (int64), got 63\n"
 
     def test_unparseable_file(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
@@ -195,6 +203,28 @@ class TestCharacterize:
                          "--channel", "correlated-flip", "--params", "0.2")
         assert rc == 1
         assert "qubit" in err
+
+    @pytest.mark.parametrize("source", ["builtin", "file"])
+    def test_too_wide_channel_refused_before_it_is_drawn(self, capsys, tmp_path, source):
+        # a 5-qubit random-cp of rank 256 holds 2^18 Kraus entries, 4 MiB
+        if source == "builtin":
+            argv = ["--channel", "random-cp", "--params", "1,5,256"]
+        else:
+            path = tmp_path / "channel.json"
+            path.write_text(json.dumps(st.channel_to_json(
+                st.builtin_channel("correlated-flip", [0.2]))))
+            argv = ["--channel", str(path)]
+        tracemalloc.start()
+        try:
+            rc, out, err = run(capsys, "characterize", "--code", "code3", *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        width = 5 if source == "builtin" else 2
+        assert rc == 1 and out == ""
+        assert err == ("error: channel acts on %d qubits, wider than the code's "
+                       "noisy subsystem of 1\n" % width)
+        assert peak < 1 << 20
 
     def test_bad_params_are_input_errors(self, capsys):
         rc, _, err = run(capsys, "characterize", "--code", "code3",
@@ -601,6 +631,52 @@ def test_report_escapes_label(capsys, tmp_path):
                              "--channel", str(path))
     assert rc == 0
     assert report["channel"] == label
+
+
+def surface_code_file(tmp_path, d, noisy):
+    """A rotated surface-code file with ``noisy`` qubits next to the centre."""
+    centre = (d // 2) * (d + 1)
+    path = tmp_path / ("surface%d-p%d.json" % (d, noisy))
+    path.write_text(json.dumps({"generators": rotated_surface_generators(d),
+                                "noisy_coords": [centre, centre + 1, centre + d][:noisy]}))
+    return path
+
+
+@pytest.mark.parametrize("d, noisy", [(5, 2), (5, 3), (7, 2), (7, 3)])
+def test_surface_code_files_past_the_dense_cap(capsys, tmp_path, d, noisy):
+    """25- and 49-qubit codes given by generators validate, with the
+    condition exact, and characterize exactly: no 2^n vector is formed."""
+    path = surface_code_file(tmp_path, d, noisy)
+    rc, doc, _ = run_json(capsys, "validate", "--code", str(path))
+    assert rc == 0 and doc["pass"] is True
+    assert (doc["n"], doc["k"], doc["syndrome_count"]) == (d * d, 1, 4 ** noisy)
+    assert doc["kl_residual"] == 0 and doc["kl_identity_gap"] == 0
+    rc, doc, _ = run_json(capsys, "characterize", "--code", str(path), "--channel",
+                          "random-cp", "--params", "11,%d,2" % noisy)
+    assert rc == 0
+    code = st.code_from_json(json.loads(path.read_text()))
+    oracle = st.chi_from_kraus(st.builtin_channel("random-cp", [11, noisy, 2]),
+                               code.error_basis)
+    chi = np.array(doc["chi"]) @ (1, 1j)
+    assert np.abs(chi - oracle.entries).max() < 1e-12
+    assert doc["error_report"]["frobenius_error"] < 1e-12
+
+
+def test_surface_code_validates_in_a_small_fresh_process(tmp_path):
+    """``validate`` of the 49-qubit file as its own process stays under
+    100 MB of resident memory: the child's child is the only process
+    that RUSAGE_CHILDREN sees."""
+    path = surface_code_file(tmp_path, 7, 3)
+    src = str(Path(st.__file__).resolve().parents[1])
+    script = ("import resource, subprocess, sys; "
+              "subprocess.run([sys.executable, '-m', 'syntomo.cli', 'validate', "
+              "'--code', sys.argv[1]], check=True, stdout=subprocess.DEVNULL); "
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    # ru_maxrss is in KiB on Linux
+    assert int(proc.stdout) * 1024 < 100e6
 
 
 def test_console_entry_point():

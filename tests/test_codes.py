@@ -1,6 +1,7 @@
 """Built-in codes, code construction, and syndrome machinery."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import tracemalloc
@@ -380,10 +381,24 @@ class TestBuildCode:
                 st.build_code(["XIX", "YYZ"], [0], codewords=words)
 
     def test_qubit_cap(self):
+        # codewords are 2^n vectors: refused past the dense cap
         cap = st.pauli.MATRIX_QUBIT_CAP
         for n in (cap + 1, 31):
-            with pytest.raises(ValueError, match="capped at %d qubits" % cap):
-                st.build_code(["Z" * n], [0])
+            with pytest.raises(ValueError, match="^codes are capped at %d qubits, got %d$"
+                               % (cap, n)):
+                st.build_code(["Z" * n], [0], codewords=[[1.0], [0.0]])
+        # generators are int64 masks: refused past 62 qubits
+        with pytest.raises(ValueError, match=r"^Pauli masks are capped at 62 qubits "
+                                             r"\(int64\), got 63$"):
+            st.build_code(["Z" * 63], [0])
+        # a code given by generators builds past the dense cap; reading
+        # its derived basis does not
+        for n in (cap + 1, 31, 62):
+            code = st.build_code(["Z" * n], [])
+            assert (code.n, code.k) == (n, n - 1)
+            with pytest.raises(ValueError, match="^the logical basis of a %d-qubit code "
+                               "is past the %d-qubit cap on dense vectors$" % (n, cap)):
+                code.logical_basis
 
     def test_non_string_words_are_type_errors(self):
         with pytest.raises(TypeError, match="must be a string"):
@@ -452,9 +467,12 @@ class TestBuildCode:
 
 
 def test_building_forms_no_register_square_matrix(monkeypatch):
-    """The logical basis and the overlap blocks come from 2^n x 2^k blocks and
-    2^k x 2^k matrices: no Pauli word (one by ``apply_pauli`` or many by
-    ``_apply_words``), eigh or QR call sees a 2^n x 2^n input."""
+    """A code given by generators is built from mask arrays alone: no
+    Pauli word is applied (one by ``apply_pauli`` or many by
+    ``_apply_words``) and no eigh or QR runs until its logical basis is
+    read. That basis, and a build from codewords, with its overlap
+    blocks, come from 2^n x 2^k blocks and 2^k x 2^k matrices: no call
+    sees a 2^n x 2^n input."""
     seen = []
 
     def spy(fn, arg):
@@ -467,10 +485,13 @@ def test_building_forms_no_register_square_matrix(monkeypatch):
     monkeypatch.setattr("syntomo.codes._apply_words", spy(st.codes._apply_words, 1))
     monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, 0))
     monkeypatch.setattr(np.linalg, "qr", spy(np.linalg.qr, 0))
-    builds = list(FRAME_CODES.values()) + [lambda: st.code_from_json(BELL2_CODE)]
-    for build in builds:
+    builds = dict(FRAME_CODES, bell2_file=lambda: st.code_from_json(BELL2_CODE))
+    for name, build in builds.items():
         seen.clear()
         code = build()
+        if name not in ("code3", "code5"):
+            assert not seen, name
+            code.logical_basis
         assert seen
         assert (1 << code.n, 1 << code.n) not in seen
 
@@ -541,3 +562,84 @@ class TestSyndromeFrame:
                             st.NumericPolicy(kl_residual=1e-12))
         with pytest.raises(ValueError, match="error-correcting condition fails"):
             st.build_code(["XIX", "YYZ"], [0], codewords=[zero, ONE3])
+
+
+# sha256 of np.column_stack(code.logical_basis).tobytes(), recorded
+# when build_code still derived every basis as it built the code
+DERIVED_BASIS_DIGESTS = {
+    "nonperfect4": "3f1d244299086793f06e353a7847fa1780b7eeea02afb22be4f5deecf38407c5",
+    "bell3": "ef5cc26da1e13d11b67c234da7d97a17a51609bb11560f97fe1bdb73e4684521",
+    "bell2-tail": "71de7603eca44022e054aff437cf8e1d8b0b57a72cf761c76284d36a5e91d219",
+    "bell2-file": "c8ec5c4c6794ed1d6988ee26a72b66d16c32654ddf8cae50cd7f143322b79a1c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_BASIS_DIGESTS))
+def test_basis_derived_on_first_read(name):
+    """A code given by generators holds no basis until it is read; the
+    basis read is the one the build used to derive, bit for bit, and is
+    derived once and kept read-only."""
+    if name == "bell2-file":
+        code = st.code_from_json(json.loads(json.dumps(BELL2_CODE)))
+    else:
+        code = FRAME_CODES[name]()
+    assert "_derived" not in vars(code)
+    basis = code.logical_basis
+    assert code.logical_basis is basis
+    assert all(not v.flags.writeable for v in basis)
+    digest = hashlib.sha256(np.column_stack(basis).tobytes()).hexdigest()
+    assert digest == DERIVED_BASIS_DIGESTS[name]
+
+
+def test_kl_scan_of_a_generator_code_is_exact():
+    # C = I and residual 0 with no basis read (test_kl_scan_matches_dense_loop
+    # checks the derived basis against the dense loop)
+    code = st.build_code(["XIX", "YYZ"], [0])
+    c, residual = st.kl_scan(code)
+    assert residual == 0.0 and np.array_equal(c, np.eye(4))
+    assert "_derived" not in vars(code)
+
+
+# (X_L, Z_L) for BELL2_CODE's generators and the outcome when build_code
+# still derived the basis as it built: None where it built, else its message
+LOGICAL_OP_CASES = [
+    ("-IIIIX", "IIIIZ", None),
+    ("iIIIIX", "IIIIZ", None),
+    ("-iIIIIX", "IIIIZ", None),
+    ("IIIIX", "-IIIIZ", None),
+    ("IIIIX", "IIIIY", None),
+    ("IIIIX", "iIIIIZ", "Z logical operator has no +1 eigenvector inside the code space"),
+    ("IIIIX", "-iIIIIZ", "Z logical operator has no +1 eigenvector inside the code space"),
+    # commuting operators
+    ("IIIIX", "IIIIX", "logical operators must anticommute"),
+    ("IIIIX", "IIIII", "logical operators must anticommute"),
+    ("IIIIY", "iIIIIY", "logical operators must anticommute"),
+    # in the stabilizer group, up to a phase
+    ("IIIIX", "ZIZII", "logical operators must anticommute"),
+    ("IIIIX", "-ZIZII", "logical operators must anticommute"),
+    ("IIIIX", "iZIZII", "logical operators must anticommute"),
+    ("XIXII", "IIIIZ", "logical operators must anticommute"),
+    ("IIIIX", "XIIII", "logical operator XIIII anticommutes with generator ZIZII"),
+]
+
+
+@pytest.mark.parametrize("x_l, z_l, message", LOGICAL_OP_CASES)
+def test_logical_ops_checked_without_a_basis(x_l, z_l, message):
+    """The symplectic checks refuse exactly the logical operators that
+    the derivation's eigenvector test refused, with its messages; an
+    accepted pair fixes |0_L> as a +1 eigenvector of Z_L and
+    |1_L> = X_L|0_L>."""
+    gens = BELL2_CODE["generators"]
+    ops = {"X": x_l, "Z": z_l}
+    if message is not None:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            st.build_code(gens, [0, 1], logical_ops=ops)
+        return
+    code = st.build_code(gens, [0, 1], logical_ops=ops)
+    zero, one = code.logical_basis
+    z = st.to_matrix(st.pauli_from_string(z_l))
+    np.testing.assert_allclose(z @ zero, zero, atol=1e-12)
+    np.testing.assert_allclose(st.to_matrix(st.pauli_from_string(x_l)) @ zero, one,
+                               atol=1e-15)
+    for g in code.generators:
+        np.testing.assert_allclose(st.to_matrix(g) @ one, one, atol=1e-12)

@@ -181,6 +181,30 @@ def test_numpy_floor_has_bitwise_count():
         % floor.groups())
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=hs.integers(1, pauli.MASK_QUBIT_CAP), data=hs.data())
+def test_register_masks_reverse_the_qubit_order(n, data):
+    """Bit q of a mask moves to bit n - 1 - q: the reversed binary string
+    of every mask, as Python ints."""
+    masks = hs.integers(0, (1 << n) - 1)
+    words = [PauliOperator(n, data.draw(masks), data.draw(masks), data.draw(hs.integers(0, 3)))
+             for _ in range(data.draw(hs.integers(1, 5)))]
+
+    def reversed_bits(m):
+        return int(format(m, "0%db" % n)[::-1], 2)
+
+    want = [[reversed_bits(w.x_mask) for w in words], [reversed_bits(w.z_mask) for w in words],
+            [w.phase_exp for w in words]]
+    got = pauli._register_masks(words)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_register_masks_refuse_more_than_62_qubits():
+    with pytest.raises(ValueError, match=r"^Pauli masks are capped at 62 qubits "
+                                         r"\(int64\), got 63$"):
+        pauli._register_masks([PauliOperator(63, 1 << 62, 0)])
+
+
 def test_apply_rejects_a_wrong_length():
     p = word("XYZ")
     for bad in (np.ones(4), np.ones(16), np.ones((4, 2)), np.ones((8, 2, 2))):
