@@ -213,8 +213,12 @@ def extend_channel(channel: Channel, p_total: int) -> Channel:
     if p_total == channel.p:
         return channel
     eye = np.eye(1 << (p_total - channel.p), dtype=complex)
-    ops = tuple(np.kron(e, eye) for e in channel.kraus)
-    return Channel(p=p_total, kraus=ops, label=channel.label)
+    # np.kron(e, eye) of every operator at once: entry (i m + k, j m + l)
+    # is e[i, j] * eye[k, l], the same products
+    ops = np.stack(channel.kraus)[:, :, None, :, None] * eye[:, None, :]
+    size = 1 << p_total
+    return Channel(p=p_total, kraus=tuple(ops.reshape(-1, size, size)),
+                   label=channel.label)
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:

@@ -43,53 +43,28 @@ from .pauli import (
 
 Syndrome = tuple
 
-# the names builtin_code knows
-_BUILTIN_CODES = ("code3", "code5")
-_FIVE_QUBIT_GENERATORS = ("IZZZZ", "XXXII", "ZXZIX", "ZZXXI")
-_THREE_QUBIT_GENERATORS = ("XIX", "YYZ")
+# builtin_code's names: (generators, noisy coordinates, logical
+# operators); the derived bases are the textbook codewords to rounding
+_BUILTIN_CODES = {
+    "code3": (("XIX", "YYZ"), (0,), {"X": "-XZI", "Z": "XXI"}),
+    "code5": (("IZZZZ", "XXXII", "ZXZIX", "ZZXXI"), (0, 1),
+              {"X": "IIIXX", "Z": "IIXXZ"}),
+}
 # bytes of error-word images that ``_overlap_blocks`` holds at once; one
 # word per chunk (64 KiB at bell5) moved bell5's residual in its last bits
 _BLOCK_BYTES = 1 << 20
-
-
-class _LogicalBasis:
-    """The descriptor behind ``StabilizerCode.logical_basis``.
-
-    A code keeps the vectors it is given as read-only arrays
-    (``_frozen``; one that could still be written through, as
-    ``dataclasses.replace`` may hand over, is copied). A code given
-    none (None, or the field left out), as ``build_code`` makes from
-    generators alone, derives its basis on first read
-    (``_derive_logical_basis``) and keeps it; past ``MATRIX_QUBIT_CAP``
-    qubits that read is an error.
-    """
-
-    def __get__(self, code, owner=None):
-        if code is None:
-            return self
-        basis = code.__dict__["_codewords"] or code.__dict__.get("_derived")
-        if basis is None:
-            if code.n > MATRIX_QUBIT_CAP:
-                raise ValueError("the logical basis of a %d-qubit code is past "
-                                 "the %d-qubit cap on dense vectors"
-                                 % (code.n, MATRIX_QUBIT_CAP))
-            basis = tuple(map(_frozen, _derive_logical_basis(
-                code.generators, code.k, code.logical_ops)))
-            code.__dict__["_derived"] = basis
-        return basis
-
-    def __set__(self, code, basis):
-        code.__dict__["_codewords"] = (None if basis is None or basis is self
-                                       else tuple(map(_frozen, basis)))
 
 
 @dataclass(frozen=True, eq=False)
 class StabilizerCode:
     """[[n, k]] stabilizer code with a group-closed correctable error set.
 
-    ``logical_basis`` is read-only (see ``_LogicalBasis``), so a code
-    never changes after construction; ``logical_ops`` (X_L, Z_L) fixes
-    a derived basis.
+    ``codewords`` holds the vectors the code was given, as read-only
+    arrays (one that could still be written through, as
+    ``dataclasses.replace`` may hand over, is copied), or None for a
+    code given by its generators; ``logical_ops`` (X_L, Z_L) then fixes
+    the basis that ``logical_basis`` derives. A code never changes
+    after construction.
     """
 
     n: int
@@ -99,13 +74,35 @@ class StabilizerCode:
     error_basis: ErrorBasis
     syndrome_table: tuple
     syndrome_index: dict = field(repr=False, compare=False)
-    logical_basis: tuple = field(default=_LogicalBasis(), repr=False, kw_only=True)
+    codewords: tuple | None = field(default=None, repr=False, kw_only=True)
     logical_ops: tuple | None = field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        if self.codewords is not None:
+            object.__setattr__(self, "codewords", tuple(map(_frozen, self.codewords)))
 
     @property
     def d2(self) -> int:
         """Error-basis size 4^p."""
         return self.error_basis.size
+
+    @property
+    def logical_basis(self) -> tuple:
+        """The given codewords, or else the basis derived from the
+        generators (``_derive_logical_basis``) on first read and kept;
+        past ``MATRIX_QUBIT_CAP`` qubits that read is an error."""
+        if self.codewords is not None:
+            return self.codewords
+        basis = self.__dict__.get("_derived")
+        if basis is None:
+            if self.n > MATRIX_QUBIT_CAP:
+                raise ValueError("the logical basis of a %d-qubit code is past "
+                                 "the %d-qubit cap on dense vectors"
+                                 % (self.n, MATRIX_QUBIT_CAP))
+            basis = tuple(map(_frozen, _derive_logical_basis(
+                self.generators, self.k, self.logical_ops)))
+            self.__dict__["_derived"] = basis
+        return basis
 
 
 def _frozen(array) -> np.ndarray:
@@ -311,7 +308,7 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
     return StabilizerCode(
         n=n, k=k, generators=gens, noisy_coords=error_basis.coords,
         error_basis=error_basis, syndrome_table=table, syndrome_index=index,
-        logical_basis=basis_states, logical_ops=ops,
+        codewords=basis_states, logical_ops=ops,
     )
 
 
@@ -351,7 +348,7 @@ def kl_scan(code: StabilizerCode) -> tuple:
     Pi F_a† F_b Pi = i^e W_0 B_{a.b} W_0†, the residual is zero exactly
     when Pi F_a† F_b Pi = C_ab Pi for every pair.
     """
-    if code._codewords is None:
+    if code.codewords is None:
         return np.eye(code.d2, dtype=complex), 0.0
     dim = 1 << code.k
     blocks = _overlap_blocks(np.column_stack(code.logical_basis),
@@ -393,38 +390,14 @@ def syndrome_projector(code: StabilizerCode, syndrome: Syndrome) -> np.ndarray:
 
 
 def builtin_code(name: str) -> StabilizerCode:
-    """Built-in codes: "code3" ([[3,1]], one noisy qubit) and
-    "code5" ([[5,1]], two noisy qubits)."""
+    """Built-in codes, given by their generators: "code3" ([[3,1]], one
+    noisy qubit) and "code5" ([[5,1]], two noisy qubits)."""
     key = name.strip().lower()
-    if key == "code3":
-        return build_code(_THREE_QUBIT_GENERATORS, (0,),
-                          codewords=_three_qubit_codewords())
-    if key == "code5":
-        return build_code(_FIVE_QUBIT_GENERATORS, (0, 1),
-                          codewords=_five_qubit_codewords())
-    raise ValueError("unknown code name %r; known names: %s"
-                     % (name, ", ".join(_BUILTIN_CODES)))
-
-
-def _kets(terms: str) -> np.ndarray:
-    """The sum of the signed basis kets in ``terms``, such as
-    "+001 -110", written into one vector."""
-    terms = terms.split()
-    v = np.zeros(1 << (len(terms[0]) - 1), dtype=complex)
-    v[[int(t[1:], 2) for t in terms]] = [1.0 if t[0] == "+" else -1.0 for t in terms]
-    return v
-
-
-def _three_qubit_codewords() -> tuple:
-    zero = _kets("+001 +010 +100 +111") / 2.0
-    one = _kets("+110 -101 +011 -000") / 2.0
-    return (zero, one)
-
-
-def _five_qubit_codewords() -> tuple:
-    zero = _kets("+00000 +00110 +01001 -01111 -10011 +10101 +11010 +11100")
-    zero = zero / (2.0 * np.sqrt(2.0))
-    return (zero, apply_pauli(pauli_from_string("XXXXX"), zero))
+    if key not in _BUILTIN_CODES:
+        raise ValueError("unknown code name %r; known names: %s"
+                         % (name, ", ".join(_BUILTIN_CODES)))
+    generators, noisy_coords, logical_ops = _BUILTIN_CODES[key]
+    return build_code(generators, noisy_coords, logical_ops=logical_ops)
 
 
 def code_to_json(code: StabilizerCode) -> dict:

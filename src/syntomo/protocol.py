@@ -201,21 +201,35 @@ class ReadoutTable:
         """(probability estimates, exact): the records' values in the
         table's layout, and whether every record is exact. A record
         whose syndromes start with the table's gives its row as it is;
-        any other is gathered by syndrome, a missing one reading 0."""
-        by_config = {rec.config_index: rec for rec in records}
-        missing = sorted(set(self.configs) - set(by_config))
-        if missing:
-            raise ValueError("missing records for configurations %s" % missing)
-        exact = all(rec.exact for rec in by_config.values())
-        rows = [by_config[i] for i in self.configs]
-        width = len(self.syndromes)
-        raw = np.array([rec.row[:width] if rec.syndromes is self.syndromes
-                        or rec.syndromes[:width] == self.syndromes
-                        else self._gather(rec) for rec in rows],
-                       dtype=float).reshape(self.a_index.shape)
+        any other is gathered by syndrome, a missing one reading 0.
+        Records of the table's configurations in its order, sharing its
+        syndromes tuple, as ``simulate`` and ``sample_record`` make them,
+        are stacked as they come."""
+        rows = tuple(records)
+        configs, syndromes = self.configs, self.syndromes
+        width = len(syndromes)
+        if (len(rows) == len(configs) == len(set(configs))
+                and all(rec.syndromes is syndromes and rec.config_index == i
+                        and len(rec.row) == width for rec, i in zip(rows, configs))):
+            raw = np.array([rec.row for rec in rows], dtype=float)
+            exact = all(rec.shots is None for rec in rows)
+        else:
+            by_config = {rec.config_index: rec for rec in rows}
+            missing = sorted(set(configs) - set(by_config))
+            if missing:
+                raise ValueError("missing records for configurations %s" % missing)
+            exact = all(rec.exact for rec in by_config.values())
+            rows = [by_config[i] for i in configs]
+            raw = np.array([rec.row[:width] if rec.syndromes is syndromes
+                            or rec.syndromes[:width] == syndromes
+                            else self._gather(rec) for rec in rows], dtype=float)
+        raw = raw.reshape(self.a_index.shape)
+        # x / 1.0 is x: exact rows need no division
+        if exact:
+            return raw, True
         shots = np.array([1.0 if rec.shots is None else float(rec.shots)
                           for rec in rows])
-        return raw / shots[:, None], exact
+        return raw / shots[:, None], False
 
     @functools.cached_property
     def _reductions(self) -> dict:

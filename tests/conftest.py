@@ -92,6 +92,14 @@ def frame_code(request):
 
 
 @pytest.fixture
+def basis_reads_refused(monkeypatch):
+    """Every ``StabilizerCode.logical_basis`` read fails the test."""
+    def refuse(code):
+        raise AssertionError("logical_basis read")
+    monkeypatch.setattr(st.StabilizerCode, "logical_basis", property(refuse))
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(4217)
 

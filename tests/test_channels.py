@@ -363,6 +363,22 @@ def test_extend_channel_pads_with_identity(ad036):
     assert np.abs(chi2[np.ix_(mask, mask)]).max() < 1e-14
 
 
+@pytest.mark.parametrize("p, p_total", [(1, 2), (1, 3), (2, 3)])
+def test_extend_channel_equals_kron_bit_for_bit(p, p_total):
+    # signed zeros in both parts of the operators: -0.0 * 1.0 stays -0.0
+    # and -0.0 * 0.0 gives -0.0 in np.kron, and so in the padding
+    ops = [np.array(e) for e in st.builtin_channel("random-cp", [7, p, 3]).kraus]
+    ops[0][0, 0] = complex(-0.0, -0.0)
+    ops[1][0, 1] = complex(-0.0, 0.0)
+    ops[2][1, 0] = complex(0.0, -0.0)
+    ops = [e / 2 for e in ops]
+    eye = np.eye(1 << (p_total - p), dtype=complex)
+    padded = st.extend_channel(st.Channel(p, tuple(ops), "signed"), p_total)
+    assert padded.p == p_total and padded.label == "signed"
+    assert [e.tobytes() for e in padded.kraus] == [np.kron(e, eye).tobytes() for e in ops]
+    assert all(not e.flags.writeable for e in padded.kraus)
+
+
 def test_extend_channel_rejects_shrinking():
     ch = st.builtin_channel("correlated-flip", [0.2])
     with pytest.raises(ValueError):

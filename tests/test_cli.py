@@ -633,6 +633,19 @@ def test_report_escapes_label(capsys, tmp_path):
     assert report["channel"] == label
 
 
+@pytest.mark.parametrize("name", sorted(st.codes._BUILTIN_CODES))
+def test_builtin_commands_read_no_logical_basis(capsys, basis_reads_refused, name):
+    """A built-in is a generator code, and no command reads a basis."""
+    for argv in (["validate"], ["plan"],
+                 ["characterize", "--channel", "depolarizing", "--params", "0.1"],
+                 ["characterize", "--channel", "random-cp", "--params", "3,1,2",
+                  "--mode", "sampled", "--shots", "1000"]):
+        rc, _, err = run(capsys, *argv, "--code", name)
+        assert (rc, err) == (0, ""), argv
+    rc, doc, _ = run_json(capsys, "validate", "--code", name)
+    assert doc["kl_residual"] == 0 and doc["kl_identity_gap"] == 0
+
+
 def surface_code_file(tmp_path, d, noisy):
     """A rotated surface-code file with ``noisy`` qubits next to the centre."""
     centre = (d // 2) * (d + 1)

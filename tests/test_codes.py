@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import syntomo as st
-from conftest import BELL2_CODE, FRAME_CODES, bell_pair_generators, built_frame_code
+from conftest import (BELL2_CODE, FRAME_CODES, bell_pair_generators, built_frame_code,
+                      rotated_surface_generators)
 from syntomo import jsonio
 
 
@@ -35,6 +36,12 @@ def code_projector(code):
 
 ZERO5 = ket(5, (0b00000, 1), (0b00110, 1), (0b01001, 1), (0b01111, -1),
             (0b10011, -1), (0b10101, 1), (0b11010, 1), (0b11100, 1))
+# XXXXX ZERO5: XXXXX maps |x> to |31 - x>
+ONE5 = ZERO5[::-1].copy()
+
+# the textbook codewords of the built-in codes, which derive their bases
+# from generators and logical operators
+REFERENCE_CODEWORDS = {"code3": (ZERO3, ONE3), "code5": (ZERO5, ONE5)}
 
 
 class TestBuiltinThreeQubit:
@@ -75,6 +82,7 @@ class TestBuiltinFiveQubit:
         flip_all = st.to_matrix(st.pauli_from_string("XXXXX"))
         np.testing.assert_allclose(code5.logical_basis[1], flip_all @ ZERO5,
                                    atol=1e-15)
+        assert np.array_equal(flip_all @ ZERO5, ONE5)
 
     def test_syndromes_injective(self, code5):
         assert len(set(code5.syndrome_table)) == 16
@@ -94,6 +102,26 @@ class TestBuiltinFiveQubit:
     def test_single_flip_syndrome(self, code5):
         idx = code5.error_basis.index_of_label("XI")
         assert code5.syndrome_table[idx] == (0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CODEWORDS))
+def test_builtin_is_a_generator_code_with_the_textbook_basis(name):
+    """A built-in holds no codewords: its build and kl_scan form no
+    basis, and the basis it derives on first read is the textbook one.
+    Built from those codewords instead, its generators pass every dense
+    gate, with C = I to rounding."""
+    code = st.builtin_code(name)
+    assert code.codewords is None and code.logical_ops is not None
+    c, residual = st.kl_scan(code)
+    assert residual == 0.0 and np.array_equal(c, np.eye(code.d2))
+    assert "_derived" not in vars(code)
+    reference = REFERENCE_CODEWORDS[name]
+    for got, want in zip(code.logical_basis, reference, strict=True):
+        assert np.abs(got - want).max() <= 1e-15
+    given = st.build_code(code.generators, code.noisy_coords, codewords=reference)
+    assert given.syndrome_table == code.syndrome_table
+    c, residual = st.kl_scan(given)
+    assert residual <= 1e-15 and np.abs(c - np.eye(code.d2)).max() <= 1e-15
 
 
 class TestKnillLaflamme:
@@ -143,13 +171,13 @@ def dense_kl_scan(code):
 def test_kl_scan_sees_a_perturbed_code_space(name):
     # |0_L> tilted by eps towards F_z|0_L>: still orthogonal to |1_L>,
     # but no longer a code space for the error set; the scan reads the
-    # basis the code holds, whatever was built before the replace
+    # codewords the copy is given, whatever was built before the replace
     code = st.builtin_code(name)
     eps = 1e-6
     zero, one = code.logical_basis
     tilted = (np.cos(eps) * zero
               + np.sin(eps) * (st.to_matrix(code.error_basis.elements[1]) @ zero))
-    broken = dataclasses.replace(code, logical_basis=(tilted, one))
+    broken = dataclasses.replace(code, codewords=(tilted, one))
     for scan in (st.kl_scan, dense_kl_scan):
         _, residual = scan(broken)
         assert eps / 20 <= residual <= 2 * eps, scan
@@ -489,9 +517,14 @@ def test_building_forms_no_register_square_matrix(monkeypatch):
     for name, build in builds.items():
         seen.clear()
         code = build()
-        if name not in ("code3", "code5"):
-            assert not seen, name
-            code.logical_basis
+        assert not seen, name
+        code.logical_basis
+        assert seen
+        assert (1 << code.n, 1 << code.n) not in seen
+    for name, words in REFERENCE_CODEWORDS.items():
+        seen.clear()
+        code = st.builtin_code(name)
+        st.build_code(code.generators, code.noisy_coords, codewords=words)
         assert seen
         assert (1 << code.n, 1 << code.n) not in seen
 
@@ -598,6 +631,35 @@ def test_kl_scan_of_a_generator_code_is_exact():
     c, residual = st.kl_scan(code)
     assert residual == 0.0 and np.array_equal(c, np.eye(4))
     assert "_derived" not in vars(code)
+
+
+@pytest.mark.parametrize("name", ["code5", "surface25"])
+def test_replace_keeps_a_generator_code_a_generator_code(monkeypatch, basis_reads_refused,
+                                                         name):
+    """``dataclasses.replace`` hands over the generators and logical
+    operators, not a basis: the copy neither reads nor stores one, its
+    kl_scan stays exact, and a code past the dense cap is copied; below
+    the cap, the copy derives the same basis bit for bit."""
+    if name == "code5":
+        code = st.builtin_code("code5")
+    else:
+        code = st.build_code(rotated_surface_generators(5), [12, 13])
+    basis = code.error_basis
+    copies = [dataclasses.replace(code),
+              dataclasses.replace(code, error_basis=dataclasses.replace(basis)),
+              dataclasses.replace(code, noisy_coords=code.noisy_coords[::-1])]
+    for copy in copies:
+        assert copy.codewords is None and "_derived" not in vars(copy)
+        assert copy.logical_ops == code.logical_ops
+        c, residual = st.kl_scan(copy)
+        assert residual == 0.0 and np.array_equal(c, np.eye(code.d2))
+    monkeypatch.undo()
+    if code.n > st.pauli.MATRIX_QUBIT_CAP:
+        with pytest.raises(ValueError, match="past the 12-qubit cap"):
+            copies[0].logical_basis
+        return
+    assert (np.column_stack(copies[0].logical_basis).tobytes()
+            == np.column_stack(code.logical_basis).tobytes())
 
 
 # (X_L, Z_L) for BELL2_CODE's generators and the outcome when build_code

@@ -422,7 +422,7 @@ class TestFrameBlockMemo:
         words[0][0] = 1.0
         assert code.logical_basis[0][0] == code5.logical_basis[0][0]
         # a code made around build_code copies what the caller can write
-        replaced = dataclasses.replace(code5, logical_basis=words)
+        replaced = dataclasses.replace(code5, codewords=words)
         words[1][0] = 1.0
         assert replaced.logical_basis[1].tobytes() == code5.logical_basis[1].tobytes()
         assert not replaced.logical_basis[1].flags.writeable
@@ -1474,3 +1474,52 @@ def test_logical_state_does_not_bias_syndromes(code3, ad036):
         for ref, got in zip(reference, dists):
             for syn in ref:
                 assert abs(ref[syn] - got.get(syn, 0.0)) < 1e-10
+
+
+def reference_observed(readouts, records):
+    """The table layout read record by record: the last record of each
+    configuration counts, and each value is read by syndrome, 0 where
+    absent."""
+    by_config = {rec.config_index: rec for rec in records}
+    missing = sorted(set(readouts.configs) - set(by_config))
+    if missing:
+        raise ValueError("missing records for configurations %s" % missing)
+    rows = [[by_config[i].value(syn) for syn in readouts.syndromes]
+            for i in readouts.configs]
+    return np.array(rows, dtype=float), all(rec.exact for rec in by_config.values())
+
+
+def test_observed_equals_the_record_by_record_reading(code5):
+    """Records as simulate and sample_record make them are stacked as
+    they come; shuffled, repeated, missing, mixed and foreign-syndrome
+    records are read by configuration and syndrome. Both give the
+    reference's bits and messages."""
+    configs, readouts = st.plan_configurations(code5)
+    exact = st.simulate(code5, (0.6, 0.8j), st.builtin_channel("random-cp", [3, 2, 2]),
+                        configs)
+    sampler = st.SamplingPolicy(shots_per_configuration=1000, seed=9)
+    sampled = [st.sample_record(rec, sampler) for rec in exact]
+    # a trace-decreasing channel: sampled records add a NO_DETECTION column
+    leaky = st.simulate(code5, (1.0, 0.0), st.Channel(2, (0.9 * np.eye(4),)), configs)
+    lossy = [st.sample_record(rec, sampler) for rec in leaky]
+    assert lossy[0].syndromes[-1] == st.NO_DETECTION
+    order = np.random.default_rng(2).permutation(len(configs)).tolist()
+    cases = {
+        "exact": exact, "sampled": sampled, "lossy": lossy,
+        "mixed": exact[:5] + sampled[5:],
+        "shuffled": [sampled[i] for i in order],
+        "repeated": exact + sampled[:3],
+        "missing": exact[:4] + exact[5:],
+        # a sampled record of a configuration the table does not read
+        "foreign": exact + [dataclasses.replace(sampled[0], config_index=len(configs))],
+    }
+    for name, records in cases.items():
+        want = outcome(reference_observed, readouts, records)
+        got = outcome(readouts.observed, records)
+        if isinstance(want, str):
+            assert got == want, name
+            continue
+        assert got[1] == want[1], name
+        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes(), name
+    got, _ = readouts.observed(iter(sampled))
+    assert got.tobytes() == reference_observed(readouts, sampled)[0].tobytes()

@@ -83,3 +83,20 @@ def test_named_attributes_exist():
         if attr not in fields and not hasattr(cls, attr):
             missing.append("%s.%s" % (name, attr))
     assert missing == []
+
+
+def test_builtin_codes_are_listed_as_built():
+    """The README's list of built-in codes names exactly the codes
+    ``builtin_code`` knows, and shows each one's generators and logical
+    operators (X_L, Z_L) as it builds them."""
+    section = README.split("## Built-ins", 1)[1].split("\nChannels", 1)[0]
+    items = dict(re.findall(r"^- `([\w-]+)`: (.*?)(?=^- |\Z)", section, re.M | re.S))
+    assert sorted(items) == sorted(st.codes._BUILTIN_CODES)
+    for name, text in items.items():
+        code = st.builtin_code(name)
+        generators = re.search(r"generators (.*?) and logical operators", text, re.S)
+        ops = re.search(r"X_L = `([^`]+)`, Z_L = `([^`]+)`", text)
+        assert generators and ops, name
+        shown = re.findall(r"`([^`]+)`", generators.group(1))
+        assert [st.pauli_from_string(g) for g in shown] == list(code.generators), name
+        assert tuple(map(st.pauli_from_string, ops.groups())) == code.logical_ops, name
