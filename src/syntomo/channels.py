@@ -14,26 +14,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .jsonio import complex_from_pair
 from .numeric import DEFAULT_POLICY
-from .pauli import (MATRIX_QUBIT_CAP, ErrorBasis, _signed_rows, enumerate_error_basis,
-                    to_matrix)
-
-_BUILTIN_NAMES = (
-    "identity",
-    "amplitude-damping",
-    "correlated-flip",
-    "depolarizing",
-    "phase-damping",
-    "random-cp",
-)
-# accepted parameter counts; every other built-in takes exactly one
-_PARAM_COUNTS = {"identity": (0, 1), "random-cp": (3,)}
+from .pauli import (MATRIX_QUBIT_CAP, ErrorBasis, _is_integer, _signed_rows,
+                    enumerate_error_basis, to_matrix)
 
 _EYE = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -41,12 +29,40 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _amplitude_damping(lam: float) -> tuple:
+    s = np.sqrt(1.0 - lam)
+    return (((1.0 + s) / 2.0) * _EYE + ((1.0 - s) / 2.0) * _Z,
+            (np.sqrt(lam) / 2.0) * _X + (1j * np.sqrt(lam) / 2.0) * _Y)
+
+
+# the built-ins of one parameter x in [0, 1]: name -> (qubit count,
+# Kraus operators of x)
+_ONE_PARAMETER = {
+    "amplitude-damping": (1, _amplitude_damping),
+    "correlated-flip": (2, lambda x: (np.sqrt(1.0 - x) * np.eye(4, dtype=complex),
+                                      np.sqrt(x) * np.kron(_X, _X))),
+    "depolarizing": (1, lambda x: (np.sqrt(1.0 - x) * _EYE, np.sqrt(x / 3.0) * _X,
+                                   np.sqrt(x / 3.0) * _Y, np.sqrt(x / 3.0) * _Z)),
+    "phase-damping": (1, lambda x: (np.diag([1.0, np.sqrt(1.0 - x)]).astype(complex),
+                                    np.diag([0.0, np.sqrt(x)]).astype(complex))),
+}
+_BUILTIN_NAMES = ("identity", *_ONE_PARAMETER, "random-cp")
+# accepted parameter counts; every other built-in takes exactly one
+_PARAM_COUNTS = {"identity": (0, 1), "random-cp": (3,)}
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A completely positive map given by Kraus operators on p qubits."""
+    """A completely positive map given by Kraus operators on p qubits.
+
+    ``kraus`` is given as a sequence of 2^p x 2^p operators (a stack
+    among them) and kept as one read-only complex (r, 2^p, 2^p) stack,
+    copied once: the caller's arrays stay writable, and a channel never
+    changes after construction.
+    """
 
     p: int
-    kraus: tuple
+    kraus: np.ndarray
     label: str = ""
 
     def __post_init__(self):
@@ -54,19 +70,18 @@ class Channel:
             raise ValueError("channel qubit count p must be positive, got %d"
                              % self.p)
         dim = 1 << self.p
-        # read-only copies: the caller's arrays stay writable, and a
-        # channel never changes after construction
-        ops = tuple(np.array(e, dtype=complex) for e in self.kraus)
+        ops = [np.asarray(e) for e in self.kraus]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         for e in ops:
             if e.shape != (dim, dim):
                 raise ValueError("Kraus operator shape %s does not fit %d qubits"
                                  % (e.shape, self.p))
-            if not np.isfinite(e).all():
-                raise ValueError("Kraus operator has non-finite entries")
-            e.flags.writeable = False
-        object.__setattr__(self, "kraus", ops)
+        stack = np.array(ops, dtype=complex)
+        if not np.isfinite(stack).all():
+            raise ValueError("Kraus operator has non-finite entries")
+        stack.flags.writeable = False
+        object.__setattr__(self, "kraus", stack)
 
     @property
     def dim(self) -> int:
@@ -78,13 +93,12 @@ class Channel:
         basis, d^2 x (Kraus operators), read-only, built by the first
         call. A completeness sum above the identity raises and stores
         nothing, so such a channel fails every call. Word x = (u << p) | v
-        is i^{|u & v|} X^u Z^v (the masks ``pauli._register_masks`` gives
-        restricted word x), a signed permutation (``pauli._signed_rows``),
-        so row x of C reads d entries of each Kraus operator.
+        is i^{|u & v|} X^u Z^v (restricted word x of the error basis), a
+        signed permutation (``pauli._signed_rows``), so row x of C reads d
+        entries of each Kraus operator.
         """
-        ops = np.stack(self.kraus)
         # row r d + i is row i of E_r, so flat† flat is the completeness sum
-        flat = ops.reshape(-1, self.dim)
+        flat = self.kraus.reshape(-1, self.dim)
         if np.linalg.eigvalsh(flat.conj().T @ flat).max() > 1.0 + DEFAULT_POLICY.algebraic:
             raise ValueError("Kraus completeness sum exceeds identity")
         x = np.arange(self.dim * self.dim)
@@ -92,7 +106,7 @@ class Channel:
         cols, phases = _signed_rows(np.stack((u, v, np.bitwise_count(u & v) & 3)),
                                      self.dim)
         # Tr(F_x E) is the sum over rows i of F_x[i, c] E[c, i], c = cols[i, x]
-        entries = ops[:, cols, np.arange(self.dim)[:, None]]
+        entries = self.kraus[:, cols, np.arange(self.dim)[:, None]]
         coeffs = np.einsum("ix,rix->xr", phases, entries) / self.dim
         coeffs.flags.writeable = False
         return coeffs
@@ -190,7 +204,7 @@ def kraus_from_chi(chi: ProcessMatrix) -> Channel:
         ops.append(np.sqrt(eigvals[k]) * e)
     if not ops:
         raise ValueError("process matrix is numerically zero")
-    return Channel(p=basis.p, kraus=tuple(ops), label="from-chi")
+    return Channel(p=basis.p, kraus=ops, label="from-chi")
 
 
 def validate_channel(channel: Channel) -> dict:
@@ -200,7 +214,8 @@ def validate_channel(channel: Channel) -> dict:
     completeness sum matches the identity. The defect is the spectral
     norm of sum_j E_j† E_j - I.
     """
-    total = sum(e.conj().T @ e for e in channel.kraus)
+    flat = channel.kraus.reshape(-1, channel.dim)
+    total = flat.conj().T @ flat
     defect = float(np.linalg.norm(total - np.eye(channel.dim), 2))
     return {"cp": True, "tp": defect < DEFAULT_POLICY.algebraic, "defect": defect}
 
@@ -215,24 +230,17 @@ def extend_channel(channel: Channel, p_total: int) -> Channel:
     eye = np.eye(1 << (p_total - channel.p), dtype=complex)
     # np.kron(e, eye) of every operator at once: entry (i m + k, j m + l)
     # is e[i, j] * eye[k, l], the same products
-    ops = np.stack(channel.kraus)[:, :, None, :, None] * eye[:, None, :]
+    ops = channel.kraus[:, :, None, :, None] * eye[:, None, :]
     size = 1 << p_total
-    return Channel(p=p_total, kraus=tuple(ops.reshape(-1, size, size)),
-                   label=channel.label)
-
-
-def _check_range(name: str, value: float, lo: float, hi: float) -> float:
-    if not (lo <= value <= hi):
-        raise ValueError("%s parameter %g outside [%g, %g]" % (name, value, lo, hi))
-    return float(value)
+    return Channel(p=p_total, kraus=ops.reshape(-1, size, size), label=channel.label)
 
 
 def _int_param(name: str, value) -> int:
-    # bool is an Integral and np.bool_ converts by float(): neither is a count
+    if _is_integer(value):
+        return int(value)
+    # bool and np.bool_ convert by float(): neither is a count
     if isinstance(value, (bool, np.bool_)):
         raise ValueError("%s parameter must be an integer, got %r" % (name, value))
-    if isinstance(value, numbers.Integral):
-        return int(value)
     # int() raises OverflowError on inf and a bare ValueError on nan
     number = float(value)
     if not math.isfinite(number) or number != int(number):
@@ -281,33 +289,12 @@ def _builtin_recipe(name: str, params=()) -> tuple:
         _check_qubit_cap(p)
         return p, lambda: Channel(p, (np.eye(1 << p, dtype=complex),), "identity")
 
-    if key == "amplitude-damping":
-        lam = _check_range("amplitude-damping", params[0], 0.0, 1.0)
-        s = np.sqrt(1.0 - lam)
-        e0 = ((1.0 + s) / 2.0) * _EYE + ((1.0 - s) / 2.0) * _Z
-        e1 = (np.sqrt(lam) / 2.0) * _X + (1j * np.sqrt(lam) / 2.0) * _Y
-        return 1, lambda: Channel(1, (e0, e1), "amplitude-damping(%g)" % lam)
-
-    if key == "correlated-flip":
-        prob = _check_range("correlated-flip", params[0], 0.0, 1.0)
-        xx = np.kron(_X, _X)
-        return 2, lambda: Channel(2, (np.sqrt(1.0 - prob) * np.eye(4, dtype=complex),
-                                      np.sqrt(prob) * xx),
-                                  "correlated-flip(%g)" % prob)
-
-    if key == "depolarizing":
-        prob = _check_range("depolarizing", params[0], 0.0, 1.0)
-        ops = (np.sqrt(1.0 - prob) * _EYE,
-               np.sqrt(prob / 3.0) * _X,
-               np.sqrt(prob / 3.0) * _Y,
-               np.sqrt(prob / 3.0) * _Z)
-        return 1, lambda: Channel(1, ops, "depolarizing(%g)" % prob)
-
-    if key == "phase-damping":
-        gam = _check_range("phase-damping", params[0], 0.0, 1.0)
-        e0 = np.diag([1.0, np.sqrt(1.0 - gam)]).astype(complex)
-        e1 = np.diag([0.0, np.sqrt(gam)]).astype(complex)
-        return 1, lambda: Channel(1, (e0, e1), "phase-damping(%g)" % gam)
+    if key in _ONE_PARAMETER:
+        p, kraus = _ONE_PARAMETER[key]
+        if not 0.0 <= params[0] <= 1.0:
+            raise ValueError("%s parameter %g outside [0, 1]" % (key, params[0]))
+        x = float(params[0])
+        return p, lambda: Channel(p, kraus(x), "%s(%g)" % (key, x))
 
     # random-cp, the one name left
     seed = _int_param("random-CP seed", params[0])
@@ -344,14 +331,13 @@ def _random_cp(seed: int, p: int, rank: int) -> Channel:
     # fix the column phases so the isometry is a deterministic function of the seed
     diag = np.diagonal(r)
     q = q * (diag.conj() / np.abs(diag))
-    ops = tuple(q[j * d:(j + 1) * d, :].copy() for j in range(rank))
-    return Channel(p, ops, "random-CP(seed=%d,p=%d,r=%d)" % (seed, p, rank))
+    # rows j d .. (j + 1) d - 1 of the isometry are Kraus operator j
+    return Channel(p, q.reshape(rank, d, d), "random-CP(seed=%d,p=%d,r=%d)" % (seed, p, rank))
 
 
 def channel_to_json(channel: Channel) -> dict:
     """Schema: {"p", "label", "kraus": [[[ [re, im], ... ]]]}."""
-    kraus = [[[[float(v.real), float(v.imag)] for v in row] for row in e]
-             for e in channel.kraus]
+    kraus = np.stack((channel.kraus.real, channel.kraus.imag), -1).tolist()
     return {"p": channel.p, "label": channel.label, "kraus": kraus}
 
 
@@ -363,4 +349,4 @@ def channel_from_json(doc: dict) -> Channel:
     ops = []
     for mat in doc["kraus"]:
         ops.append(np.array([[complex_from_pair(v) for v in row] for row in mat]))
-    return Channel(p=p, kraus=tuple(ops), label=str(doc.get("label", "")))
+    return Channel(p=p, kraus=ops, label=str(doc.get("label", "")))

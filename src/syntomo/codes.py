@@ -116,9 +116,12 @@ def _frozen(array) -> np.ndarray:
     return array
 
 
-def _symplectic_rank(generators) -> int:
-    """Rank of the generators over GF(2) in (x|z) mask form."""
-    rows = [(g.x_mask << g.n) | g.z_mask for g in generators]
+def _symplectic_rank(masks: np.ndarray, n: int) -> int:
+    """Rank over GF(2) of n-qubit words in (x|z) form, from their
+    ``_register_masks``; the rows are Python ints, since the 2n-bit
+    rows of a word past 31 qubits overflow int64."""
+    x, z, _ = masks.tolist()
+    rows = [(u << n) | v for u, v in zip(x, z)]
     rank = 0
     while True:
         rows = [r for r in rows if r]
@@ -220,7 +223,7 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
         raise ValueError("generators %s and %s do not commute"
                          % (pauli_to_string(gens[first[0]]),
                             pauli_to_string(gens[second[0]])))
-    if _symplectic_rank(gens) != len(gens):
+    if _symplectic_rank(gen_masks, n) != len(gens):
         raise ValueError("generators are not independent")
     k = n - len(gens)
     if k < 1:
@@ -401,16 +404,22 @@ def builtin_code(name: str) -> StabilizerCode:
 
 
 def code_to_json(code: StabilizerCode) -> dict:
-    """Schema: {"n", "k", "generators", "noisy_coords", "codewords"}."""
-    codewords = [[[float(a.real), float(a.imag)] for a in v]
-                 for v in code.logical_basis]
-    return {
+    """Schema: {"n", "k", "generators", "noisy_coords"}, then the
+    "codewords" of a code given by them, or else the "logical_ops"
+    {"X", "Z"} of a code that has them; no 2^n vector is formed for a
+    code given by its generators."""
+    doc = {
         "n": code.n,
         "k": code.k,
         "generators": [pauli_to_string(g) for g in code.generators],
         "noisy_coords": list(code.noisy_coords),
-        "codewords": codewords,
     }
+    if code.codewords is not None:
+        words = np.array(code.codewords)
+        doc["codewords"] = np.stack((words.real, words.imag), -1).tolist()
+    elif code.logical_ops is not None:
+        doc["logical_ops"] = dict(zip("XZ", map(pauli_to_string, code.logical_ops)))
+    return doc
 
 
 def code_from_json(doc: dict) -> StabilizerCode:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 import threading
 from dataclasses import dataclass
 
@@ -10,6 +9,7 @@ import numpy as np
 
 from .channels import Channel, ProcessMatrix, extend_channel
 from .codes import StabilizerCode
+from .pauli import _is_integer
 from .protocol import (
     MeasurementRecord,
     plan_configurations,
@@ -28,8 +28,7 @@ class SamplingPolicy:
     def __post_init__(self):
         # a fractional count would be truncated by the draw but still
         # divide the frequencies; a bool would be one shot written as true
-        if (isinstance(self.shots_per_configuration, bool)
-                or not isinstance(self.shots_per_configuration, numbers.Integral)):
+        if not _is_integer(self.shots_per_configuration):
             raise ValueError("shots must be an integer, got %r"
                              % (self.shots_per_configuration,))
         if self.shots_per_configuration <= 0:
@@ -38,8 +37,7 @@ class SamplingPolicy:
         if self.shots_per_configuration >= 1 << 63:
             raise ValueError("shots must be at most 2^63 - 1")
         # the seed is one 64-bit word of the Philox key
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or not 0 <= self.seed < 1 << 64):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 1 << 64):
             raise ValueError("seed must be an integer in [0, 2^64 - 1], got %r"
                              % (self.seed,))
 

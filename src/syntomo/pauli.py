@@ -5,9 +5,10 @@ phase exponent,
 
     P = i**phase_exp * X**x_mask * Z**z_mask,
 
-where bit q of a mask refers to qubit q, and qubit q is letter q of the
-string form as well as the q-th tensor factor counted from the most
-significant side of the matrix form. Per-qubit Y occupies both masks
+where bit n - 1 - q of a mask refers to qubit q: qubit q is letter q of
+the string form and the q-th tensor factor counted from the most
+significant side of the matrix form, so the masks index the matrix
+form's rows and columns directly. Per-qubit Y occupies both masks
 under the convention Y = i X Z, with the i absorbed into ``phase_exp``.
 With this layout, multiplication reduces to mask XOR plus exact integer
 phase bookkeeping, commutation to a symplectic inner product, and the
@@ -26,7 +27,7 @@ import numpy as np
 
 # Dense rendering above this qubit count is not desk scale.
 MATRIX_QUBIT_CAP = 12
-# Register-order masks are int64 arrays (``_register_masks``).
+# Mask arrays are int64 (``_register_masks``).
 MASK_QUBIT_CAP = 62
 
 _MINUS = "−"
@@ -63,7 +64,7 @@ class PauliOperator:
     n : int
         Qubit count.
     x_mask, z_mask : int
-        Bit q set means an X (respectively Z) factor on qubit q.
+        Bit n - 1 - q set means an X (respectively Z) factor on qubit q.
     phase_exp : int
         Exponent of the global i prefactor, taken mod 4.
     """
@@ -127,28 +128,21 @@ _GATHER_BYTES = 1 << 16
 
 
 def _register_masks(words) -> np.ndarray:
-    """The words' X and Z masks in register order, qubit 0 moved to the
-    top bit, and their phase exponents: a 3 x len(words) integer array
-    with rows (u, v, phase_exp). Words on more than ``MASK_QUBIT_CAP``
-    qubits are refused before any mask is built."""
-    n = words[0].n if words else 1
-    if n > MASK_QUBIT_CAP:
+    """The words' X and Z masks and phase exponents: a 3 x len(words)
+    integer array with rows (u, v, phase_exp). Words on more than
+    ``MASK_QUBIT_CAP`` qubits are refused before any mask is built."""
+    if words and words[0].n > MASK_QUBIT_CAP:
         raise ValueError("Pauli masks are capped at %d qubits (int64), got %d"
-                         % (MASK_QUBIT_CAP, n))
-    masks = np.array([(w.x_mask, w.z_mask, w.phase_exp) for w in words],
-                     dtype=np.int64).reshape(-1, 3).T
-    # bit q of a mask moves to bit n - 1 - q
-    q = np.arange(n)
-    masks[:2] = (masks[:2, :, None] >> q & 1) @ (1 << q[::-1])
-    return masks
+                         % (MASK_QUBIT_CAP, words[0].n))
+    return np.array([(w.x_mask, w.z_mask, w.phase_exp) for w in words],
+                    dtype=np.int64).reshape(-1, 3).T
 
 
 def _anticommuting(p_masks: np.ndarray, q_masks: np.ndarray) -> np.ndarray:
     """Entry (i, j) is 1 when word i of ``p_masks`` and word j of
     ``q_masks`` (``_register_masks`` of two lists of words on the same
     qubits) anticommute, else 0: the symplectic inner product of
-    ``commutes``, which reordering the bits of every mask alike leaves
-    unchanged."""
+    ``commutes``."""
     (px, pz, _), (qx, qz, _) = p_masks, q_masks
     return (np.bitwise_count(px[:, None] & qz)
             + np.bitwise_count(pz[:, None] & qx)) & 1
@@ -162,7 +156,7 @@ def _signed_rows(masks: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     Qubit 0 is the most significant tensor factor, matching the string
     form read left to right. X^u Z^v is a signed permutation: row r
     holds its one nonzero entry i^phase (-1)^{|c & v|} in column
-    c = r ^ u, where u and v are the X and Z masks in register order.
+    c = r ^ u, where u and v are the X and Z masks.
     Column w of ``cols`` and ``phases`` is word w's c and entry.
     """
     u, v, phase = masks
@@ -234,12 +228,13 @@ def pauli_from_string(text: str, n: int | None = None) -> PauliOperator:
     x_mask = 0
     z_mask = 0
     y_count = 0
-    for q, letter in enumerate(body):
+    # letter 0 ends at the top bit
+    for letter in body:
         if letter not in _MASK_BITS:
             raise ValueError("bad Pauli letter %r in %r" % (letter, text))
         xb, zb = _MASK_BITS[letter]
-        x_mask |= xb << q
-        z_mask |= zb << q
+        x_mask = x_mask << 1 | xb
+        z_mask = z_mask << 1 | zb
         y_count += xb & zb
     exp = _PREFIX_EXPONENT[prefix] + y_count
     return PauliOperator(len(body), x_mask, z_mask, exp)
@@ -248,10 +243,8 @@ def pauli_from_string(text: str, n: int | None = None) -> PauliOperator:
 def pauli_to_string(p: PauliOperator) -> str:
     """Format ``p`` with Y letters and a canonical phase prefix."""
     letters = []
-    for q in range(p.n):
-        xb = (p.x_mask >> q) & 1
-        zb = (p.z_mask >> q) & 1
-        letters.append(_LETTERS[(xb, zb)])
+    for shift in range(p.n - 1, -1, -1):
+        letters.append(_LETTERS[(p.x_mask >> shift & 1, p.z_mask >> shift & 1)])
     rel = (p.phase_exp - p.y_count) % 4
     return _EXPONENT_PREFIX[rel] + "".join(letters)
 
@@ -260,10 +253,11 @@ def pauli_to_string(p: PauliOperator) -> str:
 class ErrorBasis:
     """The 4^p Hermitian Pauli words supported on a coordinate subset.
 
-    Element index is lexicographic in the restricted bit vectors (u, v)
-    with u major and ``coords[0]`` the most significant bit, so the
-    single-qubit order is I, Z, X, Y. Each element carries
-    ``phase_exp`` equal to its Y count, making it Hermitian.
+    Element i = (u << p) | v is the word whose restricted form
+    ``restricted[i]`` has masks (u, v), ``coords[0]`` at the most
+    significant bit, so the single-qubit order is I, Z, X, Y. Each
+    element carries ``phase_exp`` equal to its Y count, making it
+    Hermitian.
 
     ``product_index[i, j]`` and ``product_phase[i, j]`` tabulate every
     product F_i F_j = i^e F_k as (k, e), read-only. ``labels[i]`` is
@@ -274,8 +268,6 @@ class ErrorBasis:
     coords: tuple[int, ...]
     elements: tuple[PauliOperator, ...]
     restricted: tuple[PauliOperator, ...] = field(repr=False)
-    # restricted masks (x, z) -> element index
-    _restricted_index: dict = field(repr=False, compare=False)
     product_index: np.ndarray = field(repr=False, compare=False)
     product_phase: np.ndarray = field(repr=False, compare=False)
     labels: tuple = field(repr=False, compare=False)
@@ -307,10 +299,7 @@ class ErrorBasis:
         word = pauli_from_string(label, self.p)
         if not word.is_hermitian:
             raise ValueError("error label %r carries a non-Hermitian phase" % label)
-        key = (word.x_mask, word.z_mask)
-        if key not in self._restricted_index:
-            raise ValueError("unknown error label %r" % label)
-        return self._restricted_index[key]
+        return (word.x_mask << self.p) | word.z_mask
 
 
 def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
@@ -323,32 +312,31 @@ def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
     """
     coords = _check_coords(n_total, coords)
     p = len(coords)
-    # the masks of every u (and v): bit j of u, coords[0] the most
-    # significant, is qubit coords[j] of the register and qubit j of
-    # the restricted word
-    bits = [[(w >> (p - 1 - j)) & 1 for j in range(p)] for w in range(1 << p)]
-    full = [sum(b << c for b, c in zip(row, coords)) for row in bits]
-    local = [sum(b << j for j, b in enumerate(row)) for row in bits]
+    # bit p - 1 - j of a restricted mask is qubit coords[j] of the register
+    moves = [(p - 1 - j, n_total - 1 - c) for j, c in enumerate(coords)]
+    full = [sum((w >> src & 1) << dst for src, dst in moves) for w in range(1 << p)]
     elements = []
     restricted = []
-    restricted_index = {}
     for u in range(1 << p):
         for v in range(1 << p):
             y = (u & v).bit_count()
-            restricted_index[(local[u], local[v])] = len(elements)
             elements.append(PauliOperator(n_total, full[u], full[v], y))
-            restricted.append(PauliOperator(max(p, 1), local[u], local[v], y))
+            restricted.append(PauliOperator(max(p, 1), u, v, y))
     index, phase = _product_table(p)
     return ErrorBasis(
         n_total=n_total,
         coords=coords,
         elements=tuple(elements),
         restricted=tuple(restricted),
-        _restricted_index=restricted_index,
         product_index=index,
         product_phase=phase,
         labels=tuple(pauli_to_string(r) for r in restricted),
     )
+
+
+def _is_integer(value) -> bool:
+    """An integer, numpy's included; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_coords(n_total: int, coords) -> tuple:
@@ -356,8 +344,7 @@ def _check_coords(n_total: int, coords) -> tuple:
     integers (a bool is not one), distinct and inside the register."""
     given = coords
     coords = tuple(coords)
-    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
-               for c in coords):
+    if not all(map(_is_integer, coords)):
         raise TypeError("noisy coordinates must be integers, got %r" % (given,))
     coords = tuple(map(int, coords))
     if len(set(coords)) != len(coords):

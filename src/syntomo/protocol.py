@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,7 @@ import numpy as np
 from .channels import Channel, ProcessMatrix
 from .codes import StabilizerCode
 from .numeric import DEFAULT_POLICY
-from .pauli import I_POWERS, apply_pauli, commutes, to_matrix
+from .pauli import I_POWERS, _is_integer, apply_pauli, commutes, to_matrix
 
 # sampled-mode overflow bin for trace-decreasing channels
 NO_DETECTION = "no-detection"
@@ -77,12 +76,6 @@ class Configuration:
     b: int | None = None
     theta_signs: tuple | None = None
     action: np.ndarray = field(repr=False, kw_only=True)
-
-
-def _is_integer(value) -> bool:
-    """An integer, numpy's included; a bool is not one (True would be one
-    shot written as true)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)

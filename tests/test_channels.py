@@ -379,6 +379,26 @@ def test_extend_channel_equals_kron_bit_for_bit(p, p_total):
     assert all(not e.flags.writeable for e in padded.kraus)
 
 
+def test_kraus_is_one_read_only_stack(ad036):
+    """Built-in, file, padded and reconstructed channels all keep their
+    Kraus operators as one read-only complex (r, d, d) array that owns
+    its data, and a caller's operators stay writable."""
+    given = [np.eye(2), np.zeros((2, 2))]
+    made = [st.builtin_channel("depolarizing", [0.1]),
+            st.builtin_channel("random-cp", [5, 2, 3]),
+            st.channel_from_json(st.channel_to_json(ad036)),
+            st.extend_channel(ad036, 3),
+            st.kraus_from_chi(st.chi_from_kraus(ad036, one_qubit_basis())),
+            Channel(1, given)]
+    for channel in made:
+        ops = channel.kraus
+        assert type(ops) is np.ndarray and ops.dtype == complex
+        assert ops.shape[1:] == (channel.dim, channel.dim)
+        assert not ops.flags.writeable and ops.base is None
+    assert [len(ch.kraus) for ch in made] == [4, 3, 2, 2, 2, 2]
+    assert all(e.flags.writeable for e in given)
+
+
 def test_extend_channel_rejects_shrinking():
     ch = st.builtin_channel("correlated-flip", [0.2])
     with pytest.raises(ValueError):

@@ -29,6 +29,14 @@ def run_json(capsys, *argv):
     return rc, json.loads(out), err
 
 
+def code3_codewords_doc():
+    """The JSON of code3 given by codewords (its derived basis), so the
+    document has codeword nodes."""
+    code = st.builtin_code("code3")
+    return st.code_to_json(st.build_code(code.generators, code.noisy_coords,
+                                         codewords=code.logical_basis))
+
+
 class TestValidate:
     def test_code3_text(self, capsys):
         rc, out, _ = run(capsys, "validate", "--code", "code3")
@@ -308,7 +316,7 @@ class TestInputBoundary:
         return err
 
     def test_nan_codeword_file(self, capsys, tmp_path):
-        doc = st.code_to_json(st.builtin_code("code3"))
+        doc = code3_codewords_doc()
         for bad in ("nan", "inf", "-inf"):
             doc["codewords"][0][1] = [float(bad), 0.0]
             err = self.check_code(capsys, tmp_path, doc)
@@ -515,7 +523,7 @@ class TestInputBoundary:
 
 # small valid documents to corrupt: codes of 3 and 5 qubits with given
 # and derived bases, channels on 1 and 2 qubits (rank 2)
-FUZZ_CODES = [st.code_to_json(st.builtin_code("code3")), BELL2_CODE]
+FUZZ_CODES = [code3_codewords_doc(), BELL2_CODE]
 FUZZ_CHANNELS = [st.channel_to_json(st.builtin_channel("amplitude-damping", [0.2])),
                  st.channel_to_json(st.builtin_channel("random-cp", [3, 2, 2]))]
 

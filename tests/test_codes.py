@@ -467,6 +467,30 @@ class TestBuildCode:
                 for c in (code, again)]
         assert rows[0] == rows[1]
 
+    def test_generator_code_json_names_its_logical_operators(self):
+        """A code given by generators is written with its logical
+        operators and no codewords, so a 13-qubit one reads back, and
+        code5 reads back as a generator code with residual 0; a code
+        given by codewords keeps writing them."""
+        n = 13
+        ops = {"X": "I" * (n - 1) + "X", "Z": "I" * (n - 1) + "Z"}
+        bell6 = st.build_code(bell_pair_generators(6), (0, 1), logical_ops=ops)
+        code5 = st.builtin_code("code5")
+        for code in (bell6, code5):
+            doc = json.loads(jsonio.dumps(st.code_to_json(code)))
+            assert "codewords" not in doc
+            again = st.code_from_json(doc)
+            assert again.generators == code.generators
+            assert again.noisy_coords == code.noisy_coords
+            assert again.syndrome_table == code.syndrome_table
+            assert again.logical_ops == code.logical_ops and again.codewords is None
+        assert doc["logical_ops"] == {"X": "IIIXX", "Z": "IIXXZ"}
+        assert st.kl_scan(again)[1] == 0
+        given = st.build_code(code5.generators, code5.noisy_coords,
+                              codewords=code5.logical_basis)
+        doc = st.code_to_json(given)
+        assert "logical_ops" not in doc and len(doc["codewords"]) == 2
+
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="code3, code5"):
             st.builtin_code("code7")

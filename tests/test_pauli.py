@@ -30,13 +30,18 @@ def test_single_qubit_matrices():
 
 
 def kron_matrix(p):
-    """Reference rendering: a chain of Kronecker products, qubit 0 first."""
-    factors = {(0, 0): np.eye(2), (1, 0): np.array([[0, 1], [1, 0]]),
-               (0, 1): np.diag([1, -1]), (1, 1): np.array([[0, -1], [1, 0]])}
+    """Reference rendering from the word's string form: the prefix's
+    phase times a chain of Kronecker products of its letters, the first
+    letter first."""
+    text = st.pauli_to_string(p)
+    letters = text.lstrip("−i")
+    phase = {"": 1, "i": 1j, "−": -1, "−i": -1j}[text[:len(text) - len(letters)]]
+    factors = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+               "Z": np.diag([1, -1]), "Y": np.array([[0, -1j], [1j, 0]])}
     out = np.eye(1, dtype=complex)
-    for q in range(p.n):
-        out = np.kron(out, factors[(p.x_mask >> q) & 1, (p.z_mask >> q) & 1])
-    return (1j ** p.phase_exp) * out
+    for letter in letters:
+        out = np.kron(out, factors[letter])
+    return phase * out
 
 
 def test_matrix_matches_kronecker_chain():
@@ -183,20 +188,20 @@ def test_numpy_floor_has_bitwise_count():
 
 @settings(max_examples=60, deadline=None)
 @given(n=hs.integers(1, pauli.MASK_QUBIT_CAP), data=hs.data())
-def test_register_masks_reverse_the_qubit_order(n, data):
-    """Bit q of a mask moves to bit n - 1 - q: the reversed binary string
-    of every mask, as Python ints."""
+def test_register_masks_are_the_words_own_masks(n, data):
+    """The mask array's rows are the words' own masks and phases, as
+    int64, and every word's string form parses back to the word."""
     masks = hs.integers(0, (1 << n) - 1)
     words = [PauliOperator(n, data.draw(masks), data.draw(masks), data.draw(hs.integers(0, 3)))
              for _ in range(data.draw(hs.integers(1, 5)))]
-
-    def reversed_bits(m):
-        return int(format(m, "0%db" % n)[::-1], 2)
-
-    want = [[reversed_bits(w.x_mask) for w in words], [reversed_bits(w.z_mask) for w in words],
+    want = [[w.x_mask for w in words], [w.z_mask for w in words],
             [w.phase_exp for w in words]]
     got = pauli._register_masks(words)
     assert got.dtype == np.int64 and got.tolist() == want
+    for w in words:
+        text = st.pauli_to_string(w)
+        assert st.pauli_from_string(text, n) == w
+        assert st.pauli_to_string(st.pauli_from_string(text)) == text
 
 
 def test_register_masks_refuse_more_than_62_qubits():
@@ -246,6 +251,19 @@ class TestErrorBasis:
     def test_label_index_round_trip(self):
         basis = st.enumerate_error_basis(5, [0, 1])
         for i in range(basis.size):
+            assert basis.index_of_label(basis.label(i)) == i
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=hs.data())
+    def test_index_is_the_restricted_masks(self, data):
+        """Element i's restricted word has masks (i >> p, i mod 2^p), and
+        its label indexes back to i, whatever the coordinates' order."""
+        p = data.draw(hs.integers(1, 4))
+        n_total = data.draw(hs.integers(p, p + 2))
+        coords = data.draw(hs.permutations(range(n_total)))[:p]
+        basis = st.enumerate_error_basis(n_total, coords)
+        for i, word in enumerate(basis.restricted):
+            assert (word.x_mask, word.z_mask) == (i >> p, i & ((1 << p) - 1))
             assert basis.index_of_label(basis.label(i)) == i
 
     def test_labels_are_formatted_once(self, monkeypatch):

@@ -168,3 +168,13 @@ def test_records_have_what_the_worker_reads(source):
             assert type(value) is float and value == dist[syn] / scale
     if source == "sample_record":
         assert syntomo.NO_DETECTION in records[-1].distribution
+
+
+def test_only_pauli_reads_mask_bits():
+    # the bit layout of a word's masks is pauli.py's own; every other
+    # module reads them through its helpers (``_register_masks``)
+    source = Path(syntomo.__file__).parent
+    readers = {path.name for path in source.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in ("x_mask", "z_mask")}
+    assert readers == {"pauli.py"}, readers
