@@ -21,7 +21,7 @@ import numpy as np
 from .jsonio import complex_from_pair
 from .numeric import DEFAULT_POLICY
 from .pauli import (MATRIX_QUBIT_CAP, ErrorBasis, _is_integer, _signed_rows,
-                    enumerate_error_basis, to_matrix)
+                    _word_table, enumerate_error_basis, to_matrix)
 
 _EYE = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -92,19 +92,16 @@ class Channel:
         """C[x, r] = Tr(F_x E_r)/d over the channel's own p-qubit error
         basis, d^2 x (Kraus operators), read-only, built by the first
         call. A completeness sum above the identity raises and stores
-        nothing, so such a channel fails every call. Word x = (u << p) | v
-        is i^{|u & v|} X^u Z^v (restricted word x of the error basis), a
-        signed permutation (``pauli._signed_rows``), so row x of C reads d
+        nothing, so such a channel fails every call. Word x is row x of
+        the p-qubit word table (``pauli._word_table``), a signed
+        permutation (``pauli._signed_rows``), so row x of C reads d
         entries of each Kraus operator.
         """
         # row r d + i is row i of E_r, so flat† flat is the completeness sum
         flat = self.kraus.reshape(-1, self.dim)
         if np.linalg.eigvalsh(flat.conj().T @ flat).max() > 1.0 + DEFAULT_POLICY.algebraic:
             raise ValueError("Kraus completeness sum exceeds identity")
-        x = np.arange(self.dim * self.dim)
-        u, v = x >> self.p, x & (self.dim - 1)
-        cols, phases = _signed_rows(np.stack((u, v, np.bitwise_count(u & v) & 3)),
-                                     self.dim)
+        cols, phases = _signed_rows(_word_table(self.p), self.dim)
         # Tr(F_x E) is the sum over rows i of F_x[i, c] E[c, i], c = cols[i, x]
         entries = self.kraus[:, cols, np.arange(self.dim)[:, None]]
         coeffs = np.einsum("ix,rix->xr", phases, entries) / self.dim
@@ -151,7 +148,7 @@ def validity_report(chi: ProcessMatrix) -> dict:
 def chi_from_kraus(channel: Channel, basis: ErrorBasis) -> ProcessMatrix:
     """Brute-force process matrix of a Kraus channel.
 
-    Expands every Kraus operator over the restricted error basis using
+    Expands every Kraus operator over the p-qubit error words using
     Tr(F_i F_j†) = d delta_{ij}, all words in one stacked product (the
     stack is rendered once per p), and assembles chi as a sum of outer
     products, one per Kraus operator.
@@ -170,10 +167,10 @@ def chi_from_kraus(channel: Channel, basis: ErrorBasis) -> ProcessMatrix:
 
 @functools.lru_cache(maxsize=8)
 def _adjoint_words(p: int) -> np.ndarray:
-    """The conjugate transposes of the restricted words of a p-qubit
-    error basis, stacked in basis order, read-only. The restricted
-    words depend on p alone, whatever the register and coordinates."""
-    words = enumerate_error_basis(p, range(p)).restricted
+    """The conjugate transposes of the p-qubit error words (the error
+    basis of a p-qubit register, whose elements depend on p alone),
+    stacked in basis order, read-only."""
+    words = enumerate_error_basis(p, range(p)).elements
     adjoints = np.stack([to_matrix(w) for w in words]).conj().transpose(0, 2, 1)
     adjoints.flags.writeable = False
     return adjoints

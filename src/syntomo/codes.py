@@ -19,6 +19,7 @@ a code, read the frame's Gram matrix off d² blocks of 2^k x 2^k
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,8 @@ from .pauli import (
     _apply_words,
     _check_coords,
     _register_masks,
+    _symplectic_rank,
     apply_pauli,
-    commutes,
     enumerate_error_basis,
     pauli_from_string,
     pauli_to_string,
@@ -86,23 +87,20 @@ class StabilizerCode:
         """Error-basis size 4^p."""
         return self.error_basis.size
 
-    @property
+    @functools.cached_property
     def logical_basis(self) -> tuple:
         """The given codewords, or else the basis derived from the
-        generators (``_derive_logical_basis``) on first read and kept;
-        past ``MATRIX_QUBIT_CAP`` qubits that read is an error."""
+        generators (``_derive_logical_basis``), built by the first read;
+        past ``MATRIX_QUBIT_CAP`` qubits that read is an error and
+        stores nothing."""
         if self.codewords is not None:
             return self.codewords
-        basis = self.__dict__.get("_derived")
-        if basis is None:
-            if self.n > MATRIX_QUBIT_CAP:
-                raise ValueError("the logical basis of a %d-qubit code is past "
-                                 "the %d-qubit cap on dense vectors"
-                                 % (self.n, MATRIX_QUBIT_CAP))
-            basis = tuple(map(_frozen, _derive_logical_basis(
-                self.generators, self.k, self.logical_ops)))
-            self.__dict__["_derived"] = basis
-        return basis
+        if self.n > MATRIX_QUBIT_CAP:
+            raise ValueError("the logical basis of a %d-qubit code is past "
+                             "the %d-qubit cap on dense vectors"
+                             % (self.n, MATRIX_QUBIT_CAP))
+        return tuple(map(_frozen, _derive_logical_basis(
+            self.generators, self.k, self.logical_ops)))
 
 
 def _frozen(array) -> np.ndarray:
@@ -114,24 +112,6 @@ def _frozen(array) -> np.ndarray:
     array = np.array(array, dtype=complex)
     array.flags.writeable = False
     return array
-
-
-def _symplectic_rank(masks: np.ndarray, n: int) -> int:
-    """Rank over GF(2) of n-qubit words in (x|z) form, from their
-    ``_register_masks``; the rows are Python ints, since the 2n-bit
-    rows of a word past 31 qubits overflow int64."""
-    x, z, _ = masks.tolist()
-    rows = [(u << n) | v for u, v in zip(x, z)]
-    rank = 0
-    while True:
-        rows = [r for r in rows if r]
-        if not rows:
-            return rank
-        pivot = max(rows)
-        rows.remove(pivot)
-        bit = 1 << (pivot.bit_length() - 1)
-        rows = [r ^ pivot if r & bit else r for r in rows]
-        rank += 1
 
 
 def _lead_real(v: np.ndarray) -> np.ndarray:
@@ -262,12 +242,18 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
         # eigenspaces of Z_L; a Hermitian Z_L then has eigenvalues +1 and
         # -1 there, and one with an i or -i prefix +i and -i
         for op in ops:
-            for g in gens:
-                if not commutes(op, g):
-                    raise ValueError("logical operator %s anticommutes with "
-                                     "generator %s" % (pauli_to_string(op),
-                                                       pauli_to_string(g)))
-        if commutes(*ops):
+            if op.n != n:
+                raise ValueError("qubit counts differ: %d vs %d" % (op.n, n))
+        op_masks = _register_masks(ops)
+        # X_L and Z_L against every generator, and last against Z_L
+        clash = _anticommuting(op_masks, np.hstack((gen_masks, op_masks[:, 1:])))
+        # the first anticommuting pair in (operator, generator) order
+        first, second = np.nonzero(clash[:, :-1])
+        if first.size:
+            raise ValueError("logical operator %s anticommutes with generator %s"
+                             % (pauli_to_string(ops[first[0]]),
+                                pauli_to_string(gens[second[0]])))
+        if not clash[0, -1]:
             raise ValueError("logical operators must anticommute")
         if not ops[1].is_hermitian:
             raise ValueError("Z logical operator has no +1 eigenvector "

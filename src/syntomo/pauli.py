@@ -20,6 +20,7 @@ the images of many words at once). The dense matrix form
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -38,8 +39,6 @@ _SIGNED_POWERS.flags.writeable = False
 # i^e for a phase exponent e, such as an entry of a product table
 I_POWERS = _SIGNED_POWERS[:, 0]
 
-# letter for (x_bit, z_bit)
-_LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _MASK_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 _PREFIX_EXPONENT = {
@@ -148,6 +147,33 @@ def _anticommuting(p_masks: np.ndarray, q_masks: np.ndarray) -> np.ndarray:
             + np.bitwise_count(pz[:, None] & qx)) & 1
 
 
+def _symplectic_rank(masks: np.ndarray, n: int) -> int:
+    """Rank over GF(2) of n-qubit words in (x|z) form, from their
+    ``_register_masks``; the rows are Python ints, since the 2n-bit
+    rows of a word past 31 qubits overflow int64. Each row is reduced
+    by the kept rows, whose leading bits differ, in descending order."""
+    x, z, _ = masks.tolist()
+    kept = []
+    for row in ((u << n) | v for u, v in zip(x, z)):
+        for pivot in kept:
+            row = min(row, row ^ pivot)
+        if row:
+            kept = sorted(kept + [row], reverse=True)
+    return len(kept)
+
+
+@functools.lru_cache(maxsize=8)
+def _word_table(p: int) -> np.ndarray:
+    """Rows (u, v, |u & v| mod 4), read-only, of every p-qubit error
+    index x = (u << p) | v: the ``_register_masks`` of the word
+    i^{|u & v|} X^u Z^v. The one place an error index is decoded."""
+    x = np.arange(1 << (2 * p))
+    u, v = x >> p, x & ((1 << p) - 1)
+    table = np.stack((u, v, np.bitwise_count(u & v) & 3))
+    table.flags.writeable = False
+    return table
+
+
 def _signed_rows(masks: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The signed permutations of words on a register of dimension ``dim``
     = 2^n as (cols, phases), each dim x (number of words), from their
@@ -240,24 +266,26 @@ def pauli_from_string(text: str, n: int | None = None) -> PauliOperator:
     return PauliOperator(len(body), x_mask, z_mask, exp)
 
 
+def _letters(x_mask: int, z_mask: int, n: int) -> str:
+    """The letters of X^x_mask Z^z_mask on n qubits, qubit 0 first."""
+    return "".join("IZXY"[(x_mask >> shift & 1) << 1 | z_mask >> shift & 1]
+                   for shift in range(n - 1, -1, -1))
+
+
 def pauli_to_string(p: PauliOperator) -> str:
     """Format ``p`` with Y letters and a canonical phase prefix."""
-    letters = []
-    for shift in range(p.n - 1, -1, -1):
-        letters.append(_LETTERS[(p.x_mask >> shift & 1, p.z_mask >> shift & 1)])
     rel = (p.phase_exp - p.y_count) % 4
-    return _EXPONENT_PREFIX[rel] + "".join(letters)
+    return _EXPONENT_PREFIX[rel] + _letters(p.x_mask, p.z_mask, p.n)
 
 
 @dataclass(frozen=True)
 class ErrorBasis:
     """The 4^p Hermitian Pauli words supported on a coordinate subset.
 
-    Element i = (u << p) | v is the word whose restricted form
-    ``restricted[i]`` has masks (u, v), ``coords[0]`` at the most
-    significant bit, so the single-qubit order is I, Z, X, Y. Each
-    element carries ``phase_exp`` equal to its Y count, making it
-    Hermitian.
+    Element i = (u << p) | v is the word i^{|u & v|} X^u Z^v
+    (``_word_table``) with bit p - 1 - j of u and v on ``coords[j]``,
+    so the single-qubit order is I, Z, X, Y; the Y count in
+    ``phase_exp`` makes it Hermitian. The p = 0 word is labelled "I".
 
     ``product_index[i, j]`` and ``product_phase[i, j]`` tabulate every
     product F_i F_j = i^e F_k as (k, e), read-only. ``labels[i]`` is
@@ -267,7 +295,6 @@ class ErrorBasis:
     n_total: int
     coords: tuple[int, ...]
     elements: tuple[PauliOperator, ...]
-    restricted: tuple[PauliOperator, ...] = field(repr=False)
     product_index: np.ndarray = field(repr=False, compare=False)
     product_phase: np.ndarray = field(repr=False, compare=False)
     labels: tuple = field(repr=False, compare=False)
@@ -312,25 +339,18 @@ def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
     """
     coords = _check_coords(n_total, coords)
     p = len(coords)
-    # bit p - 1 - j of a restricted mask is qubit coords[j] of the register
+    # bit p - 1 - j of a p-qubit mask is qubit coords[j] of the register
     moves = [(p - 1 - j, n_total - 1 - c) for j, c in enumerate(coords)]
     full = [sum((w >> src & 1) << dst for src, dst in moves) for w in range(1 << p)]
-    elements = []
-    restricted = []
-    for u in range(1 << p):
-        for v in range(1 << p):
-            y = (u & v).bit_count()
-            elements.append(PauliOperator(n_total, full[u], full[v], y))
-            restricted.append(PauliOperator(max(p, 1), u, v, y))
+    words = _word_table(p).T.tolist()
     index, phase = _product_table(p)
     return ErrorBasis(
         n_total=n_total,
         coords=coords,
-        elements=tuple(elements),
-        restricted=tuple(restricted),
+        elements=tuple(PauliOperator(n_total, full[u], full[v], y) for u, v, y in words),
         product_index=index,
         product_phase=phase,
-        labels=tuple(pauli_to_string(r) for r in restricted),
+        labels=tuple(_letters(u, v, max(p, 1)) for u, v, _ in words),
     )
 
 
@@ -362,10 +382,7 @@ def _product_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     pauli_mul gives the bare word (u_i ^ u_j, v_i ^ v_j) with phase
     y_i + y_j + 2|v_i & u_j|, and the canonical element k absorbs y_k.
     """
-    idx = np.arange(1 << (2 * p))
-    u = idx >> p
-    v = idx & ((1 << p) - 1)
-    y = np.bitwise_count(u & v).astype(np.int64)
+    u, v, y = _word_table(p)
     k = ((u[:, None] ^ u[None, :]) << p) | (v[:, None] ^ v[None, :])
     crossings = np.bitwise_count(v[:, None] & u[None, :]).astype(np.int64)
     e = ((y[:, None] + y[None, :] + 2 * crossings - y[k]) % 4).astype(np.int8)

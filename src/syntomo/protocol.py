@@ -45,12 +45,10 @@ import numpy as np
 from .channels import Channel, ProcessMatrix
 from .codes import StabilizerCode
 from .numeric import DEFAULT_POLICY
-from .pauli import I_POWERS, _is_integer, apply_pauli, commutes, to_matrix
+from .pauli import _MINUS, I_POWERS, _is_integer, apply_pauli, commutes, to_matrix
 
 # sampled-mode overflow bin for trace-decreasing channels
 NO_DETECTION = "no-detection"
-
-_MINUS = "−"
 
 # rows (c, s) with Re(i^e z) = c Re z + s Im z, columns indexed by e mod 4
 _RE_IM = np.array([[1, 0, -1, 0], [0, -1, 0, 1]])
@@ -192,33 +190,29 @@ class ReadoutTable:
 
     def observed(self, records) -> tuple[np.ndarray, bool]:
         """(probability estimates, exact): the records' values in the
-        table's layout, and whether every record is exact. A record
+        table's layout, and whether every record that counts (the last
+        of its configuration) is exact. Records that are the table's
+        distinct configurations in order, as ``simulate`` and
+        ``sample_record`` make them, are read as they come. A record
         whose syndromes start with the table's gives its row as it is;
-        any other is gathered by syndrome, a missing one reading 0.
-        Records of the table's configurations in its order, sharing its
-        syndromes tuple, as ``simulate`` and ``sample_record`` make them,
-        are stacked as they come."""
-        rows = tuple(records)
+        any other is gathered by syndrome, a missing one reading 0."""
+        rows = counted = tuple(records)
         configs, syndromes = self.configs, self.syndromes
-        width = len(syndromes)
-        if (len(rows) == len(configs) == len(set(configs))
-                and all(rec.syndromes is syndromes and rec.config_index == i
-                        and len(rec.row) == width for rec, i in zip(rows, configs))):
-            raw = np.array([rec.row for rec in rows], dtype=float)
-            exact = all(rec.shots is None for rec in rows)
-        else:
+        if (tuple(rec.config_index for rec in rows) != configs
+                or len(set(configs)) < len(configs)):
             by_config = {rec.config_index: rec for rec in rows}
             missing = sorted(set(configs) - set(by_config))
             if missing:
                 raise ValueError("missing records for configurations %s" % missing)
-            exact = all(rec.exact for rec in by_config.values())
+            counted = by_config.values()
             rows = [by_config[i] for i in configs]
-            raw = np.array([rec.row[:width] if rec.syndromes is syndromes
-                            or rec.syndromes[:width] == syndromes
-                            else self._gather(rec) for rec in rows], dtype=float)
+        width = len(syndromes)
+        raw = np.array([rec.row[:width] if rec.syndromes is syndromes
+                        or rec.syndromes[:width] == syndromes
+                        else self._gather(rec) for rec in rows], dtype=float)
         raw = raw.reshape(self.a_index.shape)
         # x / 1.0 is x: exact rows need no division
-        if exact:
+        if all(rec.shots is None for rec in counted):
             return raw, True
         shots = np.array([1.0 if rec.shots is None else float(rec.shots)
                           for rec in rows])
@@ -240,12 +234,17 @@ class ReadoutTable:
         next slot its imaginary part. ``rows``, ``cols`` and ``upper``
         list the upper triangle A < B in row-major order, two slots per
         entry, and ``count`` the readouts in each. Keyed by d2, which a
-        table that reads a subset of the syndromes does not fix.
+        table that reads a subset of the syndromes does not fix; a basis
+        smaller than the table's largest error index is refused.
         """
         try:
             return self._reductions[d2]
         except KeyError:
             pass
+        # A <= B, so B holds the largest index
+        if self.b_index.max(initial=-1) >= d2:
+            raise ValueError("the readout table reads error index %d, past a "
+                             "basis of %d elements" % (self.b_index.max(), d2))
         a, b = self.a_index.ravel(), self.b_index.ravel()
         c, s = self.coeff_re.ravel(), self.coeff_im.ravel()
         bare = a == b

@@ -153,7 +153,7 @@ class TestBuiltinChannels:
 def per_word_chi(channel, basis):
     """chi_from_kraus with one trace per (word, Kraus operator)."""
     d = channel.dim
-    words = [st.to_matrix(basis.restricted[m]) for m in range(basis.size)]
+    words = [st.to_matrix(e) for e in st.enumerate_error_basis(basis.p, range(basis.p)).elements]
     chi = np.zeros((basis.size, basis.size), dtype=complex)
     for e in channel.kraus:
         coeffs = np.array([np.trace(w.conj().T @ e) / d for w in words])
@@ -277,7 +277,7 @@ def reference_kraus_from_chi(chi):
     every word rendered by ``to_matrix``."""
     basis = chi.basis
     eigvals, eigvecs = np.linalg.eigh(chi.entries)
-    words = [st.to_matrix(basis.restricted[i]) for i in range(basis.size)]
+    words = [st.to_matrix(e) for e in st.enumerate_error_basis(basis.p, range(basis.p)).elements]
     ops = []
     for k in range(len(eigvals)):
         if eigvals[k] <= st.DEFAULT_POLICY.psd:

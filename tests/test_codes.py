@@ -114,7 +114,7 @@ def test_builtin_is_a_generator_code_with_the_textbook_basis(name):
     assert code.codewords is None and code.logical_ops is not None
     c, residual = st.kl_scan(code)
     assert residual == 0.0 and np.array_equal(c, np.eye(code.d2))
-    assert "_derived" not in vars(code)
+    assert "logical_basis" not in vars(code)
     reference = REFERENCE_CODEWORDS[name]
     for got, want in zip(code.logical_basis, reference, strict=True):
         assert np.abs(got - want).max() <= 1e-15
@@ -640,7 +640,7 @@ def test_basis_derived_on_first_read(name):
         code = st.code_from_json(json.loads(json.dumps(BELL2_CODE)))
     else:
         code = FRAME_CODES[name]()
-    assert "_derived" not in vars(code)
+    assert "logical_basis" not in vars(code)
     basis = code.logical_basis
     assert code.logical_basis is basis
     assert all(not v.flags.writeable for v in basis)
@@ -654,7 +654,7 @@ def test_kl_scan_of_a_generator_code_is_exact():
     code = st.build_code(["XIX", "YYZ"], [0])
     c, residual = st.kl_scan(code)
     assert residual == 0.0 and np.array_equal(c, np.eye(4))
-    assert "_derived" not in vars(code)
+    assert "logical_basis" not in vars(code)
 
 
 @pytest.mark.parametrize("name", ["code5", "surface25"])
@@ -673,7 +673,7 @@ def test_replace_keeps_a_generator_code_a_generator_code(monkeypatch, basis_read
               dataclasses.replace(code, error_basis=dataclasses.replace(basis)),
               dataclasses.replace(code, noisy_coords=code.noisy_coords[::-1])]
     for copy in copies:
-        assert copy.codewords is None and "_derived" not in vars(copy)
+        assert copy.codewords is None and "logical_basis" not in vars(copy)
         assert copy.logical_ops == code.logical_ops
         c, residual = st.kl_scan(copy)
         assert residual == 0.0 and np.array_equal(c, np.eye(code.d2))

@@ -255,25 +255,39 @@ class TestErrorBasis:
 
     @settings(max_examples=40, deadline=None)
     @given(data=hs.data())
-    def test_index_is_the_restricted_masks(self, data):
-        """Element i's restricted word has masks (i >> p, i mod 2^p), and
-        its label indexes back to i, whatever the coordinates' order."""
-        p = data.draw(hs.integers(1, 4))
-        n_total = data.draw(hs.integers(p, p + 2))
+    def test_index_is_the_word_of_its_bits(self, data):
+        """Element i is the p-qubit word i^y X^(i >> p) Z^(i mod 2^p),
+        y its Y count, placed on the coordinates in their order: its
+        label is that word's string and indexes back to i, whatever the
+        coordinates' order."""
+        p = data.draw(hs.integers(0, 4))
+        n_total = data.draw(hs.integers(max(p, 1), p + 2))
         coords = data.draw(hs.permutations(range(n_total)))[:p]
         basis = st.enumerate_error_basis(n_total, coords)
-        for i, word in enumerate(basis.restricted):
-            assert (word.x_mask, word.z_mask) == (i >> p, i & ((1 << p) - 1))
+        assert basis.size == 4 ** p
+
+        def placed(mask):
+            return sum((mask >> (p - 1 - j) & 1) << (n_total - 1 - c)
+                       for j, c in enumerate(coords))
+
+        for i, element in enumerate(basis.elements):
+            u, v = i >> p, i & ((1 << p) - 1)
+            y = (u & v).bit_count()
+            want = st.pauli_to_string(PauliOperator(p, u, v, y)) if p else "I"
+            assert basis.label(i) == want
+            assert element == PauliOperator(n_total, placed(u), placed(v), y)
             assert basis.index_of_label(basis.label(i)) == i
 
     def test_labels_are_formatted_once(self, monkeypatch):
         basis = st.enumerate_error_basis(6, [4, 1, 2])
-        want = [st.pauli_to_string(r) for r in basis.restricted]
+        want = [st.pauli_to_string(PauliOperator(3, i >> 3, i & 7, (i >> 3 & i).bit_count()))
+                for i in range(basis.size)]
 
         def refuse(*args):
             raise AssertionError("label formatted again")
 
-        monkeypatch.setattr(pauli, "pauli_to_string", refuse)
+        # every label, and every Pauli string, is formed by these letters
+        monkeypatch.setattr(pauli, "_letters", refuse)
         assert basis.labels == tuple(want)
         assert [basis.label(i) for i in range(basis.size)] == want
         # a derived field: equality ignores it
@@ -281,7 +295,7 @@ class TestErrorBasis:
 
     def test_mul_matches_matrices(self):
         basis = st.enumerate_error_basis(2, [0, 1])
-        mats = [st.to_matrix(e) for e in basis.restricted]
+        mats = [st.to_matrix(e) for e in basis.elements]
         for i in range(basis.size):
             for j in range(basis.size):
                 k, e = basis.product_index[i, j], basis.product_phase[i, j]

@@ -92,7 +92,8 @@ class TestPauliFactors:
         # F_a F_x = g_A F_A must hold as matrices for every triple
         basis = code5.error_basis
         rng = np.random.default_rng(9)
-        mats = [st.to_matrix(e) for e in basis.restricted]
+        mats = [st.to_matrix(e) for e in
+                st.enumerate_error_basis(basis.p, range(basis.p)).elements]
         for _ in range(30):
             a, b, x = rng.integers(0, basis.size, size=3)
             for f in (a, b):
@@ -1070,12 +1071,17 @@ class TestReconstruct:
         expected[0, 0] = 1.0
         np.testing.assert_allclose(chi, expected, atol=1e-10)
 
-    def test_random_two_qubit_channel(self, code5):
+    def test_random_two_qubit_channel(self, code3, code5):
         ch = st.builtin_channel("random-cp", [42, 2, 4])
         configs, readouts, records = exact_records(code5, ch)
         chi = st.reconstruct(records, readouts, code5.error_basis)
         oracle = st.chi_from_kraus(ch, code5.error_basis)
         assert np.linalg.norm(chi.entries - oracle.entries, "fro") < 1e-8
+        # a basis too small for the table's error indices, on every call
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^the readout table reads error "
+                                                 r"index 15, past a basis of 4 elements$"):
+                st.reconstruct(records, readouts, code3.error_basis)
 
     def test_missing_record(self, code3, ad036):
         configs, readouts, records = exact_records(code3, ad036)
@@ -1491,9 +1497,10 @@ def reference_observed(readouts, records):
 
 def test_observed_equals_the_record_by_record_reading(code5):
     """Records as simulate and sample_record make them are stacked as
-    they come; shuffled, repeated, missing, mixed and foreign-syndrome
-    records are read by configuration and syndrome. Both give the
-    reference's bits and messages."""
+    they come; shuffled, repeated, replaced, missing, mixed and
+    foreign-syndrome records, and records for a table that lists a
+    configuration twice, are read by configuration and syndrome. Both
+    give the reference's bits, exactness and messages."""
     configs, readouts = st.plan_configurations(code5)
     exact = st.simulate(code5, (0.6, 0.8j), st.builtin_channel("random-cp", [3, 2, 2]),
                         configs)
@@ -1512,10 +1519,17 @@ def test_observed_equals_the_record_by_record_reading(code5):
         "missing": exact[:4] + exact[5:],
         # a sampled record of a configuration the table does not read
         "foreign": exact + [dataclasses.replace(sampled[0], config_index=len(configs))],
+        # a sampled record replaced by an exact one of its configuration
+        "replaced": sampled[:1] + exact,
     }
+    tables = dict.fromkeys(cases, readouts)
+    # a table that lists configuration 1 twice, and records in its order
+    # whose two records of that configuration differ: the later counts
+    cases["listed twice"] = exact[:2] + sampled[1:]
+    tables["listed twice"] = st.derive_readouts(code5, configs[:2] + configs[1:])
     for name, records in cases.items():
-        want = outcome(reference_observed, readouts, records)
-        got = outcome(readouts.observed, records)
+        want = outcome(reference_observed, tables[name], records)
+        got = outcome(tables[name].observed, records)
         if isinstance(want, str):
             assert got == want, name
             continue

@@ -178,3 +178,20 @@ def test_only_pauli_reads_mask_bits():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and node.attr in ("x_mask", "z_mask")}
     assert readers == {"pauli.py"}, readers
+
+
+def test_only_pauli_counts_mask_bits_or_ranks_words():
+    # so are the bits of an error index (``pauli._word_table``) and the
+    # (x|z) rows of a GF(2) rank: no other module names
+    # ``bitwise_count`` or defines ``_symplectic_rank``
+    source = Path(syntomo.__file__).parent
+    found = set()
+    for path in source.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_symplectic_rank":
+                found.add((path.name, node.name))
+            elif "bitwise_count" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                     getattr(node, "name", None)):
+                found.add((path.name, "bitwise_count"))
+    assert {name for _, name in found} == {"bitwise_count", "_symplectic_rank"}
+    assert {module for module, _ in found} == {"pauli.py"}, sorted(found)
