@@ -33,7 +33,6 @@ from .pauli import (
     PauliOperator,
     _anticommuting,
     _apply_words,
-    _check_coords,
     _register_masks,
     _symplectic_rank,
     apply_pauli,
@@ -259,17 +258,14 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
             raise ValueError("Z logical operator has no +1 eigenvector "
                              "inside the code space")
 
-    coords = _check_coords(n, noisy_coords)
-    # 4^p errors cannot have distinct syndromes among 2^(n-k): refused
-    # before the 16^p-entry product table is formed
-    if k + 2 * len(coords) > n:
+    error_basis = enumerate_error_basis(n, noisy_coords)
+    # 4^p errors cannot have distinct syndromes among 2^(n-k)
+    if k + 2 * error_basis.p > n:
         raise ValueError("syndrome collision: %d errors on %d noisy qubits "
                          "exceed the %d syndromes of %d generators"
-                         % (4 ** len(coords), len(coords), 1 << len(gens), len(gens)))
-    error_basis = enumerate_error_basis(n, coords)
-    error_masks = _register_masks(error_basis.elements)
+                         % (error_basis.size, error_basis.p, 1 << len(gens), len(gens)))
     # bit j of error i's syndrome is 1 when it anticommutes with generator j
-    table = tuple(map(tuple, _anticommuting(error_masks, gen_masks).tolist()))
+    table = tuple(map(tuple, _anticommuting(error_basis.masks, gen_masks).tolist()))
     # the first error of each syndrome
     index = dict(zip(table[::-1], range(len(table) - 1, -1, -1)))
     if len(index) != len(table):
@@ -284,7 +280,7 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
     # distinct syndromes, frame† frame = I is the condition with C = I,
     # and frame† frame − I is made of B_0 − I and the i^e B_z, z != 0
     if basis_states is not None:
-        blocks = _overlap_blocks(logical, error_masks)
+        blocks = _overlap_blocks(logical, error_basis.masks)
         blocks[0] -= np.eye(1 << k)
         residual = float(np.abs(blocks).max())
         if not residual <= DEFAULT_POLICY.kl_residual:  # NaN fails
@@ -340,8 +336,7 @@ def kl_scan(code: StabilizerCode) -> tuple:
     if code.codewords is None:
         return np.eye(code.d2, dtype=complex), 0.0
     dim = 1 << code.k
-    blocks = _overlap_blocks(np.column_stack(code.logical_basis),
-                             _register_masks(code.error_basis.elements))
+    blocks = _overlap_blocks(np.column_stack(code.logical_basis), code.error_basis.masks)
     c = np.trace(blocks, axis1=1, axis2=2) / dim
     residual = float(np.abs(blocks - c[:, None, None] * np.eye(dim)).max())
     basis = code.error_basis

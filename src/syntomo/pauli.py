@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,11 +130,16 @@ def _register_masks(words) -> np.ndarray:
     """The words' X and Z masks and phase exponents: a 3 x len(words)
     integer array with rows (u, v, phase_exp). Words on more than
     ``MASK_QUBIT_CAP`` qubits are refused before any mask is built."""
-    if words and words[0].n > MASK_QUBIT_CAP:
-        raise ValueError("Pauli masks are capped at %d qubits (int64), got %d"
-                         % (MASK_QUBIT_CAP, words[0].n))
+    if words:
+        _check_mask_cap(words[0].n)
     return np.array([(w.x_mask, w.z_mask, w.phase_exp) for w in words],
                     dtype=np.int64).reshape(-1, 3).T
+
+
+def _check_mask_cap(n: int) -> None:
+    if n > MASK_QUBIT_CAP:
+        raise ValueError("Pauli masks are capped at %d qubits (int64), got %d"
+                         % (MASK_QUBIT_CAP, n))
 
 
 def _anticommuting(p_masks: np.ndarray, q_masks: np.ndarray) -> np.ndarray:
@@ -287,17 +292,14 @@ class ErrorBasis:
     so the single-qubit order is I, Z, X, Y; the Y count in
     ``phase_exp`` makes it Hermitian. The p = 0 word is labelled "I".
 
-    ``product_index[i, j]`` and ``product_phase[i, j]`` tabulate every
-    product F_i F_j = i^e F_k as (k, e), read-only. ``labels[i]`` is
-    ``label(i)``, formatted once.
+    A basis is its two fields; the rest is derived on first read and
+    kept: read-only ``masks``, ``elements``, ``labels`` and the read-only
+    product table F_i F_j = i^e F_k as ``product_index[i, j]`` = k and
+    ``product_phase[i, j]`` = e.
     """
 
     n_total: int
     coords: tuple[int, ...]
-    elements: tuple[PauliOperator, ...]
-    product_index: np.ndarray = field(repr=False, compare=False)
-    product_phase: np.ndarray = field(repr=False, compare=False)
-    labels: tuple = field(repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -305,18 +307,59 @@ class ErrorBasis:
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return 1 << (2 * self.p)
 
     @property
     def dim(self) -> int:
         """Hilbert-space dimension 2^p of the noisy subsystem."""
         return 1 << self.p
 
+    @functools.cached_property
+    def masks(self) -> np.ndarray:
+        """The elements' ``_register_masks``, placed from the word table."""
+        p, n = self.p, self.n_total
+        _check_mask_cap(n)
+        moves = [(p - 1 - j, n - 1 - c) for j, c in enumerate(self.coords)]
+        placed = np.array([sum((w >> src & 1) << dst for src, dst in moves)
+                           for w in range(1 << p)], dtype=np.int64)
+        u, v, y = _word_table(p)
+        masks = np.stack((placed[u], placed[v], y))
+        masks.flags.writeable = False
+        return masks
+
+    @functools.cached_property
+    def elements(self) -> tuple[PauliOperator, ...]:
+        return tuple(PauliOperator(self.n_total, u, v, y) for u, v, y in self.masks.T.tolist())
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        words = _word_table(self.p).T.tolist()
+        return tuple(_letters(u, v, max(self.p, 1)) for u, v, _ in words)
+
+    @functools.cached_property
+    def product_index(self) -> np.ndarray:
+        """k: the bare word of F_i F_j is (u_i ^ u_j, v_i ^ v_j)."""
+        u, v, _ = _word_table(self.p)
+        k = ((u[:, None] ^ u[None, :]) << self.p) | (v[:, None] ^ v[None, :])
+        k.flags.writeable = False
+        return k
+
+    @functools.cached_property
+    def product_phase(self) -> np.ndarray:
+        """e: with y_i = |u_i & v_i|, ``pauli_mul`` gives the phase
+        y_i + y_j + 2|v_i & u_j|, of which element k absorbs y_k."""
+        u, v, y = _word_table(self.p)
+        crossings = np.bitwise_count(v[:, None] & u[None, :]).astype(np.int64)
+        e = ((y[:, None] + y + 2 * crossings - y[self.product_index]) % 4).astype(np.int8)
+        e.flags.writeable = False
+        return e
+
     def label(self, index: int) -> str:
         """Word restricted to the coordinate subset, e.g. ``"XZ"``."""
         return self.labels[index]
 
     def index_of_label(self, label: str) -> int:
+        """The index a label names; a minus sign or an i (``-XZ``, ``iY``) is refused."""
         if self.p == 0:
             if not isinstance(label, str):
                 raise TypeError("a Pauli word must be a string, got %r" % (label,))
@@ -324,8 +367,10 @@ class ErrorBasis:
                 return 0
             raise ValueError("bad error label %r for empty coordinate set" % label)
         word = pauli_from_string(label, self.p)
-        if not word.is_hermitian:
-            raise ValueError("error label %r carries a non-Hermitian phase" % label)
+        sign = (word.phase_exp - word.y_count) % 4
+        if sign:
+            raise ValueError("error label %r carries a %s" % (
+                label, "non-Hermitian phase" if sign % 2 else "minus sign"))
         return (word.x_mask << self.p) | word.z_mask
 
 
@@ -337,21 +382,7 @@ def enumerate_error_basis(n_total: int, coords) -> ErrorBasis:
     coordinate that is not an integer (a bool is not one) is a
     ``TypeError``.
     """
-    coords = _check_coords(n_total, coords)
-    p = len(coords)
-    # bit p - 1 - j of a p-qubit mask is qubit coords[j] of the register
-    moves = [(p - 1 - j, n_total - 1 - c) for j, c in enumerate(coords)]
-    full = [sum((w >> src & 1) << dst for src, dst in moves) for w in range(1 << p)]
-    words = _word_table(p).T.tolist()
-    index, phase = _product_table(p)
-    return ErrorBasis(
-        n_total=n_total,
-        coords=coords,
-        elements=tuple(PauliOperator(n_total, full[u], full[v], y) for u, v, y in words),
-        product_index=index,
-        product_phase=phase,
-        labels=tuple(_letters(u, v, max(p, 1)) for u, v, _ in words),
-    )
+    return ErrorBasis(n_total, _check_coords(n_total, coords))
 
 
 def _is_integer(value) -> bool:
@@ -373,19 +404,3 @@ def _check_coords(n_total: int, coords) -> tuple:
         if not (0 <= c < n_total):
             raise ValueError("coordinate %d outside 0..%d" % (c, n_total - 1))
     return coords
-
-
-def _product_table(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k, e) with F_i F_j = i^e F_k for all 4^p x 4^p index pairs.
-
-    Element i = (u << p) | v is i^{y_i} X^u Z^v with y_i = |u & v|, so
-    pauli_mul gives the bare word (u_i ^ u_j, v_i ^ v_j) with phase
-    y_i + y_j + 2|v_i & u_j|, and the canonical element k absorbs y_k.
-    """
-    u, v, y = _word_table(p)
-    k = ((u[:, None] ^ u[None, :]) << p) | (v[:, None] ^ v[None, :])
-    crossings = np.bitwise_count(v[:, None] & u[None, :]).astype(np.int64)
-    e = ((y[:, None] + y[None, :] + 2 * crossings - y[k]) % 4).astype(np.int8)
-    k.flags.writeable = False
-    e.flags.writeable = False
-    return k, e

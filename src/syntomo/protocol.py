@@ -98,10 +98,14 @@ class MeasurementRecord:
     def from_distribution(cls, config_index: int, distribution: dict,
                           shots: int | None = None) -> MeasurementRecord:
         """A record of ``distribution``'s keys and values, in its order:
-        probabilities when ``shots`` is None, else integer counts within it."""
+        finite probabilities when ``shots`` is None, else counts within it."""
         values = list(distribution.values())
         if shots is None:
             row = np.array(values, dtype=float)
+            if not np.isfinite(row).all():
+                i = int(np.argmin(np.isfinite(row)))
+                raise ValueError("exact probability for syndrome %s must be "
+                                 "finite, got %r" % (list(distribution)[i], values[i]))
         elif not _is_integer(shots) or shots <= 0:
             raise ValueError("shots must be a positive integer, got %r" % (shots,))
         elif not all(map(_is_integer, values)):
@@ -174,8 +178,8 @@ class ReadoutTable:
     syndrome ``syndromes[x]``, whose probability is
     (chi_AA + chi_BB)/2 + c Re chi_AB + s Im chi_AB with A = a_index,
     B = b_index, c = coeff_re and s = coeff_im, read-only integer arrays
-    of shape configurations x d^2. Bare rows carry A = B and c = s = 0.
-    ``len`` counts the readouts.
+    of shape configurations x d^2 for a basis of ``d2`` elements. Bare
+    rows carry A = B and c = s = 0; ``len`` counts the readouts.
     """
 
     syndromes: tuple
@@ -184,6 +188,7 @@ class ReadoutTable:
     b_index: np.ndarray = field(repr=False)
     coeff_re: np.ndarray = field(repr=False)
     coeff_im: np.ndarray = field(repr=False)
+    d2: int
 
     def __len__(self) -> int:
         return self.a_index.size
@@ -219,32 +224,18 @@ class ReadoutTable:
         return raw / shots[:, None], False
 
     @functools.cached_property
-    def _reductions(self) -> dict:
-        """{d2: ``_reduction(d2)``}, filled by ``reconstruct``."""
-        return {}
-
-    def _reduction(self, d2: int) -> tuple:
-        """What ``reconstruct`` derives from the table alone for a basis
-        of d2 elements, built by its first call at that size: (bare, off,
-        bare A, A, B, c + s, slot, count, rows, cols, upper).
+    def _reduction(self) -> tuple:
+        """What ``reconstruct`` derives from the table alone, built by its
+        first call: (bare, off, bare A, A, B, c + s, slot, count, rows, cols, upper).
 
         ``bare`` and ``off`` mask the flat readouts; A, B, c + s (one of
         c, s is +-1, the other 0) and the slots belong to the off-diagonal
         ones. Slot 2 (A d2 + B) holds the real part of entry (A, B), the
         next slot its imaginary part. ``rows``, ``cols`` and ``upper``
         list the upper triangle A < B in row-major order, two slots per
-        entry, and ``count`` the readouts in each. Keyed by d2, which a
-        table that reads a subset of the syndromes does not fix; a basis
-        smaller than the table's largest error index is refused.
+        entry, and ``count`` the readouts in each.
         """
-        try:
-            return self._reductions[d2]
-        except KeyError:
-            pass
-        # A <= B, so B holds the largest index
-        if self.b_index.max(initial=-1) >= d2:
-            raise ValueError("the readout table reads error index %d, past a "
-                             "basis of %d elements" % (self.b_index.max(), d2))
+        d2 = self.d2
         a, b = self.a_index.ravel(), self.b_index.ravel()
         c, s = self.coeff_re.ravel(), self.coeff_im.ravel()
         bare = a == b
@@ -258,7 +249,6 @@ class ReadoutTable:
         out = (bare, off, bare_a, a, b, c + s, slot, count, rows, cols, upper)
         for array in out:
             array.flags.writeable = False
-        self._reductions[d2] = out
         return out
 
     def _gather(self, rec: MeasurementRecord) -> list:
@@ -485,7 +475,7 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
             theta_signs=tuple(theta) if kind == "toggled" else None,
             action=maps[i]))
     return configs, ReadoutTable(code.syndrome_table, tuple(range(len(configs))),
-                                 *columns)
+                                 *columns, code.d2)
 
 
 def _rules(big_a, big_b, e, commuting, signs, rotated) -> tuple:
@@ -514,13 +504,10 @@ def derive_readouts(code: StabilizerCode, configs) -> ReadoutTable:
     """The plan's readout table: every configuration's rule rows
     (``Configuration.rule``), one table row per configuration."""
     rules = np.array([cfg.rule for cfg in configs], dtype=np.int64)
-    columns = []
-    for column in rules.reshape(-1, code.d2, 4).transpose(2, 0, 1):
-        column = np.ascontiguousarray(column)
-        column.flags.writeable = False
-        columns.append(column)
+    columns = rules.reshape(-1, code.d2, 4).transpose(2, 0, 1).copy()
+    columns.flags.writeable = False
     return ReadoutTable(code.syndrome_table, tuple(cfg.index for cfg in configs),
-                        *columns)
+                        *columns, code.d2)
 
 
 def reconstruct(records, readouts: ReadoutTable, basis) -> ProcessMatrix:
@@ -534,8 +521,10 @@ def reconstruct(records, readouts: ReadoutTable, basis) -> ProcessMatrix:
     """
     probs, exact = readouts.observed(records)
     d2 = basis.size
-    (bare, off, bare_a, a, b, cs, slot, n, rows, cols,
-     upper) = readouts._reduction(d2)
+    if d2 != readouts.d2:
+        raise ValueError("the readout table is for a basis of %d elements, "
+                         "not %d" % (readouts.d2, d2))
+    bare, off, bare_a, a, b, cs, slot, n, rows, cols, upper = readouts._reduction
     probs = probs.ravel()
     diag = np.zeros(d2)
     diag[bare_a] = probs[bare]

@@ -14,7 +14,8 @@ from hypothesis import strategies as hs
 import syntomo as st
 from conftest import (BELL2_CODE, FRAME_CODES, bell_pair_generators, built_frame_code,
                       rotated_surface_generators)
-from syntomo import jsonio
+from syntomo import cli, jsonio
+from syntomo.pauli import ErrorBasis
 
 
 def ket(n, *indices_and_signs):
@@ -729,3 +730,19 @@ def test_logical_ops_checked_without_a_basis(x_l, z_l, message):
                                atol=1e-15)
     for g in code.generators:
         np.testing.assert_allclose(st.to_matrix(g) @ one, one, atol=1e-12)
+
+
+def test_a_generator_build_forms_no_product_table_or_error_word(monkeypatch, capsys):
+    """Building a code from generators and scanning it read the error
+    masks only: no product table, element or label is derived."""
+    code = st.build_code(bell_pair_generators(5), range(5))
+    assert st.kl_scan(code)[1] == 0.0
+    assert set(vars(code.error_basis)) == {"n_total", "coords", "masks"}
+
+    def refuse(basis):
+        raise AssertionError("product table formed")
+
+    monkeypatch.setattr(ErrorBasis, "product_index", property(refuse))
+    monkeypatch.setattr(ErrorBasis, "product_phase", property(refuse))
+    assert cli.main(["validate", "--code", "code5"]) == 0
+    assert "16 distinct syndromes" in capsys.readouterr().out

@@ -11,7 +11,7 @@ from hypothesis import strategies as hs
 
 import syntomo as st
 from syntomo import pauli
-from syntomo.pauli import MATRIX_QUBIT_CAP, PauliOperator, apply_pauli
+from syntomo.pauli import MATRIX_QUBIT_CAP, ErrorBasis, PauliOperator, apply_pauli
 
 
 def word(text, n=None):
@@ -253,6 +253,21 @@ class TestErrorBasis:
         for i in range(basis.size):
             assert basis.index_of_label(basis.label(i)) == i
 
+    def test_a_label_names_the_element_with_its_phase(self):
+        basis = st.enumerate_error_basis(5, [0, 1])
+        xz = basis.index_of_label("XZ")
+        assert basis.index_of_label("+XZ") == xz == 9
+        assert basis.index_of_label(" +YY ") == basis.index_of_label("YY")
+        for label in ("-XZ", "−XZ", "-YI", "−YY"):
+            with pytest.raises(ValueError, match="^error label %s carries a minus "
+                                                 "sign$" % re.escape(repr(label))):
+                basis.index_of_label(label)
+        for label in ("iXZ", "-iXZ", "+iYI", "−iYY"):
+            with pytest.raises(ValueError, match="^error label %s carries a "
+                                                 "non-Hermitian phase$"
+                                                 % re.escape(repr(label))):
+                basis.index_of_label(label)
+
     @settings(max_examples=40, deadline=None)
     @given(data=hs.data())
     def test_index_is_the_word_of_its_bits(self, data):
@@ -286,12 +301,13 @@ class TestErrorBasis:
         def refuse(*args):
             raise AssertionError("label formatted again")
 
+        assert basis.labels == tuple(want)
         # every label, and every Pauli string, is formed by these letters
         monkeypatch.setattr(pauli, "_letters", refuse)
         assert basis.labels == tuple(want)
         assert [basis.label(i) for i in range(basis.size)] == want
-        # a derived field: equality ignores it
-        assert dataclasses.replace(basis, labels=()) == basis
+        # derived, not stored: a basis is its register and coordinates
+        assert [f.name for f in dataclasses.fields(ErrorBasis)] == ["n_total", "coords"]
 
     def test_mul_matches_matrices(self):
         basis = st.enumerate_error_basis(2, [0, 1])
@@ -365,3 +381,57 @@ def test_product_table_matches_matrices_and_pauli_mul(case):
     h, w = st.pauli_mul(f_i, f_j)
     assert (w.x_mask, w.z_mask) == (f_k.x_mask, f_k.z_mask)
     assert e == (h - f_k.phase_exp) % 4
+
+
+def eager_basis(n_total, coords):
+    """The reference error basis, formed all at once as the eager builder
+    did: (elements, labels, product_index, product_phase)."""
+    p = len(coords)
+    moves = [(p - 1 - j, n_total - 1 - c) for j, c in enumerate(coords)]
+    full = [sum((w >> src & 1) << dst for src, dst in moves) for w in range(1 << p)]
+    words = pauli._word_table(p).T.tolist()
+    # F_i F_j = i^e F_k: the bare word (u_i ^ u_j, v_i ^ v_j) with phase
+    # y_i + y_j + 2|v_i & u_j|, of which element k absorbs y_k
+    u, v, y = pauli._word_table(p)
+    k = ((u[:, None] ^ u[None, :]) << p) | (v[:, None] ^ v[None, :])
+    crossings = np.bitwise_count(v[:, None] & u[None, :]).astype(np.int64)
+    e = ((y[:, None] + y[None, :] + 2 * crossings - y[k]) % 4).astype(np.int8)
+    k.flags.writeable = False
+    e.flags.writeable = False
+    return (tuple(PauliOperator(n_total, full[u], full[v], y) for u, v, y in words),
+            tuple(pauli._letters(u, v, max(p, 1)) for u, v, _ in words), k, e)
+
+
+DERIVED = ("masks", "elements", "labels", "product_index", "product_phase")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hs.data())
+def test_derived_basis_equals_the_eager_one(data):
+    """Whatever is read first, a basis derives the eager builder's
+    words, labels and product table bit for bit, and masks that are its
+    elements' ``_register_masks``."""
+    p = data.draw(hs.integers(0, 4), label="p")
+    n_total = data.draw(hs.integers(max(p, 1), 62), label="n_total")
+    coords = data.draw(hs.permutations(range(n_total)), label="coords")[:p]
+    basis = st.enumerate_error_basis(n_total, coords)
+    for name in data.draw(hs.permutations(DERIVED), label="read order"):
+        getattr(basis, name)
+    elements, labels, index, phase = eager_basis(n_total, coords)
+    assert basis.elements == elements and basis.labels == labels
+    want = pauli._register_masks(elements)
+    for got, ref in ((basis.masks, want), (basis.product_index, index),
+                     (basis.product_phase, phase)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert not got.flags.writeable
+    assert [f.name for f in dataclasses.fields(basis)] == ["n_total", "coords"]
+
+
+def test_masks_of_a_basis_past_62_qubits_are_refused_on_read():
+    basis = st.enumerate_error_basis(63, [0])
+    assert basis.labels == ("I", "Z", "X", "Y") and basis.product_index.shape == (4, 4)
+    for name in ("masks", "elements"):
+        with pytest.raises(ValueError, match=r"^Pauli masks are capped at 62 qubits "
+                                             r"\(int64\), got 63$"):
+            getattr(basis, name)
+    assert set(vars(basis)) == {"n_total", "coords", "labels", "product_index"}

@@ -286,6 +286,24 @@ class TestSimulatedReadout:
             with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
                 st.MeasurementRecord.from_distribution(0, dist, shots)
 
+    @pytest.mark.parametrize("probs, message", [
+        ([0.5, float("nan"), 0.5, 0.0], "syndrome (1, 1) must be finite, got nan"),
+        ([float("inf"), 0.0, 0.0, 0.0], "syndrome (0, 0) must be finite, got inf"),
+        ([0.5, 0.5, 0.0, -np.inf], "syndrome (1, 0) must be finite, got -inf"),
+        ([0.5, 0.5, np.float64("nan"), float("nan")],
+         "syndrome (0, 1) must be finite, got np.float64(nan)"),
+        ([0.5, 0.5, 0.0, -0.0], None),
+    ])
+    def test_exact_probabilities_are_finite(self, code3, probs, message):
+        dist = dict(zip(code3.syndrome_table, probs))
+        if message is None:
+            rec = st.MeasurementRecord.from_distribution(0, dist)
+            assert rec.row.tolist() == probs and rec.exact
+        else:
+            with pytest.raises(ValueError, match="^exact probability for %s$"
+                                                 % re.escape(message)):
+                st.MeasurementRecord.from_distribution(0, dist)
+
 
 def dense_unitary(code, cfg):
     """A configuration's pre-processing as a dense 2^n operator."""
@@ -865,6 +883,14 @@ def dense_rotation_map(basis, a, b):
     return m / np.sqrt(2.0)
 
 
+def with_phase(basis, phase):
+    """A fresh copy of ``basis`` that reads ``phase`` as its product
+    phases: the derived table, put in the copy's instance dict."""
+    broken = dataclasses.replace(basis)
+    vars(broken)["product_phase"] = phase
+    return broken
+
+
 def pair_plan(code, pairs, rng):
     """A rotated and a toggled configuration, with random balanced
     signs, per pair (a, b)."""
@@ -954,8 +980,7 @@ class TestCompiledPlan:
         phase = basis.product_phase.copy()
         phase[a, x] = (phase[a, x] + 1) % 4
         phase.flags.writeable = False
-        broken = dataclasses.replace(
-            code5, error_basis=dataclasses.replace(basis, product_phase=phase))
+        broken = dataclasses.replace(code5, error_basis=with_phase(basis, phase))
         theta = {basis.label(m): "+" if m < 8 else "-" for m in range(16)}
         doc = {"configurations": [
             {"kind": "bare"},
@@ -982,8 +1007,7 @@ class TestCompiledPlan:
             phase = basis.product_phase.copy()
             phase[i, j] = (phase[i, j] + shift) % 4
             phase.flags.writeable = False
-            broken = dataclasses.replace(
-                code, error_basis=dataclasses.replace(basis, product_phase=phase))
+            broken = dataclasses.replace(code, error_basis=with_phase(basis, phase))
             pairs = [(a, b) for a in range(code.d2) for b in range(code.d2) if a != b]
             doc = {"configurations": [{"kind": "bare"}] + [
                 {"kind": "rotated", "a": basis.label(a), "b": basis.label(b)}
@@ -1012,6 +1036,12 @@ class TestCompiledPlan:
          "theta map does not cover the error basis"),
         ({"kind": "spun", "a": "I", "b": "Z"},
          "unknown configuration kind 'spun'"),
+        # a sign would silently name the basis element
+        ({"kind": "rotated", "a": "I", "b": "-Y"},
+         "error label '-Y' carries a minus sign"),
+        ({"kind": "toggled", "a": "I", "b": "Z",
+          "theta": {"I": "+", "Z": "+", "−X": "-", "Y": "-"}},
+         "error label '−X' carries a minus sign"),
     ])
     def test_plan_from_json_rejections(self, code3, entry, message):
         doc = {"configurations": [{"kind": "bare"}, entry]}
@@ -1077,11 +1107,16 @@ class TestReconstruct:
         chi = st.reconstruct(records, readouts, code5.error_basis)
         oracle = st.chi_from_kraus(ch, code5.error_basis)
         assert np.linalg.norm(chi.entries - oracle.entries, "fro") < 1e-8
-        # a basis too small for the table's error indices, on every call
+        # a basis smaller or larger than the table's, on every call
         for _ in range(2):
-            with pytest.raises(ValueError, match=r"^the readout table reads error "
-                                                 r"index 15, past a basis of 4 elements$"):
+            with pytest.raises(ValueError, match=r"^the readout table is for a "
+                                                 r"basis of 16 elements, not 4$"):
                 st.reconstruct(records, readouts, code3.error_basis)
+        configs, readouts, records = exact_records(
+            code3, st.builtin_channel("amplitude-damping", [0.36]))
+        with pytest.raises(ValueError, match=r"^the readout table is for a "
+                                             r"basis of 4 elements, not 16$"):
+            st.reconstruct(records, readouts, code5.error_basis)
 
     def test_missing_record(self, code3, ad036):
         configs, readouts, records = exact_records(code3, ad036)
@@ -1316,13 +1351,16 @@ def test_a_warm_table_reconstructs_as_the_readout_loop(frame_code, sampled):
     basis = frame_code.error_basis
     p = len(frame_code.noisy_coords)
     sampler = st.SamplingPolicy(shots_per_configuration=10_000, seed=8)
+    kept = []
     for seed in (3, 4):
         channel = st.builtin_channel("random-cp", [seed, p, 2])
         records = st.simulate(frame_code, (0.6, 0.8j), channel, configs)
         if sampled:
             records = [st.sample_record(rec, sampler) for rec in records]
         got = st.reconstruct(records, readouts, basis).entries
-    assert list(vars(readouts)["_reductions"]) == [frame_code.d2]
+        kept.append(vars(readouts)["_reduction"])
+    # built by the first call and kept for the second
+    assert kept[0] is kept[1]
     assert same_bits(got, reference_reconstruct(records, readouts, basis))
 
 
