@@ -245,6 +245,15 @@ def _int_param(name: str, value) -> int:
     return int(number)
 
 
+def _format_g(value) -> str:
+    """``value`` as %g writes it, or in full an int past the float range,
+    which %g cannot convert."""
+    try:
+        return "%g" % value
+    except OverflowError:
+        return "%d" % value
+
+
 def _check_qubit_cap(p: int) -> int:
     """Refuse a qubit count whose dense Kraus matrices are not desk scale."""
     if p > MATRIX_QUBIT_CAP:
@@ -289,7 +298,8 @@ def _builtin_recipe(name: str, params=()) -> tuple:
     if key in _ONE_PARAMETER:
         p, kraus = _ONE_PARAMETER[key]
         if not 0.0 <= params[0] <= 1.0:
-            raise ValueError("%s parameter %g outside [0, 1]" % (key, params[0]))
+            raise ValueError("%s parameter %s outside [0, 1]"
+                             % (key, _format_g(params[0])))
         x = float(params[0])
         return p, lambda: Channel(p, kraus(x), "%s(%g)" % (key, x))
 

@@ -94,6 +94,17 @@ def _resolve_channel(spec: str, params):
         raise _InputError(str(exc))
 
 
+def _parse_param(token: str):
+    """A channel parameter: the token's float, or its int where that
+    float would round it (a random-CP seed past 2^53 keeps its value)."""
+    value = float(token)
+    try:
+        exact = int(token)
+    except ValueError:
+        return value
+    return value if exact == value else exact
+
+
 def _parse_beta(text: str, dim: int) -> np.ndarray:
     try:
         beta = np.array([complex(tok.strip()) for tok in text.split(",")])
@@ -193,10 +204,11 @@ def _plan_lines(doc: dict) -> list:
 def _cmd_characterize(args) -> int:
     code = _resolve_code(args.code)
     try:
-        params = [float(tok) for tok in args.params.split(",")] if args.params else []
+        params = [_parse_param(tok) for tok in args.params.split(",")] if args.params else []
     except ValueError:
         raise _InputError("cannot parse channel parameters %r" % args.params)
-    if not all(math.isfinite(v) for v in params):
+    # an int is finite, and math.isfinite cannot take one past the float range
+    if not all(isinstance(v, int) or math.isfinite(v) for v in params):
         raise _InputError("channel parameters must be finite, got %r"
                           % args.params)
     width, draw, have_oracle = _resolve_channel(args.channel, params)

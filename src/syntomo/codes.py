@@ -20,6 +20,8 @@ a code, read the frame's Gram matrix off d² blocks of 2^k x 2^k
 from __future__ import annotations
 
 import functools
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +65,10 @@ class StabilizerCode:
     arrays (one that could still be written through, as
     ``dataclasses.replace`` may hand over, is copied), or None for a
     code given by its generators; ``logical_ops`` (X_L, Z_L) then fixes
-    the basis that ``logical_basis`` derives. A code never changes
-    after construction.
+    the basis that ``logical_basis`` derives. ``syndrome_index`` maps
+    each syndrome to its first error, read-only. A code never changes
+    after construction, so one code can serve every caller, as
+    ``builtin_code`` does.
     """
 
     n: int
@@ -73,7 +77,7 @@ class StabilizerCode:
     noisy_coords: tuple
     error_basis: ErrorBasis
     syndrome_table: tuple
-    syndrome_index: dict = field(repr=False, compare=False)
+    syndrome_index: Mapping = field(repr=False, compare=False)
     codewords: tuple | None = field(default=None, repr=False, kw_only=True)
     logical_ops: tuple | None = field(default=None, kw_only=True)
 
@@ -100,6 +104,14 @@ class StabilizerCode:
                              % (self.n, MATRIX_QUBIT_CAP))
         return tuple(map(_frozen, _derive_logical_basis(
             self.generators, self.k, self.logical_ops)))
+
+    @functools.cached_property
+    def _paper_plan(self) -> tuple:
+        """(configurations as a tuple, readout table) of the paper's plan,
+        compiled by the first ``plan_configurations`` call and kept: the
+        plan depends on the code alone, and holds no reference to it."""
+        from . import protocol
+        return protocol._paper_plan(self)
 
 
 def _frozen(array) -> np.ndarray:
@@ -292,7 +304,8 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
             array.flags.writeable = False
     return StabilizerCode(
         n=n, k=k, generators=gens, noisy_coords=error_basis.coords,
-        error_basis=error_basis, syndrome_table=table, syndrome_index=index,
+        error_basis=error_basis, syndrome_table=table,
+        syndrome_index=types.MappingProxyType(index),
         codewords=basis_states, logical_ops=ops,
     )
 
@@ -375,11 +388,17 @@ def syndrome_projector(code: StabilizerCode, syndrome: Syndrome) -> np.ndarray:
 
 def builtin_code(name: str) -> StabilizerCode:
     """Built-in codes, given by their generators: "code3" ([[3,1]], one
-    noisy qubit) and "code5" ([[5,1]], two noisy qubits)."""
+    noisy qubit) and "code5" ([[5,1]], two noisy qubits). Each name is
+    built once per process, and every call returns that one code."""
     key = name.strip().lower()
     if key not in _BUILTIN_CODES:
         raise ValueError("unknown code name %r; known names: %s"
                          % (name, ", ".join(_BUILTIN_CODES)))
+    return _build_builtin(key)
+
+
+@functools.cache
+def _build_builtin(key: str) -> StabilizerCode:
     generators, noisy_coords, logical_ops = _BUILTIN_CODES[key]
     return build_code(generators, noisy_coords, logical_ops=logical_ops)
 

@@ -112,9 +112,10 @@ class Characterization:
 def characterize(code: StabilizerCode, channel: Channel, beta,
                  sampling: SamplingPolicy | None = None) -> Characterization:
     """Pad a narrower channel to the noisy subsystem (``extend_channel``;
-    ``simulate`` takes no other width), plan, simulate, sample unless
-    ``sampling`` is None (exact mode), reconstruct chi and evaluate its
-    residuals on every record."""
+    ``simulate`` takes no other width), take the code's plan
+    (``plan_configurations``, compiled once per code), simulate, sample
+    unless ``sampling`` is None (exact mode), reconstruct chi and
+    evaluate its residuals on every record."""
     if channel.p < len(code.noisy_coords):
         channel = extend_channel(channel, len(code.noisy_coords))
     configs, readouts = plan_configurations(code)

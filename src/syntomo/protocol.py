@@ -404,15 +404,26 @@ def plan_configurations(code: StabilizerCode):
     then a rotated and a toggled configuration for each non-identity
     basis element P with (a, b) = (I, P), totalling 1 + 2(d^2 - 1). The
     toggle signs two-color the pairing x <-> index(P F_x) by giving
-    +pi/4 to the smaller index of each pair.
+    +pi/4 to the smaller index of each pair. The plan depends on the
+    code alone: it is compiled by the first call and kept on the code,
+    and every call returns a new list of the same frozen configurations
+    and the same table.
     """
+    configs, readouts = code._paper_plan
+    return list(configs), readouts
+
+
+def _paper_plan(code: StabilizerCode) -> tuple:
+    """(configurations as a tuple, readout table) of ``plan_configurations``,
+    compiled; ``StabilizerCode._paper_plan`` keeps it."""
     basis = code.error_basis
     d2 = basis.size
     kinds = ("bare",) + ("rotated", "toggled") * (d2 - 1)
     b = np.concatenate(([0], np.repeat(np.arange(1, d2), 2)))
     signs = np.zeros((len(kinds), d2), dtype=np.int64)
     signs[2::2] = np.where(np.arange(d2) < basis.product_index[1:], 1, -1)
-    return _compile(code, kinds, np.zeros_like(b), b, signs)
+    configs, readouts = _compile(code, kinds, np.zeros_like(b), b, signs)
+    return tuple(configs), readouts
 
 
 def _compile(code: StabilizerCode, kinds, a, b, signs):

@@ -61,9 +61,17 @@ BELL2_CODE = {"generators": ["XIXII", "ZIZII", "IXIXI", "IZIZI"],
               "logical_ops": {"X": "IIIIX", "Z": "IIIIZ"}}
 
 
+def fresh_builtin(name):
+    """A new build of the built-in code ``name``, whose plan and basis no
+    caller has read yet; ``builtin_code`` returns one shared code."""
+    generators, noisy_coords, logical_ops = st.codes._BUILTIN_CODES[name]
+    return st.build_code(generators, noisy_coords, logical_ops=logical_ops)
+
+
+# each entry builds a new code per call
 FRAME_CODES = {
-    "code3": lambda: st.builtin_code("code3"),
-    "code5": lambda: st.builtin_code("code5"),
+    "code3": lambda: fresh_builtin("code3"),
+    "code5": lambda: fresh_builtin("code5"),
     # non-perfect: four error spaces of dimension 2 in a 16-dim register
     "nonperfect4": lambda: st.build_code(["XXII", "ZZII", "IIZZ"], (0,)),
     "bell3": lambda: st.build_code(bell_pair_generators(3), (0, 1, 2)),

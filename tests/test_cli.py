@@ -262,6 +262,48 @@ class TestCharacterize:
         doc = json.loads(path.read_text())
         assert doc["channel"] == "amplitude-damping(0.1)"
 
+    def test_integer_params_past_2_53_keep_their_value(self, capsys):
+        """Seeds 2^53 and 2^53 + 1 are two channels, as the library's are:
+        each label names the seed given, and their chi differ."""
+        reports = {}
+        for seed in (1 << 53, (1 << 53) + 1):
+            rc, doc, err = run_json(capsys, "characterize", "--code", "code3",
+                                    "--channel", "random-cp", "--params", "%d,1,2" % seed)
+            assert (rc, err) == (0, "")
+            assert doc["channel"] == "random-CP(seed=%d,p=1,r=2)" % seed
+            oracle = st.chi_from_kraus(st.builtin_channel("random-cp", [seed, 1, 2]),
+                                       st.builtin_code("code3").error_basis)
+            assert np.abs(np.array(doc["chi"]) @ (1, 1j) - oracle.entries).max() < 1e-12
+            reports[seed] = doc["chi"]
+        assert reports[1 << 53] != reports[(1 << 53) + 1]
+
+    def test_an_integer_past_the_float_range_is_one_error_line(self, capsys):
+        huge = "1" + "0" * 400
+        rc, out, err = run(capsys, "characterize", "--code", "code3",
+                           "--channel", "depolarizing", "--params", huge)
+        assert (rc, out) == (2, "")
+        assert err == "error: depolarizing parameter %s outside [0, 1]\n" % huge
+
+    def test_a_repeated_command_builds_and_plans_nothing(self, capsys, monkeypatch):
+        """A second characterize of a built-in in one process reuses its
+        code and the plan kept on it, and writes the same bytes."""
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(st.codes, "build_code", counted("build", st.codes.build_code))
+        monkeypatch.setattr(st.protocol, "_compile", counted("compile", st.protocol._compile))
+        argv = ("characterize", "--code", "code5", "--channel", "random-cp",
+                "--params", "3,2,2", "--mode", "sampled", "--seed", "4", "--format", "json")
+        first = run(capsys, *argv)
+        del calls[:]
+        assert run(capsys, *argv) == first and first[0] == 0
+        assert calls == []
+
 
 GOLDEN_REPORTS = [
     (("--code", "code5", "--channel", "random-cp", "--params", "3,2,2",

@@ -13,7 +13,7 @@ from hypothesis import strategies as hs
 
 import syntomo as st
 from conftest import (BELL2_CODE, FRAME_CODES, bell_pair_generators, built_frame_code,
-                      rotated_surface_generators)
+                      fresh_builtin, rotated_surface_generators)
 from syntomo import cli, jsonio
 from syntomo.pauli import ErrorBasis
 
@@ -107,11 +107,12 @@ class TestBuiltinFiveQubit:
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CODEWORDS))
 def test_builtin_is_a_generator_code_with_the_textbook_basis(name):
-    """A built-in holds no codewords: its build and kl_scan form no
-    basis, and the basis it derives on first read is the textbook one.
-    Built from those codewords instead, its generators pass every dense
-    gate, with C = I to rounding."""
-    code = st.builtin_code(name)
+    """A built-in holds no codewords: a fresh build and its kl_scan form
+    no basis, and the basis it derives on first read is the textbook
+    one, as the shared built-in's is. Built from those codewords
+    instead, its generators pass every dense gate, with C = I to
+    rounding."""
+    code = fresh_builtin(name)
     assert code.codewords is None and code.logical_ops is not None
     c, residual = st.kl_scan(code)
     assert residual == 0.0 and np.array_equal(c, np.eye(code.d2))
@@ -119,6 +120,10 @@ def test_builtin_is_a_generator_code_with_the_textbook_basis(name):
     reference = REFERENCE_CODEWORDS[name]
     for got, want in zip(code.logical_basis, reference, strict=True):
         assert np.abs(got - want).max() <= 1e-15
+    shared = st.builtin_code(name)
+    assert shared.generators == code.generators
+    for got, want in zip(shared.logical_basis, code.logical_basis, strict=True):
+        assert np.array_equal(got, want)
     given = st.build_code(code.generators, code.noisy_coords, codewords=reference)
     assert given.syndrome_table == code.syndrome_table
     c, residual = st.kl_scan(given)
@@ -495,6 +500,26 @@ class TestBuildCode:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="code3, code5"):
             st.builtin_code("code7")
+
+    def test_one_code_per_builtin_name(self):
+        """Every spelling of a built-in name returns one shared code; an
+        unknown name raises the same message on every call."""
+        assert st.builtin_code(" Code5 ") is st.builtin_code("code5")
+        assert st.builtin_code("code3") is st.builtin_code("CODE3\n")
+        assert st.builtin_code("code3") is not st.builtin_code("code5")
+        message = "unknown code name ' Code7'; known names: code3, code5"
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                st.builtin_code(" Code7")
+
+    def test_syndrome_index_is_read_only(self, code5):
+        """A shared code cannot be changed through its syndrome index."""
+        index = code5.syndrome_index
+        with pytest.raises(TypeError):
+            index[(0, 0, 0, 0)] = 5
+        with pytest.raises(TypeError):
+            del index[(0, 0, 0, 0)]
+        assert index[(0, 0, 0, 0)] == 0 and len(index) == 16
 
     @pytest.mark.parametrize("generators, kwargs, message", [
         ([], {}, "no generators given"),

@@ -18,7 +18,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 import syntomo as st
-from conftest import FRAME_CODES, bell_pair_generators, built_frame_code, dense_frame, malformed
+from conftest import (FRAME_CODES, bell_pair_generators, built_frame_code, dense_frame,
+                      fresh_builtin, malformed)
 from syntomo import channels, densesim, jsonio, pauli, protocol
 from syntomo.channels import ProcessMatrix
 
@@ -417,15 +418,19 @@ class TestFrameBlockMemo:
         assert len(transforms) == 3
 
     def test_keeps_neither_code_nor_channel_alive(self):
-        code = st.builtin_code("code3")
+        """A planned code, the plan it keeps and its channel are freed
+        together: the plan holds no reference to the code."""
+        code = fresh_builtin("code3")
         channel = st.builtin_channel("depolarizing", [0.1])
-        cfg = st.plan_configurations(code)[0][0]
+        configs, readouts = st.plan_configurations(code)
+        cfg = configs[0]
         st.xi_simulated(code, (1.0, 0.0), channel, cfg)
         assert not channel._pauli_coefficients.flags.writeable
-        refs = (weakref.ref(code), weakref.ref(channel))
-        del code, channel, cfg
+        assert "_paper_plan" in vars(code)
+        refs = tuple(map(weakref.ref, (code, channel, cfg, readouts)))
+        del code, channel, configs, readouts, cfg
         gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None] * 4
 
     def test_codes_and_channels_are_read_only(self, code5):
         mine = np.eye(2, dtype=complex)
@@ -774,6 +779,38 @@ class TestPlanner:
             for x in range(basis.size):
                 partner = basis.product_index[cfg.b, x]
                 assert signs[x] == -signs[partner]
+
+    def test_the_plan_is_compiled_once_per_code(self, monkeypatch):
+        """Every call returns a new list of the same frozen configurations
+        and the same table, compiled by the first: a caller that clears
+        its list leaves the next call's plan whole. A
+        ``dataclasses.replace`` copy compiles its own plan, and
+        ``plan_from_json`` compiles on every call."""
+        code = fresh_builtin("code3")
+        compile_, compiled = protocol._compile, []
+
+        def counted(*args):
+            compiled.append(args)
+            return compile_(*args)
+
+        monkeypatch.setattr(protocol, "_compile", counted)
+        first, table = st.plan_configurations(code)
+        kept = list(first)
+        first.clear()
+        second, again = st.plan_configurations(code)
+        assert len(compiled) == 1 and second is not first and again is table
+        assert len(kept) == 7 and all(a is b for a, b in zip(second, kept, strict=True))
+        copy = dataclasses.replace(code)
+        configs, readouts = st.plan_configurations(copy)
+        assert len(compiled) == 2 and readouts is not table
+        assert table_rows(readouts) == table_rows(table)
+        doc = st.plan_to_json(copy, configs)
+        assert doc == st.plan_to_json(code, second)
+        st.plan_from_json(code, doc)
+        st.plan_from_json(code, doc)
+        assert len(compiled) == 4
+        st.plan_configurations(copy)
+        assert len(compiled) == 4
 
     def test_readout_coefficients(self, code3):
         configs, readouts = st.plan_configurations(code3)
@@ -1364,9 +1401,11 @@ def test_a_warm_table_reconstructs_as_the_readout_loop(frame_code, sampled):
     assert same_bits(got, reference_reconstruct(records, readouts, basis))
 
 
-def test_characterize_evaluates_the_rule_once_per_configuration(code5, monkeypatch):
-    """One compile per characterize, whose one rule pass yields a row per
-    (configuration, syndrome); the residuals never re-evaluate the rule."""
+def test_characterize_evaluates_the_rule_once_per_configuration(monkeypatch):
+    """One compile per code: the first characterize compiles the plan,
+    whose one rule pass yields a row per (configuration, syndrome), and
+    a second compiles nothing; the residuals never re-evaluate the rule."""
+    code5 = fresh_builtin("code5")
     compiled, rules = [], []
 
     def counted(fn, out):
@@ -1385,13 +1424,18 @@ def test_characterize_evaluates_the_rule_once_per_configuration(code5, monkeypat
             for attr, value in list(vars(module).items()):
                 if value is protocol.xi_predicted:
                     monkeypatch.setattr(module, attr, refuse)
-    result = st.characterize(code5, st.builtin_channel("random-cp", [3, 2, 2]),
-                             (0.6, 0.8j))
+    channel = st.builtin_channel("random-cp", [3, 2, 2])
+    result = st.characterize(code5, channel, (0.6, 0.8j))
     assert len(compiled) == len(rules) == 1
     assert [column.shape for column in rules[0]] == [(31, 16)] * 4
-    assert compiled[0][0] is result.configs and len(result.configs) == 31
+    assert len(result.configs) == 31
+    assert all(a is b for a, b in zip(compiled[0][0], result.configs, strict=True))
     assert [len(cfg.rule) for cfg in result.configs] == [16] * 31
     assert len(result.residuals) == 31 and max(result.residuals) < 1e-12
+    again = st.characterize(code5, channel, (0.6, 0.8j))
+    assert len(compiled) == len(rules) == 1
+    assert all(a is b for a, b in zip(again.configs, result.configs, strict=True))
+    assert again.residuals == result.residuals
 
 
 class TestRecovery:
