@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import complex_from_pair
+from .jsonio import _json_object, complex_from_pair
 from .numeric import DEFAULT_POLICY
 from .pauli import (MATRIX_QUBIT_CAP, ErrorBasis, _is_integer, _signed_rows,
                     _word_table, enumerate_error_basis, to_matrix)
@@ -349,7 +349,7 @@ def channel_to_json(channel: Channel) -> dict:
 
 
 def channel_from_json(doc: dict) -> Channel:
-    p = doc["p"]
+    p = _json_object(doc)["p"]
     if type(p) is not int:  # also refuses 1.5, "1" and true
         raise TypeError("channel qubit count p must be an integer, got %r" % (p,))
     _check_qubit_cap(p)

@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -32,8 +33,7 @@ from .codes import (
     kl_scan,
 )
 from .estimation import SamplingPolicy, characterize, compare
-from .numeric import DEFAULT_POLICY
-from .protocol import plan_configurations, plan_to_json
+from .protocol import _normalized, plan_configurations, plan_to_json
 
 
 class _InputError(Exception):
@@ -58,6 +58,12 @@ def _load_json(path: str) -> dict:
         raise _InputError("cannot parse %s: %s" % (path, exc))
 
 
+def _schema_error(kind: str, path: str, exc: Exception) -> _InputError:
+    """A code or channel file that does not fit its schema."""
+    reason = "missing key %r" % exc.args[0] if isinstance(exc, KeyError) else exc
+    return _InputError("bad %s schema in %s: %s" % (kind, path, reason))
+
+
 def _resolve_code(spec: str):
     if spec.strip().lower() in _BUILTIN_CODES:
         try:
@@ -71,7 +77,7 @@ def _resolve_code(spec: str):
     try:
         return code_from_json(doc)
     except (KeyError, TypeError) as exc:
-        raise _InputError("bad code schema in %s: %s" % (spec, exc))
+        raise _schema_error("code", spec, exc)
     except ValueError as exc:
         raise _DomainError(str(exc))
 
@@ -86,7 +92,7 @@ def _resolve_channel(spec: str, params):
         try:
             channel = channel_from_json(doc)
         except (KeyError, TypeError, ValueError) as exc:
-            raise _InputError("bad channel schema in %s: %s" % (spec, exc))
+            raise _schema_error("channel", spec, exc)
         return channel.p, lambda: channel, False
     try:
         return _builtin_recipe(spec, params) + (True,)
@@ -96,11 +102,19 @@ def _resolve_channel(spec: str, params):
 
 def _parse_param(token: str):
     """A channel parameter: the token's float, or its int where that
-    float would round it (a random-CP seed past 2^53 keeps its value)."""
+    float would round it (a random-CP seed past 2^53 keeps its value).
+    An integer literal past Python's digit limit is refused: its float
+    would read as infinite."""
     value = float(token)
     try:
         exact = int(token)
     except ValueError:
+        # an integer literal, as int() reads one, past the digit limit
+        if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", token):
+            raise _InputError("channel parameter of %d digits exceeds Python's "
+                              "integer digit limit of %d"
+                              % (sum(map(str.isdigit, token)),
+                                 sys.get_int_max_str_digits()))
         return value
     return value if exact == value else exact
 
@@ -114,7 +128,7 @@ def _parse_beta(text: str, dim: int) -> np.ndarray:
     if len(beta) != dim:
         raise _InputError("expected %d logical amplitudes, got %d in %r"
                           % (dim, len(beta), text))
-    if not abs(np.linalg.norm(beta) - 1.0) <= DEFAULT_POLICY.algebraic:
+    if not _normalized(beta):
         raise _InputError("logical amplitudes %r are not normalized" % text)
     return beta
 

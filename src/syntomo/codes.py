@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import complex_from_pair
+from .jsonio import _json_object, complex_from_pair
 from .numeric import DEFAULT_POLICY
 from .pauli import (
     I_POWERS,
@@ -428,7 +428,7 @@ def code_from_json(doc: dict) -> StabilizerCode:
     Codewords take precedence; otherwise optional logical_ops
     {"X": ..., "Z": ...} fix the derived basis.
     """
-    generators = doc["generators"]
+    generators = _json_object(doc)["generators"]
     # a string would iterate its letters, and an object its keys
     if not isinstance(generators, (list, tuple)):
         raise TypeError('"generators" must be a list, got %r' % (generators,))
@@ -436,5 +436,6 @@ def code_from_json(doc: dict) -> StabilizerCode:
     if "codewords" in doc and doc["codewords"] is not None:
         codewords = [np.array([complex_from_pair(a) for a in vec])
                      for vec in doc["codewords"]]
-    return build_code(generators, doc["noisy_coords"],
-                      codewords=codewords, logical_ops=doc.get("logical_ops"))
+    ops = doc.get("logical_ops")
+    return build_code(generators, doc["noisy_coords"], codewords=codewords,
+                      logical_ops=ops if ops is None else _json_object(ops, "logical_ops"))

@@ -1,10 +1,11 @@
-"""Dense linear algebra for states, density matrices and channels.
+"""Dense linear algebra on density matrices: unitaries, channels and
+expectation values.
 
-States are plain complex vectors of length 2^n and operators are
-2^n x 2^n arrays; qubit 0 is the most significant tensor factor. All
-functions are pure and operate at desk scale only. This is the
-independent oracle the tests check the frame pipeline against; no
-pipeline module imports it.
+Operators are 2^n x 2^n arrays; qubit 0 is the most significant tensor
+factor. All functions are pure and operate at desk scale only. No
+pipeline module imports this module, and the tests check the pipeline
+against their own register oracle (``tests/oracle.py``); the benchmark
+harness still traces these functions (``perfbench/tracing.py``).
 """
 
 from __future__ import annotations
@@ -21,24 +22,6 @@ def _qubit_count(dim: int, what: str) -> int:
     return n
 
 
-def outer(v: np.ndarray) -> np.ndarray:
-    """Rank-one density matrix |v><v|."""
-    v = np.asarray(v, dtype=complex)
-    return np.outer(v, v.conj())
-
-
-def projector_from_states(states) -> np.ndarray:
-    """Projector onto the span of mutually orthonormal states."""
-    vecs = [np.asarray(s, dtype=complex) for s in states]
-    if not vecs:
-        raise ValueError("no states given")
-    stack = np.column_stack(vecs)
-    gram = stack.conj().T @ stack
-    if np.abs(gram - np.eye(len(vecs))).max() > DEFAULT_POLICY.orthonormality:
-        raise ValueError("states are not orthonormal")
-    return stack @ stack.conj().T
-
-
 def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Conjugate a density matrix: U rho U†."""
     u = np.asarray(u, dtype=complex)
@@ -47,29 +30,16 @@ def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u @ rho @ u.conj().T
 
 
-def embed_operator(op: np.ndarray, coords, n_total: int) -> np.ndarray:
-    """Embed an operator on the listed qubits, identity elsewhere.
-
-    The operator's own qubit order follows the coords list order.
-    """
-    op = np.asarray(op, dtype=complex)
-    coords = list(coords)
-    p = _qubit_count(op.shape[0], "operator")
-    if p != len(coords):
-        raise ValueError("operator acts on %d qubits, got %d coords" % (p, len(coords)))
+def _embed_operator(op: np.ndarray, coords: list, n_total: int) -> np.ndarray:
+    """``op`` on the listed qubits, its first tensor factor on coords[0],
+    and the identity on the other qubits of an n_total-qubit register."""
     rest = [q for q in range(n_total) if q not in coords]
     if len(coords) != len(set(coords)) or len(rest) + len(coords) != n_total:
         raise ValueError("bad coordinate list %s" % coords)
-    big = np.kron(op, np.eye(1 << len(rest), dtype=complex))
-    # big's bit slot k (most significant first) belongs to qubit order[k];
-    # permute computational-basis indices so slot q belongs to qubit q
-    order = coords + rest
-    idx = np.arange(1 << n_total)
-    src = np.zeros_like(idx)
-    for slot, q in enumerate(order):
-        bit = (idx >> (n_total - 1 - q)) & 1
-        src |= bit << (n_total - 1 - slot)
-    return big[np.ix_(src, src)]
+    big = np.kron(op, np.eye(1 << len(rest))).reshape((2,) * (2 * n_total))
+    # row axis k of big belongs to qubit (coords + rest)[k]
+    axes = np.argsort(coords + rest).tolist()
+    return big.transpose(axes + [n_total + a for a in axes]).reshape(1 << n_total, -1)
 
 
 def apply_channel(rho: np.ndarray, kraus, coords) -> np.ndarray:
@@ -81,20 +51,21 @@ def apply_channel(rho: np.ndarray, kraus, coords) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     n = _qubit_count(rho.shape[0], "density matrix")
+    coords = list(coords)
     ops = [np.asarray(e, dtype=complex) for e in kraus]
     if not ops:
         raise ValueError("empty Kraus list")
-    dim = 1 << len(list(coords))
+    dim = 1 << len(coords)
     for e in ops:
         if e.shape != (dim, dim):
             raise ValueError("Kraus operator shape %s does not match %d coords"
-                             % (e.shape, len(list(coords))))
+                             % (e.shape, len(coords)))
     total = sum(e.conj().T @ e for e in ops)
     if np.linalg.eigvalsh(total).max() > 1.0 + DEFAULT_POLICY.algebraic:
         raise ValueError("Kraus completeness sum exceeds identity")
     out = np.zeros_like(rho)
     for e in ops:
-        full = embed_operator(e, coords, n)
+        full = _embed_operator(e, coords, n)
         out += full @ rho @ full.conj().T
     return out
 

@@ -16,6 +16,7 @@ import functools
 import math
 import numbers
 import re
+from collections.abc import Mapping
 from itertools import chain, cycle, repeat
 
 import numpy as np
@@ -215,3 +216,13 @@ def complex_from_pair(pair) -> complex:
         return complex(pair[0], pair[1])
     except OverflowError:
         raise TypeError("amplitude %r is out of float range" % (pair,))
+
+
+def _json_object(value, key=None) -> Mapping:
+    """``value`` if it is a JSON object, else a ``TypeError`` naming what
+    was found (and the field ``key`` that held it), a schema error."""
+    if isinstance(value, Mapping):
+        return value
+    where = "" if key is None else ' for "%s"' % key
+    found = "null" if value is None else type(value).__name__
+    raise TypeError("expected a JSON object%s, got %s" % (where, found))

@@ -265,6 +265,12 @@ class ReadoutTable:
                 + (self.coeff_re * z.real + self.coeff_im * z.imag))
 
 
+def _normalized(beta: np.ndarray) -> bool:
+    """Whether a complex vector has norm 1 within ``DEFAULT_POLICY.algebraic``,
+    taken as np.linalg.norm would but without its overflow warning; NaN fails."""
+    return abs(math.sqrt(np.vdot(beta, beta).real) - 1.0) <= DEFAULT_POLICY.algebraic
+
+
 def _amplitudes(code: StabilizerCode, beta) -> np.ndarray:
     """The logical amplitudes as a complex vector, after checking their
     count and their norm."""
@@ -272,19 +278,9 @@ def _amplitudes(code: StabilizerCode, beta) -> np.ndarray:
     if beta.shape != (1 << code.k,):
         raise ValueError("expected %d logical amplitudes, got shape %s"
                          % (1 << code.k, beta.shape))
-    # the square root of the squared magnitudes, as np.linalg.norm takes
-    # it but without its dispatch; NaN fails
-    if not abs(math.sqrt(np.vdot(beta, beta).real) - 1.0) <= DEFAULT_POLICY.algebraic:
+    if not _normalized(beta):
         raise ValueError("logical amplitudes are not normalized")
     return beta
-
-
-def encode(code: StabilizerCode, beta) -> np.ndarray:
-    """Encoded logical state sum_j beta_j |j_L>."""
-    beta = _amplitudes(code, beta)
-    # rows added in order onto an exact zero, as a running sum would
-    return np.add.reduce(beta[:, None] * np.array(code.logical_basis), axis=0,
-                         initial=0)
 
 
 def rotation_unitary(code: StabilizerCode, a: int, b: int) -> np.ndarray:

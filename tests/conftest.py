@@ -1,11 +1,13 @@
 import functools
 import json
 import operator
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import strategies as hs
 
+import oracle
 import syntomo as st
 
 
@@ -86,11 +88,19 @@ def built_frame_code(name):
     return FRAME_CODES[name]()
 
 
-def dense_frame(code):
-    """The syndrome frame from dense Pauli matrices: column x 2^k + j is
-    F_x|j_L>, x in error-basis order."""
-    logical = np.column_stack(code.logical_basis)
-    return np.hstack([st.to_matrix(e) @ logical for e in code.error_basis.elements])
+# each code's register oracle, freed with the code
+_REGISTERS = weakref.WeakKeyDictionary()
+
+
+def register(code):
+    """The register oracle of a built code, from its definition alone:
+    its generator and logical-operator strings and its noisy coordinates."""
+    if code not in _REGISTERS:
+        ops = (None if code.logical_ops is None
+               else dict(zip("XZ", map(st.pauli_to_string, code.logical_ops))))
+        _REGISTERS[code] = oracle.Register(list(map(st.pauli_to_string, code.generators)),
+                                           code.noisy_coords, ops)
+    return _REGISTERS[code]
 
 
 @pytest.fixture(scope="session", params=sorted(FRAME_CODES))

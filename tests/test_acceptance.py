@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import syntomo as st
+from conftest import register
 
 
 def exact_chi(code, channel, beta=(1.0, 0.0)):
@@ -168,20 +169,16 @@ def test_07_encoded_state_independence():
 def test_08_recovery_restores_the_logical_state():
     for name in ("code3", "code5"):
         code = st.builtin_code(name)
-        psi = st.encode(code, np.array([0.6, 0.8j]))
+        reg = register(code)
+        psi = reg.encode(np.array([0.6, 0.8j]))
         configs, _ = st.plan_configurations(code)
-        projectors = {syn: st.syndrome_projector(code, syn)
-                      for syn in code.syndrome_table}
-        errors = [st.to_matrix(e) for e in code.error_basis.elements]
-        # dense pre-processing U, rebuilt from each configuration's pair
-        unitaries = {}
-        for cfg in configs:
-            if cfg.kind == "bare":
-                continue
-            u = st.rotation_unitary(code, cfg.a, cfg.b)
-            if cfg.kind == "toggled":
-                u = u @ st.build_toggle(code, cfg.theta_signs)
-            unitaries[cfg.index] = u
+        projectors = {syn: reg.projector(syn) for syn in code.syndrome_table}
+        errors = [reg.error(label) for label in code.error_basis.labels]
+        # dense pre-processing U, rebuilt by the register oracle from each
+        # configuration's plan descriptor
+        plan = st.plan_to_json(code, configs)["configurations"]
+        unitaries = {cfg.index: reg.unitary(entry)
+                     for cfg, entry in zip(configs, plan) if cfg.kind != "bare"}
         assert len(unitaries) == len(configs) - 1
         checked = dict.fromkeys(unitaries, 0)
 

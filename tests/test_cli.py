@@ -1,6 +1,7 @@
 """Command-line pipeline: validate, plan, characterize."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -419,6 +420,49 @@ class TestInputBoundary:
                              "--params", "0.3", "--beta", beta)
             assert "not normalized" in err
 
+    def test_beta_whose_squared_norm_overflows(self, capsys):
+        # np.linalg.norm once warned "overflow encountered in dot" on
+        # stderr first, and raised where warnings are errors
+        err = self.check(capsys, "--channel", "depolarizing", "--params", "0.1",
+                         "--beta", "1e308,1e308")
+        assert err == "error: logical amplitudes '1e308,1e308' are not normalized\n"
+
+    def test_integer_params_past_the_digit_limit(self, capsys):
+        # int() refuses such a literal, and its float once read as infinite
+        limit = sys.get_int_max_str_digits()
+        err = self.check(capsys, "--channel", "random-cp",
+                         "--params", "1" * (limit + 1) + ",1,2")
+        assert err == ("error: channel parameter of %d digits exceeds Python's "
+                       "integer digit limit of %d\n" % (limit + 1, limit))
+        rc, _, err = run(capsys, "characterize", "--code", "code3", "--channel",
+                         "random-cp", "--params", "7" * 401 + ",1,2")
+        assert (rc, err) == (0, "")
+
+    def test_file_that_is_not_an_object(self, capsys, tmp_path):
+        for doc, found in (([1, 2], "list"), ("XIX", "str"), (None, "null")):
+            err = self.check_code(capsys, tmp_path, doc)
+            assert err == ("error: bad code schema in %s: expected a JSON object, "
+                           "got %s\n" % (tmp_path / "code.json", found))
+        path = tmp_path / "channel.json"
+        path.write_text("[1, 2]")
+        err = self.check(capsys, "--channel", str(path))
+        assert err == ("error: bad channel schema in %s: expected a JSON object, "
+                       "got list\n" % path)
+
+    def test_missing_keys_are_named(self, capsys, tmp_path):
+        path = tmp_path / "code.json"
+        for ops, reason in (({"X": "IIIIX"}, "missing key 'Z'"),
+                            (["IIIIX", "IIIIZ"],
+                             'expected a JSON object for "logical_ops", got list')):
+            err = self.check_code(capsys, tmp_path, {**BELL2_CODE, "logical_ops": ops})
+            assert err == "error: bad code schema in %s: %s\n" % (path, reason)
+        err = self.check_code(capsys, tmp_path, {"generators": ["XIX", "YYZ"]})
+        assert err == "error: bad code schema in %s: missing key 'noisy_coords'\n" % path
+        channel = tmp_path / "channel.json"
+        channel.write_text(json.dumps({"p": 1}))
+        err = self.check(capsys, "--channel", str(channel))
+        assert err == "error: bad channel schema in %s: missing key 'kraus'\n" % channel
+
     def test_zero_shots(self, capsys):
         err = self.check(capsys, "--channel", "amplitude-damping",
                          "--params", "0.3", "--mode", "sampled",
@@ -723,6 +767,27 @@ def test_surface_code_files_past_the_dense_cap(capsys, tmp_path, d, noisy):
     chi = np.array(doc["chi"]) @ (1, 1j)
     assert np.abs(chi - oracle.entries).max() < 1e-12
     assert doc["error_report"]["frobenius_error"] < 1e-12
+
+
+@pytest.mark.parametrize("d, noisy", [(5, 2), (5, 3), (7, 2), (7, 3)])
+def test_surface_code_syndromes_letter_by_letter(capsys, tmp_path, d, noisy):
+    """On the 25- and 49-qubit codes, which no dense oracle reaches: bit j
+    of an error's syndrome is the parity of the positions where its letter
+    and generator j's anticommute (both not I, and not equal), read off
+    the strings alone, in the code's table and in ``validate``'s report."""
+    path = surface_code_file(tmp_path, d, noisy)
+    doc = json.loads(path.read_text())
+    code = st.code_from_json(doc)
+    rc, report, _ = run_json(capsys, "validate", "--code", str(path))
+    assert rc == 0
+    labels = ["".join(t) for t in itertools.product("IXYZ", repeat=noisy)]
+    assert sorted(report["syndromes"]) == sorted(labels)
+    for label in labels:
+        bits = tuple(sum(e != "I" and gen[q] != "I" and e != gen[q]
+                         for q, e in zip(doc["noisy_coords"], label)) % 2
+                     for gen in doc["generators"])
+        assert code.syndrome_table[code.error_basis.index_of_label(label)] == bits
+        assert report["syndromes"][label] == "".join(map(str, bits))
 
 
 def test_surface_code_validates_in_a_small_fresh_process(tmp_path):

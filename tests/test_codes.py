@@ -13,7 +13,7 @@ from hypothesis import strategies as hs
 
 import syntomo as st
 from conftest import (BELL2_CODE, FRAME_CODES, bell_pair_generators, built_frame_code,
-                      fresh_builtin, rotated_surface_generators)
+                      fresh_builtin, register, rotated_surface_generators)
 from syntomo import cli, jsonio
 from syntomo.pauli import ErrorBasis
 
@@ -31,8 +31,10 @@ ZERO3 = ket(3, (1, 1), (2, 1), (4, 1), (7, 1))
 ONE3 = ket(3, (6, 1), (5, -1), (3, 1), (0, -1))
 
 def code_projector(code):
-    """Projector onto the code space, from the logical basis."""
-    return st.projector_from_states(code.logical_basis)
+    """Projector onto the span of the code's logical basis, which is
+    orthonormal: W W† with W the basis as columns."""
+    basis = np.column_stack(code.logical_basis)
+    return basis @ basis.conj().T
 
 
 ZERO5 = ket(5, (0b00000, 1), (0b00110, 1), (0b01001, 1), (0b01111, -1),
@@ -580,13 +582,9 @@ def test_building_forms_no_register_square_matrix(monkeypatch):
 
 
 def dense_projectors(code):
-    """F_x Pi F_x† from dense Pauli matrices, in error-basis order."""
-    pi = st.projector_from_states(code.logical_basis)
-    out = []
-    for e in code.error_basis.elements:
-        f = st.to_matrix(e)
-        out.append(f @ pi @ f.conj().T)
-    return out
+    """Pi_s = prod_g (I +- G)/2 from the generators (register oracle), s
+    the syndrome table's entry of each error, in error-basis order."""
+    return [register(code).projector(syn) for syn in code.syndrome_table]
 
 
 class TestSyndromeFrame:

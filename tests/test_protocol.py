@@ -18,9 +18,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 import syntomo as st
-from conftest import (FRAME_CODES, bell_pair_generators, built_frame_code, dense_frame,
-                      fresh_builtin, malformed)
-from syntomo import channels, densesim, jsonio, pauli, protocol
+from conftest import (FRAME_CODES, bell_pair_generators, built_frame_code, fresh_builtin,
+                      malformed, register)
+from syntomo import channels, codes, densesim, jsonio, pauli, protocol
 from syntomo.channels import ProcessMatrix
 
 
@@ -50,25 +50,28 @@ def random_hermitian_chi(basis, rng):
 
 
 class TestEncode:
+    """The encoded state: the register oracle's, from the generators and
+    logical operators, is the derived logical basis up to one global
+    phase; ``simulate`` checks the amplitudes it is given."""
+
     def test_basis_amplitudes(self, code3):
-        np.testing.assert_allclose(st.encode(code3, (1.0, 0.0)),
-                                   code3.logical_basis[0], atol=1e-15)
-        np.testing.assert_allclose(st.encode(code3, (0.0, 1.0)),
-                                   code3.logical_basis[1], atol=1e-15)
+        zero, one = register(code3).encode((1.0, 0.0)), register(code3).encode((0.0, 1.0))
+        phase = np.vdot(zero, code3.logical_basis[0])
+        assert abs(abs(phase) - 1.0) < 1e-15
+        np.testing.assert_allclose(phase * zero, code3.logical_basis[0], atol=1e-15)
+        np.testing.assert_allclose(phase * one, code3.logical_basis[1], atol=1e-15)
 
     def test_superposition_is_stabilized(self, code3):
-        state = st.encode(code3, np.array([1.0, 1.0]) / np.sqrt(2))
+        state = register(code3).encode(np.array([1.0, 1.0]) / np.sqrt(2))
         for gen in code3.generators:
             np.testing.assert_allclose(st.to_matrix(gen) @ state, state,
                                        atol=1e-12)
 
-    def test_bad_amplitudes(self, code3):
-        with pytest.raises(ValueError):
-            st.encode(code3, (1.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            st.encode(code3, (0.0, 0.0))
-        with pytest.raises(ValueError):
-            st.encode(code3, (np.nan, 0.0))
+    def test_bad_amplitudes(self, code3, ad036):
+        configs, _ = st.plan_configurations(code3)
+        for beta in ((1.0, 0.0, 0.0), (0.0, 0.0), (np.nan, 0.0)):
+            with pytest.raises(ValueError):
+                st.simulate(code3, beta, ad036, configs)
 
 
 class TestPauliFactors:
@@ -306,14 +309,6 @@ class TestSimulatedReadout:
                 st.MeasurementRecord.from_distribution(0, dist)
 
 
-def dense_unitary(code, cfg):
-    """A configuration's pre-processing as a dense 2^n operator."""
-    u = st.rotation_unitary(code, cfg.a, cfg.b)
-    if cfg.kind == "toggled":
-        u = u @ st.build_toggle(code, cfg.theta_signs)
-    return u
-
-
 def oracle_channels(code):
     """A random channel, a trace-decreasing Kraus subset and, when the
     noisy subsystem has room, a channel on fewer qubits than it."""
@@ -327,35 +322,27 @@ def oracle_channels(code):
 
 
 class TestFrameEngine:
-    """xi_simulated against the dense oracle: outer(encode), then
-    apply_channel, apply_unitary and Tr(rho Pi) per syndrome projector."""
+    """xi_simulated against the register oracle (``oracle.py``): the
+    encoded state, the channel, each configuration's U from its plan
+    descriptor and Tr(Pi_s U rho U†) per syndrome, all from the code's
+    strings."""
 
     def test_matches_dense_oracle(self, frame_code):
         code = frame_code
         dim = 1 << code.k
         beta = np.exp(1j * np.arange(dim)) / np.sqrt(dim)
         configs, _ = st.plan_configurations(code)
-        projectors = [st.syndrome_projector(code, syn)
-                      for syn in code.syndrome_table]
-        unitaries = {cfg.index: dense_unitary(code, cfg)
-                     for cfg in configs if cfg.kind != "bare"}
+        plan = st.plan_to_json(code, configs)
         for name, channel in oracle_channels(code).items():
-            rho = st.apply_channel(st.outer(st.encode(code, beta)),
-                                   channel.kraus,
-                                   code.noisy_coords[:channel.p])
-            out_trace = float(np.trace(rho).real)
+            dists, out_trace = register(code).records(plan, channel.kraus, beta)
             if name == "kraus-subset":
                 assert out_trace < 0.99
-            for cfg in configs:
-                if cfg.kind != "bare":
-                    rho_u = st.apply_unitary(rho, unitaries[cfg.index])
-                else:
-                    rho_u = rho
+            for cfg, dist in zip(configs, dists, strict=True):
                 rec = st.xi_simulated(code, beta, st.extend_channel(
                     channel, len(code.noisy_coords)), cfg)
+                assert set(dist) == set(code.syndrome_table)
                 got = np.array([rec.value(syn) for syn in code.syndrome_table])
-                want = np.array([st.expectation(rho_u, proj)
-                                 for proj in projectors])
+                want = np.array([dist[syn] for syn in code.syndrome_table])
                 assert np.abs(got - want).max() < 1e-12, (name, cfg.index)
                 assert abs(got.sum() - out_trace) < 1e-12
 
@@ -453,42 +440,35 @@ class TestFrameBlockMemo:
 
 
 def register_block(code, beta, channel):
-    """The register kernel, the reference for ``simulate``: psi encoded by
-    a running sum, the Kraus operators applied by tensordot and
-    moveaxis on the 2 x ... x 2 reshape of psi, and every branch
-    expanded in the syndrome frame of dense words (``dense_frame``).
-    Returns (psi, block, leak): row x of the d^2 x (2^k K) block holds
-    the amplitudes of all branches on F_x|j_L>, column j K + r, and leak
-    is the branches' squared norm that the frame does not hold."""
-    psi = np.zeros(1 << code.n, dtype=complex)
-    for amp, vec in zip(np.asarray(beta, dtype=complex), code.logical_basis):
-        psi = psi + amp * vec
-    p = channel.p
-    coords = code.noisy_coords[:p]
-    ops = np.stack(channel.kraus).reshape((-1,) + (2,) * (2 * p))
-    branches = np.tensordot(ops, psi.reshape((2,) * code.n),
-                            axes=(tuple(range(p + 1, 2 * p + 1)), coords))
-    branches = np.moveaxis(branches, tuple(range(1, p + 1)),
-                           tuple(c + 1 for c in coords))
-    branches = branches.reshape(len(channel.kraus), -1)
-    coeffs = dense_frame(code).conj().T @ branches.T
+    """The register kernel, the reference for ``simulate``, from the
+    register oracle: psi encoded in the oracle's logical basis, the Kraus
+    operators applied to it as dense words on the noisy coordinates, and
+    every branch expanded in the oracle's syndrome frame F_x|j_L>, x in
+    error-basis order. Returns (block, leak): row x of the d^2 x (2^k K)
+    block holds the amplitudes of all branches on F_x|j_L>, column
+    j K + r, and leak is the branches' squared norm that the frame does
+    not hold."""
+    reg = register(code)
+    branches = reg.branches(reg.encode(beta), channel.kraus)
+    coeffs = reg.frame(code.error_basis.labels).conj().T @ branches
     leak = np.vdot(branches, branches).real - np.vdot(coeffs, coeffs).real
-    return psi, coeffs.reshape(code.d2, -1), leak
+    return coeffs.reshape(code.d2, -1), leak
 
 
-def tensordot_simulate(code, beta, channel, configs):
+def register_simulate(code, beta, channel, configs):
     """Each configuration's syndrome probabilities from ``register_block``."""
-    psi, block, _ = register_block(code, beta, channel)
+    block, _ = register_block(code, beta, channel)
     out = []
     for cfg in configs:
         amps = cfg.action @ block
         out.append(np.einsum("ij,ij->i", amps.conj(), amps).real)
-    return psi, out
+    return out
 
 
 def test_simulate_equals_the_tensordot_kernel(frame_code):
-    """Within 1e-15, for channels on 1..p of the noisy qubits, padded
-    with ``extend_channel`` for simulate."""
+    """Within 1e-15 of the register kernel (``register_block``, which once
+    applied the Kraus operators by tensordot), for channels on 1..p of
+    the noisy qubits, padded with ``extend_channel`` for simulate."""
     code = frame_code
     noisy = len(code.noisy_coords)
     configs, _ = st.plan_configurations(code)
@@ -498,8 +478,7 @@ def test_simulate_equals_the_tensordot_kernel(frame_code):
         for channel in (wide, st.Channel(q, wide.kraus[:2])):
             beta = rng.normal(size=1 << code.k) + 1j * rng.normal(size=1 << code.k)
             beta /= np.linalg.norm(beta)
-            psi, want = tensordot_simulate(code, beta, channel, configs)
-            assert st.encode(code, beta).tobytes() == psi.tobytes()
+            want = register_simulate(code, beta, channel, configs)
             channel = st.extend_channel(channel, noisy)
             got = st.simulate(code, beta, channel, configs)
             for rec, probs in zip(got, want, strict=True):
@@ -524,7 +503,7 @@ def test_the_register_block_is_the_pauli_coefficients_times_beta(name):
         coeffs = st.extend_channel(channel, noisy)._pauli_coefficients
         beta = rng.normal(size=1 << code.k) + 1j * rng.normal(size=1 << code.k)
         beta /= np.linalg.norm(beta)
-        _, block, leak = register_block(code, beta, channel)
+        block, leak = register_block(code, beta, channel)
         want = coeffs[:, None, :] * beta[None, :, None]
         assert np.abs(block.reshape(want.shape) - want).max() <= 1e-15
         assert abs(leak) <= 1e-15
@@ -672,18 +651,18 @@ def test_plan_from_json_pairs_match_simulation(frame_code, frame_oracle, data):
 
 def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
     """Code building, planning, simulation, reconstruction, validation
-    and recovery form no dense Pauli matrix, encode no register state
-    and call no dense simulator."""
+    and recovery form no dense Pauli matrix, no syndrome projector and
+    no dense pre-processing, and call no dense simulator."""
     # oracle words that earlier tests kept would hide a to_matrix call
     channels._adjoint_words.cache_clear()
     channel = st.builtin_channel("random-cp", [3, 2, 2])
     oracle = st.chi_from_kraus(channel, code5.error_basis)
-    psi = st.encode(code5, (0.6, 0.8j))
+    psi = np.column_stack(code5.logical_basis) @ np.array([0.6, 0.8j])
     public_densesim = [fn for name, fn in inspect.getmembers(densesim, inspect.isfunction)
                        if fn.__module__ == densesim.__name__ and not name.startswith("_")]
-    assert densesim.projector_from_states in public_densesim
-    banned = [pauli.to_matrix, protocol.rotation_unitary,
-              protocol.build_toggle, protocol.encode] + public_densesim
+    assert densesim.apply_channel in public_densesim
+    banned = [pauli.to_matrix, codes.syndrome_projector, protocol.rotation_unitary,
+              protocol.build_toggle] + public_densesim
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense 2^n operator on the pipeline path")
@@ -696,8 +675,8 @@ def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
                 monkeypatch.setattr(module, attr, refuse)
     for call in (lambda: st.build_toggle(code5, [1, -1] * 8),
                  lambda: pauli.to_matrix(code5.generators[0]),
-                 lambda: st.projector_from_states(code5.logical_basis),
-                 lambda: st.encode(code5, (1.0, 0.0))):
+                 lambda: st.syndrome_projector(code5, code5.syndrome_table[0]),
+                 lambda: st.apply_unitary(np.eye(2), np.eye(2))):
         with pytest.raises(AssertionError):
             call()
 
@@ -737,7 +716,7 @@ def test_pipeline_forms_no_dense_operator(code5, monkeypatch):
 
 
 def test_only_the_package_root_imports_densesim():
-    # densesim is the tests' dense oracle; the package re-exports it
+    # no pipeline module calls densesim; the package re-exports it
     src = Path(st.__file__).parent
     importers = []
     for path in sorted(src.glob("*.py")):
@@ -1441,7 +1420,7 @@ def test_characterize_evaluates_the_rule_once_per_configuration(monkeypatch):
 class TestRecovery:
     def test_every_correctable_error(self, code3):
         beta = np.array([0.6, 0.8j])
-        psi = st.encode(code3, beta)
+        psi = register(code3).encode(beta)
         for m in range(code3.d2):
             err = st.to_matrix(code3.error_basis.elements[m])
             corrupted = err @ psi
@@ -1449,20 +1428,20 @@ class TestRecovery:
             assert abs(abs(np.vdot(fixed, psi)) - 1.0) < 1e-10
 
     def test_zero_syndrome_leaves_state(self, code3):
-        psi = st.encode(code3, (1.0, 0.0))
+        psi = register(code3).encode((1.0, 0.0))
         np.testing.assert_allclose(st.recover(psi, code3, (0, 0)), psi,
                                    atol=1e-12)
 
     def test_density_matrix_branch(self, code3):
-        psi = st.encode(code3, np.array([1.0, 1.0]) / np.sqrt(2))
+        psi = register(code3).encode(np.array([1.0, 1.0]) / np.sqrt(2))
         m = code3.error_basis.index_of_label("Y")
-        err = st.to_matrix(code3.error_basis.elements[m])
-        rho = st.outer(err @ psi)
+        corrupted = st.to_matrix(code3.error_basis.elements[m]) @ psi
+        rho = np.outer(corrupted, corrupted.conj())
         fixed = st.recover(rho, code3, code3.syndrome_table[m])
-        np.testing.assert_allclose(fixed, st.outer(psi), atol=1e-10)
+        np.testing.assert_allclose(fixed, np.outer(psi, psi.conj()), atol=1e-10)
 
     def test_unknown_syndrome(self, code3):
-        psi = st.encode(code3, (1.0, 0.0))
+        psi = register(code3).encode((1.0, 0.0))
         with pytest.raises(ValueError, match="not in table"):
             st.recover(psi, code3, (3, 1))
 
@@ -1476,18 +1455,22 @@ class TestRecovery:
 def test_recovery_after_channel_and_configuration(name):
     """The paper's on-line claim: under any configuration of the default
     plan, every syndrome outcome of a noisy encoded state is corrected
-    back to it. Dense oracle: channel, then the configuration's U, then
+    back to it. Register oracle: channel, then the configuration's U, then
     the syndrome's projector branch and ``recover`` on the density matrix."""
     code = FRAME_CODES[name]()
-    psi = st.encode(code, (0.6, 0.8j))
+    reg = register(code)
+    beta = (0.6, 0.8j)
+    psi = reg.encode(beta)
     p = len(code.noisy_coords)
     channel = st.builtin_channel("random-cp", [19, p, 3])
-    rho = st.apply_channel(st.outer(psi), channel.kraus, code.noisy_coords)
-    projectors = {syn: st.syndrome_projector(code, syn) for syn in code.syndrome_table}
+    rho = reg.state(beta, channel.kraus)
+    projectors = {syn: reg.projector(syn) for syn in code.syndrome_table}
     configs, _ = st.plan_configurations(code)
+    plan = st.plan_to_json(code, configs)["configurations"]
     branches = 0
-    for cfg in configs:
-        rho_u = rho if cfg.kind == "bare" else st.apply_unitary(rho, dense_unitary(code, cfg))
+    for cfg, entry in zip(configs, plan, strict=True):
+        u = reg.unitary(entry)
+        rho_u = u @ rho @ u.conj().T
         total = 0.0
         for syn, proj in projectors.items():
             branch = proj @ rho_u @ proj

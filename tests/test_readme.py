@@ -100,3 +100,12 @@ def test_builtin_codes_are_listed_as_built():
         shown = re.findall(r"`([^`]+)`", generators.group(1))
         assert [st.pauli_from_string(g) for g in shown] == list(code.generators), name
         assert tuple(map(st.pauli_from_string, ops.groups())) == code.logical_ops, name
+
+
+def test_other_entry_points_are_public():
+    """Every name the "Other entry points" paragraph lists is in
+    ``syntomo.__all__``, so a deleted function leaves no stale name."""
+    paragraph = README.split("Other entry points:", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`(\w+)`", paragraph)
+    assert "recover" in names
+    assert [name for name in names if name not in st.__all__] == []
