@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import _json_object, complex_from_pair
+from .jsonio import _json_list, _json_object, complex_from_pair
 from .numeric import DEFAULT_POLICY
 from .pauli import (MATRIX_QUBIT_CAP, ErrorBasis, _is_integer, _signed_rows,
-                    _word_table, enumerate_error_basis, to_matrix)
+                    _word_matrices, _word_table)
 
 _EYE = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -170,8 +170,8 @@ def _adjoint_words(p: int) -> np.ndarray:
     """The conjugate transposes of the p-qubit error words (the error
     basis of a p-qubit register, whose elements depend on p alone),
     stacked in basis order, read-only."""
-    words = enumerate_error_basis(p, range(p)).elements
-    adjoints = np.stack([to_matrix(w) for w in words]).conj().transpose(0, 2, 1)
+    words = _word_matrices(_word_table(p), 1 << p)
+    adjoints = np.conjugate(words, out=words).transpose(0, 2, 1)
     adjoints.flags.writeable = False
     return adjoints
 
@@ -353,7 +353,8 @@ def channel_from_json(doc: dict) -> Channel:
     if type(p) is not int:  # also refuses 1.5, "1" and true
         raise TypeError("channel qubit count p must be an integer, got %r" % (p,))
     _check_qubit_cap(p)
-    ops = []
-    for mat in doc["kraus"]:
-        ops.append(np.array([[complex_from_pair(v) for v in row] for row in mat]))
+    ops = [np.array([[complex_from_pair(v)
+                      for v in _json_list(row, "kraus[%d][%d]" % (i, j))]
+                     for j, row in enumerate(_json_list(mat, "kraus[%d]" % i))])
+           for i, mat in enumerate(_json_list(doc["kraus"], "kraus"))]
     return Channel(p=p, kraus=ops, label=str(doc.get("label", "")))

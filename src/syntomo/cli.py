@@ -66,10 +66,7 @@ def _schema_error(kind: str, path: str, exc: Exception) -> _InputError:
 
 def _resolve_code(spec: str):
     if spec.strip().lower() in _BUILTIN_CODES:
-        try:
-            return builtin_code(spec)
-        except ValueError as exc:
-            raise _DomainError(str(exc))
+        return builtin_code(spec)
     if not os.path.exists(spec):
         raise _InputError("code %r is neither a builtin name (%s) nor a file"
                           % (spec, ", ".join(_BUILTIN_CODES)))
@@ -161,7 +158,8 @@ def _emit(report: dict, text_lines, args) -> None:
 def _cmd_validate(args) -> int:
     code = _resolve_code(args.code)
     c, residual = kl_scan(code)
-    identity_gap = float(np.abs(c - np.eye(code.d2)).max())
+    # max |C − I|: C's diagonal is c_0, and each other entry i^e c_z, z != 0
+    identity_gap = float(np.abs(c - np.eye(1, code.d2)).max())
     bound = hamming_bound(code.n, code.k, len(code.noisy_coords))
     syndromes = {code.error_basis.label(i):
                  "".join(str(b) for b in code.syndrome_table[i])

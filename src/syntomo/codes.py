@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import _json_object, complex_from_pair
+from .jsonio import _json_list, _json_object, complex_from_pair
 from .numeric import DEFAULT_POLICY
 from .pauli import (
     I_POWERS,
@@ -334,30 +334,35 @@ def _overlap_blocks(logical: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 def kl_scan(code: StabilizerCode) -> tuple:
-    """Error-correcting-condition matrix and worst residual, unchecked.
+    """Error-correcting-condition coefficients and worst residual, unchecked.
 
-    For a code given by its generators this is C = I and residual 0
+    C_ab = i^e c_{a.b}, with F_a F_b = i^e F_{a.b}, is fixed by the d²
+    coefficients c, returned as a read-only vector (``kl_condition``
+    forms C). For a code given by its generators c = e_0 and residual 0
     exactly: ``build_code`` checked that every error has its own
     syndrome, so Pi F_a† F_b Pi = delta_ab Pi (see there). For a code
     that holds given vectors, they are read off the overlap blocks
-    B_z = W_0† F_z W_0 (``_overlap_blocks``): c_z = Tr(B_z) / 2^k,
-    C_ab = i^e c_{a.b} with F_a F_b = i^e F_{a.b}, and residual is the
-    largest |B_z − c_z I| over all errors z. Since
+    B_z = W_0† F_z W_0 (``_overlap_blocks``): c_z = Tr(B_z) / 2^k, and
+    residual is the largest |B_z − c_z I| over all errors z. Since
     Pi F_a† F_b Pi = i^e W_0 B_{a.b} W_0†, the residual is zero exactly
     when Pi F_a† F_b Pi = C_ab Pi for every pair.
     """
     if code.codewords is None:
-        return np.eye(code.d2, dtype=complex), 0.0
-    dim = 1 << code.k
-    blocks = _overlap_blocks(np.column_stack(code.logical_basis), code.error_basis.masks)
-    c = np.trace(blocks, axis1=1, axis2=2) / dim
-    residual = float(np.abs(blocks - c[:, None, None] * np.eye(dim)).max())
-    basis = code.error_basis
-    return I_POWERS[basis.product_phase] * c[basis.product_index], residual
+        c, residual = np.eye(1, code.d2, dtype=complex)[0], 0.0
+    else:
+        dim = 1 << code.k
+        blocks = _overlap_blocks(np.column_stack(code.logical_basis), code.error_basis.masks)
+        c = np.trace(blocks, axis1=1, axis2=2) / dim
+        residual = float(np.abs(blocks - c[:, None, None] * np.eye(dim)).max())
+    c.flags.writeable = False
+    return c, residual
 
 
 def kl_condition(code: StabilizerCode) -> np.ndarray:
-    """Error-correcting-condition matrix C with Pi F_a† F_b Pi = C_ab Pi.
+    """Error-correcting-condition matrix C with Pi F_a† F_b Pi = C_ab Pi,
+    formed from ``kl_scan``'s coefficients as C_ab = i^e c_{a.b}; the
+    c = e_0 of a code given by its generators is C = I, formed without
+    the product table.
 
     A residual above ``DEFAULT_POLICY.kl_residual`` means the code
     cannot correct this error set, and is an error.
@@ -366,7 +371,9 @@ def kl_condition(code: StabilizerCode) -> np.ndarray:
     if residual > DEFAULT_POLICY.kl_residual:
         raise ValueError("error-correcting condition fails with residual %g"
                          % residual)
-    return c
+    if code.codewords is None:
+        return np.eye(code.d2, dtype=complex)
+    return I_POWERS[code.error_basis.product_phase] * c[code.error_basis.product_index]
 
 
 def hamming_bound(n: int, k: int, m: int) -> dict:
@@ -428,14 +435,12 @@ def code_from_json(doc: dict) -> StabilizerCode:
     Codewords take precedence; otherwise optional logical_ops
     {"X": ..., "Z": ...} fix the derived basis.
     """
-    generators = _json_object(doc)["generators"]
-    # a string would iterate its letters, and an object its keys
-    if not isinstance(generators, (list, tuple)):
-        raise TypeError('"generators" must be a list, got %r' % (generators,))
+    generators = _json_list(_json_object(doc)["generators"], "generators")
     codewords = None
-    if "codewords" in doc and doc["codewords"] is not None:
-        codewords = [np.array([complex_from_pair(a) for a in vec])
-                     for vec in doc["codewords"]]
+    if doc.get("codewords") is not None:
+        codewords = [np.array([complex_from_pair(a)
+                               for a in _json_list(vec, "codewords[%d]" % i)])
+                     for i, vec in enumerate(_json_list(doc["codewords"], "codewords"))]
     ops = doc.get("logical_ops")
     return build_code(generators, doc["noisy_coords"], codewords=codewords,
                       logical_ops=ops if ops is None else _json_object(ops, "logical_ops"))

@@ -100,7 +100,8 @@ def sample_record(record: MeasurementRecord, sampling: SamplingPolicy) -> Measur
 class Characterization:
     """One pipeline run: the channel padded to the noisy subsystem, the
     plan, its records, chi and, per configuration, the largest residual
-    |observed - xi_predicted(chi)| over the syndromes."""
+    |observed - predicted(chi)| over the syndromes, both read through
+    the plan's ``ReadoutTable``."""
 
     channel: Channel
     configs: list

@@ -218,6 +218,15 @@ def complex_from_pair(pair) -> complex:
         raise TypeError("amplitude %r is out of float range" % (pair,))
 
 
+def _json_list(value, key: str):
+    """``value`` if it is a JSON array (a list or tuple), else a
+    ``TypeError`` naming the field ``key`` that held it, a schema error:
+    a string would iterate its letters, and an object its keys."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise TypeError('"%s" must be a list, got %r' % (key, value))
+
+
 def _json_object(value, key=None) -> Mapping:
     """``value`` if it is a JSON object, else a ``TypeError`` naming what
     was found (and the field ``key`` that held it), a schema error."""

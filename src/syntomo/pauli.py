@@ -15,7 +15,7 @@ phase bookkeeping, commutation to a symplectic inner product, and the
 action on a state vector to a signed permutation of its amplitudes
 (``apply_pauli``, the one-word case of ``_apply_words``, which gathers
 the images of many words at once). The dense matrix form
-(``to_matrix``) is for the tests' oracle.
+(``to_matrix``, one word of ``_word_matrices``) is for the oracles.
 """
 
 from __future__ import annotations
@@ -195,6 +195,16 @@ def _signed_rows(masks: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, _SIGNED_POWERS[phase, np.bitwise_count(cols & v) & 1]
 
 
+def _word_matrices(masks: np.ndarray, dim: int) -> np.ndarray:
+    """The dense dim x dim matrices of the words of ``masks``
+    (``_register_masks``) on a register of dimension ``dim``, stacked
+    in order: their signed rows (``_signed_rows``) in one scatter."""
+    cols, phases = _signed_rows(masks, dim)
+    out = np.zeros((masks.shape[1], dim, dim), dtype=complex)
+    out[np.arange(masks.shape[1]), np.arange(dim)[:, None], cols] = phases
+    return out
+
+
 def _apply_words(masks: np.ndarray, states: np.ndarray, out: np.ndarray) -> None:
     """``out[:, w] = (word w) @ states`` for every word of ``masks``
     (``_register_masks``), in place.
@@ -226,14 +236,11 @@ def apply_pauli(p: PauliOperator, states) -> np.ndarray:
 
 
 def to_matrix(p: PauliOperator) -> np.ndarray:
-    """Render ``p`` as a dense 2^n x 2^n complex matrix (see
-    ``_signed_rows`` for the layout)."""
+    """Render ``p`` as a dense 2^n x 2^n complex matrix: the one-word
+    case of ``_word_matrices``."""
     if p.n > MATRIX_QUBIT_CAP:
         raise ValueError("dense rendering capped at %d qubits" % MATRIX_QUBIT_CAP)
-    cols, phases = _signed_rows(_register_masks((p,)), 1 << p.n)
-    out = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
-    out[np.arange(1 << p.n), cols[:, 0]] = phases[:, 0]
-    return out
+    return _word_matrices(_register_masks((p,)), 1 << p.n)[0]
 
 
 def pauli_from_string(text: str, n: int | None = None) -> PauliOperator:

@@ -25,7 +25,7 @@ def test_01_builtin_codes_validate():
     for code, size in ((code3, 4), (code5, 16)):
         c, residual = st.kl_scan(code)
         assert residual < 1e-8
-        np.testing.assert_allclose(c, np.eye(size), atol=1e-8)
+        np.testing.assert_allclose(c, np.eye(1, size)[0], atol=1e-8)
         assert len(set(code.syndrome_table)) == size
         bound = st.hamming_bound(code.n, code.k, len(code.noisy_coords))
         assert bound == {"satisfied": True, "perfect": True}

@@ -1,5 +1,6 @@
 """Channel constructors and the chi-matrix transforms they feed."""
 
+import hashlib
 import re
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import syntomo as st
-from syntomo import channels
+from syntomo import channels, pauli
 from syntomo.channels import Channel, ProcessMatrix
 
 
@@ -314,8 +315,41 @@ def test_kraus_from_chi_renders_no_word(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("kraus_from_chi rendered a Pauli word")
 
-    monkeypatch.setattr("syntomo.channels.to_matrix", refuse)
+    monkeypatch.setattr("syntomo.channels._word_matrices", refuse)
     assert len(st.kraus_from_chi(chi).kraus) == 2
+
+
+# sha256 of _adjoint_words(p).tobytes(), recorded when the stack was
+# rendered one to_matrix call per word
+ADJOINT_WORD_DIGESTS = {
+    1: "1b1dec80000110ae3e3ffac5242abb9fe0f97e8019fdf5d1b8be5f1dab53d60e",
+    2: "58688f2eeba56d69c77028c35c07804f45d69c356bafdc7a67a217ca9a929ac1",
+    3: "7536f70c57349d626b460116be574a2d4eec36f79be6729f10ad64510ea037c2",
+    4: "b9d4c04ea28a3d32ecf376f1f3ef411e80bd1a2357aa4e1145dcfd2501cf8293",
+    5: "fd4a27a2f6548f48eb22f49b8a5811e8b542484327e577ef195ca915b55db375",
+}
+
+
+@pytest.mark.parametrize("p", sorted(ADJOINT_WORD_DIGESTS))
+def test_adjoint_words_render_the_word_table_at_once(monkeypatch, p):
+    """The oracle's stack is the word table rendered in one scatter, the
+    per-word stack byte for byte, signed zeros included; no single word
+    is rendered."""
+    calls = []
+
+    def spy(masks, dim):
+        calls.append(masks.shape)
+        return pauli._word_matrices(masks, dim)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single word rendered")
+
+    monkeypatch.setattr("syntomo.pauli.to_matrix", refuse)
+    monkeypatch.setattr("syntomo.channels._word_matrices", spy)
+    channels._adjoint_words.cache_clear()
+    words = channels._adjoint_words(p)
+    assert calls == [(3, 4 ** p)] and not words.flags.writeable
+    assert hashlib.sha256(words.tobytes()).hexdigest() == ADJOINT_WORD_DIGESTS[p]
 
 
 def test_validate_channel_identity():

@@ -117,6 +117,12 @@ class TestValidate:
         rc, _, err = run(capsys, "validate", "--code", str(path))
         assert rc == 2
 
+    def test_code_path_that_is_a_directory(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "validate", "--code", str(tmp_path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cannot read %s: " % tmp_path)
+        assert err.count("\n") == 1
+
 
 class TestPlan:
     def test_counts(self, capsys):
@@ -212,6 +218,15 @@ class TestCharacterize:
                          "--channel", "correlated-flip", "--params", "0.2")
         assert rc == 1
         assert "qubit" in err
+
+    def test_kraus_sum_above_identity_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"p": 1, "kraus": [[[[1.2, 0.0], [0.0, 0.0]],
+                                                       [[0.0, 0.0], [1.2, 0.0]]]]}))
+        rc, out, err = run(capsys, "characterize", "--code", "code3",
+                           "--channel", str(path))
+        assert (rc, out) == (1, "")
+        assert err == "error: Kraus completeness sum exceeds identity\n"
 
     @pytest.mark.parametrize("source", ["builtin", "file"])
     def test_too_wide_channel_refused_before_it_is_drawn(self, capsys, tmp_path, source):
@@ -514,6 +529,30 @@ class TestInputBoundary:
             err = self.check(capsys, "--channel", str(path))
             assert "channel qubit count p must be positive, got %d" % p in err
 
+    @pytest.mark.parametrize("codewords, reason", [
+        ({}, '"codewords" must be a list, got {}'),
+        ("ab", '"codewords" must be a list, got \'ab\''),
+        (["ab", []], '"codewords[0]" must be a list, got \'ab\''),
+    ], ids=["object", "string", "string-codeword"])
+    def test_codewords_must_be_lists(self, capsys, tmp_path, codewords, reason):
+        # an object once read as its keys, and a string as its letters
+        doc = {**code3_codewords_doc(), "codewords": codewords}
+        err = self.check_code(capsys, tmp_path, doc)
+        assert err == "error: bad code schema in %s: %s\n" % (tmp_path / "code.json",
+                                                              reason)
+
+    @pytest.mark.parametrize("kraus, reason", [
+        ({}, '"kraus" must be a list, got {}'),
+        ({"ab": 1}, '"kraus" must be a list, got {\'ab\': 1}'),
+        ([{"ab": 1}], '"kraus[0]" must be a list, got {\'ab\': 1}'),
+        ([[[[1.0, 0.0], [0.0, 0.0]], "ab"]], '"kraus[0][1]" must be a list, got \'ab\''),
+    ], ids=["object", "keyed-object", "object-matrix", "string-row"])
+    def test_kraus_must_be_lists(self, capsys, tmp_path, kraus, reason):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"p": 1, "kraus": kraus}))
+        err = self.check(capsys, "--channel", str(path))
+        assert err == "error: bad channel schema in %s: %s\n" % (path, reason)
+
     @pytest.mark.parametrize("channel, params, want", [
         ("depolarizing", None, "depolarizing takes 1 parameter, got 0"),
         ("depolarizing", "0.1,0.2", "depolarizing takes 1 parameter, got 2"),
@@ -521,6 +560,8 @@ class TestInputBoundary:
         ("identity", "1,1", "identity takes 0 or 1 parameters, got 2"),
         ("random-cp", "1,1", "random-cp takes 3 parameters, got 2"),
         ("random-cp", "1,1,1,1", "random-cp takes 3 parameters, got 4"),
+        ("identity", "0", "identity qubit-count must be positive"),
+        ("random-cp", "1,1,0", "random-CP qubit-count and rank must be positive"),
     ])
     def test_wrong_parameter_count(self, capsys, channel, params, want):
         argv = ["--channel", channel] + (["--params", params] if params else [])
@@ -544,7 +585,7 @@ class TestInputBoundary:
     def test_amplitude_must_be_a_pair(self, capsys, tmp_path):
         err = self.check_code(capsys, tmp_path, {
             "generators": ["XIX", "YYZ"], "noisy_coords": [0],
-            "codewords": "abc"})
+            "codewords": [["abc"]]})
         assert err.startswith("error: bad code schema in %s: " % (tmp_path / "code.json"))
         assert "[re, im] pair" in err
         path = tmp_path / "channel.json"
@@ -790,11 +831,10 @@ def test_surface_code_syndromes_letter_by_letter(capsys, tmp_path, d, noisy):
         assert report["syndromes"][label] == "".join(map(str, bits))
 
 
-def test_surface_code_validates_in_a_small_fresh_process(tmp_path):
-    """``validate`` of the 49-qubit file as its own process stays under
-    100 MB of resident memory: the child's child is the only process
-    that RUSAGE_CHILDREN sees."""
-    path = surface_code_file(tmp_path, 7, 3)
+def fresh_validate_max_rss(path):
+    """The max RSS in bytes of ``validate --code path`` as its own
+    process: the child's child is the only process that RUSAGE_CHILDREN
+    sees."""
     src = str(Path(st.__file__).resolve().parents[1])
     script = ("import resource, subprocess, sys; "
               "subprocess.run([sys.executable, '-m', 'syntomo.cli', 'validate', "
@@ -804,7 +844,41 @@ def test_surface_code_validates_in_a_small_fresh_process(tmp_path):
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     # ru_maxrss is in KiB on Linux
-    assert int(proc.stdout) * 1024 < 100e6
+    return int(proc.stdout) * 1024
+
+
+def test_surface_code_validates_in_a_small_fresh_process(tmp_path):
+    """``validate`` of the 49-qubit file as its own process stays under
+    100 MB of resident memory."""
+    assert fresh_validate_max_rss(surface_code_file(tmp_path, 7, 3)) < 100e6
+
+
+def bell6_code_file(tmp_path):
+    """The p = 6 Bell-pair code: 4096 errors on a 13-qubit register."""
+    path = tmp_path / "bell6.json"
+    path.write_text(json.dumps({"generators": bell_pair_generators(6),
+                                "noisy_coords": list(range(6)),
+                                "logical_ops": {"X": "I" * 12 + "X", "Z": "I" * 12 + "Z"}}))
+    return path
+
+
+def test_bell6_validates_in_a_small_fresh_process(tmp_path):
+    """The error-correcting condition is read as its 4096 coefficients:
+    no 4096 x 4096 matrix (268 MB) is formed."""
+    assert fresh_validate_max_rss(bell6_code_file(tmp_path)) < 100e6
+
+
+def test_bell6_validates_in_a_small_tracemalloc_peak(capsys, tmp_path):
+    path = bell6_code_file(tmp_path)
+    tracemalloc.start()
+    try:
+        rc, doc, err = run_json(capsys, "validate", "--code", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, err) == (0, "") and doc["syndrome_count"] == 4096
+    assert doc["kl_residual"] == 0 and doc["kl_identity_gap"] == 0
+    assert peak < 50e6
 
 
 def test_console_entry_point():

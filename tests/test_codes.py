@@ -30,6 +30,11 @@ ZERO3 = ket(3, (1, 1), (2, 1), (4, 1), (7, 1))
 # |110> - |101> + |011> - |000>
 ONE3 = ket(3, (6, 1), (5, -1), (3, 1), (0, -1))
 
+def unit(d2):
+    """e_0 of length d2: the coefficients c_z of C = I."""
+    return np.eye(1, d2)[0]
+
+
 def code_projector(code):
     """Projector onto the span of the code's logical basis, which is
     orthonormal: W W† with W the basis as columns."""
@@ -112,12 +117,12 @@ def test_builtin_is_a_generator_code_with_the_textbook_basis(name):
     """A built-in holds no codewords: a fresh build and its kl_scan form
     no basis, and the basis it derives on first read is the textbook
     one, as the shared built-in's is. Built from those codewords
-    instead, its generators pass every dense gate, with C = I to
-    rounding."""
+    instead, its generators pass every dense gate, with c = e_0 (C = I)
+    to rounding."""
     code = fresh_builtin(name)
     assert code.codewords is None and code.logical_ops is not None
     c, residual = st.kl_scan(code)
-    assert residual == 0.0 and np.array_equal(c, np.eye(code.d2))
+    assert residual == 0.0 and np.array_equal(c, unit(code.d2))
     assert "logical_basis" not in vars(code)
     reference = REFERENCE_CODEWORDS[name]
     for got, want in zip(code.logical_basis, reference, strict=True):
@@ -129,18 +134,18 @@ def test_builtin_is_a_generator_code_with_the_textbook_basis(name):
     given = st.build_code(code.generators, code.noisy_coords, codewords=reference)
     assert given.syndrome_table == code.syndrome_table
     c, residual = st.kl_scan(given)
-    assert residual <= 1e-15 and np.abs(c - np.eye(code.d2)).max() <= 1e-15
+    assert residual <= 1e-15 and np.abs(c - unit(code.d2)).max() <= 1e-15
 
 
 class TestKnillLaflamme:
     def test_three_qubit_coefficients(self, code3):
         c, residual = st.kl_scan(code3)
-        np.testing.assert_allclose(c, np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(c, unit(4), atol=1e-10)
         assert residual < 1e-8
 
     def test_five_qubit_coefficients(self, code5):
         c, residual = st.kl_scan(code5)
-        np.testing.assert_allclose(c, np.eye(16), atol=1e-10)
+        np.testing.assert_allclose(c, unit(16), atol=1e-10)
         assert residual < 1e-8
 
     def test_condition_returns_matrix(self, code3):
@@ -151,7 +156,7 @@ class TestKnillLaflamme:
         code = st.build_code(["XIX", "YYZ"], [],
                              codewords=[ZERO3, ONE3])
         c, residual = st.kl_scan(code)
-        np.testing.assert_allclose(c, [[1.0]], atol=1e-12)
+        np.testing.assert_allclose(c, [1.0], atol=1e-12)
         assert residual < 1e-12
 
 
@@ -230,7 +235,7 @@ def test_kl_scan_peaks_below_one_register_square_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 16 << (2 * code.n)
-    assert c.shape == (256, 256) and residual < 1e-12
+    assert c.shape == (256,) and residual < 1e-12
 
 
 @pytest.mark.parametrize("noisy", [6, 7])
@@ -619,11 +624,12 @@ class TestSyndromeFrame:
 
     def test_kl_scan_gives_identity(self, frame_code):
         c, residual = st.kl_scan(frame_code)
-        np.testing.assert_allclose(c, np.eye(frame_code.d2), atol=1e-12)
+        np.testing.assert_allclose(c, unit(frame_code.d2), atol=1e-12)
         assert residual < 1e-12
 
     def test_kl_scan_matches_dense_loop(self, frame_code):
-        c, residual = st.kl_scan(frame_code)
+        c = st.kl_condition(frame_code)
+        _, residual = st.kl_scan(frame_code)
         dense_c, dense_residual = dense_kl_scan(frame_code)
         assert np.abs(c - dense_c).max() <= 1e-12
         assert residual <= 1e-12 and dense_residual <= 1e-12
@@ -673,12 +679,37 @@ def test_basis_derived_on_first_read(name):
 
 
 def test_kl_scan_of_a_generator_code_is_exact():
-    # C = I and residual 0 with no basis read (test_kl_scan_matches_dense_loop
-    # checks the derived basis against the dense loop)
+    # c = e_0 (C = I) and residual 0 with no basis read
+    # (test_kl_scan_matches_dense_loop checks the derived basis against
+    # the dense loop)
     code = st.build_code(["XIX", "YYZ"], [0])
     c, residual = st.kl_scan(code)
-    assert residual == 0.0 and np.array_equal(c, np.eye(4))
+    assert residual == 0.0 and np.array_equal(c, unit(4))
+    assert c.shape == (4,) and not c.flags.writeable
     assert "logical_basis" not in vars(code)
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CODES))
+def test_identity_gap_reads_the_coefficients(capsys, tmp_path, name):
+    """On a code given by codewords (a derived basis turned by a random
+    logical unitary), ``kl_scan`` returns a read-only length-d² vector c,
+    and ``validate`` reports max |c − e_0| as its identity gap: bit for
+    bit max |C − I| of ``kl_condition``'s matrix."""
+    code = built_frame_code(name)
+    dim = 1 << code.k
+    draw = np.random.default_rng(7).normal(size=(2, dim, dim))
+    turn, _ = np.linalg.qr(draw[0] + 1j * draw[1])
+    words = np.column_stack(code.logical_basis) @ turn
+    tilted = st.build_code(code.generators, code.noisy_coords, codewords=list(words.T))
+    c, residual = st.kl_scan(tilted)
+    assert c.shape == (code.d2,) and not c.flags.writeable
+    gap = float(np.abs(st.kl_condition(tilted) - np.eye(code.d2)).max())
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps(st.code_to_json(tilted)))
+    assert cli.main(["validate", "--code", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["kl_residual"], doc["kl_identity_gap"]) == (residual, gap)
+    assert 0 < gap <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["code5", "surface25"])
@@ -700,7 +731,7 @@ def test_replace_keeps_a_generator_code_a_generator_code(monkeypatch, basis_read
         assert copy.codewords is None and "logical_basis" not in vars(copy)
         assert copy.logical_ops == code.logical_ops
         c, residual = st.kl_scan(copy)
-        assert residual == 0.0 and np.array_equal(c, np.eye(code.d2))
+        assert residual == 0.0 and np.array_equal(c, unit(code.d2))
     monkeypatch.undo()
     if code.n > st.pauli.MATRIX_QUBIT_CAP:
         with pytest.raises(ValueError, match="past the 12-qubit cap"):
@@ -756,10 +787,12 @@ def test_logical_ops_checked_without_a_basis(x_l, z_l, message):
 
 
 def test_a_generator_build_forms_no_product_table_or_error_word(monkeypatch, capsys):
-    """Building a code from generators and scanning it read the error
-    masks only: no product table, element or label is derived."""
+    """Building a code from generators, scanning it and forming its
+    C = I read the error masks only: no product table, element or label
+    is derived."""
     code = st.build_code(bell_pair_generators(5), range(5))
     assert st.kl_scan(code)[1] == 0.0
+    assert np.array_equal(st.kl_condition(code), np.eye(code.d2))
     assert set(vars(code.error_basis)) == {"n_total", "coords", "masks"}
 
     def refuse(basis):
