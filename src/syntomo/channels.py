@@ -305,6 +305,8 @@ def _builtin_recipe(name: str, params=()) -> tuple:
 
     # random-cp, the one name left
     seed = _int_param("random-CP seed", params[0])
+    if seed < 0:
+        raise ValueError("random-CP seed must be nonnegative, got %d" % seed)
     p = _int_param("random-CP qubit-count", params[1])
     rank = _int_param("random-CP rank", params[2])
     if p < 1 or rank < 1:

@@ -2,7 +2,8 @@
 
 Subcommands: validate (code checks), plan (measurement configurations),
 characterize (full pipeline with reconstruction report). Exit codes:
-0 success, 1 domain or validation failure, 2 input or parse failure.
+0 success, 1 domain or validation failure or out of memory, 2 input or
+parse failure.
 """
 
 from __future__ import annotations
@@ -342,6 +343,10 @@ def main(argv=None) -> int:
         return 2
     except _DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed
+        print("error: out of memory" + (": %s" % exc if str(exc) else ""), file=sys.stderr)
         return 1
 
 

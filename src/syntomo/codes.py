@@ -37,6 +37,7 @@ from .pauli import (
     _apply_words,
     _register_masks,
     _symplectic_rank,
+    _syndrome_collision,
     apply_pauli,
     enumerate_error_basis,
     pauli_from_string,
@@ -66,7 +67,7 @@ class StabilizerCode:
     ``dataclasses.replace`` may hand over, is copied), or None for a
     code given by its generators; ``logical_ops`` (X_L, Z_L) then fixes
     the basis that ``logical_basis`` derives. ``syndrome_index`` maps
-    each syndrome to its first error, read-only. A code never changes
+    each syndrome to its one error, read-only. A code never changes
     after construction, so one code can serve every caller, as
     ``builtin_code`` does.
     """
@@ -276,15 +277,13 @@ def build_code(generators, noisy_coords, codewords=None, logical_ops=None) -> St
         raise ValueError("syndrome collision: %d errors on %d noisy qubits "
                          "exceed the %d syndromes of %d generators"
                          % (error_basis.size, error_basis.p, 1 << len(gens), len(gens)))
+    collision = _syndrome_collision(error_basis, gen_masks)
+    if collision is not None:
+        raise ValueError("syndrome collision: errors %s and %s share syndrome %s" % collision)
     # bit j of error i's syndrome is 1 when it anticommutes with generator j
     table = tuple(map(tuple, _anticommuting(error_basis.masks, gen_masks).tolist()))
-    # the first error of each syndrome
-    index = dict(zip(table[::-1], range(len(table) - 1, -1, -1)))
-    if len(index) != len(table):
-        i = next(i for i, syn in enumerate(table) if index[syn] != i)
-        raise ValueError(
-            "syndrome collision: errors %s and %s share syndrome %s"
-            % (error_basis.label(index[table[i]]), error_basis.label(i), table[i]))
+    # the syndromes differ, so each maps to its one error
+    index = dict(zip(table, range(len(table))))
 
     # distinct syndromes mean every product F_a† F_b but the identity
     # anticommutes with a generator, so Pi F_a† F_b Pi = delta_ab Pi on

@@ -33,9 +33,6 @@ class NumericPolicy:
     sampling_clamp : float
         Negative probabilities above this magnitude are an error;
         smaller ones are treated as floating-point dust and clamped.
-    rotation_unitarity : float
-        Allowed deviation of M†M from the identity for the planner's
-        pre-processing rotations.
     """
 
     algebraic: float = 1e-10
@@ -44,7 +41,6 @@ class NumericPolicy:
     kl_residual: float = 1e-8
     readout_consistency: float = 1e-8
     sampling_clamp: float = 1e-12
-    rotation_unitarity: float = 1e-12
 
 
 DEFAULT_POLICY = NumericPolicy()

@@ -155,16 +155,52 @@ def _anticommuting(p_masks: np.ndarray, q_masks: np.ndarray) -> np.ndarray:
 def _symplectic_rank(masks: np.ndarray, n: int) -> int:
     """Rank over GF(2) of n-qubit words in (x|z) form, from their
     ``_register_masks``; the rows are Python ints, since the 2n-bit
-    rows of a word past 31 qubits overflow int64. Each row is reduced
-    by the kept rows, whose leading bits differ, in descending order."""
+    rows of a word past 31 qubits overflow int64."""
     x, z, _ = masks.tolist()
-    kept = []
-    for row in ((u << n) | v for u, v in zip(x, z)):
-        for pivot in kept:
-            row = min(row, row ^ pivot)
+    return sum(1 for rest, _ in _gf2_reduced((u << n) | v for u, v in zip(x, z)) if rest)
+
+
+def _gf2_reduced(rows):
+    """Each GF(2) row (a Python int), reduced by the independent rows
+    before it, as (rest, combination): rest is the row XOR the earlier
+    rows whose bits the combination sets, so a row lies in the span of
+    the rows before it exactly when its rest is 0, and is then the XOR
+    of the rows of its combination."""
+    # leading bit -> (rest, combination including the row itself)
+    pivots = {}
+    for h, row in enumerate(rows):
+        combination = 0
+        while row and row.bit_length() in pivots:
+            rest, used = pivots[row.bit_length()]
+            row, combination = row ^ rest, combination ^ used
         if row:
-            kept = sorted(kept + [row], reverse=True)
-    return len(kept)
+            pivots[row.bit_length()] = (row, combination | 1 << h)
+        yield row, combination
+
+
+def _syndrome_collision(basis: ErrorBasis, gen_masks: np.ndarray) -> tuple | None:
+    """The first two errors of ``basis``, in index order, that share a
+    syndrome under the generators of ``gen_masks``, as (label, label,
+    syndrome); None when all 4^p syndromes differ.
+
+    Syndromes add over GF(2): error x's is the XOR of those of its set
+    bits, and bit h is Z on ``coords[p - 1 - h]`` for h < p, else X on
+    ``coords[2p - 1 - h]``. So all 4^p differ exactly when the 2p bits'
+    syndromes are independent, and the first bit h whose syndrome lies in
+    the span of the lower bits' names the first pair: the one combination
+    c of lower bits with that syndrome, and 1 << h. No 4^p table is formed.
+    """
+    n, p = basis.n_total, basis.p
+    bits = [1 << (n - 1 - c) for c in basis.coords[::-1]]
+    masks = np.array([[0] * p + bits, bits + [0] * p, [0] * (2 * p)], dtype=np.int64)
+    syndromes = _anticommuting(masks, gen_masks).tolist()
+    rows = (sum(bit << j for j, bit in enumerate(syn)) for syn in syndromes)
+    for h, (rest, c) in enumerate(_gf2_reduced(rows)):
+        if not rest:
+            x = 1 << h
+            return (_letters(c >> p, c & (basis.dim - 1), p),
+                    _letters(x >> p, x & (basis.dim - 1), p), tuple(syndromes[h]))
+    return None
 
 
 @functools.lru_cache(maxsize=8)

@@ -59,9 +59,11 @@ _RE_IM.flags.writeable = False
 class Configuration:
     """One measurement setup: pre-processing followed by syndrome readout.
 
+    A configuration is its descriptor. ``theta_signs`` maps error index
+    m to the sign of theta_m = +-pi/4. ``rule`` and ``action`` are
+    views of the plan it was compiled in, formed on first read and kept.
     ``rule[x]`` is the readout rule (A, B, c, s) of error index x (see
     ``_rules``).
-    ``theta_signs`` maps error index m to the sign of theta_m = +-pi/4.
     ``action`` is the pre-processing U in frame coordinates, the
     identity when bare: the d^2 x d^2 matrix M with
     U F_x|j_L> = sum_y M[y, x] F_y|j_L>.
@@ -69,11 +71,22 @@ class Configuration:
 
     index: int
     kind: str  # "bare" | "rotated" | "toggled"
-    rule: tuple = field(repr=False)
     a: int | None = None
     b: int | None = None
     theta_signs: tuple | None = None
-    action: np.ndarray = field(repr=False, kw_only=True)
+    _rows: _PlanRows = field(repr=False, kw_only=True)
+
+    @functools.cached_property
+    def rule(self) -> tuple:
+        """Row ``index`` of the plan's readout table, as (A, B, c, s) ints."""
+        table = self._rows.readouts
+        return tuple(zip(*(column[self.index].tolist() for column in (
+            table.a_index, table.b_index, table.coeff_re, table.coeff_im))))
+
+    @functools.cached_property
+    def action(self) -> np.ndarray:
+        """Map ``index`` of the plan's frame maps, read-only."""
+        return self._rows.maps[self.index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,6 +278,36 @@ class ReadoutTable:
                 + (self.coeff_re * z.real + self.coeff_im * z.imag))
 
 
+@dataclass(frozen=True, eq=False)
+class _PlanRows:
+    """What the configurations of one compiled plan read their views
+    from: the readout table, the rotated rows' mask, the gathered table
+    rows A = a.x and B = b.x (configurations x d^2), and the rotated
+    rows' column phases alpha and beta, toggle phases applied. No d^2 x
+    d^2 array is formed until ``maps`` is read."""
+
+    readouts: ReadoutTable
+    rotated: np.ndarray
+    big_a: np.ndarray
+    big_b: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    @functools.cached_property
+    def maps(self) -> np.ndarray:
+        """Every configuration's frame map, one read-only (configurations,
+        d^2, d^2) array: M[A_x, x] = alpha_x and M[B_x, x] = beta_x for a
+        rotated row, the identity for a bare one."""
+        rotated, d2 = self.rotated, self.readouts.d2
+        rows, cols = np.flatnonzero(rotated)[:, None], np.arange(d2)
+        maps = np.zeros((len(rotated), d2, d2), dtype=complex)
+        maps[rows, self.big_a[rotated], cols] = self.alpha
+        maps[rows, self.big_b[rotated], cols] = self.beta
+        maps[np.flatnonzero(~rotated)[:, None], cols, cols] = 1.0
+        maps.flags.writeable = False
+        return maps
+
+
 def _normalized(beta: np.ndarray) -> bool:
     """Whether a complex vector has norm 1 within ``DEFAULT_POLICY.algebraic``,
     taken as np.linalg.norm would but without its overflow warning; NaN fails."""
@@ -295,13 +338,8 @@ def rotation_unitary(code: StabilizerCode, a: int, b: int) -> np.ndarray:
     fa = to_matrix(basis.elements[a])
     fb = to_matrix(basis.elements[b])
     if commutes(basis.elements[a], basis.elements[b]):
-        u = (fa + 1j * fb) / np.sqrt(2.0)
-    else:
-        u = (fa + fb) / np.sqrt(2.0)
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > DEFAULT_POLICY.rotation_unitarity:
-        raise ValueError("rotation for pair (%s, %s) failed the unitarity check"
-                         % (basis.label(a), basis.label(b)))
-    return u
+        return (fa + 1j * fb) / np.sqrt(2.0)
+    return (fa + fb) / np.sqrt(2.0)
 
 
 def _check_signs(d2: int, theta_signs) -> tuple:
@@ -430,7 +468,9 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
     signs ``signs[i]``; a bare row carries the pair (0, 0) and a row
     that is not toggled zero signs. The pairs' table rows A = a.x,
     B = b.x, e_a and e_b (F_a F_x = i^{e_a} F_A, F_b F_x = i^{e_b} F_B)
-    are gathered once for the rules, the frame maps and their check.
+    are gathered once for the rules, the frame maps and their check;
+    the configurations keep them in one ``_PlanRows``, which forms the
+    maps when one is first read.
 
     The rotation (F_a + c F_b)/sqrt(2), c = i for a commuting pair and
     1 otherwise, has M[A_x, x] = i^{e_a}/sqrt(2) and M[B_x, x] =
@@ -454,7 +494,8 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
         r = int(np.argmax(bad))
         raise ValueError("rotation for pair (%s, %s) failed the unitarity check"
                          % (basis.label(a[r]), basis.label(b[r])))
-    columns = _rules(big_a, big_b, e, commuting, signs, rotated)
+    readouts = ReadoutTable(code.syndrome_table, tuple(range(len(kinds))),
+                            *_rules(big_a, big_b, e, commuting, signs, rotated), code.d2)
 
     alpha = I_POWERS[e_a[rotated]] / np.sqrt(2.0)
     beta = np.where(commuting[rotated], 1j, 1.0)[:, None] * I_POWERS[e_b[rotated]]
@@ -462,27 +503,15 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
     phases = np.exp(1j * signs[toggled] * np.pi / 4.0)
     alpha[toggled[rotated]] *= phases
     beta[toggled[rotated]] *= phases
-    rows, cols = np.flatnonzero(rotated)[:, None], np.arange(basis.size)
-    maps = np.zeros((len(kinds), basis.size, basis.size), dtype=complex)
-    maps[rows, big_a[rotated], cols] = alpha
-    maps[rows, big_b[rotated], cols] = beta
-    maps[np.flatnonzero(~rotated)[:, None], cols, cols] = 1.0
-    maps.flags.writeable = False
-
+    rows = _PlanRows(readouts, rotated, big_a, big_b, alpha, beta)
     configs = []
-    # every configuration's rule rows (A, B, c, s), from one tolist
-    entries = list(zip(*np.stack(columns).reshape(len(columns), -1).tolist()))
-    d2 = basis.size
     for i, (kind, a_i, b_i, theta) in enumerate(
             zip(kinds, a.tolist(), b.tolist(), signs.tolist())):
         bare = kind == "bare"
         configs.append(Configuration(
-            index=i, kind=kind, rule=tuple(entries[i * d2:(i + 1) * d2]),
-            a=None if bare else a_i, b=None if bare else b_i,
-            theta_signs=tuple(theta) if kind == "toggled" else None,
-            action=maps[i]))
-    return configs, ReadoutTable(code.syndrome_table, tuple(range(len(configs))),
-                                 *columns, code.d2)
+            index=i, kind=kind, a=None if bare else a_i, b=None if bare else b_i,
+            theta_signs=tuple(theta) if kind == "toggled" else None, _rows=rows))
+    return configs, readouts
 
 
 def _rules(big_a, big_b, e, commuting, signs, rotated) -> tuple:

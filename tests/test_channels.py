@@ -104,6 +104,13 @@ class TestBuiltinChannels:
             st.builtin_channel("identity", [10 ** 400])
         assert st.builtin_channel("random-cp", [10 ** 400, 1, 2]).p == 1
 
+    def test_random_cp_seed_must_be_nonnegative(self):
+        # numpy refused it only at the draw, in its own words
+        with pytest.raises(ValueError, match="^random-CP seed must be nonnegative, got -1$"):
+            channels._builtin_recipe("random-cp", [-1, 1, 1])
+        for seed in (0, 2 ** 64, 10 ** 400):
+            assert st.builtin_channel("random-cp", [seed, 1, 1]).p == 1
+
     @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_],
                              ids=["True", "False", "np.True_", "np.False_"])
     def test_integer_parameters_refuse_bools(self, flag):

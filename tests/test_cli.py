@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -610,6 +611,11 @@ class TestInputBoundary:
                        "Kraus entries, over the 4^12 of one dense matrix at the "
                        "12-qubit cap\n")
 
+    def test_negative_random_cp_seed(self, capsys):
+        # it exited 1 with numpy's "expected non-negative integer"
+        err = self.check(capsys, "--channel", "random-cp", "--params=-1,1,1")
+        assert err == "error: random-CP seed must be nonnegative, got -1\n"
+
     # argv decodes the byte 0xff of a file name to the lone surrogate \udcff
     NON_UTF8_COMMANDS = [("validate",), ("plan",),
                          ("characterize", "--channel", "amplitude-damping",
@@ -831,16 +837,15 @@ def test_surface_code_syndromes_letter_by_letter(capsys, tmp_path, d, noisy):
         assert report["syndromes"][label] == "".join(map(str, bits))
 
 
-def fresh_validate_max_rss(path):
-    """The max RSS in bytes of ``validate --code path`` as its own
-    process: the child's child is the only process that RUSAGE_CHILDREN
-    sees."""
+def fresh_max_rss(*argv):
+    """The max RSS in bytes of ``syntomo <argv>`` as its own process:
+    the child's child is the only process that RUSAGE_CHILDREN sees."""
     src = str(Path(st.__file__).resolve().parents[1])
     script = ("import resource, subprocess, sys; "
-              "subprocess.run([sys.executable, '-m', 'syntomo.cli', 'validate', "
-              "'--code', sys.argv[1]], check=True, stdout=subprocess.DEVNULL); "
+              "subprocess.run([sys.executable, '-m', 'syntomo.cli'] + sys.argv[1:], "
+              "check=True, stdout=subprocess.DEVNULL); "
               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
-    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     # ru_maxrss is in KiB on Linux
@@ -850,26 +855,50 @@ def fresh_validate_max_rss(path):
 def test_surface_code_validates_in_a_small_fresh_process(tmp_path):
     """``validate`` of the 49-qubit file as its own process stays under
     100 MB of resident memory."""
-    assert fresh_validate_max_rss(surface_code_file(tmp_path, 7, 3)) < 100e6
+    assert fresh_max_rss("validate", "--code", surface_code_file(tmp_path, 7, 3)) < 100e6
 
 
-def bell6_code_file(tmp_path):
-    """The p = 6 Bell-pair code: 4096 errors on a 13-qubit register."""
-    path = tmp_path / "bell6.json"
-    path.write_text(json.dumps({"generators": bell_pair_generators(6),
-                                "noisy_coords": list(range(6)),
-                                "logical_ops": {"X": "I" * 12 + "X", "Z": "I" * 12 + "Z"}}))
+def bell_code_file(tmp_path, p):
+    """The Bell-pair code on p noisy qubits: 4^p errors on a 2p + 1-qubit register."""
+    path = tmp_path / ("bell%d.json" % p)
+    path.write_text(json.dumps({"generators": bell_pair_generators(p),
+                                "noisy_coords": list(range(p)),
+                                "logical_ops": {"X": "I" * 2 * p + "X", "Z": "I" * 2 * p + "Z"}}))
     return path
 
 
 def test_bell6_validates_in_a_small_fresh_process(tmp_path):
     """The error-correcting condition is read as its 4096 coefficients:
     no 4096 x 4096 matrix (268 MB) is formed."""
-    assert fresh_validate_max_rss(bell6_code_file(tmp_path)) < 100e6
+    assert fresh_max_rss("validate", "--code", bell_code_file(tmp_path, 6)) < 100e6
+
+
+def test_bell4_plans_in_a_small_fresh_process(tmp_path):
+    """``plan`` forms no frame map: the 511 dense maps of a bell4 plan
+    are 536 MB (572 MB max RSS before)."""
+    assert fresh_max_rss("plan", "--code", bell_code_file(tmp_path, 4)) < 100e6
+
+
+def test_out_of_memory_is_one_error_line(tmp_path):
+    """An allocation the address space cannot hold ends in one line and
+    exit 1, not a traceback: the dense frame maps of a bell5 plan are
+    32 GiB. The child's address space is capped at 2 GiB."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(st.__file__).resolve().parents[1])
+    # one BLAS thread: each thread's buffers count against the cap
+    proc = subprocess.run([sys.executable, "-m", "syntomo.cli", "characterize", "--code",
+                           str(bell_code_file(tmp_path, 5)), "--channel", "identity"],
+                          capture_output=True, text=True, preexec_fn=cap_address_space,
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: out of memory: Unable to allocate 32.0 GiB for an "
+                           "array with shape (2047, 1024, 1024) and data type complex128\n")
 
 
 def test_bell6_validates_in_a_small_tracemalloc_peak(capsys, tmp_path):
-    path = bell6_code_file(tmp_path)
+    path = bell_code_file(tmp_path, 6)
     tracemalloc.start()
     try:
         rc, doc, err = run_json(capsys, "validate", "--code", str(path))

@@ -238,6 +238,23 @@ def test_kl_scan_peaks_below_one_register_square_matrix():
     assert c.shape == (256,) and residual < 1e-12
 
 
+def test_syndrome_collision_found_without_the_error_table():
+    """Ten noisy qubits of the 49-qubit surface code: the first shared
+    syndrome is named from the 20 single-bit syndromes, without forming
+    the 4^10-row syndrome table."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            st.build_code(rotated_surface_generators(7), range(10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    syndrome = (0, 1, 0, 0, 1) + (0,) * 43
+    assert str(exc.value) == ("syndrome collision: errors IIIZZZZZZI and IIZIIIIIII "
+                              "share syndrome %s" % (syndrome,))
+    assert peak < 4e6
+
+
 @pytest.mark.parametrize("noisy", [6, 7])
 def test_too_many_noisy_qubits_refused_before_the_basis(noisy):
     # k + 2p > n: 4^p errors cannot have distinct syndromes among the

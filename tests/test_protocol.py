@@ -544,6 +544,33 @@ def test_simulate_subset_matches_xi_simulated(code5):
         assert not rec.row.flags.writeable
 
 
+def test_a_bell4_plan_compiles_in_a_small_tracemalloc_peak():
+    """A compile forms no frame map and no rule tuple: the 511 dense maps
+    of a bell4 plan alone are 536 MB (a 566 MB peak before)."""
+    code = st.build_code(bell_pair_generators(4), range(4))
+    tracemalloc.start()
+    try:
+        configs, _ = st.plan_configurations(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(configs) == 511
+    assert peak < 50e6
+
+
+def test_a_plan_only_written_as_json_forms_no_view():
+    """``rule`` and ``action`` are formed on first read: a plan that only
+    ``plan_to_json`` reads has neither, and its maps are not formed."""
+    code = fresh_builtin("code5")
+    configs, _ = st.plan_configurations(code)
+    st.plan_to_json(code, configs)
+    assert [name for cfg in configs for name in ("rule", "action") if name in vars(cfg)] == []
+    assert "maps" not in vars(configs[0]._rows)
+    # one read forms every configuration's map, which the others then share
+    assert configs[3].action.base is configs[0]._rows.maps
+    assert "action" not in vars(configs[0])
+
+
 def test_simulate_holds_far_less_than_the_frame_maps():
     # bell3's 126 frame maps are 8 MiB; stacking them, or every
     # configuration's amplitudes at once, held more than that
