@@ -5,9 +5,10 @@ IEEE doubles losslessly and keeps reports byte-stable across runs. A
 uniformly nested list of floats, of any depth, such as chi as rows of
 [re, im] pairs, is rendered by one ``%`` of a cached template over all
 its values, and so is a list of flat dicts with the same keys and value
-types, such as a report's residual rows, and a flat dict alone. numpy
-integers and bools render as ints and bools. Input files write a
-complex amplitude as a pair ``[re, im]`` (``complex_from_pair``).
+types, such as a report's residual rows. Strings are escaped as the
+standard library escapes them. numpy integers and bools render as ints
+and bools. Input files write a complex amplitude as a pair ``[re, im]``
+(``complex_from_pair``).
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import numbers
 import re
 from collections.abc import Mapping
 from itertools import chain, cycle, repeat
+from json.encoder import encode_basestring
 
 import numpy as np
 
-_SPECIAL = re.compile(r'[\x00-\x1f"\\\ud800-\udfff]')
-_SHORT = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
-          "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _ROWS = {list, tuple}
 _BASES = (str, int, float, list, tuple, dict)
 _KINDS = {type(None), bool, *_BASES}
@@ -36,13 +36,12 @@ _CONVERT = {bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
 
 
 def _quote(text: str) -> str:
-    """JSON string literal; quotes, backslashes, U+0000-U+001F and lone
-    surrogates (U+D800-U+DFFF, as a non-UTF-8 file name decodes to)
-    escaped, so the text encodes as UTF-8."""
-    if _SPECIAL.search(text) is None:
-        return '"' + text + '"'
-    return '"' + _SPECIAL.sub(
-        lambda m: _SHORT.get(m.group(), "\\u%04x" % ord(m.group())), text) + '"'
+    """JSON string literal as the standard library writes it without
+    ``ensure_ascii``, lone surrogates (U+D800-U+DFFF, as a non-UTF-8 file
+    name decodes to) escaped as well, so the text encodes as UTF-8."""
+    if text.isascii():
+        return encode_basestring(text)
+    return _SURROGATE.sub(lambda m: "\\u%04x" % ord(m.group()), encode_basestring(text))
 
 
 @functools.lru_cache(maxsize=64)
@@ -101,13 +100,6 @@ def _dicts(seq, indent: int) -> str | None:
     list of non-empty dicts with the same string keys in the same order
     and values of the same types, each an int, finite float, str, bool
     or None (the item-by-item path then renders it, or raises)."""
-    rows = _dict_rows(seq, indent)
-    return None if rows is None else "[\n" + rows + "\n" + "  " * indent + "]"
-
-
-def _dict_rows(seq, indent: int) -> str | None:
-    """The dicts of ``seq`` as the items of a list at nesting depth
-    ``indent``, one per line, or None as for ``_dicts``."""
     first = seq[0]
     if type(first) is not dict or not first or set(map(type, seq)) != {dict}:
         return None
@@ -133,7 +125,8 @@ def _dict_rows(seq, indent: int) -> str | None:
         elif kind is not int:
             value = _CONVERT[kind](value)
         cells.append(value)
-    return ",\n".join([_dict_row(indent, keys, kinds)] * len(seq)) % tuple(cells)
+    rows = ",\n".join([_dict_row(indent, keys, kinds)] * len(seq)) % tuple(cells)
+    return "[\n" + rows + "\n" + "  " * indent + "]"
 
 
 def _render(obj, indent: int, out: list) -> None:
@@ -166,12 +159,6 @@ def _render(obj, indent: int, out: list) -> None:
     elif kind is dict:
         if not obj:
             out.append("{}")
-            return
-        # a flat dict is the one row of a list one level up, less the
-        # row's indentation
-        text = _dict_rows((obj,), indent - 1)
-        if text is not None:
-            out.append(text[2 * indent:])
             return
         out.append("{\n")
         items = list(obj.items())

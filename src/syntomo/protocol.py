@@ -239,27 +239,29 @@ class ReadoutTable:
     @functools.cached_property
     def _reduction(self) -> tuple:
         """What ``reconstruct`` derives from the table alone, built by its
-        first call: (bare, off, bare A, A, B, c + s, slot, count, rows, cols, upper).
+        first call: (order, slot, A, B, c + s, n, counted, missing, upper, lower).
 
-        ``bare`` and ``off`` mask the flat readouts; A, B, c + s (one of
-        c, s is +-1, the other 0) and the slots belong to the off-diagonal
-        ones. Slot 2 (A d2 + B) holds the real part of entry (A, B), the
-        next slot its imaginary part. ``rows``, ``cols`` and ``upper``
-        list the upper triangle A < B in row-major order, two slots per
-        entry, and ``count`` the readouts in each.
+        ``order`` puts the bare readouts first. Slot 2 (A d2 + B) is the
+        real part of entry (A, B), the next its imaginary part; a bare
+        readout is the real part of (x, x). A, B and c + s (one of c, s is
+        +-1, the other 0) belong to the others. ``n`` counts each slot's
+        readouts, NaN where none are ``counted``; ``missing`` marks the
+        uncounted slots of entries A <= B but the diagonal's imaginary parts.
+        ``upper`` and ``lower`` place the strict upper triangle and its mirror.
         """
         d2 = self.d2
         a, b = self.a_index.ravel(), self.b_index.ravel()
-        c, s = self.coeff_re.ravel(), self.coeff_im.ravel()
-        bare = a == b
-        off = ~bare
-        bare_a = a[bare]
-        a, b, c, s = a[off], b[off], c[off], s[off]
-        slot = 2 * (a * d2 + b) + (c == 0)
+        order = np.argsort(a != b, kind="stable")
+        k = np.count_nonzero(a == b)
+        a, b, s = a[order], b[order], self.coeff_im.ravel()[order]
+        cs = self.coeff_re.ravel()[order] + s
+        slot = 2 * (a * d2 + b) + (s != 0)
+        n = np.bincount(slot, minlength=2 * d2 * d2)
+        counted = n > 0
+        big_a, big_b, part = np.indices((d2, d2, 2)).reshape(3, -1)
         rows, cols = np.triu_indices(d2, 1)
-        upper = (2 * (rows * d2 + cols)[:, None] + np.arange(2)).ravel()
-        count = np.bincount(slot, minlength=2 * d2 * d2)[upper]
-        out = (bare, off, bare_a, a, b, c + s, slot, count, rows, cols, upper)
+        out = (order, slot, a[k:], b[k:], cs[k:], np.where(counted, n, np.nan), counted,
+               ~counted & (big_a + part <= big_b), rows * d2 + cols, cols * d2 + rows)
         for array in out:
             array.flags.writeable = False
         return out
@@ -549,50 +551,48 @@ def derive_readouts(code: StabilizerCode, configs) -> ReadoutTable:
 def reconstruct(records, readouts: ReadoutTable, basis) -> ProcessMatrix:
     """Assemble the process matrix from measurement records.
 
-    The diagonal comes straight from the bare readouts. Each
-    off-diagonal readout is reduced to c*Re + s*Im of one upper-triangle
-    entry by subtracting the diagonal half-sum; the redundant estimates
-    are averaged, and in exact mode additionally cross-checked against
-    each other within ``DEFAULT_POLICY.readout_consistency``.
+    Each readout estimates one slot, a real or imaginary part: a bare
+    readout chi_xx, any other c*Re + s*Im of an upper-triangle entry
+    less the diagonal half-sum. A slot's estimates are averaged and, in
+    exact mode, checked within ``DEFAULT_POLICY.readout_consistency``
+    of each other; chi is the means' complex view, mirrored.
     """
     probs, exact = readouts.observed(records)
     d2 = basis.size
     if d2 != readouts.d2:
         raise ValueError("the readout table is for a basis of %d elements, "
                          "not %d" % (readouts.d2, d2))
-    bare, off, bare_a, a, b, cs, slot, n, rows, cols, upper = readouts._reduction
-    probs = probs.ravel()
-    diag = np.zeros(d2)
-    diag[bare_a] = probs[bare]
-    est = (probs[off] - 0.5 * (diag[a] + diag[b])) / cs
+    order, slot, a, b, cs, n, counted, missing, upper, lower = readouts._reduction
+    est = probs.ravel()[order]
+    k = est.size - cs.size
     # sums start at -0.0, the exact additive identity, and accumulate in
     # readout order
-    size = 2 * d2 * d2
-    sums = np.full(size, -0.0)
-    np.add.at(sums, slot, est)
-    bad = n == 0
+    sums = np.full(n.size, -0.0)
+    np.add.at(sums, slot[:k], est[:k])
+    # a diagonal entry without a bare readout is NaN, as is what subtracts it
+    diag = sums[::2 * d2 + 2] / n[::2 * d2 + 2]
+    est[k:] = (est[k:] - 0.5 * (diag[a] + diag[b])) / cs
+    np.add.at(sums, slot[k:], est[k:])
+    bad = missing
     if exact:
-        hi = np.full(size, -np.inf)
-        lo = np.full(size, np.inf)
-        np.maximum.at(hi, slot, est)
-        np.minimum.at(lo, slot, est)
-        spread = hi[upper] - lo[upper]
-        bad |= spread > DEFAULT_POLICY.readout_consistency
+        hi, lo = np.full(n.size, -np.inf), np.full(n.size, np.inf)
+        # fmax and fmin pass over NaN estimates without numpy's warning
+        np.fmax.at(hi, slot, est)
+        np.fmin.at(lo, slot, est)
+        spread = hi - lo
+        bad = bad | (spread > DEFAULT_POLICY.readout_consistency)
     if bad.any():
-        k = int(np.argmax(bad))
-        pair = (basis.label(int(rows[k // 2])), basis.label(int(cols[k // 2])))
-        if n[k] == 0:
+        i = int(np.argmax(bad))
+        pair = tuple(map(basis.label, divmod(i // 2, d2)))
+        if missing[i]:
             raise ValueError("entry (%s, %s) lacks a real or imaginary "
                              "readout" % pair)
         raise ValueError("inconsistent redundant readouts for entry "
-                         "(%s, %s): spread %g" % (pair + (spread[k],)))
-
-    means = (sums[upper] / n).view(complex)
-    chi = np.zeros((d2, d2), dtype=complex)
-    chi[rows, cols] = means
-    chi[cols, rows] = means.conj()
-    chi[np.diag_indices(d2)] = diag
-    return ProcessMatrix(chi, basis)
+                         "(%s, %s): spread %g" % (pair + (spread[i],)))
+    # an uncounted slot, such as a diagonal entry's imaginary part, reads 0.0
+    chi = np.divide(sums, n, out=np.zeros(n.size), where=counted).view(complex)
+    chi[lower] = chi[upper].conj()
+    return ProcessMatrix(chi.reshape(d2, d2), basis)
 
 
 def recover(state: np.ndarray, code: StabilizerCode, syndrome) -> np.ndarray:

@@ -169,13 +169,33 @@ def json_nodes(doc, path):
             yield from json_nodes(value, path + (key,))
 
 
+# random JSON trees, for the whole-document fuzz
+FUZZ_TREES = hs.recursive(FUZZ_LEAVES, lambda inner: (
+    hs.lists(inner, max_size=3) | hs.dictionaries(hs.text(max_size=2), inner, max_size=3)),
+    max_leaves=8)
+
+
 @hs.composite
-def malformed(draw, docs):
+def malformed(draw, docs, changes=0):
     """A copy of one of ``docs`` with one node made wrong for sure: put a
     value of another JSON kind there, or, for an amplitude [re, im],
-    the wrong number of items or an integer out of float range."""
+    the wrong number of items or an integer out of float range. Up to
+    ``changes`` other nodes, none of them on that node's path or under
+    it, are changed too: a key dropped, or a random JSON tree put there."""
     root = [json.loads(json.dumps(draw(hs.sampled_from(docs))))]
-    path = draw(hs.sampled_from(list(json_nodes(root[0], (0,)))))
+    nodes = list(json_nodes(root[0], (0,)))
+    path = draw(hs.sampled_from(nodes))
+    apart = [p for p in nodes if path[:len(p)] != p and p[:len(path)] != path]
+    if changes and apart:
+        others = draw(hs.lists(hs.sampled_from(apart), max_size=changes, unique=True),
+                      label="changes")
+        # the deepest first, so every change finds its parent in place
+        for other in sorted(others, key=len, reverse=True):
+            parent = functools.reduce(operator.getitem, other[:-1], root)
+            if isinstance(parent, dict) and draw(hs.booleans(), label="drop"):
+                del parent[other[-1]]
+            else:
+                parent[other[-1]] = draw(FUZZ_TREES, label="tree")
     parent = functools.reduce(operator.getitem, path[:-1], root)
     old = parent[path[-1]]
     amplitude = (path[1:2] in (("codewords",), ("kraus",))

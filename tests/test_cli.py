@@ -661,25 +661,42 @@ FUZZ_CHANNELS = [st.channel_to_json(st.builtin_channel("amplitude-damping", [0.2
                  st.channel_to_json(st.builtin_channel("random-cp", [3, 2, 2]))]
 
 
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=hs.data())
-def test_fuzzed_files_end_in_one_error_line(capsys, tmp_path, data):
+def run_fuzzed_file(capsys, tmp_path, data, changes=0):
+    """validate or characterize on a corrupted code or channel file
+    (``malformed``) ends in exit 1 or 2 with one error line and no
+    output."""
     path = tmp_path / "doc.json"
     if data.draw(hs.booleans(), label="code file"):
-        path.write_text(json.dumps(data.draw(malformed(FUZZ_CODES))))
+        path.write_text(json.dumps(data.draw(malformed(FUZZ_CODES, changes))))
         argv = data.draw(hs.sampled_from([
             ["validate", "--code", str(path)],
             ["characterize", "--code", str(path), "--channel", "depolarizing",
              "--params", "0.1"]]))
     else:
-        path.write_text(json.dumps(data.draw(malformed(FUZZ_CHANNELS))))
+        path.write_text(json.dumps(data.draw(malformed(FUZZ_CHANNELS, changes))))
         code = data.draw(hs.sampled_from(["code3", "code5"]))
         argv = ["characterize", "--code", code, "--channel", str(path)]
     rc, out, err = run(capsys, *argv, "--format", "json")
     assert rc in (1, 2), err
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=hs.data())
+def test_fuzzed_files_end_in_one_error_line(capsys, tmp_path, data):
+    run_fuzzed_file(capsys, tmp_path, data)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=hs.data())
+def test_fuzzed_whole_documents_end_in_one_error_line(capsys, tmp_path, data):
+    """Whole documents: besides the one sure corruption, up to four other
+    keys dropped or nodes replaced by random JSON trees."""
+    run_fuzzed_file(capsys, tmp_path, data, changes=4)
 
 
 # command-line tokens: small counts, which keep a random-cp or identity

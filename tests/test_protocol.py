@@ -3,9 +3,12 @@
 import ast
 import copy
 import dataclasses
+import functools
 import gc
 import inspect
 import json
+import math
+import operator
 import re
 import sys
 import tracemalloc
@@ -1199,9 +1202,14 @@ class TestReconstruct:
 
 
 def reference_reconstruct(records, readouts, basis, policy=st.DEFAULT_POLICY):
-    """Reconstruction as one loop over the readouts: the diagonal from the
-    bare readouts, then each entry's redundant readouts summed in readout
-    order, spread-checked in exact mode and averaged."""
+    """Reconstruction as one loop over the readouts. Each part of an
+    entry a <= b collects its estimates: a bare readout is the real part
+    of its diagonal entry, and any other, less the diagonal half-sum, the
+    real or imaginary part of an upper-triangle entry, so the diagonal
+    comes first. A part's estimates are summed from -0.0 in readout
+    order and averaged; a diagonal entry without them reads NaN for the
+    estimates that subtract it. Parts are then checked in row-major
+    order for a missing estimate and, in exact mode, their spread."""
     by_config = {rec.config_index: rec for rec in records}
     missing = sorted(set(readouts.configs) - set(by_config))
     if missing:
@@ -1210,30 +1218,32 @@ def reference_reconstruct(records, readouts, basis, policy=st.DEFAULT_POLICY):
     rows = table_rows(readouts)
     keys = [(cfg, syn) for cfg in readouts.configs for syn in readouts.syndromes]
 
+    def mean(vals):
+        return functools.reduce(operator.add, vals, -0.0) / len(vals)
+
     d2 = basis.size
-    diag = np.zeros(d2)
+    parts = {}
     for (cfg, syn), (a, b, _, _) in zip(keys, rows):
         if a == b:
-            diag[a] = by_config[cfg].value(syn)
-
-    estimates = {}
+            parts.setdefault((a, a, 0), []).append(by_config[cfg].value(syn))
+    diag = [mean(parts[x, x, 0]) if (x, x, 0) in parts else math.nan
+            for x in range(d2)]
     for (cfg, syn), (a, b, c, s) in zip(keys, rows):
         if a == b:
             continue
         value = by_config[cfg].value(syn)
         value -= 0.5 * (diag[a] + diag[b])
-        slot = estimates.setdefault((a, b), ([], []))
         if c != 0:
-            slot[0].append(value / c)
+            parts.setdefault((a, b, 0), []).append(value / c)
         elif s != 0:
-            slot[1].append(value / s)
+            parts.setdefault((a, b, 1), []).append(value / s)
 
     chi = np.zeros((d2, d2), dtype=complex)
-    chi[np.diag_indices(d2)] = diag
     for a in range(d2):
-        for b in range(a + 1, d2):
-            parts = []
-            for vals in estimates.get((a, b), ([], [])):
+        for b in range(a, d2):
+            means = []
+            for part in (0,) if a == b else (0, 1):
+                vals = parts.get((a, b, part))
                 if not vals:
                     raise ValueError("entry (%s, %s) lacks a real or imaginary "
                                      "readout" % (basis.label(a), basis.label(b)))
@@ -1242,9 +1252,10 @@ def reference_reconstruct(records, readouts, basis, policy=st.DEFAULT_POLICY):
                         "inconsistent redundant readouts for entry "
                         "(%s, %s): spread %g"
                         % (basis.label(a), basis.label(b), max(vals) - min(vals)))
-                parts.append(sum(vals[1:], vals[0]) / len(vals))
-            chi[a, b] = complex(*parts)
-            chi[b, a] = chi[a, b].conjugate()
+                means.append(mean(vals))
+            chi[a, b] = complex(*means)
+            if a < b:
+                chi[b, a] = chi[a, b].conjugate()
     return chi
 
 
@@ -1374,16 +1385,85 @@ def test_reconstruct_matches_readout_loop(code3, code5, data):
 
 
 def test_reconstruct_keeps_a_lone_negative_zero(code3):
-    # without the Y syndrome's readouts, some parts of the zero entries
-    # of phase damping rest on one readout, which reads -0.0
+    # phase damping leaves chi_XX = chi_YY = 0, each read by the one bare
+    # readout of its syndrome; a bare record that reads -0.0 there keeps
+    # -0.0 on the diagonal. A configuration reads each off-diagonal part
+    # at two syndromes (x and b.a.x), so in a table that keeps every
+    # diagonal entry only a bare readout can be lone
     channel = st.builtin_channel("phase-damping", [0.3])
     configs, readouts = st.plan_configurations(code3)
     records = st.simulate(code3, (0.6, 0.8j), channel, configs)
-    readouts = restrict(readouts, [0, 1, 2])
+    bare = {syn: p if p else -0.0 for syn, p in records[0].distribution.items()}
+    records[0] = st.MeasurementRecord.from_distribution(records[0].config_index, bare)
     got = st.reconstruct(records, readouts, code3.error_basis).entries
     assert same_bits(got, reference_reconstruct(records, readouts, code3.error_basis))
-    upper = got[np.triu_indices(4, 1)]
-    assert ((upper.imag == 0) & np.signbit(upper.imag)).any()
+    diag = got.diagonal().real
+    assert (diag == 0).sum() == 2
+    assert (np.signbit(diag) == (diag == 0)).all()
+
+
+def bare_variants(code, channel, sampled):
+    """The paper plan's JSON without its bare configuration and with a
+    second one, each with records that are exact or sampled (10^5 shots,
+    seed 1)."""
+    configs, _ = st.plan_configurations(code)
+    entries = st.plan_to_json(code, configs)["configurations"]
+    sampler = st.SamplingPolicy(shots_per_configuration=100_000, seed=1)
+    out = []
+    for doc in ({"configurations": entries[1:]},
+                {"configurations": [{"kind": "bare"}] + entries}):
+        configs, readouts = st.plan_from_json(code, doc)
+        records = st.simulate(code, (1.0, 0.0), channel, configs)
+        if sampled:
+            records = [st.sample_record(rec, sampler) for rec in records]
+        out.append((readouts, records))
+    return out
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+def test_a_plan_without_the_bare_configuration_is_refused(code3, sampled):
+    """The rotated pair sums are not read for the diagonal: without a
+    bare readout chi_II is missing, in either mode, not read as 0."""
+    channel = st.builtin_channel("amplitude-damping", [0.3])
+    (readouts, records), _ = bare_variants(code3, channel, sampled)
+    with pytest.raises(ValueError, match=r"^entry \(I, I\) lacks a real or "
+                                         r"imaginary readout$"):
+        st.reconstruct(records, readouts, code3.error_basis)
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+def test_a_table_that_drops_a_bare_readout_is_refused(code3, sampled):
+    """A table restricted to some syndromes loses the diagonal entries of
+    the others, and names the first."""
+    channel = st.builtin_channel("amplitude-damping", [0.3])
+    _, (readouts, records) = bare_variants(code3, channel, sampled)
+    with pytest.raises(ValueError, match=r"^entry \(Y, Y\) lacks a real or "
+                                         r"imaginary readout$"):
+        st.reconstruct(records, restrict(readouts, [0, 1, 2]), code3.error_basis)
+
+
+def test_repeated_exact_bare_readouts_are_spread_checked(code3):
+    """Two bare records that disagree are inconsistent readouts of the
+    diagonal, named by its first entry, not read from the last one alone."""
+    channel = st.builtin_channel("amplitude-damping", [0.3])
+    _, (readouts, records) = bare_variants(code3, channel, False)
+    wrong = dict(zip(code3.syndrome_table, [0.5, 0.5, 0.0, 0.0]))
+    records[0] = st.MeasurementRecord.from_distribution(0, wrong)
+    with pytest.raises(ValueError, match=r"^inconsistent redundant readouts for "
+                                         r"entry \(I, I\): spread 0.34333$"):
+        st.reconstruct(records, readouts, code3.error_basis)
+
+
+def test_repeated_sampled_bare_readouts_are_averaged(code3):
+    """Sampled bare readouts of one entry are averaged like every other
+    redundant readout, and the off-diagonal entries subtract the mean."""
+    channel = st.builtin_channel("amplitude-damping", [0.3])
+    _, (readouts, records) = bare_variants(code3, channel, True)
+    got = st.reconstruct(records, readouts, code3.error_basis).entries
+    first, second = (rec.row / rec.shots for rec in records[:2])
+    assert not np.array_equal(first, second)
+    assert same_bits(got.diagonal().real, (-0.0 + first + second) / 2)
+    assert same_bits(got, reference_reconstruct(records, readouts, code3.error_basis))
 
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
