@@ -359,4 +359,7 @@ def channel_from_json(doc: dict) -> Channel:
                       for v in _json_list(row, "kraus[%d][%d]" % (i, j))]
                      for j, row in enumerate(_json_list(mat, "kraus[%d]" % i))])
            for i, mat in enumerate(_json_list(doc["kraus"], "kraus"))]
-    return Channel(p=p, kraus=ops, label=str(doc.get("label", "")))
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise TypeError('"label" must be a string, got %r' % (label,))
+    return Channel(p=p, kraus=ops, label=label)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import jsonio
 from .channels import (
+    _BUILTIN_NAMES,
     _builtin_recipe,
     channel_from_json,
     chi_from_kraus,
@@ -82,10 +83,14 @@ def _resolve_code(spec: str):
 
 def _resolve_channel(spec: str, params):
     """(p, draw, have_oracle): the channel's qubit count and a call that
-    forms it. A file's channel is read here; a built-in one is only
-    checked, so its width is compared with the code's before it is
-    drawn."""
-    if os.path.exists(spec):
+    forms it. A built-in name comes before a file, as for ``--code``. A
+    file's channel takes no parameters and is read here; a built-in one
+    is only checked, so its width is compared with the code's before it
+    is drawn."""
+    if spec.strip().lower() not in _BUILTIN_NAMES and os.path.exists(spec):
+        if params:
+            raise _InputError("--params applies to built-in channels, not to "
+                              "the channel file %s" % spec)
         doc = _load_json(spec)
         try:
             channel = channel_from_json(doc)

@@ -441,5 +441,6 @@ def code_from_json(doc: dict) -> StabilizerCode:
                                for a in _json_list(vec, "codewords[%d]" % i)])
                      for i, vec in enumerate(_json_list(doc["codewords"], "codewords"))]
     ops = doc.get("logical_ops")
-    return build_code(generators, doc["noisy_coords"], codewords=codewords,
+    return build_code(generators, _json_list(doc["noisy_coords"], "noisy_coords"),
+                      codewords=codewords,
                       logical_ops=ops if ops is None else _json_object(ops, "logical_ops"))

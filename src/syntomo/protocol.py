@@ -28,10 +28,11 @@ diagonal. Every off-diagonal entry is determined twice over for
 cross-checking.
 
 Simulation works in the syndrome frame F_x|j_L>: every configuration
-acts there as a d^2 x d^2 map on error indices (F_a F_x = g F_{a.x},
-the toggle is a diagonal phase, and the bare configuration is the
-identity), and a channel on the whole noisy subsystem as its Pauli
-coefficients, so neither a 2^n operator nor a 2^n state is formed.
+acts there as two weighted row maps on error indices, x -> a.x and
+x -> b.x with one phase each (F_a F_x = g F_{a.x}, toggle phase
+applied; a bare configuration has a = b = I and weights 1 and 0), and
+a channel on the whole noisy subsystem as its Pauli coefficients, so
+neither a 2^n operator nor a 2^n state is formed.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import numpy as np
 
 from .channels import Channel, ProcessMatrix
 from .codes import StabilizerCode
+from .jsonio import _json_list, _json_object
 from .numeric import DEFAULT_POLICY
 from .pauli import _MINUS, I_POWERS, _is_integer, apply_pauli, commutes, to_matrix
 
@@ -60,13 +62,10 @@ class Configuration:
     """One measurement setup: pre-processing followed by syndrome readout.
 
     A configuration is its descriptor. ``theta_signs`` maps error index
-    m to the sign of theta_m = +-pi/4. ``rule`` and ``action`` are
-    views of the plan it was compiled in, formed on first read and kept.
-    ``rule[x]`` is the readout rule (A, B, c, s) of error index x (see
-    ``_rules``).
-    ``action`` is the pre-processing U in frame coordinates, the
-    identity when bare: the d^2 x d^2 matrix M with
-    U F_x|j_L> = sum_y M[y, x] F_y|j_L>.
+    m to the sign of theta_m = +-pi/4. ``rule`` is a view of the plan it
+    was compiled in, formed on first read and kept: ``rule[x]`` is the
+    readout rule (A, B, c, s) of error index x (see ``_rules``). Its
+    pre-processing U is the plan's two weighted row maps (``_PlanRows``).
     """
 
     index: int
@@ -82,11 +81,6 @@ class Configuration:
         table = self._rows.readouts
         return tuple(zip(*(column[self.index].tolist() for column in (
             table.a_index, table.b_index, table.coeff_re, table.coeff_im))))
-
-    @functools.cached_property
-    def action(self) -> np.ndarray:
-        """Map ``index`` of the plan's frame maps, read-only."""
-        return self._rows.maps[self.index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,14 +276,13 @@ class ReadoutTable:
 
 @dataclass(frozen=True, eq=False)
 class _PlanRows:
-    """What the configurations of one compiled plan read their views
-    from: the readout table, the rotated rows' mask, the gathered table
-    rows A = a.x and B = b.x (configurations x d^2), and the rotated
-    rows' column phases alpha and beta, toggle phases applied. No d^2 x
-    d^2 array is formed until ``maps`` is read."""
+    """What the configurations of one compiled plan read: the readout
+    table and two weighted row maps per configuration, x -> (A_x, alpha_x)
+    and x -> (B_x, beta_x) with A = a.x and B = b.x, toggle phases applied
+    (each configurations x d^2); a bare row has A = B = x, alpha = 1 and
+    beta = 0. No d^2 x d^2 array is formed until ``maps`` is read."""
 
     readouts: ReadoutTable
-    rotated: np.ndarray
     big_a: np.ndarray
     big_b: np.ndarray
     alpha: np.ndarray
@@ -298,14 +291,13 @@ class _PlanRows:
     @functools.cached_property
     def maps(self) -> np.ndarray:
         """Every configuration's frame map, one read-only (configurations,
-        d^2, d^2) array: M[A_x, x] = alpha_x and M[B_x, x] = beta_x for a
-        rotated row, the identity for a bare one."""
-        rotated, d2 = self.rotated, self.readouts.d2
-        rows, cols = np.flatnonzero(rotated)[:, None], np.arange(d2)
-        maps = np.zeros((len(rotated), d2, d2), dtype=complex)
-        maps[rows, self.big_a[rotated], cols] = self.alpha
-        maps[rows, self.big_b[rotated], cols] = self.beta
-        maps[np.flatnonzero(~rotated)[:, None], cols, cols] = 1.0
+        d^2, d^2) array: M[B_x, x] = beta_x, then M[A_x, x] = alpha_x, so
+        a bare row's map is the identity. U F_x|j_L> = sum_y M[y, x] F_y|j_L>."""
+        big_a = self.big_a
+        rows, cols = np.arange(len(big_a))[:, None], np.arange(big_a.shape[1])
+        maps = np.zeros(big_a.shape + big_a.shape[1:], dtype=complex)
+        maps[rows, self.big_b, cols] = self.beta
+        maps[rows, big_a, cols] = self.alpha
         maps.flags.writeable = False
         return maps
 
@@ -391,9 +383,10 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
     ``build_code`` accepts, branch E_r|psi> expands in the syndrome
     frame as sum_x C[x, r] F_x|psi>, with C the channel's Pauli
     coefficients Tr(F_x E_r)/2^p (``Channel._pauli_coefficients``,
-    computed once per channel). A configuration's frame map M acts on
-    the error index alone, so the syndrome of x has probability
-    |row x of M C|^2 whatever the logical state: beta is only checked.
+    computed once per channel). A configuration's frame map M, row
+    ``index`` of its plan's ``_PlanRows.maps``, acts on the error index
+    alone, so the syndrome of x has probability |row x of M C|^2
+    whatever the logical state: beta is only checked.
     The maps act on the d^2 x K block C, written into stacks of at most
     ``_STACK_BYTES`` of amplitudes (one product, if that is larger), and
     one reduction per stack takes every squared row norm; the
@@ -414,7 +407,7 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
         chunk = configs[start:start + step]
         amps = np.empty((len(chunk),) + block.shape, dtype=complex)
         for out, cfg in zip(amps, chunk):
-            np.matmul(cfg.action, block, out=out)
+            np.matmul(cfg._rows.maps[cfg.index], block, out=out)
         probs[start:start + len(chunk)] = np.einsum(
             "kij,kij->ki", amps.conj(), amps).real
     probs.flags.writeable = False
@@ -471,20 +464,20 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
     that is not toggled zero signs. The pairs' table rows A = a.x,
     B = b.x, e_a and e_b (F_a F_x = i^{e_a} F_A, F_b F_x = i^{e_b} F_B)
     are gathered once for the rules, the frame maps and their check;
-    the configurations keep them in one ``_PlanRows``, which forms the
-    maps when one is first read.
+    the configurations keep them in one ``_PlanRows`` as two weighted
+    row maps, which forms the dense maps when they are first read.
 
-    The rotation (F_a + c F_b)/sqrt(2), c = i for a commuting pair and
-    1 otherwise, has M[A_x, x] = i^{e_a}/sqrt(2) and M[B_x, x] =
-    c i^{e_b}/sqrt(2); a toggle scales column x by e^{i theta_x} and
-    leaves M†M alone. Column x shares its rows only with column
-    x' = b.a.x, so M†M = I exactly when e(x') + e(x) + 2[commuting]
-    = 2 mod 4 for e = e_b - e_a; bare rows pass, and their map is the
-    identity. The first failing pair is named.
+    Every configuration is (F_a + c F_b)/sqrt(2), c = i for a commuting
+    pair and 1 otherwise: x goes to A_x with weight alpha_x =
+    i^{e_a}/sqrt(2) and to B_x with weight beta_x = c i^{e_b}/sqrt(2), a
+    toggle scales both by e^{i theta_x}, and a bare row, whose A and B
+    coincide, has weights 1 and 0. Column x shares its rows only with
+    column x' = b.a.x, so M†M = I exactly when e(x') + e(x) +
+    2[commuting] = 2 mod 4 for e = e_b - e_a; bare rows pass. The first
+    failing pair is named.
     """
     basis = code.error_basis
     idx, phase = basis.product_index, basis.product_phase
-    rotated = np.array([kind != "bare" for kind in kinds], dtype=bool)
     toggled = np.array([kind == "toggled" for kind in kinds], dtype=bool)
     commuting = phase[a, b] == phase[b, a]
     big_a, big_b, e_a, e_b = idx[a], idx[b], phase[a], phase[b]
@@ -497,26 +490,25 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
         raise ValueError("rotation for pair (%s, %s) failed the unitarity check"
                          % (basis.label(a[r]), basis.label(b[r])))
     readouts = ReadoutTable(code.syndrome_table, tuple(range(len(kinds))),
-                            *_rules(big_a, big_b, e, commuting, signs, rotated), code.d2)
+                            *_rules(big_a, big_b, e, commuting, signs), code.d2)
 
-    alpha = I_POWERS[e_a[rotated]] / np.sqrt(2.0)
-    beta = np.where(commuting[rotated], 1j, 1.0)[:, None] * I_POWERS[e_b[rotated]]
-    beta /= np.sqrt(2.0)
+    alpha = I_POWERS[e_a] / np.sqrt(2.0)
+    beta = np.where(commuting, 1j, 1.0)[:, None] * I_POWERS[e_b] / np.sqrt(2.0)
+    bare = big_a == big_b
+    alpha[bare], beta[bare] = 1.0, 0.0
     phases = np.exp(1j * signs[toggled] * np.pi / 4.0)
-    alpha[toggled[rotated]] *= phases
-    beta[toggled[rotated]] *= phases
-    rows = _PlanRows(readouts, rotated, big_a, big_b, alpha, beta)
-    configs = []
-    for i, (kind, a_i, b_i, theta) in enumerate(
-            zip(kinds, a.tolist(), b.tolist(), signs.tolist())):
-        bare = kind == "bare"
-        configs.append(Configuration(
-            index=i, kind=kind, a=None if bare else a_i, b=None if bare else b_i,
-            theta_signs=tuple(theta) if kind == "toggled" else None, _rows=rows))
+    alpha[toggled] *= phases
+    beta[toggled] *= phases
+    rows = _PlanRows(readouts, big_a, big_b, alpha, beta)
+    configs = [Configuration(index=i, kind=kind, a=None if kind == "bare" else a_i,
+                             b=None if kind == "bare" else b_i, _rows=rows,
+                             theta_signs=tuple(theta) if kind == "toggled" else None)
+               for i, (kind, a_i, b_i, theta) in enumerate(
+                   zip(kinds, a.tolist(), b.tolist(), signs.tolist()))]
     return configs, readouts
 
 
-def _rules(big_a, big_b, e, commuting, signs, rotated) -> tuple:
+def _rules(big_a, big_b, e, commuting, signs) -> tuple:
     """The readout rule of every configuration as the read-only columns
     (A, B, c, s) of a ``ReadoutTable``, each of shape configurations x d^2,
     from the gathered table rows A, B and e = e_b - e_a of ``_compile``.
@@ -525,12 +517,13 @@ def _rules(big_a, big_b, e, commuting, signs, rotated) -> tuple:
     syndrome of x has probability (chi_AA + chi_BB)/2 + c Re chi_AB +
     s Im chi_AB. The cross term is Re(i^e chi_AB), with e raised by
     (s_A - s_B)/2 when toggled and lowered by 1 for a commuting pair;
-    A > B folds via chi_BA = chi_AB*. A bare row (x, x, 0, 0) reads
-    chi_xx alone.
+    A > B folds via chi_BA = chi_AB*. A bare row, whose A and B coincide,
+    is (x, x, 0, 0) and reads chi_xx alone.
     """
     row = np.arange(len(signs))[:, None]
     e = (e + (signs[row, big_a] - signs[row, big_b]) // 2 - commuting[:, None]) % 4
-    c, s = _RE_IM[0, e] * rotated[:, None], _RE_IM[1, e] * rotated[:, None]
+    crossed = big_a != big_b
+    c, s = _RE_IM[0, e] * crossed, _RE_IM[1, e] * crossed
     columns = (np.minimum(big_a, big_b), np.maximum(big_a, big_b),
                c, np.where(big_a < big_b, s, -s))
     for column in columns:
@@ -640,13 +633,10 @@ def plan_from_json(code: StabilizerCode, doc: dict):
     basis = code.error_basis
     # a plan repeats each label many times; parse each distinct one once
     index_of_label = functools.cache(basis.index_of_label)
-    entries = doc["configurations"]
-    # a string or an object would iterate, and "" or {} as no configurations
-    if not isinstance(entries, (list, tuple)):
-        raise TypeError('"configurations" must be a list, got %r' % (entries,))
+    entries = _json_list(_json_object(doc)["configurations"], "configurations")
     kinds, pairs, signs = [], [], []
-    for entry in entries:
-        kind = entry["kind"]
+    for i, entry in enumerate(entries):
+        kind = _json_object(entry, "configurations[%d]" % i)["kind"]
         kinds.append(kind)
         row = [0] * code.d2
         signs.append(row)

@@ -403,13 +403,43 @@ class TestInputBoundary:
         # bools once read as qubits 0 and 1; 1.0 and a string failed
         # with Python's own operator messages
         for coords, shown in (([False, True], "[False, True]"),
-                              ([0, 1.0], "[0, 1.0]"), ("01", "'01'")):
+                              ([0, 1.0], "[0, 1.0]")):
             err = self.check_code(capsys, tmp_path, {
                 "generators": ["XIXII", "ZIZII", "IXIXI", "IZIZI"],
                 "noisy_coords": coords,
                 "logical_ops": {"X": "IIIIX", "Z": "IIIIZ"}})
             assert err == ("error: bad code schema in %s: noisy coordinates "
                            "must be integers, got %s\n" % (tmp_path / "code.json", shown))
+
+    def test_noisy_coords_must_be_a_list(self, capsys, tmp_path):
+        # 0 ended in Python's "'int' object is not iterable", and a
+        # string read its letters as coordinates
+        for coords in (0, "01", {"0": 1}, None):
+            err = self.check_code(capsys, tmp_path, {
+                "generators": ["XIXII", "ZIZII", "IXIXI", "IZIZI"],
+                "noisy_coords": coords})
+            assert err == ('error: bad code schema in %s: "noisy_coords" must be '
+                           "a list, got %r\n" % (tmp_path / "code.json", coords))
+
+    def test_channel_label_must_be_a_string(self, capsys, tmp_path):
+        # null was reported as the channel "None"
+        path = tmp_path / "channel.json"
+        for label in (None, 5, ["ad"], {"a": 1}):
+            doc = st.channel_to_json(st.builtin_channel("amplitude-damping", [0.2]))
+            doc["label"] = label
+            path.write_text(json.dumps(doc))
+            err = self.check(capsys, "--channel", str(path))
+            assert err == ('error: bad channel schema in %s: "label" must be a '
+                           "string, got %r\n" % (path, label))
+
+    def test_params_with_a_channel_file(self, capsys, tmp_path):
+        # the parameters were dropped without a word
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(st.channel_to_json(st.builtin_channel("depolarizing", [0.1]))))
+        for params in ("0.3,7,9", "0.3"):
+            err = self.check(capsys, "--channel", str(path), "--params", params)
+            assert err == ("error: --params applies to built-in channels, not to "
+                           "the channel file %s\n" % path)
 
     def test_undecodable_code_file(self, capsys, tmp_path):
         path = tmp_path / "code.json"
@@ -777,6 +807,28 @@ def test_non_hermitian_generator_is_a_domain_error(capsys, tmp_path):
     rc, out, err = run(capsys, "validate", "--code", str(path))
     assert (rc, out) == (1, "")
     assert err == "error: generator −iYYZ is not Hermitian\n"
+
+
+def test_a_builtin_name_is_read_before_a_file(capsys, tmp_path, monkeypatch):
+    """``--code`` and ``--channel`` resolve a built-in name before a file
+    of that name, which its path still reads."""
+    monkeypatch.chdir(tmp_path)
+    doc = st.channel_to_json(st.builtin_channel("phase-damping", [0.2]))
+    doc["label"] = "from a file"
+    for name in ("depolarizing", "Depolarizing"):
+        Path(name).write_text(json.dumps(doc))
+    Path("code5").write_text(json.dumps(st.code_to_json(st.builtin_code("code3"))))
+    for channel in ("depolarizing", "Depolarizing"):
+        rc, report, err = run_json(capsys, "characterize", "--code", "code5",
+                                   "--channel", channel, "--params", "0.3")
+        assert (rc, err) == (0, "")
+        assert report["channel"] == "depolarizing(0.3)" and "error_report" in report
+        assert len(report["basis"]) == 16
+    rc, report, err = run_json(capsys, "characterize", "--code", "./code5",
+                               "--channel", "./depolarizing")
+    assert (rc, err) == (0, "")
+    assert report["channel"] == "from a file" and "error_report" not in report
+    assert len(report["basis"]) == 4
 
 
 def test_report_escapes_label(capsys, tmp_path):

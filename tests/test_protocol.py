@@ -40,6 +40,12 @@ def table_rows(readouts):
                     readouts.coeff_im.ravel().tolist()))
 
 
+def frame_map(cfg):
+    """The configuration's dense frame map: row ``index`` of its plan's
+    maps, the row ``simulate`` reads."""
+    return cfg._rows.maps[cfg.index]
+
+
 def rotated(code, a, b):
     """The rotated configuration of pair (a, b), by error labels."""
     doc = {"configurations": [{"kind": "rotated", "a": a, "b": b}]}
@@ -463,7 +469,7 @@ def register_simulate(code, beta, channel, configs):
     block, _ = register_block(code, beta, channel)
     out = []
     for cfg in configs:
-        amps = cfg.action @ block
+        amps = frame_map(cfg) @ block
         out.append(np.einsum("ij,ij->i", amps.conj(), amps).real)
     return out
 
@@ -562,16 +568,18 @@ def test_a_bell4_plan_compiles_in_a_small_tracemalloc_peak():
 
 
 def test_a_plan_only_written_as_json_forms_no_view():
-    """``rule`` and ``action`` are formed on first read: a plan that only
-    ``plan_to_json`` reads has neither, and its maps are not formed."""
+    """``rule`` is formed on first read and the frame maps at the first
+    ``simulate``: a plan that only ``plan_to_json`` reads has neither."""
     code = fresh_builtin("code5")
     configs, _ = st.plan_configurations(code)
     st.plan_to_json(code, configs)
-    assert [name for cfg in configs for name in ("rule", "action") if name in vars(cfg)] == []
+    assert [cfg.index for cfg in configs if "rule" in vars(cfg)] == []
     assert "maps" not in vars(configs[0]._rows)
-    # one read forms every configuration's map, which the others then share
-    assert configs[3].action.base is configs[0]._rows.maps
-    assert "action" not in vars(configs[0])
+    # one simulation forms every configuration's map, which the others then share
+    st.xi_simulated(code, (1.0, 0.0), st.builtin_channel("identity", [2]), configs[3])
+    assert "maps" in vars(configs[0]._rows)
+    assert frame_map(configs[0]).base is configs[3]._rows.maps
+    assert not hasattr(configs[0], "action")
 
 
 def test_simulate_holds_far_less_than_the_frame_maps():
@@ -579,7 +587,7 @@ def test_simulate_holds_far_less_than_the_frame_maps():
     # configuration's amplitudes at once, held more than that
     code = built_frame_code("bell3")
     configs, _ = st.plan_configurations(code)
-    maps = sum(cfg.action.nbytes for cfg in configs if cfg.kind != "bare")
+    maps = sum(frame_map(cfg).nbytes for cfg in configs if cfg.kind != "bare")
     channel = st.builtin_channel("random-cp", [5, 3, 64])
     beta = np.array([0.6, 0.8j])
     # the first call computes the channel's coefficients, which the second reuses
@@ -616,17 +624,25 @@ def test_simulate_refuses_a_narrower_channel(code5, ad036):
 
 def test_every_configuration_carries_a_frame_map(frame_code):
     """The bare configuration's map is the identity, bit for bit, also
-    when the plan is rebuilt from its JSON descriptors."""
+    when the plan is rebuilt from its JSON descriptors: its two row maps
+    both send x to x, with weights 1 and 0."""
     code = frame_code
     configs, _ = st.plan_configurations(code)
     again, _ = st.plan_from_json(code, st.plan_to_json(code, configs))
+    cols = np.arange(code.d2)
     for plan in (configs, again):
+        rows = plan[0]._rows
+        assert [f.name for f in dataclasses.fields(rows)] == [
+            "readouts", "big_a", "big_b", "alpha", "beta"]
+        assert np.array_equal(rows.big_a[0], cols) and np.array_equal(rows.big_b[0], cols)
+        assert same_bits(rows.alpha[0], np.ones(code.d2, dtype=complex))
+        assert same_bits(rows.beta[0], np.zeros(code.d2, dtype=complex))
         for cfg in plan:
-            assert cfg.action.shape == (code.d2, code.d2)
-            assert cfg.action.dtype == complex and not cfg.action.flags.writeable
+            assert frame_map(cfg).shape == (code.d2, code.d2)
+            assert frame_map(cfg).dtype == complex and not frame_map(cfg).flags.writeable
         assert [cfg.kind for cfg in plan].count("bare") == 1
         assert plan[0].kind == "bare"
-        assert same_bits(plan[0].action, np.eye(code.d2, dtype=complex))
+        assert same_bits(frame_map(plan[0]), np.eye(code.d2, dtype=complex))
 
 
 @pytest.mark.parametrize("name", ["code5", "bell2-tail"])
@@ -858,7 +874,7 @@ class TestPlanner:
         for c, d in zip(configs, again_cfgs):
             assert (c.kind, c.a, c.b, c.theta_signs) == \
                 (d.kind, d.a, d.b, d.theta_signs)
-            assert np.abs(c.action - d.action).max() < 1e-12
+            assert np.abs(frame_map(c) - frame_map(d)).max() < 1e-12
         assert again_ros.configs == readouts.configs
         assert again_ros.syndromes == readouts.syndromes
         assert table_rows(again_ros) == table_rows(readouts)
@@ -974,7 +990,7 @@ def test_pair_plan_json_text_round_trip(name, seed, count):
     again, again_readouts = st.plan_from_json(code, json.loads(text))
 
     def described(cfg):
-        action = (cfg.action.dtype, cfg.action.tobytes())
+        action = (frame_map(cfg).dtype, frame_map(cfg).tobytes())
         return cfg.index, cfg.kind, cfg.a, cfg.b, cfg.theta_signs, cfg.rule, action
 
     assert list(map(described, again)) == list(map(described, configs))
@@ -999,7 +1015,7 @@ class TestCompiledPlan:
             want = reference_plan(code, doc)
             assert len(configs) == len(want)
             for cfg, (action, rule, signs) in zip(configs, want):
-                assert same_bits(cfg.action, action)
+                assert same_bits(frame_map(cfg), action)
                 assert cfg.rule == tuple(map(tuple, rule.tolist()))
                 assert cfg.theta_signs == signs
             rules = np.array([rule for _, rule, _ in want]).reshape(-1, code.d2, 4)
@@ -1018,7 +1034,7 @@ class TestCompiledPlan:
         configs, _ = st.plan_from_json(code, pair_plan(code, some_pairs(code, rng, 60), rng))
         eye = np.eye(code.d2)
         for cfg in configs[1:]:
-            assert np.abs(cfg.action.conj().T @ cfg.action - eye).max() <= 1e-12
+            assert np.abs(frame_map(cfg).conj().T @ frame_map(cfg) - eye).max() <= 1e-12
 
     def test_corrupted_product_phase_fails_the_unitarity_check(self, code5):
         basis = code5.error_basis
@@ -1093,6 +1109,24 @@ class TestCompiledPlan:
         doc = {"configurations": [{"kind": "bare"}, entry]}
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             st.plan_from_json(code3, doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([{"kind": "bare"}], "expected a JSON object, got list"),
+    ({"configurations": {"kind": "bare"}},
+     '"configurations" must be a list, got {\'kind\': \'bare\'}'),
+    ({"configurations": [{"kind": "bare"}, 5]},
+     'expected a JSON object for "configurations[1]", got int'),
+    ({"configurations": ["bare"]}, 'expected a JSON object for "configurations[0]", got str'),
+    ({"configurations": [None]}, 'expected a JSON object for "configurations[0]", got null'),
+    ({"configurations": [{"kind": "toggled", "a": "I", "b": "Z", "theta": ["+"]}]},
+     '"theta" must map error labels to signs, got [\'+\']'),
+])
+def test_plan_from_json_schema_errors(code3, doc, message):
+    # a document or entry that is not an object once failed with Python's
+    # "list indices must be integers" or "string indices must be integers"
+    with pytest.raises(TypeError, match="^%s$" % re.escape(message)):
+        st.plan_from_json(code3, doc)
 
 
 # valid documents for the plan fuzz: the default plans of code3 and code5
@@ -1318,18 +1352,31 @@ def test_reconstruct_matches_readout_loop(code3, code5, data):
     """Array reconstruction equals the per-readout loop bit for bit
     (values, signed zeros and error messages) on random plans that
     repeat configurations, for exact and sampled records, simulated or
-    built by hand from dicts."""
+    built by hand from dicts, read through the plan's table, through one
+    whose syndromes are every syndrome reordered and some repeated (so
+    the records are gathered by syndrome), or through the readouts of a
+    proper subset of the syndromes. A dropped syndrome drops its
+    diagonal entry's one bare readout, so a subset draw compares error
+    messages. Lone off-diagonal readouts cannot be drawn: a configuration
+    reads each off-diagonal part at two syndromes, x and b.a.x, and a
+    table holds one syndrome tuple for all its rows, so a table that
+    keeps every diagonal entry keeps both."""
     name = data.draw(hs.sampled_from(sorted(RECONSTRUCT_CASES)), label="case")
     code_name, channel_name, params = RECONSTRUCT_CASES[name]
     code = code3 if code_name == "code3" else code5
     basis = code.error_basis
     doc = {"configurations": random_plan(code, data)}
     configs, readouts = st.plan_from_json(code, doc)
-    if data.draw(hs.booleans(), label="restricted"):
-        # the readouts of some syndromes only: lone and single-signed
-        # groups, so averages of -0.0 occur
-        keep = data.draw(hs.sets(hs.integers(0, code.d2 - 1), min_size=1),
+    restricted = data.draw(hs.sampled_from(["no", "reordered", "subset"]), label="restricted")
+    if restricted == "reordered":
+        repeats = data.draw(hs.lists(hs.integers(0, code.d2 - 1), max_size=3),
+                            label="repeated syndromes")
+        keep = data.draw(hs.permutations(list(range(code.d2)) + repeats),
                          label="syndromes")
+        readouts = restrict(readouts, keep)
+    elif restricted == "subset":
+        keep = data.draw(hs.sets(hs.integers(0, code.d2 - 1), min_size=1,
+                                 max_size=code.d2 - 1), label="syndromes")
         readouts = restrict(readouts, sorted(keep))
     channel = st.builtin_channel(channel_name, params)
     if channel.p < len(code.noisy_coords):
