@@ -94,14 +94,14 @@ class Channel:
         call. A completeness sum above the identity raises and stores
         nothing, so such a channel fails every call. Word x is row x of
         the p-qubit word table (``pauli._word_table``), a signed
-        permutation (``pauli._signed_rows``), so row x of C reads d
-        entries of each Kraus operator.
+        permutation (``pauli._signed_rows``, kept per p by ``_word_rows``),
+        so row x of C reads d entries of each Kraus operator.
         """
         # row r d + i is row i of E_r, so flat† flat is the completeness sum
         flat = self.kraus.reshape(-1, self.dim)
         if np.linalg.eigvalsh(flat.conj().T @ flat).max() > 1.0 + DEFAULT_POLICY.algebraic:
             raise ValueError("Kraus completeness sum exceeds identity")
-        cols, phases = _signed_rows(_word_table(self.p), self.dim)
+        cols, phases = _word_rows(self.p)
         # Tr(F_x E) is the sum over rows i of F_x[i, c] E[c, i], c = cols[i, x]
         entries = self.kraus[:, cols, np.arange(self.dim)[:, None]]
         coeffs = np.einsum("ix,rix->xr", phases, entries) / self.dim
@@ -111,36 +111,77 @@ class Channel:
 
 @dataclass(frozen=True, eq=False)
 class ProcessMatrix:
-    """d^2 x d^2 process matrix over a fixed error-basis order."""
+    """d^2 x d^2 process matrix over a fixed error-basis order.
+
+    ``entries`` is copied once into a read-only complex array: the
+    caller's array stays writable, and a process matrix never changes
+    after construction, so what is derived from it is kept. Its
+    spectrum (``_spectrum``) is computed by the first read, and the
+    predictions of a readout table (``_predicted``) by the first request
+    for that table; both live as long as the matrix.
+    """
 
     entries: np.ndarray
     basis: ErrorBasis = field(repr=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.array(self.entries, dtype=complex)
         d2 = self.basis.size
         if entries.shape != (d2, d2):
             raise ValueError("chi shape %s does not match basis size %d"
                              % (entries.shape, d2))
+        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+        # what _predicted keeps, by readout table; not a field, so it
+        # stays out of fields(), asdict() and replace()
+        object.__setattr__(self, "_predictions", {})
 
     @property
     def d2(self) -> int:
         return self.basis.size
+
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        """``_hermitian_spectrum`` of the entries, computed by the first read."""
+        return _hermitian_spectrum(self.entries)
+
+    def _predicted(self, readouts) -> np.ndarray:
+        """``readouts.predicted(self)``, read-only, computed by the first
+        request for that table and kept, keyed by the table.
+
+        A lone request on a fresh matrix pays for the whole table
+        (configurations x d^2 gathers), and the result is kept for the
+        matrix's lifetime (4 KB for the code5 plan, 16.8 MB at p = 5);
+        the callers read every entry. Two threads that race here both
+        compute the table, and either result is the same.
+        """
+        table = self._predictions.get(readouts)
+        if table is None:
+            table = readouts.predicted(self)
+            table.flags.writeable = False
+            self._predictions[readouts] = table
+        return table
+
+
+def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of (m + m†)/2, ascending, read-only."""
+    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    eigs.flags.writeable = False
+    return eigs
 
 
 def validity_report(chi: ProcessMatrix) -> dict:
     """Hermiticity defect, smallest eigenvalue and trace of chi.
 
     Reconstruction never projects onto the positive cone, so validity
-    is reported rather than enforced.
+    is reported rather than enforced. The eigenvalues are chi's kept
+    spectrum (``ProcessMatrix._spectrum``), which ``compare`` reads too.
     """
     m = chi.entries
     herm = float(np.abs(m - m.conj().T).max())
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     return {
         "hermiticity_defect": herm,
-        "min_eigenvalue": float(eigs.min()),
+        "min_eigenvalue": float(chi._spectrum.min()),
         "trace": float(np.trace(m).real),
     }
 
@@ -149,20 +190,41 @@ def chi_from_kraus(channel: Channel, basis: ErrorBasis) -> ProcessMatrix:
     """Brute-force process matrix of a Kraus channel.
 
     Expands every Kraus operator over the p-qubit error words using
-    Tr(F_i F_j†) = d delta_{ij}, all words in one stacked product (the
-    stack is rendered once per p), and assembles chi as a sum of outer
-    products, one per Kraus operator.
+    Tr(F_i F_j†) = d delta_{ij}, all words and Kraus operators in one
+    stacked product (the word stack is rendered once per p; a channel
+    whose products would exceed ``_KRAUS_STACK_BYTES`` takes them a
+    slice of Kraus operators at a time), and assembles chi as a sum of
+    outer products, one per Kraus operator, in Kraus order.
     """
     if basis.p != channel.p:
         raise ValueError("basis is on %d qubits, channel on %d"
                          % (basis.p, channel.p))
     d = channel.dim
-    adjoints = _adjoint_words(basis.p)
+    adjoints = _adjoint_words(basis.p)[:, None]
+    step = max(1, _KRAUS_STACK_BYTES // adjoints.nbytes)
+    kraus = channel.kraus
+    coeffs = np.concatenate([np.trace(adjoints @ kraus[k:k + step], axis1=2, axis2=3)
+                             for k in range(0, len(kraus), step)], axis=1) / d
     chi = np.zeros((basis.size, basis.size), dtype=complex)
-    for e in channel.kraus:
-        coeffs = np.trace(adjoints @ e, axis1=1, axis2=2) / d
-        chi += np.outer(coeffs, coeffs.conj())
+    for column in coeffs.T:
+        chi += np.outer(column, column.conj())
     return ProcessMatrix(chi, basis)
+
+
+# word-times-Kraus products that chi_from_kraus stacks at once: every
+# Kraus operator of a channel up to p = 3, 16 at a time at p = 4
+_KRAUS_STACK_BYTES = 1 << 24
+
+
+@functools.lru_cache(maxsize=8)
+def _word_rows(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The signed rows (cols, phases) of the p-qubit error words on a
+    p-qubit register (``pauli._signed_rows`` of ``pauli._word_table(p)``),
+    read-only, derived once per p."""
+    rows = _signed_rows(_word_table(p), 1 << p)
+    for array in rows:
+        array.flags.writeable = False
+    return rows
 
 
 @functools.lru_cache(maxsize=8)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, ProcessMatrix, extend_channel
+from .channels import Channel, ProcessMatrix, _hermitian_spectrum, extend_channel
 from .codes import StabilizerCode
 from .pauli import _is_integer
 from .protocol import (
@@ -125,21 +125,26 @@ def characterize(code: StabilizerCode, channel: Channel, beta,
         records = [sample_record(rec, sampling) for rec in records]
     chi = reconstruct(records, readouts, code.error_basis)
     observed, _ = readouts.observed(records)
-    residuals = np.abs(observed - readouts.predicted(chi)).max(axis=1).tolist()
+    residuals = np.abs(observed - chi._predicted(readouts)).max(axis=1).tolist()
     return Characterization(channel, configs, records, chi, residuals)
 
 
 def compare(chi_est, chi_oracle) -> ErrorReport:
-    """Error metrics between two process matrices of equal dimension."""
+    """Error metrics between two process matrices of equal dimension.
+
+    The minimum eigenvalue is ``chi_est``'s kept spectrum when it is a
+    ``ProcessMatrix`` (the one ``validity_report`` reads), and that of a
+    raw array's Hermitian part otherwise."""
     a = chi_est.entries if isinstance(chi_est, ProcessMatrix) else np.asarray(chi_est)
     b = chi_oracle.entries if isinstance(chi_oracle, ProcessMatrix) else np.asarray(chi_oracle)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch %s vs %s" % (a.shape, b.shape))
     diff = a - b
-    herm = (a + a.conj().T) / 2.0
+    eigs = (chi_est._spectrum if isinstance(chi_est, ProcessMatrix)
+            else _hermitian_spectrum(a))
     return ErrorReport(
         frobenius_error=float(np.linalg.norm(diff, "fro")),
         max_entry_error=float(np.abs(diff).max()),
         trace_defect=float(abs(np.trace(a).real - np.trace(b).real)),
-        min_eigenvalue=float(np.linalg.eigvalsh(herm).min()),
+        min_eigenvalue=float(eigs.min()),
     )

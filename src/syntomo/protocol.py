@@ -260,13 +260,21 @@ class ReadoutTable:
             array.flags.writeable = False
         return out
 
+    def _check_size(self, d2: int) -> None:
+        """Refuse a basis of other than the table's ``d2`` elements."""
+        if d2 != self.d2:
+            raise ValueError("the readout table is for a basis of %d elements, "
+                             "not %d" % (self.d2, d2))
+
     def _gather(self, rec: MeasurementRecord) -> list:
         """The record's values at the table's syndromes, 0 where absent."""
         dist = rec.distribution
         return [dist.get(syn, 0) for syn in self.syndromes]
 
     def predicted(self, chi: ProcessMatrix) -> np.ndarray:
-        """Every readout's closed-form probability under chi."""
+        """Every readout's closed-form probability under chi, a chi on a
+        basis of the table's ``d2`` elements."""
+        self._check_size(chi.d2)
         ent = chi.entries
         diag = ent.diagonal().real
         z = ent[self.a_index, self.b_index]
@@ -367,12 +375,10 @@ def build_toggle(code: StabilizerCode, theta_signs) -> np.ndarray:
 
 
 def xi_predicted(chi: ProcessMatrix, cfg: Configuration, x: int) -> float:
-    """Closed-form syndrome probability for error index x under cfg."""
-    a, b, c, s = cfg.rule[x]
-    ent = chi.entries
-    z = ent.item(a, b)
-    return (0.5 * (ent.item(a, a).real + ent.item(b, b).real)
-            + (c * z.real + s * z.imag))
+    """Closed-form syndrome probability for error index x under cfg: entry
+    (cfg.index, x) of ``ReadoutTable.predicted`` for cfg's plan, which chi
+    computes on the first such call and keeps (``ProcessMatrix._predicted``)."""
+    return chi._predicted(cfg._rows.readouts).item(cfg.index, x)
 
 
 def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
@@ -552,9 +558,7 @@ def reconstruct(records, readouts: ReadoutTable, basis) -> ProcessMatrix:
     """
     probs, exact = readouts.observed(records)
     d2 = basis.size
-    if d2 != readouts.d2:
-        raise ValueError("the readout table is for a basis of %d elements, "
-                         "not %d" % (readouts.d2, d2))
+    readouts._check_size(d2)
     order, slot, a, b, cs, n, counted, missing, upper, lower = readouts._reduction
     est = probs.ravel()[order]
     k = est.size - cs.size

@@ -139,6 +139,21 @@ def transforms(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """The shapes of the matrices given to ``np.linalg.eigvalsh`` while
+    the test runs, one entry per call."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return shapes
+
+
 # one-node corruptions of valid JSON documents, for the file and plan fuzzers
 FUZZ_LEAVES = (hs.none() | hs.booleans() | hs.integers(-3, 7)
                | hs.floats(allow_nan=False) | hs.text(max_size=3))

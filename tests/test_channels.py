@@ -1,6 +1,8 @@
 """Channel constructors and the chi-matrix transforms they feed."""
 
+import dataclasses
 import hashlib
+import itertools
 import re
 import tracemalloc
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import syntomo as st
+from conftest import FRAME_CODES, built_frame_code
 from syntomo import channels, pauli
 from syntomo.channels import Channel, ProcessMatrix
 
@@ -384,6 +387,69 @@ def test_validity_report_on_oracle_chi(ad036):
 def test_process_matrix_shape_validation():
     with pytest.raises(ValueError):
         ProcessMatrix(np.eye(3, dtype=complex), one_qubit_basis())
+
+
+def test_process_matrix_copies_once_and_is_read_only(code3, ad036):
+    """chi keeps its own read-only complex copy of the entries: writing
+    to it raises, the caller's array stays writable, and later writes
+    to that array do not reach chi."""
+    for given in (np.eye(4) / 4, np.eye(4, dtype=complex) / 4):
+        chi = ProcessMatrix(given, one_qubit_basis())
+        assert chi.entries.dtype == complex and not chi.entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            chi.entries[0, 0] = 1.0
+        assert given.flags.writeable
+        given[0, 0] = given[1, 2] = 7.0
+        assert chi.entries.tolist() == (np.eye(4) / 4).tolist()
+    made = (st.chi_from_kraus(ad036, one_qubit_basis()),
+            st.characterize(code3, ad036, (1.0, 0.0)).chi)
+    assert all(not chi.entries.flags.writeable for chi in made)
+    assert [f.name for f in dataclasses.fields(ProcessMatrix)] == ["entries", "basis"]
+
+
+def per_operator_chi(channel, basis):
+    """chi_from_kraus with one word-stack product per Kraus operator: the
+    reference its stacked expansion reproduces bit for bit."""
+    words = channels._adjoint_words(basis.p)
+    chi = np.zeros((basis.size, basis.size), dtype=complex)
+    for e in channel.kraus:
+        coeffs = np.trace(words @ e, axis1=1, axis2=2) / channel.dim
+        chi += np.outer(coeffs, coeffs.conj())
+    return chi
+
+
+@pytest.mark.parametrize("step", [None, 1, 2], ids=["one-stack", "slices-of-1", "slices-of-2"])
+@pytest.mark.parametrize("name", sorted(FRAME_CODES))
+def test_chi_from_kraus_stacks_the_kraus_operators_bit_for_bit(monkeypatch, name, step):
+    """One stacked product over every Kraus operator, or slices of
+    ``step`` of them, gives the per-operator chi byte for byte."""
+    basis = built_frame_code(name).error_basis
+    if step is not None:
+        monkeypatch.setattr(channels, "_KRAUS_STACK_BYTES",
+                            step * channels._adjoint_words(basis.p).nbytes)
+    for seed, rank in itertools.product(range(3), (1, 2, 3, 4)):
+        channel = st.builtin_channel("random-cp", [seed, basis.p, rank])
+        chi = st.chi_from_kraus(channel, basis)
+        assert chi.entries.tobytes() == per_operator_chi(channel, basis).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_word_rows_are_derived_once_per_p(monkeypatch, p):
+    """Every channel on p qubits reads one read-only copy of the words'
+    signed rows, so a new channel derives none."""
+    rows = channels._word_rows(p)
+    want = pauli._signed_rows(pauli._word_table(p), 1 << p)
+    assert all(not array.flags.writeable for array in rows)
+    assert all(np.array_equal(a, b) for a, b in zip(rows, want, strict=True))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("signed rows derived again")
+
+    monkeypatch.setattr(channels, "_signed_rows", refuse)
+    for seed in range(2):
+        coeffs = st.builtin_channel("random-cp", [seed, p, 2])._pauli_coefficients
+        assert coeffs.shape == (4 ** p, 2)
+    assert channels._word_rows(p) is rows
 
 
 def test_extend_channel_pads_with_identity(ad036):

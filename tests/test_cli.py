@@ -322,6 +322,16 @@ class TestCharacterize:
         assert calls == []
 
 
+def test_characterize_report_computes_one_spectrum(capsys, eigvalsh_shapes):
+    """The report's validity and oracle comparison share one eigvalsh of
+    chi's Hermitian part (the channel's completeness check is 4 x 4)."""
+    rc, doc, _ = run_json(capsys, "characterize", "--code", "code5", "--channel",
+                          "random-cp", "--params", "3,2,2", "--mode", "sampled")
+    assert rc == 0 and "error_report" in doc
+    assert eigvalsh_shapes.count((16, 16)) == 1
+    assert doc["validity"]["min_eigenvalue"] == doc["error_report"]["min_eigenvalue"]
+
+
 GOLDEN_REPORTS = [
     (("--code", "code5", "--channel", "random-cp", "--params", "3,2,2",
       "--mode", "sampled", "--seed", "4"), "55f1ca3a8bb49222"),

@@ -218,6 +218,27 @@ class TestCompare:
             st.compare(np.eye(4), np.eye(16))
 
 
+def test_one_spectrum_serves_validity_and_compare(code5, eigvalsh_shapes):
+    """validity_report and compare read chi's spectrum, computed by the
+    first of them and kept on chi; a raw estimate's spectrum is computed
+    on each compare."""
+    channel = st.builtin_channel("random-cp", [3, 2, 2])
+    oracle = st.chi_from_kraus(channel, code5.error_basis)
+    chi = st.characterize(code5, channel, (0.6, 0.8j), st.SamplingPolicy(100, seed=1)).chi
+    del eigvalsh_shapes[:]
+    report = st.validity_report(chi)
+    errors = [st.compare(chi, oracle), st.compare(chi, oracle.entries)]
+    assert st.validity_report(chi) == report
+    assert eigvalsh_shapes == [(16, 16)]
+    m = chi.entries
+    want = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
+    raw = st.compare(m, oracle)
+    assert eigvalsh_shapes == [(16, 16)] * 3
+    assert report["min_eigenvalue"] < 0.0
+    assert {report["min_eigenvalue"], raw.min_eigenvalue} == {want}
+    assert all(err == raw for err in errors)
+
+
 def bits(values):
     """Floats as hex strings, so equality is bitwise (-0.0 != 0.0)."""
     return [float(v).hex() for v in values]

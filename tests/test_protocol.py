@@ -212,6 +212,58 @@ class TestPredictedReadout:
                            - st.xi_predicted(conj, rot, x)) < 1e-12
 
 
+def closed_form_xi(chi, cfg, x):
+    """The closed-form readout of error index x under cfg from cfg's rule
+    row, in Python floats: the reference ``xi_predicted`` reproduces."""
+    a, b, c, s = cfg.rule[x]
+    ent = chi.entries
+    z = ent.item(a, b)
+    return (0.5 * (ent.item(a, a).real + ent.item(b, b).real)
+            + (c * z.real + s * z.imag))
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CODES))
+def test_xi_predicted_is_the_closed_form_bit_for_bit(name, rng):
+    """Every configuration and syndrome, on random Hermitian chis and on
+    one of signed zeros: a Python float, bit for bit the closed form,
+    read from the one prediction table that chi keeps for the plan."""
+    code = built_frame_code(name)
+    configs, readouts = st.plan_configurations(code)
+    zeros = np.zeros((code.d2, code.d2), dtype=complex)
+    zeros.real[::2] = zeros.imag[::3] = -0.0
+    chis = [ProcessMatrix(zeros, code.error_basis)]
+    chis += [random_hermitian_chi(code.error_basis, rng) for _ in range(3)]
+    for chi in chis:
+        got = [st.xi_predicted(chi, cfg, x) for cfg in configs for x in range(code.d2)]
+        want = [closed_form_xi(chi, cfg, x) for cfg in configs for x in range(code.d2)]
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert list(chi._predictions) == [readouts]
+        kept = chi._predicted(readouts)
+        assert not kept.flags.writeable
+        assert kept.tobytes() == readouts.predicted(chi).tobytes()
+
+
+def test_predicted_refuses_a_chi_of_another_basis_size():
+    """A code5 chi on the code3 plan and a code3 chi on the code5 plan end
+    in reconstruct's one-line error, from the table and from xi_predicted,
+    and chi keeps no prediction."""
+    code3, code5 = st.builtin_code("code3"), st.builtin_code("code5")
+    for chi_code, plan_code in ((code5, code3), (code3, code5)):
+        p = len(chi_code.noisy_coords)
+        channel = st.builtin_channel("random-cp", [1, p, 2])
+        chi = st.chi_from_kraus(channel, chi_code.error_basis)
+        configs, readouts = st.plan_configurations(plan_code)
+        message = ("the readout table is for a basis of %d elements, not %d"
+                   % (plan_code.d2, chi_code.d2))
+        with pytest.raises(ValueError, match="^%s$" % message):
+            readouts.predicted(chi)
+        for cfg in (configs[0], configs[1]):
+            with pytest.raises(ValueError, match="^%s$" % message):
+                st.xi_predicted(chi, cfg, 0)
+        assert chi._predictions == {}
+
+
 class TestSimulatedReadout:
     def test_identity_channel_all_weight_on_zero_syndrome(self, code3):
         cfg = st.plan_configurations(code3)[0][0]
