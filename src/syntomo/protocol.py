@@ -32,7 +32,9 @@ acts there as two weighted row maps on error indices, x -> a.x and
 x -> b.x with one phase each (F_a F_x = g F_{a.x}, toggle phase
 applied; a bare configuration has a = b = I and weights 1 and 0), and
 a channel on the whole noisy subsystem as its Pauli coefficients, so
-neither a 2^n operator nor a 2^n state is formed.
+neither a 2^n operator nor a 2^n state is formed. A channel evaluates
+a plan whole at its first simulation and keeps the records
+(``Channel._simulated``); later calls read rows of them.
 """
 
 from __future__ import annotations
@@ -309,6 +311,27 @@ class _PlanRows:
         maps.flags.writeable = False
         return maps
 
+    def probabilities(self, block: np.ndarray) -> np.ndarray:
+        """Every configuration's syndrome probabilities under the Pauli
+        coefficients ``block`` (d^2 x K), one read-only configurations x
+        d^2 array: row i, entry x is |row x of M_i block|^2. The maps act
+        on the block a stack of at most ``_STACK_BYTES`` of amplitudes at
+        a time (one product, if that is larger), and one reduction per
+        stack takes every squared row norm."""
+        maps = self.maps
+        probs = np.empty(maps.shape[:2])
+        step = max(1, _STACK_BYTES // block.nbytes)
+        for start in range(0, len(maps), step):
+            amps = np.matmul(maps[start:start + step], block)
+            probs[start:start + step] = np.einsum("kij,kij->ki", amps.conj(), amps).real
+        probs.flags.writeable = False
+        return probs
+
+
+# amplitudes that one reduction of _PlanRows.probabilities takes: all of
+# a code5 plan's, while a p = 4 plan's stack stays far below its frame maps
+_STACK_BYTES = 1 << 18
+
 
 def _normalized(beta: np.ndarray) -> bool:
     """Whether a complex vector has norm 1 within ``DEFAULT_POLICY.algebraic``,
@@ -393,11 +416,12 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
     ``index`` of its plan's ``_PlanRows.maps``, acts on the error index
     alone, so the syndrome of x has probability |row x of M C|^2
     whatever the logical state: beta is only checked.
-    The maps act on the d^2 x K block C, written into stacks of at most
-    ``_STACK_BYTES`` of amplitudes (one product, if that is larger), and
-    one reduction per stack takes every squared row norm; the
-    probabilities sum to the output trace. The records come back in the
-    order of ``configs``.
+    The probabilities sum to the output trace. Every call checks the
+    channel's width, beta and completeness sum; the channel then
+    evaluates each distinct plan among ``configs`` whole at its first
+    request (``_PlanRows.probabilities``) and keeps the read-only array
+    for its lifetime (``Channel._simulated``). The records are
+    read-only rows of it, in the order of ``configs``.
     """
     noisy = len(code.noisy_coords)
     if channel.p != noisy:
@@ -405,30 +429,20 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
                          "subsystem has %d; extend_channel pads a narrower "
                          "channel" % (channel.p, noisy))
     _amplitudes(code, beta)
-    block = channel._pauli_coefficients
+    # the completeness check, which a channel that fails it fails every time
+    channel._pauli_coefficients
     configs = tuple(configs)
-    probs = np.empty((len(configs), block.shape[0]))
-    step = max(1, _STACK_BYTES // block.nbytes)
-    for start in range(0, len(configs), step):
-        chunk = configs[start:start + step]
-        amps = np.empty((len(chunk),) + block.shape, dtype=complex)
-        for out, cfg in zip(amps, chunk):
-            np.matmul(cfg._rows.maps[cfg.index], block, out=out)
-        probs[start:start + len(chunk)] = np.einsum(
-            "kij,kij->ki", amps.conj(), amps).real
-    probs.flags.writeable = False
-    return [MeasurementRecord(cfg.index, code.syndrome_table, row)
-            for cfg, row in zip(configs, probs)]
-
-
-# amplitudes that simulate stacks for one reduction: all of a code5
-# plan's, while a p = 4 plan's stack stays far below its frame maps
-_STACK_BYTES = 1 << 18
+    kept = {rows: channel._simulated(rows) for rows in dict.fromkeys(
+        cfg._rows for cfg in configs)}
+    return [MeasurementRecord(cfg.index, code.syndrome_table, kept[cfg._rows][cfg.index])
+            for cfg in configs]
 
 
 def xi_simulated(code: StabilizerCode, beta, channel: Channel,
                  cfg: Configuration) -> MeasurementRecord:
-    """Exact syndrome distribution of one configuration (see simulate)."""
+    """Exact syndrome distribution of one configuration: ``simulate`` of
+    one, so the first call on a channel evaluates cfg's whole plan and
+    the others read a row of what the channel keeps."""
     return simulate(code, beta, channel, [cfg])[0]
 
 

@@ -586,23 +586,99 @@ def test_records_do_not_depend_on_the_logical_state(frame_code):
         assert record_bits(st.simulate(code, beta, channel, configs)) == want
 
 
+def product_row(cfg, channel):
+    """The reference for a record's row: cfg's dense frame map times the
+    channel's Pauli coefficients, one configuration at a time, and the
+    squared row norms reduced as a stack of one. This is the product
+    ``simulate`` once ran per configuration."""
+    amps = (frame_map(cfg) @ channel._pauli_coefficients)[None]
+    return np.einsum("kij,kij->ki", amps.conj(), amps).real[0]
+
+
+def assert_product_records(records, configs, channel, table):
+    """Each record is its configuration's ``product_row`` bit for bit,
+    read-only float64 on the code's syndrome table, in order."""
+    assert len(records) == len(configs)
+    for cfg, rec in zip(configs, records):
+        want = product_row(cfg, channel)
+        assert rec.config_index == cfg.index and rec.syndromes is table
+        assert rec.row.dtype == want.dtype and rec.row.tobytes() == want.tobytes()
+        assert not rec.row.flags.writeable
+
+
 def test_simulate_subset_matches_xi_simulated(code5):
     """A shuffled subset of a plan, one configuration repeated and the
     bare one included: each position holds the record xi_simulated
-    gives for its configuration."""
+    gives for its configuration, and both are the per-configuration
+    product (``product_row``) bit for bit."""
     configs, _ = st.plan_configurations(code5)
     channel = st.builtin_channel("random-cp", [11, 2, 3])
     beta = np.array([0.6, 0.8j])
     order = np.random.default_rng(16).permutation(len(configs))[:9].tolist()
     subset = [configs[i] for i in order + [order[2], 0]]
     records = st.simulate(code5, beta, channel, subset)
-    assert len(records) == len(subset)
-    for cfg, rec in zip(subset, records):
-        want = st.xi_simulated(code5, beta, channel, cfg)
-        assert rec.config_index == want.config_index == cfg.index
-        assert rec.syndromes is code5.syndrome_table
-        assert rec.row.dtype == want.row.dtype and rec.row.tobytes() == want.row.tobytes()
-        assert not rec.row.flags.writeable
+    assert_product_records(records, subset, channel, code5.syndrome_table)
+    singles = [st.xi_simulated(code5, beta, channel, cfg) for cfg in subset]
+    assert_product_records(singles, subset, channel, code5.syndrome_table)
+    # a repeated configuration reads the same row of the kept array
+    assert records[-2].row.base is records[2].row.base
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CODES) + ["bell4"])
+def test_records_are_the_per_configuration_product(name):
+    """On every frame code and on bell4, simulate in plan order and
+    reversed and xi_simulated one configuration at a time, each on a
+    fresh channel, give the per-configuration product bit for bit, for
+    a channel on all noisy qubits and a padded narrower one."""
+    code = (st.build_code(bell_pair_generators(4), range(4)) if name == "bell4"
+            else FRAME_CODES[name]())
+    noisy = len(code.noisy_coords)
+    configs, _ = st.plan_configurations(code)
+    beta = np.full(1 << code.k, 2 ** (-code.k / 2))
+    for q in sorted({1, noisy}):
+        channel = st.extend_channel(st.builtin_channel("random-cp", [5, q, 3]), noisy)
+        for order in (configs, configs[::-1]):
+            fresh = st.Channel(noisy, channel.kraus)
+            records = st.simulate(code, beta, fresh, order)
+            assert_product_records(records, order, channel, code.syndrome_table)
+        fresh = st.Channel(noisy, channel.kraus)
+        singles = [st.xi_simulated(code, beta, fresh, cfg) for cfg in configs[::-1]]
+        assert_product_records(singles, configs[::-1], channel, code.syndrome_table)
+
+
+def test_a_channel_simulates_each_plan_once(code5, monkeypatch):
+    """31 xi_simulated calls on a fresh channel run the whole-plan
+    kernel once, one batched product for code5's one stack; a plan
+    rebuilt from JSON gets its own kept array, and a list that mixes
+    both plans' configurations comes back in order."""
+    configs, _ = st.plan_configurations(code5)
+    rebuilt, _ = st.plan_from_json(code5, st.plan_to_json(code5, configs))
+    kernel, products = [], []
+    probabilities, matmul = protocol._PlanRows.probabilities, np.matmul
+
+    def counting_kernel(rows, block):
+        kernel.append(rows)
+        return probabilities(rows, block)
+
+    def counting_matmul(*args, **kwargs):
+        products.append(np.shape(args[0]))
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(protocol._PlanRows, "probabilities", counting_kernel)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    channel = st.builtin_channel("random-cp", [9, 2, 2])
+    beta = np.array([0.6, 0.8j])
+    singles = [st.xi_simulated(code5, beta, channel, cfg) for cfg in configs]
+    plan = configs[0]._rows
+    assert kernel == [plan] and products == [(31, 16, 16)]
+    assert list(channel._records) == [plan]
+    assert_product_records(singles, configs, channel, code5.syndrome_table)
+    mixed = [cfg for pair in zip(configs[::-1], rebuilt) for cfg in pair][:40]
+    for _ in range(2):
+        records = st.simulate(code5, beta, channel, mixed)
+        assert kernel == [plan, rebuilt[0]._rows]
+        assert list(channel._records) == [plan, rebuilt[0]._rows]
+        assert_product_records(records, mixed, channel, code5.syndrome_table)
 
 
 def test_a_bell4_plan_compiles_in_a_small_tracemalloc_peak():
@@ -642,8 +718,9 @@ def test_simulate_holds_far_less_than_the_frame_maps():
     maps = sum(frame_map(cfg).nbytes for cfg in configs if cfg.kind != "bare")
     channel = st.builtin_channel("random-cp", [5, 3, 64])
     beta = np.array([0.6, 0.8j])
-    # the first call computes the channel's coefficients, which the second reuses
-    st.simulate(code, beta, channel, configs[:1])
+    # the channel's coefficients come first, so the peak is the plan's
+    # evaluation alone: its stacks and the array the channel keeps
+    channel._pauli_coefficients
     tracemalloc.start()
     try:
         records = st.simulate(code, beta, channel, configs)
@@ -655,13 +732,49 @@ def test_simulate_holds_far_less_than_the_frame_maps():
 
 
 def test_simulate_of_no_configurations_runs_the_gates(code3):
+    """The width, amplitude and completeness checks run on every call:
+    with no configurations, and also once the channel keeps the plan's
+    records, when a call reads them and computes nothing."""
     channel = st.builtin_channel("depolarizing", [0.1])
-    assert st.simulate(code3, (1.0, 0.0), channel, []) == []
-    with pytest.raises(ValueError, match="not normalized"):
-        st.simulate(code3, (1.0, 1.0), channel, [])
     wide = st.builtin_channel("random-cp", [3, 2, 1])
-    with pytest.raises(ValueError, match="channel acts on 2 qubits"):
-        st.simulate(code3, (1.0, 0.0), wide, [])
+    over = st.Channel(1, (np.eye(2), np.eye(2)))
+    configs, _ = st.plan_configurations(code3)
+    assert st.simulate(code3, (1.0, 0.0), channel, []) == []
+    for batch in ([], configs, configs[2:3]):
+        with pytest.raises(ValueError, match="^logical amplitudes are not normalized$"):
+            st.simulate(code3, (1.0, 1.0), channel, batch)
+        with pytest.raises(ValueError, match="^channel acts on 2 qubits"):
+            st.simulate(code3, (1.0, 0.0), wide, batch)
+        with pytest.raises(ValueError, match="^Kraus completeness sum exceeds identity$"):
+            st.simulate(code3, (1.0, 0.0), over, batch)
+        st.simulate(code3, (1.0, 0.0), channel, configs)
+        assert list(channel._records) == [configs[0]._rows]
+    for cfg in (configs[0], configs[-1]):
+        with pytest.raises(ValueError, match="^logical amplitudes are not normalized$"):
+            st.xi_simulated(code3, (1.0, 1.0), channel, cfg)
+        with pytest.raises(ValueError, match="^channel acts on 2 qubits"):
+            st.xi_simulated(code3, (1.0, 0.0), wide, cfg)
+    assert wide._records == {} and over._records == {}
+
+
+def test_an_over_complete_channel_fails_every_call_and_keeps_nothing(code5):
+    """A completeness sum above the identity raises on every simulate
+    and xi_simulated call, not only the first, and the channel stores
+    neither coefficients nor records, while a good channel's kept
+    records still serve."""
+    configs, _ = st.plan_configurations(code5)
+    over = st.extend_channel(st.Channel(1, (np.eye(2), np.eye(2))), 2)
+    good = st.extend_channel(st.builtin_channel("amplitude-damping", [0.36]), 2)
+    want = st.simulate(code5, (1.0, 0.0), good, configs)
+    for _ in range(3):
+        for batch in (configs, configs[5:6], []):
+            with pytest.raises(ValueError, match="^Kraus completeness sum exceeds identity$"):
+                st.simulate(code5, (1.0, 0.0), over, batch)
+        for cfg in (configs[0], configs[-1]):
+            with pytest.raises(ValueError, match="^Kraus completeness sum exceeds identity$"):
+                st.xi_simulated(code5, (1.0, 0.0), over, cfg)
+        assert over._records == {} and "_pauli_coefficients" not in vars(over)
+    assert record_bits(st.simulate(code5, (1.0, 0.0), good, configs)) == record_bits(want)
 
 
 def test_simulate_refuses_a_narrower_channel(code5, ad036):
