@@ -60,7 +60,8 @@ class Channel:
     copied once: the caller's arrays stay writable, and a channel never
     changes after construction, so what is derived from it is kept: its
     Pauli coefficients and, per simulated plan, the plan's records
-    (``_simulated``).
+    (``_simulated``). A pickle or a copy carries the fields alone and
+    starts with none of them.
     """
 
     p: int
@@ -87,6 +88,9 @@ class Channel:
         # what _simulated keeps, by plan; not a field, so it stays out
         # of fields(), asdict() and replace()
         object.__setattr__(self, "_records", {})
+
+    def __reduce__(self):
+        return type(self), (self.p, self.kraus, self.label)
 
     @property
     def dim(self) -> int:
@@ -140,7 +144,8 @@ class ProcessMatrix:
     after construction, so what is derived from it is kept. Its
     spectrum (``_spectrum``) is computed by the first read, and the
     predictions of a readout table (``_predicted``) by the first request
-    for that table; both live as long as the matrix.
+    for that table; both live as long as the matrix. A pickle or a copy
+    carries the fields alone and starts with neither.
     """
 
     entries: np.ndarray
@@ -157,6 +162,9 @@ class ProcessMatrix:
         # what _predicted keeps, by readout table; not a field, so it
         # stays out of fields(), asdict() and replace()
         object.__setattr__(self, "_predictions", {})
+
+    def __reduce__(self):
+        return type(self), (self.entries, self.basis)
 
     @property
     def d2(self) -> int:

@@ -32,9 +32,9 @@ acts there as two weighted row maps on error indices, x -> a.x and
 x -> b.x with one phase each (F_a F_x = g F_{a.x}, toggle phase
 applied; a bare configuration has a = b = I and weights 1 and 0), and
 a channel on the whole noisy subsystem as its Pauli coefficients, so
-neither a 2^n operator nor a 2^n state is formed. A channel evaluates
-a plan whole at its first simulation and keeps the records
-(``Channel._simulated``); later calls read rows of them.
+neither a 2^n operator, a 2^n state nor a d^2 x d^2 frame map is
+formed. A channel evaluates a plan whole at its first simulation and
+keeps the records (``Channel._simulated``); later calls read rows.
 """
 
 from __future__ import annotations
@@ -64,10 +64,9 @@ class Configuration:
     """One measurement setup: pre-processing followed by syndrome readout.
 
     A configuration is its descriptor. ``theta_signs`` maps error index
-    m to the sign of theta_m = +-pi/4. ``rule`` is a view of the plan it
-    was compiled in, formed on first read and kept: ``rule[x]`` is the
-    readout rule (A, B, c, s) of error index x (see ``_rules``). Its
-    pre-processing U is the plan's two weighted row maps (``_PlanRows``).
+    m to the sign of theta_m = +-pi/4. Its pre-processing U is row
+    ``index`` of the plan's two weighted row maps, and its readout rule
+    row ``index`` of the plan's readout table (``_PlanRows``).
     """
 
     index: int
@@ -76,13 +75,6 @@ class Configuration:
     b: int | None = None
     theta_signs: tuple | None = None
     _rows: _PlanRows = field(repr=False, kw_only=True)
-
-    @functools.cached_property
-    def rule(self) -> tuple:
-        """Row ``index`` of the plan's readout table, as (A, B, c, s) ints."""
-        table = self._rows.readouts
-        return tuple(zip(*(column[self.index].tolist() for column in (
-            table.a_index, table.b_index, table.coeff_re, table.coeff_im))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,10 +279,10 @@ class ReadoutTable:
 @dataclass(frozen=True, eq=False)
 class _PlanRows:
     """What the configurations of one compiled plan read: the readout
-    table and two weighted row maps per configuration, x -> (A_x, alpha_x)
-    and x -> (B_x, beta_x) with A = a.x and B = b.x, toggle phases applied
-    (each configurations x d^2); a bare row has A = B = x, alpha = 1 and
-    beta = 0. No d^2 x d^2 array is formed until ``maps`` is read."""
+    table and two weighted row maps per configuration (each
+    configurations x d^2). Row y of its frame map holds alpha_y in
+    column A_y = a.y and beta_y in column B_y = b.y, toggle phases
+    applied; a bare row has A = B = y, alpha = 1 and beta = 0."""
 
     readouts: ReadoutTable
     big_a: np.ndarray
@@ -298,38 +290,28 @@ class _PlanRows:
     alpha: np.ndarray
     beta: np.ndarray
 
-    @functools.cached_property
-    def maps(self) -> np.ndarray:
-        """Every configuration's frame map, one read-only (configurations,
-        d^2, d^2) array: M[B_x, x] = beta_x, then M[A_x, x] = alpha_x, so
-        a bare row's map is the identity. U F_x|j_L> = sum_y M[y, x] F_y|j_L>."""
-        big_a = self.big_a
-        rows, cols = np.arange(len(big_a))[:, None], np.arange(big_a.shape[1])
-        maps = np.zeros(big_a.shape + big_a.shape[1:], dtype=complex)
-        maps[rows, self.big_b, cols] = self.beta
-        maps[rows, big_a, cols] = self.alpha
-        maps.flags.writeable = False
-        return maps
-
     def probabilities(self, block: np.ndarray) -> np.ndarray:
         """Every configuration's syndrome probabilities under the Pauli
         coefficients ``block`` (d^2 x K), one read-only configurations x
-        d^2 array: row i, entry x is |row x of M_i block|^2. The maps act
-        on the block a stack of at most ``_STACK_BYTES`` of amplitudes at
-        a time (one product, if that is larger), and one reduction per
-        stack takes every squared row norm."""
-        maps = self.maps
-        probs = np.empty(maps.shape[:2])
+        d^2 array: row i, entry y is |alpha_y block[A_y] + beta_y
+        block[B_y]|^2, row y of M_i block. The rows are gathered for a
+        stack of at most ``_STACK_BYTES`` of amplitudes at a time (one
+        configuration, if that is larger) and summed in place, and one
+        reduction per stack takes every squared row norm."""
+        big_a, big_b, alpha, beta = self.big_a, self.big_b, self.alpha, self.beta
+        probs = np.empty(big_a.shape)
         step = max(1, _STACK_BYTES // block.nbytes)
-        for start in range(0, len(maps), step):
-            amps = np.matmul(maps[start:start + step], block)
-            probs[start:start + step] = np.einsum("kij,kij->ki", amps.conj(), amps).real
+        for start in range(0, len(big_a), step):
+            part = slice(start, start + step)
+            amps = alpha[part, :, None] * block[big_a[part]]
+            amps += beta[part, :, None] * block[big_b[part]]
+            probs[part] = np.einsum("kij,kij->ki", amps.conj(), amps).real
         probs.flags.writeable = False
         return probs
 
 
 # amplitudes that one reduction of _PlanRows.probabilities takes: all of
-# a code5 plan's, while a p = 4 plan's stack stays far below its frame maps
+# a code5 plan's, and a small share of a wider plan's at a time
 _STACK_BYTES = 1 << 18
 
 
@@ -412,9 +394,9 @@ def simulate(code: StabilizerCode, beta, channel: Channel, configs) -> list:
     ``build_code`` accepts, branch E_r|psi> expands in the syndrome
     frame as sum_x C[x, r] F_x|psi>, with C the channel's Pauli
     coefficients Tr(F_x E_r)/2^p (``Channel._pauli_coefficients``,
-    computed once per channel). A configuration's frame map M, row
-    ``index`` of its plan's ``_PlanRows.maps``, acts on the error index
-    alone, so the syndrome of x has probability |row x of M C|^2
+    computed once per channel). A configuration's frame map M acts on
+    the error index alone, so the syndrome of y has probability
+    |row y of M C|^2 = |alpha_y C[A_y] + beta_y C[B_y]|^2 (``_PlanRows``)
     whatever the logical state: beta is only checked.
     The probabilities sum to the output trace. Every call checks the
     channel's width, beta and completeness sum; the channel then
@@ -483,15 +465,17 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
     signs ``signs[i]``; a bare row carries the pair (0, 0) and a row
     that is not toggled zero signs. The pairs' table rows A = a.x,
     B = b.x, e_a and e_b (F_a F_x = i^{e_a} F_A, F_b F_x = i^{e_b} F_B)
-    are gathered once for the rules, the frame maps and their check;
+    are gathered once for the rules, the row maps and their check;
     the configurations keep them in one ``_PlanRows`` as two weighted
-    row maps, which forms the dense maps when they are first read.
+    row maps, and no d^2 x d^2 array is formed.
 
     Every configuration is (F_a + c F_b)/sqrt(2), c = i for a commuting
-    pair and 1 otherwise: x goes to A_x with weight alpha_x =
-    i^{e_a}/sqrt(2) and to B_x with weight beta_x = c i^{e_b}/sqrt(2), a
-    toggle scales both by e^{i theta_x}, and a bare row, whose A and B
-    coincide, has weights 1 and 0. Column x shares its rows only with
+    pair and 1 otherwise: column x goes to A_x with weight
+    i^{e_a}/sqrt(2) and to B_x with weight c i^{e_b}/sqrt(2), a toggle
+    scales both by e^{i theta_x}, and a bare row, whose A and B
+    coincide, has weights 1 and 0. A and B are involutions, so row y
+    holds the weights of columns A_y and B_y; ``_PlanRows`` keeps them
+    per row. Column x shares its rows only with
     column x' = b.a.x, so M†M = I exactly when e(x') + e(x) +
     2[commuting] = 2 mod 4 for e = e_b - e_a; bare rows pass. The first
     failing pair is named.
@@ -519,7 +503,8 @@ def _compile(code: StabilizerCode, kinds, a, b, signs):
     phases = np.exp(1j * signs[toggled] * np.pi / 4.0)
     alpha[toggled] *= phases
     beta[toggled] *= phases
-    rows = _PlanRows(readouts, big_a, big_b, alpha, beta)
+    rows = _PlanRows(readouts, big_a, big_b, np.take_along_axis(alpha, big_a, 1),
+                     np.take_along_axis(beta, big_b, 1))
     configs = [Configuration(index=i, kind=kind, a=None if kind == "bare" else a_i,
                              b=None if kind == "bare" else b_i, _rows=rows,
                              theta_signs=tuple(theta) if kind == "toggled" else None)
@@ -552,10 +537,12 @@ def _rules(big_a, big_b, e, commuting, signs) -> tuple:
 
 
 def derive_readouts(code: StabilizerCode, configs) -> ReadoutTable:
-    """The plan's readout table: every configuration's rule rows
-    (``Configuration.rule``), one table row per configuration."""
-    rules = np.array([cfg.rule for cfg in configs], dtype=np.int64)
-    columns = rules.reshape(-1, code.d2, 4).transpose(2, 0, 1).copy()
+    """The readout table of ``configs``: row ``cfg.index`` of each
+    configuration's own plan table, one table row per configuration."""
+    configs = tuple(configs)
+    columns = np.array([[getattr(cfg._rows.readouts, name)[cfg.index] for cfg in configs]
+                        for name in ("a_index", "b_index", "coeff_re", "coeff_im")],
+                       dtype=np.int64).reshape(4, -1, code.d2)
     columns.flags.writeable = False
     return ReadoutTable(code.syndrome_table, tuple(cfg.index for cfg in configs),
                         *columns, code.d2)

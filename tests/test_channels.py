@@ -1,8 +1,10 @@
 """Channel constructors and the chi-matrix transforms they feed."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
+import pickle
 import re
 import tracemalloc
 
@@ -405,6 +407,21 @@ def test_process_matrix_copies_once_and_is_read_only(code3, ad036):
             st.characterize(code3, ad036, (1.0, 0.0)).chi)
     assert all(not chi.entries.flags.writeable for chi in made)
     assert [f.name for f in dataclasses.fields(ProcessMatrix)] == ["entries", "basis"]
+
+
+def test_a_pickled_process_matrix_carries_no_memo(code5):
+    """A characterize chi keeps its readout table's predictions and its
+    spectrum, and pickles to the bytes of a fresh matrix of the same
+    entries; a pickle or a copy starts with neither memo."""
+    channel = st.builtin_channel("random-cp", [3, 2, 2])
+    chi = st.characterize(code5, channel, (1.0, 0.0)).chi
+    st.validity_report(chi)
+    assert chi._predictions and "_spectrum" in vars(chi)
+    assert pickle.dumps(chi) == pickle.dumps(ProcessMatrix(chi.entries, chi.basis))
+    for again in (pickle.loads(pickle.dumps(chi)), copy.deepcopy(chi), copy.copy(chi)):
+        assert list(vars(again)) == ["entries", "basis", "_predictions"]
+        assert not again.entries.flags.writeable
+        assert again.entries.tobytes() == chi.entries.tobytes()
 
 
 def per_operator_chi(channel, basis):

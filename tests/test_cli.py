@@ -336,7 +336,7 @@ GOLDEN_REPORTS = [
     (("--code", "code5", "--channel", "random-cp", "--params", "3,2,2",
       "--mode", "sampled", "--seed", "4"), "55f1ca3a8bb49222"),
     (("--code", "code5", "--channel", "random-cp", "--params", "3,2,2",
-      "--seed", "4"), "ca2650639b20ad58"),
+      "--seed", "4"), "cfbc09b7bf7cd395"),
     (("--code", "code3", "--channel", "amplitude-damping", "--params", "0.36",
       "--mode", "sampled", "--shots", "10", "--seed", "1"), "6fb6974d66a37de3"),
 ]
@@ -958,22 +958,40 @@ def test_bell4_plans_in_a_small_fresh_process(tmp_path):
     assert fresh_max_rss("plan", "--code", bell_code_file(tmp_path, 4)) < 100e6
 
 
-def test_out_of_memory_is_one_error_line(tmp_path):
-    """An allocation the address space cannot hold ends in one line and
-    exit 1, not a traceback: the dense frame maps of a bell5 plan are
-    32 GiB. The child's address space is capped at 2 GiB."""
+def capped_characterize(path, *argv):
+    """``syntomo characterize --code <path> <argv>`` as its own process,
+    its address space capped at 2 GiB, with one BLAS thread: each
+    thread's buffers count against the cap."""
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     src = str(Path(st.__file__).resolve().parents[1])
-    # one BLAS thread: each thread's buffers count against the cap
-    proc = subprocess.run([sys.executable, "-m", "syntomo.cli", "characterize", "--code",
-                           str(bell_code_file(tmp_path, 5)), "--channel", "identity"],
+    return subprocess.run([sys.executable, "-m", "syntomo.cli", "characterize", "--code",
+                           str(path), *argv],
                           capture_output=True, text=True, preexec_fn=cap_address_space,
                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+
+
+def test_out_of_memory_is_one_error_line(tmp_path):
+    """An allocation the address space cannot hold ends in one line and
+    exit 1, not a traceback: a bell6 plan's error-index rows alone are
+    256 MiB each, under a 2 GiB cap."""
+    proc = capped_characterize(bell_code_file(tmp_path, 6), "--channel", "identity")
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == ("error: out of memory: Unable to allocate 32.0 GiB for an "
-                           "array with shape (2047, 1024, 1024) and data type complex128\n")
+    assert proc.stderr == ("error: out of memory: Unable to allocate 256. MiB for an "
+                           "array with shape (8191, 4096) and data type int64\n")
+
+
+def test_bell5_characterizes_under_the_address_space_cap(tmp_path):
+    """``characterize`` forms no frame map, so a bell5 run, whose dense
+    maps would be 32 GiB, fits in 2 GiB: exact chi within 1e-12 of the
+    oracle, in a valid JSON report."""
+    proc = capped_characterize(bell_code_file(tmp_path, 5), "--channel", "random-cp",
+                               "--params", "1,5,2", "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert doc["mode"] == "exact" and len(doc["chi"]) == 1024
+    assert doc["error_report"]["frobenius_error"] <= 1e-12
 
 
 def test_bell6_validates_in_a_small_tracemalloc_peak(capsys, tmp_path):

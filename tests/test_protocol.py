@@ -9,6 +9,7 @@ import inspect
 import json
 import math
 import operator
+import pickle
 import re
 import sys
 import tracemalloc
@@ -32,18 +33,29 @@ def exact_records(code, channel, beta=(1.0, 0.0)):
     return configs, readouts, st.simulate(code, beta, channel, configs)
 
 
-def table_rows(readouts):
-    """Every readout of a table as (A, B, c, s), in readout order."""
-    return list(zip(readouts.a_index.ravel().tolist(),
-                    readouts.b_index.ravel().tolist(),
-                    readouts.coeff_re.ravel().tolist(),
-                    readouts.coeff_im.ravel().tolist()))
+def table_rows(readouts, row=slice(None)):
+    """Every readout of a table as (A, B, c, s), in readout order; those
+    of table row ``row`` alone when it is given."""
+    return list(zip(*(column[row].ravel().tolist() for column in (
+        readouts.a_index, readouts.b_index, readouts.coeff_re, readouts.coeff_im))))
+
+
+def rule_rows(cfg):
+    """cfg's readout rule as (A, B, c, s) per error index: row
+    ``cfg.index`` of its plan's readout table."""
+    return table_rows(cfg._rows.readouts, cfg.index)
 
 
 def frame_map(cfg):
-    """The configuration's dense frame map: row ``index`` of its plan's
-    maps, the row ``simulate`` reads."""
-    return cfg._rows.maps[cfg.index]
+    """The configuration's dense frame map, scattered from its plan's two
+    row maps: M[y, B_y] = beta_y, then M[y, A_y] = alpha_y, so a bare
+    map is the identity. U F_x|j_L> = sum_y M[y, x] F_y|j_L>."""
+    rows, i = cfg._rows, cfg.index
+    y = np.arange(rows.big_a.shape[1])
+    m = np.zeros((y.size, y.size), dtype=complex)
+    m[y, rows.big_b[i]] = rows.beta[i]
+    m[y, rows.big_a[i]] = rows.alpha[i]
+    return m
 
 
 def rotated(code, a, b):
@@ -215,7 +227,7 @@ class TestPredictedReadout:
 def closed_form_xi(chi, cfg, x):
     """The closed-form readout of error index x under cfg from cfg's rule
     row, in Python floats: the reference ``xi_predicted`` reproduces."""
-    a, b, c, s = cfg.rule[x]
+    a, b, c, s = rule_rows(cfg)[x]
     ent = chi.entries
     z = ent.item(a, b)
     return (0.5 * (ent.item(a, a).real + ent.item(b, b).real)
@@ -587,11 +599,14 @@ def test_records_do_not_depend_on_the_logical_state(frame_code):
 
 
 def product_row(cfg, channel):
-    """The reference for a record's row: cfg's dense frame map times the
-    channel's Pauli coefficients, one configuration at a time, and the
-    squared row norms reduced as a stack of one. This is the product
-    ``simulate`` once ran per configuration."""
-    amps = (frame_map(cfg) @ channel._pauli_coefficients)[None]
+    """The reference for a record's row: cfg's two row maps read off the
+    channel's Pauli coefficients C one configuration at a time, row y
+    of M C as alpha_y C[A_y] + beta_y C[B_y], and the squared row norms
+    reduced as a stack of one."""
+    rows, i = cfg._rows, cfg.index
+    coeffs = channel._pauli_coefficients
+    amps = (rows.alpha[i, :, None] * coeffs[rows.big_a[i]]
+            + rows.beta[i, :, None] * coeffs[rows.big_b[i]])[None]
     return np.einsum("kij,kij->ki", amps.conj(), amps).real[0]
 
 
@@ -646,31 +661,89 @@ def test_records_are_the_per_configuration_product(name):
         assert_product_records(singles, configs[::-1], channel, code.syndrome_table)
 
 
+@pytest.mark.parametrize("name", sorted(FRAME_CODES) + ["bell4"])
+def test_records_are_the_dense_product_within_rounding(name):
+    """Each record is within 4.5e-16 of |row y of M C|^2 with M the
+    configuration's dense frame map (``frame_map``), which ``simulate``
+    never forms, for a channel on all noisy qubits."""
+    code = (st.build_code(bell_pair_generators(4), range(4)) if name == "bell4"
+            else built_frame_code(name))
+    configs, _ = st.plan_configurations(code)
+    channel = st.builtin_channel("random-cp", [13, len(code.noisy_coords), 3])
+    records = st.simulate(code, np.eye(1 << code.k)[0], channel, configs)
+    for cfg, rec in zip(configs, records, strict=True):
+        amps = frame_map(cfg) @ channel._pauli_coefficients
+        assert np.abs(rec.row - (amps.conj() * amps).real.sum(axis=1)).max() <= 4.5e-16
+
+
+def test_the_row_maps_are_involutions(frame_code):
+    """A[A_y] = B[B_y] = y on every row of the paper's plan and of a
+    pair plan read from JSON: x -> a.x and x -> b.x undo themselves, so
+    row y of a frame map reads columns A_y and B_y."""
+    code = frame_code
+    rng = np.random.default_rng(29)
+    plans = [st.plan_configurations(code)[0],
+             st.plan_from_json(code, pair_plan(code, some_pairs(code, rng, 40), rng))[0]]
+    for plan in plans:
+        rows = plan[0]._rows
+        for big in (rows.big_a, rows.big_b):
+            assert np.array_equal(np.take_along_axis(big, big, 1),
+                                  np.broadcast_to(np.arange(code.d2), big.shape))
+
+
+def test_a_bell4_simulate_holds_under_a_hundredth_of_its_maps():
+    """The 510 non-bare frame maps of a bell4 plan are 535 MB; a whole-plan
+    simulation, which forms none of them, peaks below 1% of that."""
+    code = st.build_code(bell_pair_generators(4), range(4))
+    configs, _ = st.plan_configurations(code)
+    maps = (len(configs) - 1) * code.d2 * code.d2 * np.dtype(complex).itemsize
+    channel = st.builtin_channel("random-cp", [5, 4, 4])
+    channel._pauli_coefficients
+    tracemalloc.start()
+    try:
+        records = st.simulate(code, (1.0, 0.0), channel, configs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 511
+    assert peak < maps / 100
+
+
+def test_a_pickled_channel_carries_no_records(code5):
+    """A channel pickles to the same bytes before and after ``simulate``,
+    and a pickle or a copy starts with no memo: simulated again, it gives
+    the same records bit for bit."""
+    configs, _ = st.plan_configurations(code5)
+    channel = st.builtin_channel("random-cp", [3, 2, 2])
+    before = pickle.dumps(channel)
+    records = st.simulate(code5, (1.0, 0.0), channel, configs)
+    assert channel._records and pickle.dumps(channel) == before
+    for again in (pickle.loads(before), copy.deepcopy(channel), copy.copy(channel)):
+        assert list(vars(again)) == ["p", "kraus", "label", "_records"]
+        assert again._records == {} and not again.kraus.flags.writeable
+        assert (record_bits(st.simulate(code5, (1.0, 0.0), again, configs))
+                == record_bits(records))
+
+
 def test_a_channel_simulates_each_plan_once(code5, monkeypatch):
     """31 xi_simulated calls on a fresh channel run the whole-plan
-    kernel once, one batched product for code5's one stack; a plan
-    rebuilt from JSON gets its own kept array, and a list that mixes
-    both plans' configurations comes back in order."""
+    kernel once; a plan rebuilt from JSON gets its own kept array, and
+    a list that mixes both plans' configurations comes back in order."""
     configs, _ = st.plan_configurations(code5)
     rebuilt, _ = st.plan_from_json(code5, st.plan_to_json(code5, configs))
-    kernel, products = [], []
-    probabilities, matmul = protocol._PlanRows.probabilities, np.matmul
+    kernel = []
+    probabilities = protocol._PlanRows.probabilities
 
     def counting_kernel(rows, block):
         kernel.append(rows)
         return probabilities(rows, block)
 
-    def counting_matmul(*args, **kwargs):
-        products.append(np.shape(args[0]))
-        return matmul(*args, **kwargs)
-
     monkeypatch.setattr(protocol._PlanRows, "probabilities", counting_kernel)
-    monkeypatch.setattr(np, "matmul", counting_matmul)
     channel = st.builtin_channel("random-cp", [9, 2, 2])
     beta = np.array([0.6, 0.8j])
     singles = [st.xi_simulated(code5, beta, channel, cfg) for cfg in configs]
     plan = configs[0]._rows
-    assert kernel == [plan] and products == [(31, 16, 16)]
+    assert kernel == [plan]
     assert list(channel._records) == [plan]
     assert_product_records(singles, configs, channel, code5.syndrome_table)
     mixed = [cfg for pair in zip(configs[::-1], rebuilt) for cfg in pair][:40]
@@ -696,18 +769,20 @@ def test_a_bell4_plan_compiles_in_a_small_tracemalloc_peak():
 
 
 def test_a_plan_only_written_as_json_forms_no_view():
-    """``rule`` is formed on first read and the frame maps at the first
-    ``simulate``: a plan that only ``plan_to_json`` reads has neither."""
+    """A configuration is its descriptor and its plan's rows: written as
+    JSON and simulated, a plan forms no rule tuple, no action and no
+    frame map, and its row maps are the five fields it was compiled
+    with."""
     code = fresh_builtin("code5")
     configs, _ = st.plan_configurations(code)
     st.plan_to_json(code, configs)
-    assert [cfg.index for cfg in configs if "rule" in vars(cfg)] == []
-    assert "maps" not in vars(configs[0]._rows)
-    # one simulation forms every configuration's map, which the others then share
     st.xi_simulated(code, (1.0, 0.0), st.builtin_channel("identity", [2]), configs[3])
-    assert "maps" in vars(configs[0]._rows)
-    assert frame_map(configs[0]).base is configs[3]._rows.maps
-    assert not hasattr(configs[0], "action")
+    rows = configs[0]._rows
+    assert not hasattr(protocol._PlanRows, "maps") and list(vars(rows)) == [
+        "readouts", "big_a", "big_b", "alpha", "beta"]
+    for cfg in configs:
+        assert cfg._rows is rows
+        assert not hasattr(cfg, "rule") and not hasattr(cfg, "action")
 
 
 def test_simulate_holds_far_less_than_the_frame_maps():
@@ -715,7 +790,7 @@ def test_simulate_holds_far_less_than_the_frame_maps():
     # configuration's amplitudes at once, held more than that
     code = built_frame_code("bell3")
     configs, _ = st.plan_configurations(code)
-    maps = sum(frame_map(cfg).nbytes for cfg in configs if cfg.kind != "bare")
+    maps = (len(configs) - 1) * code.d2 * code.d2 * np.dtype(complex).itemsize
     channel = st.builtin_channel("random-cp", [5, 3, 64])
     beta = np.array([0.6, 0.8j])
     # the channel's coefficients come first, so the peak is the plan's
@@ -802,9 +877,9 @@ def test_every_configuration_carries_a_frame_map(frame_code):
         assert np.array_equal(rows.big_a[0], cols) and np.array_equal(rows.big_b[0], cols)
         assert same_bits(rows.alpha[0], np.ones(code.d2, dtype=complex))
         assert same_bits(rows.beta[0], np.zeros(code.d2, dtype=complex))
-        for cfg in plan:
-            assert frame_map(cfg).shape == (code.d2, code.d2)
-            assert frame_map(cfg).dtype == complex and not frame_map(cfg).flags.writeable
+        for name in ("big_a", "big_b", "alpha", "beta"):
+            assert getattr(rows, name).shape == (len(plan), code.d2)
+        assert rows.alpha.dtype == rows.beta.dtype == complex
         assert [cfg.kind for cfg in plan].count("bare") == 1
         assert plan[0].kind == "bare"
         assert same_bits(frame_map(plan[0]), np.eye(code.d2, dtype=complex))
@@ -1156,7 +1231,7 @@ def test_pair_plan_json_text_round_trip(name, seed, count):
 
     def described(cfg):
         action = (frame_map(cfg).dtype, frame_map(cfg).tobytes())
-        return cfg.index, cfg.kind, cfg.a, cfg.b, cfg.theta_signs, cfg.rule, action
+        return cfg.index, cfg.kind, cfg.a, cfg.b, cfg.theta_signs, rule_rows(cfg), action
 
     assert list(map(described, again)) == list(map(described, configs))
     assert again_readouts.syndromes == readouts.syndromes
@@ -1181,7 +1256,7 @@ class TestCompiledPlan:
             assert len(configs) == len(want)
             for cfg, (action, rule, signs) in zip(configs, want):
                 assert same_bits(frame_map(cfg), action)
-                assert cfg.rule == tuple(map(tuple, rule.tolist()))
+                assert rule_rows(cfg) == list(map(tuple, rule.tolist()))
                 assert cfg.theta_signs == signs
             rules = np.array([rule for _, rule, _ in want]).reshape(-1, code.d2, 4)
             for table in (readouts, st.derive_readouts(code, configs)):
@@ -1728,7 +1803,8 @@ def test_characterize_evaluates_the_rule_once_per_configuration(monkeypatch):
     assert [column.shape for column in rules[0]] == [(31, 16)] * 4
     assert len(result.configs) == 31
     assert all(a is b for a, b in zip(compiled[0][0], result.configs, strict=True))
-    assert [len(cfg.rule) for cfg in result.configs] == [16] * 31
+    assert (table_rows(st.derive_readouts(code5, result.configs))
+            == table_rows(st.plan_configurations(code5)[1]))
     assert len(result.residuals) == 31 and max(result.residuals) < 1e-12
     again = st.characterize(code5, channel, (0.6, 0.8j))
     assert len(compiled) == len(rules) == 1
